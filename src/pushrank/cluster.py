@@ -1,5 +1,4 @@
-"""Group-wise engine: one chosen group absorbs its intra-group mass in
-closed form, then pushes the result out in a single step.
+"""Group updates: a group first solves for its intra-group mass, then pushes.
 
 For a partition of the pages, write Qhh for the diagonal block of
 Q = (1-m) A belonging to group h. When group h updates, the limit of
@@ -9,9 +8,12 @@ repeating the set update on h forever is reached directly:
     x   += Q[:, h] @ zbar              (push along the group's out-links)
     z   += Q[:, h] @ zbar,  then z_h = 0
 
+The push is the same in-place step as a set update (`PushState.push`).
 Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
-from Q, so the local solve always exists. Factorizations are precomputed
-once per partition and shared across steps; `zbar` is transient.
+from Q, so the local solve always exists. Factorizations are computed
+once per partition (`GroupFactors`) and shared across steps and replicas;
+`zbar` is transient. Runs go through `pushrank.engines.run` with
+``factors=``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .engines import PushState, _drive, init_state
 from .errors import NumericalFailure
 
-__all__ = ["GroupFactors", "precompute_factors", "step_group", "run_clustered",
-           "DENSE_GROUP_CAP"]
+__all__ = ["GroupFactors", "step_group", "DENSE_GROUP_CAP"]
 
 DENSE_GROUP_CAP = 512
 _ITER_TOL = 1e-13
@@ -84,13 +84,8 @@ class GroupFactors:
         raise NumericalFailure(f"local solve for group {h} failed to converge")
 
 
-def precompute_factors(graph, m, partition, dense_cap=DENSE_GROUP_CAP):
-    """Factor every group's (I - Qhh) once, ahead of the run."""
-    return GroupFactors(graph, m, partition, dense_cap=dense_cap)
-
-
 def step_group(state, graph, m, factors, h):
-    """One update by group h: local solve, push, reset the group residual.
+    """One update by group h, in place: local solve, push, reset the group residual.
 
     Equivalent to the limit of infinitely many simultaneous set updates by
     the group's member pages; the group's own residual ends exactly zero
@@ -100,39 +95,5 @@ def step_group(state, graph, m, factors, h):
         raise ValueError(f"group {h} outside 0..{factors.num_groups - 1}")
     members = factors.members[h]
     zbar = factors.solve_local(h, state.z[members])
-    inflow = factors.block_columns[h] @ zbar
-    x = state.x + inflow
-    z = state.z + inflow
-    z[members] = 0.0
-    return PushState(x, z, state.step + 1,
-                     state.cumulative_updates + int(members.size))
-
-
-def run_clustered(graph, m, partition, schedule, *, steps=None, tol=None,
-                  oracle=None, cadence=1, v=None, factors=None,
-                  dense_cap=DENSE_GROUP_CAP, record_x=False):
-    """Drive `step_group` with one group per step drawn from `schedule`.
-
-    The schedule draws group indices (singleton sets; an empty draw is a
-    no-op step). Stop rules and tracing match `pushrank.engines.run`.
-    """
-    if steps is None and tol is None:
-        raise ValueError("need steps and/or tol to bound the run")
-    if factors is None:
-        factors = precompute_factors(graph, m, partition, dense_cap=dense_cap)
-    state = init_state(graph.n, m, v)
-
-    def advance(st):
-        chosen = schedule.next(st.step)
-        if chosen is None:
-            return None
-        chosen = np.atleast_1d(np.asarray(chosen, dtype=np.intp))
-        if chosen.size == 0:
-            return PushState(st.x.copy(), st.z.copy(), st.step + 1,
-                             st.cumulative_updates)
-        if chosen.size != 1:
-            raise ValueError("group schedules must draw one group per step")
-        return step_group(st, graph, m, factors, int(chosen[0]))
-
-    return _drive(state, graph, m, advance, steps, tol, oracle, cadence,
-                  record_x)
+    state.push(members, factors.block_columns[h] @ zbar)
+    state.z[members] = 0.0

@@ -8,30 +8,32 @@ sender's own residual is reset. The estimate x grows entrywise and never
 exceeds x*, and the residual certifies the distance to the solution:
 ``||x* - x||_1 = ((1-m)/m) ||z||_1`` on any patched graph.
 
-Three step kinds share this state:
+There is one step: a set of pages pushes at once (`step_set`). A
+synchronous step is the set of every page, a gossip step a single page,
+and a group step (`pushrank.cluster.step_group`) first solves for its
+group's intra-group mass and then pushes the same way. Steps mutate the
+state they are given. One driver, `run`, draws the sets or groups and
+stops on the certificate.
 
-* `step_sync`  -- all pages push at once: x+ = x + Qz, z+ = Qz;
-* `step_set`   -- an arbitrary set phi pushes simultaneously;
-* group steps  -- see `pushrank.cluster`.
-
-Engine instances are single-threaded and deterministic; replicas may run
+Engines are single-threaded and deterministic; replicas may run
 concurrently on the shared immutable graph, each owning its state and
-schedule stream. Inflows accumulate in ascending sender index, so a full
-push over all pages reproduces the sparse mat-vec bit for bit.
+schedule stream. Inflows accumulate in ascending sender index, so a push
+by any set of pages reproduces the sparse mat-vec ``Q @ (mask * z)`` bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import step_group
 from .solvers import check_probability_vector
 from .trace import Trace
 
-__all__ = ["PushState", "init_state", "step_sync", "step_set", "scatter_push",
-           "exact_error", "run", "run_sync"]
+__all__ = ["PushState", "init_state", "step_set", "exact_error", "run"]
 
 
 @dataclass
@@ -51,6 +53,15 @@ class PushState:
         return PushState(self.x.copy(), self.z.copy(), self.step,
                          self.cumulative_updates)
 
+    def push(self, senders, inflow):
+        """Finish one step in place: everyone integrates `inflow` into x;
+        the senders restart their residual from it, the rest add it to z."""
+        self.x += inflow
+        self.z[senders] = 0.0
+        self.z += inflow
+        self.step += 1
+        self.cumulative_updates += int(senders.size)
+
 
 def init_state(n, m, v=None):
     """Fresh state x = z = (m/n) 1, or m*v for a personalization vector v."""
@@ -61,27 +72,11 @@ def init_state(n, m, v=None):
     return PushState(x, x.copy())
 
 
-def scatter_push(graph, m, z, phi):
-    """Inflow vector of one simultaneous push by the pages in phi.
-
-    Entry i receives sum over j in (in-neighbors of i) ∩ phi of
-    (1-m)/n_j * z_j. Implemented as a scatter along each sender's
-    out-links in ascending sender index (senders only ever touch their
-    outgoing side of the graph).
-    """
-    inflow = np.zeros(graph.n)
-    for j in phi:
-        deg = graph.out_degree[j]
-        if deg:
-            inflow[graph.out_neighbors(j)] += ((1.0 - m) / deg) * z[j]
-    return inflow
-
-
 def _normalize_phi(graph, phi):
     arr = np.asarray(phi, dtype=np.intp)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    if arr.size > 1:
+    if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
         arr = np.unique(arr)
     if arr.size and (arr[0] < 0 or arr[-1] >= graph.n):
         raise ValueError(f"update set contains pages outside 0..{graph.n - 1}")
@@ -89,29 +84,26 @@ def _normalize_phi(graph, phi):
 
 
 def step_set(state, graph, m, phi):
-    """One simultaneous update by the page set phi (may be empty).
+    """One simultaneous update by the page set phi (may be empty), in place.
 
     x_i += inflow_i for every page; senders restart their residual from
-    the inflow alone (z_i+ = inflow_i for i in phi) while everyone else
-    integrates it (z_i+ = z_i + inflow_i). A singleton phi is exactly one
-    gossip update.
+    the inflow alone (z_i = inflow_i for i in phi) while everyone else
+    integrates it (z_i += inflow_i). A singleton phi is exactly one gossip
+    update, the set of all pages one synchronous step x += Qz, z = Qz.
     """
     phi = _normalize_phi(graph, phi)
-    inflow = scatter_push(graph, m, state.z, phi)
-    x = state.x + inflow
-    z = state.z.copy()
-    z[phi] = 0.0
-    z += inflow
-    return PushState(x, z, state.step + 1,
-                     state.cumulative_updates + int(phi.size))
-
-
-def step_sync(state, graph, m):
-    """One synchronous step: x+ = x + Qz, z+ = Qz (all pages push)."""
-    q = graph.q_matrix(m)
-    z = q @ state.z
-    return PushState(state.x + z, z, state.step + 1,
-                     state.cumulative_updates + graph.n)
+    z = state.z
+    if phi.size == graph.n:
+        inflow = graph.q_matrix(m) @ z
+    else:
+        # scatter along each sender's out-links: O(out-degree) per sender
+        inflow = np.zeros(graph.n)
+        indptr, indices = graph.indptr, graph.indices
+        for j in phi:
+            lo, hi = indptr[j], indptr[j + 1]
+            if hi > lo:
+                inflow[indices[lo:hi]] += ((1.0 - m) / (hi - lo)) * z[j]
+    state.push(phi, inflow)
 
 
 def exact_error(state, m):
@@ -134,9 +126,27 @@ def _record(trace, state, m, oracle, record_x=False):
                  cert=cert, defect=defect, x=state.x if record_x else None)
 
 
-def _drive(state, graph, m, advance, steps, tol, oracle, cadence,
-           record_x=False):
-    """Shared outer loop: advance until tolerance/steps/schedule end."""
+def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
+        oracle=None, cadence=1, v=None, record_x=False):
+    """Run one engine from the initial state; returns (state, trace).
+
+    Each step pushes the set that `schedule` draws, or every page when
+    `schedule` is None (synchronous). With `factors` (a
+    `pushrank.cluster.GroupFactors`) the schedule draws one group index
+    per step, an empty draw being a no-op step. Stops when the residual
+    certificate reaches `tol`, after `steps` steps, or when the schedule
+    is exhausted, whichever comes first. The trace records every
+    `cadence`-th step (plus the first and last); err/defect columns are
+    filled when a dense oracle is supplied. The oracle solves for uniform
+    teleportation, so it cannot be combined with a personalization `v`.
+    """
+    if steps is None and tol is None:
+        raise ValueError("need steps and/or tol to bound the run")
+    if v is not None and oracle is not None:
+        raise ValueError("the dense oracle assumes uniform teleportation; "
+                         "it cannot check a personalized run")
+    state = init_state(graph.n, m, v)
+    everyone = np.arange(graph.n, dtype=np.intp)
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle
     z_stop = m * tol / (1.0 - m) if tol is not None else -1.0
     trace = Trace()
@@ -144,45 +154,19 @@ def _drive(state, graph, m, advance, steps, tol, oracle, cadence,
     while steps is None or state.step < steps:
         if state.z.sum() <= z_stop:
             break
-        nxt = advance(state)
-        if nxt is None:
+        drawn = everyone if schedule is None else schedule.next(state.step)
+        if drawn is None:
             break
-        state = nxt
+        if factors is None:
+            step_set(state, graph, m, drawn)
+        elif len(drawn) == 0:
+            state.step += 1          # an empty group draw is a no-op step
+        elif len(drawn) == 1:
+            step_group(state, graph, m, factors, int(drawn[0]))
+        else:
+            raise ValueError("group schedules must draw one group per step")
         if state.step % cadence == 0:
             _record(trace, state, m, oracle, record_x)
     if trace.final_step != state.step:
         _record(trace, state, m, oracle, record_x)
     return state, trace
-
-
-def run(graph, m, schedule, *, steps=None, tol=None, oracle=None,
-        cadence=1, v=None, record_x=False):
-    """Drive `step_set` with one update set per step drawn from `schedule`.
-
-    Stops when the residual certificate reaches `tol`, after `steps` steps,
-    or when the schedule is exhausted, whichever comes first. The trace
-    records every `cadence`-th step (plus the first and last); err/defect
-    columns are filled when a dense oracle is supplied.
-    """
-    if steps is None and tol is None:
-        raise ValueError("need steps and/or tol to bound the run")
-    state = init_state(graph.n, m, v)
-
-    def advance(st):
-        phi = schedule.next(st.step)
-        if phi is None:
-            return None
-        return step_set(st, graph, m, phi)
-
-    return _drive(state, graph, m, advance, steps, tol, oracle, cadence,
-                  record_x)
-
-
-def run_sync(graph, m, *, steps=None, tol=None, oracle=None, cadence=1,
-             v=None, record_x=False):
-    """Drive `step_sync` under the same stop rules as `run`."""
-    if steps is None and tol is None:
-        raise ValueError("need steps and/or tol to bound the run")
-    state = init_state(graph.n, m, v)
-    return _drive(state, graph, m, lambda st: step_sync(st, graph, m),
-                  steps, tol, oracle, cadence, record_x)

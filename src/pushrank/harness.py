@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cluster as cluster_mod
 from . import engines, scheduling, solvers
+from .cluster import GroupFactors
 from .errors import ConfigError, NumericalFailure
 from .trace import Trace, format_float
 from .webgraph import load_edge_list, load_partition, patch_dangling
@@ -103,9 +103,10 @@ class _Runtime:
         config.validate()
         graph = load_edge_list(config.graph, index_base=config.base)
         self.graph, self.patched_pages = patch_dangling(graph)
-        self.partition = None
+        self.partition = self.factors = None
         if config.partition is not None:
             self.partition = load_partition(config.partition, self.graph)
+            self.factors = GroupFactors(self.graph, config.m, self.partition)
         self.oracle = None
         if self.graph.n <= config.dense_cap:
             self.oracle = solvers.DenseOracle(self.graph, config.m,
@@ -230,8 +231,6 @@ def _execute(config, runtime, sched):
     steps, tol = config.effective_bounds()
     cadence = _auto_cadence(config, runtime, sched)
     oracle = runtime.oracle
-    kw = dict(steps=steps, tol=tol, oracle=oracle, cadence=cadence,
-              record_x=config.include_x)
     if config.algorithm == "exact":
         oracle = runtime.require_oracle("exact solve")
         trace = Trace()
@@ -244,13 +243,9 @@ def _execute(config, runtime, sched):
             max_steps=steps if steps is not None else _DEFAULT_STEP_CAP,
             oracle=oracle, cadence=cadence, record_x=config.include_x)
         return trace
-    if config.algorithm == "sync":
-        _, trace = engines.run_sync(graph, m, **kw)
-    elif config.algorithm in ("gossip", "multi"):
-        _, trace = engines.run(graph, m, sched, **kw)
-    else:
-        _, trace = cluster_mod.run_clustered(graph, m, runtime.partition,
-                                             sched, **kw)
+    _, trace = engines.run(graph, m, sched, factors=runtime.factors,
+                           steps=steps, tol=tol, oracle=oracle,
+                           cadence=cadence, record_x=config.include_x)
     _check_conservation(trace)
     return trace
 

@@ -44,8 +44,7 @@ def derive_seed(seed, replica):
 
 def indegree_plus_one_weights(graph):
     """Selection weights proportional to each page's in-degree plus one."""
-    return np.array([graph.in_neighbors(i).size + 1 for i in range(graph.n)],
-                    dtype=float)
+    return np.bincount(graph.indices, minlength=graph.n) + 1.0
 
 
 class Schedule:
@@ -68,8 +67,8 @@ class Schedule:
         self._cum = None
         if weights is not None:
             w = np.asarray(weights, dtype=float)
-            if np.any(w <= 0):
-                raise ValueError("selection weights must all be positive")
+            if not np.all((w > 0) & np.isfinite(w)):
+                raise ValueError("selection weights must all be positive and finite")
             self.weights = w / w.sum()
             self._cum = np.cumsum(self.weights)
             self._cum[-1] = 1.0

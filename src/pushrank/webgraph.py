@@ -1,10 +1,14 @@
 """Directed web graphs and page partitions.
 
-A graph holds per-page out-link lists over pages 0..n-1. The link matrix A
-is column stochastic with A[i, j] = 1/n_j for every link j -> i, where n_j
-is the out-degree of page j; the scaled operator Q = (1-m) * A drives all
-engines. Pages without out-links ("dangling") must be patched before Q can
-be formed.
+A graph over pages 0..n-1 is two integer arrays, ``indptr`` and
+``indices``: the out-links of page j are ``indices[indptr[j]:indptr[j+1]]``,
+sorted and deduplicated (CSR by source page). The link matrix A is column
+stochastic with A[i, j] = 1/n_j for every link j -> i, where n_j is the
+out-degree of page j, so the same two arrays are the CSC structure of A and
+of the scaled operator Q = (1-m) * A that drives all engines; `q_matrix`
+only adds the values (1-m)/n_j. In-links come from the transpose, built the
+first time they are asked for. Pages without out-links ("dangling") must
+be patched before Q can be formed.
 
 File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 
@@ -18,6 +22,8 @@ share across threads.
 from __future__ import annotations
 
 import io
+from array import array
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +40,6 @@ __all__ = [
     "q_column",
     "load_partition",
     "parse_partition",
-    "trivial_partition",
-    "whole_graph_partition",
 ]
 
 
@@ -56,7 +60,7 @@ def _as_lines(source):
 
 
 class WebGraph:
-    """Immutable hyperlink structure with out-/in-neighbor access.
+    """Immutable hyperlink structure in compressed-column form.
 
     Parameters
     ----------
@@ -67,46 +71,57 @@ class WebGraph:
         Duplicates are collapsed; targets are stored sorted.
     """
 
-    __slots__ = ("n", "out_degree", "_out", "_in", "_q_cache")
+    __slots__ = ("n", "indptr", "indices", "_transpose", "_q_cache")
 
     def __init__(self, n, out_neighbors):
-        if n < 2:
-            raise ValueError(f"need at least 2 pages, got n={n}")
         if len(out_neighbors) != n:
             raise ValueError("out_neighbors must have one entry per page")
-        self.n = int(n)
-        out = []
-        for j, targets in enumerate(out_neighbors):
-            t = np.unique(np.asarray(list(targets), dtype=np.intp))
-            if t.size and (t[0] < 0 or t[-1] >= n):
-                raise ValueError(f"page {j} links outside 0..{n - 1}")
-            out.append(t)
-        self._out = tuple(out)
-        self.out_degree = np.array([t.size for t in out], dtype=np.intp)
-        ins = [[] for _ in range(n)]
-        for j, targets in enumerate(self._out):
-            for i in targets:
-                ins[i].append(j)
-        # sources are appended in ascending j, so each list is already sorted
-        self._in = tuple(np.asarray(s, dtype=np.intp) for s in ins)
-        self._q_cache = {}
+        degree = np.fromiter(map(len, out_neighbors), dtype=np.intp, count=n)
+        src = np.repeat(np.arange(n, dtype=np.intp), degree)
+        dst = np.fromiter(chain.from_iterable(out_neighbors), dtype=np.intp,
+                          count=src.size)
+        self._set_edges(n, src, dst)
 
     @classmethod
-    def from_edges(cls, n, edges):
-        out = [[] for _ in range(n)]
-        for src, dst in edges:
-            out[src].append(dst)
-        return cls(n, out)
+    def from_edges(cls, n, src, dst):
+        """Graph with a link src[k] -> dst[k] for every k (duplicates collapse)."""
+        graph = cls.__new__(cls)
+        graph._set_edges(n, np.asarray(src, dtype=np.intp),
+                         np.asarray(dst, dtype=np.intp))
+        return graph
+
+    def _set_edges(self, n, src, dst):
+        if n < 2:
+            raise ValueError(f"need at least 2 pages, got n={n}")
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            raise ValueError(f"page {src[bad][0]} links outside 0..{n - 1}")
+        # one sort orders the links by source, then target, and exposes duplicates
+        src, dst = np.divmod(np.unique(src.astype(np.int64) * n + dst), n)
+        self.n = int(n)
+        self.indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.indices = dst.astype(np.intp)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        self._transpose = None
+        self._q_cache = {}
+
+    @property
+    def out_degree(self):
+        return np.diff(self.indptr)
 
     def out_neighbors(self, i):
-        return self._out[i]
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def in_neighbors(self, i):
-        return self._in[i]
+        if self._transpose is None:
+            sources = np.repeat(np.arange(self.n, dtype=np.intp), self.out_degree)
+            self._transpose = WebGraph.from_edges(self.n, self.indices, sources)
+        return self._transpose.out_neighbors(i)
 
     @property
     def num_edges(self):
-        return int(self.out_degree.sum())
+        return int(self.indices.size)
 
     def dangling_pages(self):
         """Pages with no out-links, ascending."""
@@ -120,24 +135,23 @@ class WebGraph:
     def q_matrix(self, m):
         """The scaled link operator Q = (1-m) A as a CSC matrix.
 
-        Column j holds (1-m)/n_j at each out-neighbor row of page j. Entry
-        values are computed directly as (1-m)/n_j so that column scatters
-        performed with that same scalar reproduce the mat-vec bit for bit.
-        Cached per value of m; the graph must be patched first.
+        The graph's own arrays with value (1-m)/n_j in column j. Values are
+        computed directly as (1-m)/n_j so that column scatters performed
+        with that same scalar reproduce the mat-vec bit for bit. Cached per
+        value of m; the graph must be patched first.
         """
+        cached = self._q_cache.get(m)
+        if cached is not None:
+            return cached
         if not 0.0 < m < 1.0:
             raise ValueError(f"m must lie in (0, 1), got {m}")
         if not self.is_stochastic:
             bad = self.dangling_pages()
             raise ValueError(f"graph has dangling pages {bad.tolist()}; patch first")
-        cached = self._q_cache.get(m)
-        if cached is not None:
-            return cached
-        rows = np.concatenate(self._out) if self.num_edges else np.empty(0, dtype=np.intp)
-        cols = np.repeat(np.arange(self.n, dtype=np.intp), self.out_degree)
-        data = np.repeat((1.0 - m) / self.out_degree.astype(float), self.out_degree)
-        q = sparse.csc_array((data, (rows, cols)), shape=(self.n, self.n))
-        q.sort_indices()
+        degree = self.out_degree
+        data = np.repeat((1.0 - m) / degree.astype(float), degree)
+        q = sparse.csc_array((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
         self._q_cache[m] = q
         return q
 
@@ -157,26 +171,25 @@ def load_edge_list(source, index_base=0):
     """
     if index_base not in (0, 1):
         raise ValueError(f"index_base must be 0 or 1, got {index_base}")
-    edges = []
-    max_seen = -1
+    src, dst = array("q"), array("q")
     for lineno, line in _as_lines(source):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'src dst', got {line!r}")
         try:
-            src, dst = int(parts[0]), int(parts[1])
+            s, d = int(parts[0]) - index_base, int(parts[1]) - index_base
         except ValueError:
             raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
-        src -= index_base
-        dst -= index_base
-        if src < 0 or dst < 0:
+        if s < 0 or d < 0:
             raise ParseError(f"line {lineno}: index below base {index_base}")
-        edges.append((src, dst))
-        max_seen = max(max_seen, src, dst)
-    n = max_seen + 1
+        src.append(s)
+        dst.append(d)
+    src = np.frombuffer(src, dtype=np.int64)
+    dst = np.frombuffer(dst, dtype=np.int64)
+    n = int(max(src.max(), dst.max())) + 1 if src.size else 0
     if n < 2:
         raise ValueError(f"edge list describes {n} page(s); need at least 2")
-    return WebGraph.from_edges(n, edges)
+    return WebGraph.from_edges(n, src, dst)
 
 
 def patch_dangling(graph):
@@ -188,10 +201,12 @@ def patch_dangling(graph):
     patched = graph.dangling_pages()
     if patched.size == 0:
         return graph, patched
-    everyone = np.arange(graph.n, dtype=np.intp)
-    out = [everyone if graph.out_degree[j] == 0 else graph.out_neighbors(j)
-           for j in range(graph.n)]
-    return WebGraph(graph.n, out), patched
+    n = graph.n
+    src = np.concatenate([np.repeat(np.arange(n, dtype=np.intp), graph.out_degree),
+                          np.repeat(patched, n)])
+    dst = np.concatenate([graph.indices, np.tile(np.arange(n, dtype=np.intp),
+                                                  patched.size)])
+    return WebGraph.from_edges(n, src, dst), patched
 
 
 def q_column(graph, m, i):
@@ -284,11 +299,3 @@ def load_partition(source, graph):
             f"doubly-assigned pages {sorted(set(dupes))}, "
             f"unassigned pages {missing.tolist()}")
     return Partition(assigned)
-
-
-def trivial_partition(graph):
-    return Partition.trivial(graph.n)
-
-
-def whole_graph_partition(graph):
-    return Partition.whole(graph.n)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, NumericalFailure, Partition, Schedule,
-                      WebGraph, init_state, parse_edge_list, patch_dangling,
-                      precompute_factors, run, run_clustered, step_group,
-                      step_set, trivial_partition, whole_graph_partition)
+from pushrank import (DenseOracle, GroupFactors, Partition, Schedule,
+                      init_state, parse_edge_list, run, step_group, step_set)
 
 from conftest import random_graph, random_partition
 
@@ -13,7 +11,7 @@ M = 0.15
 
 def test_singleton_factor_without_self_loop_is_identity():
     g = parse_edge_list("0 1\n1 0")
-    factors = precompute_factors(g, M, trivial_partition(g))
+    factors = GroupFactors(g, M, Partition.trivial(g.n))
     rhs = np.array([0.3])
     np.testing.assert_array_equal(factors.solve_local(0, rhs), rhs)
 
@@ -21,7 +19,7 @@ def test_singleton_factor_without_self_loop_is_identity():
 def test_singleton_factor_with_self_loop():
     # page 0 links to itself and to 1, so q00 = 0.425
     g = parse_edge_list("0 0\n0 1\n1 0")
-    factors = precompute_factors(g, M, trivial_partition(g))
+    factors = GroupFactors(g, M, Partition.trivial(g.n))
     rhs = np.array([0.2])
     np.testing.assert_allclose(factors.solve_local(0, rhs),
                                rhs / (1 - 0.425), rtol=1e-15)
@@ -30,7 +28,7 @@ def test_singleton_factor_with_self_loop():
 def test_whole_graph_factor_reaches_fixed_point(rng):
     g = random_graph(rng, 24)
     oracle = DenseOracle(g, M)
-    factors = precompute_factors(g, M, whole_graph_partition(g))
+    factors = GroupFactors(g, M, Partition.whole(g.n))
     x = factors.solve_local(0, np.full(g.n, M / g.n))
     assert np.abs(x - oracle.x_star).sum() <= 1e-12
 
@@ -40,7 +38,7 @@ def test_factor_roundtrip(rng):
     part = random_partition(rng, g.n, 6)
     q = g.q_matrix(M).toarray()
     for dense_cap in (512, 0):
-        factors = precompute_factors(g, M, part, dense_cap=dense_cap)
+        factors = GroupFactors(g, M, part, dense_cap=dense_cap)
         for h, mem in enumerate(part.members):
             rhs = rng.random(mem.size)
             zbar = factors.solve_local(h, rhs)
@@ -48,25 +46,62 @@ def test_factor_roundtrip(rng):
             assert np.abs(block @ zbar - rhs).max() <= 1e-12
 
 
+def self_loops(g):
+    return np.array([j in g.out_neighbors(j) for j in range(g.n)])
+
+
 def test_step_group_singleton_matches_set_step(rng):
-    g = random_graph(rng, 20)  # no self-loops
-    part = trivial_partition(g)
-    factors = precompute_factors(g, M, part)
+    # the generator emits no self-loops, but patching links a dangling page
+    # to every page, itself included: there the group step absorbs q_jj
+    g = random_graph(rng, 20)
+    loops = self_loops(g)
+    factors = GroupFactors(g, M, Partition.trivial(g.n))
     st = init_state(g.n, M)
+    compared = 0
     for k in range(100):
         page = int(rng.integers(g.n))
-        via_group = step_group(st, g, M, factors, page)
-        via_set = step_set(st, g, M, [page])
-        np.testing.assert_array_equal(via_group.x, via_set.x)
-        np.testing.assert_array_equal(via_group.z, via_set.z)
-        st = via_group
+        via_set = st.copy()
+        step_set(via_set, g, M, [page])
+        step_group(st, g, M, factors, page)
+        if not loops[page]:
+            np.testing.assert_array_equal(st.x, via_set.x)
+            np.testing.assert_array_equal(st.z, via_set.z)
+            compared += 1
+    assert compared > 0
+
+
+def test_step_group_singleton_self_loop_pushes_absorbed_residual(rng):
+    # a singleton group on a self-loop page j pushes z_j / (1 - q_jj), where
+    # a gossip step pushes z_j
+    g = random_graph(rng, 20)
+    loops = self_loops(g)
+    assert loops.tolist().count(True) == 1 and loops[3]
+    j = 3
+    q_jj = (1 - M) / g.out_degree[j]
+    factors = GroupFactors(g, M, Partition.trivial(g.n))
+    via_group = init_state(g.n, M)
+    via_group.z[:] = 0.0
+    via_group.z[j] = 0.25
+    via_set = via_group.copy()
+    step_group(via_group, g, M, factors, j)
+    step_set(via_set, g, M, [j])
+    # with only z_j in flight, z after the step is the pushed inflow itself
+    pushed = np.zeros(g.n)
+    pushed[g.out_neighbors(j)] = (1 - M) / g.out_degree[j] * (0.25 / (1 - q_jj))
+    pushed[j] = 0.0
+    np.testing.assert_allclose(via_group.z, pushed, rtol=1e-15, atol=0)
+    gossip = via_set.z.copy()
+    gossip[j] = 0.0
+    np.testing.assert_allclose(via_group.z, gossip / (1 - q_jj),
+                               rtol=1e-15, atol=0)
 
 
 def test_step_group_whole_graph_converges_in_one_step(rng):
     g = random_graph(rng, 30)
     oracle = DenseOracle(g, M)
-    factors = precompute_factors(g, M, whole_graph_partition(g))
-    st = step_group(init_state(g.n, M), g, M, factors, 0)
+    factors = GroupFactors(g, M, Partition.whole(g.n))
+    st = init_state(g.n, M)
+    step_group(st, g, M, factors, 0)
     assert oracle.error_l1(st.x) <= 1e-10
     np.testing.assert_array_equal(st.z, 0.0)
     assert st.cumulative_updates == g.n
@@ -75,17 +110,18 @@ def test_step_group_whole_graph_converges_in_one_step(rng):
 def test_step_group_noop_when_group_residual_zero(rng):
     g = random_graph(rng, 12)
     part = random_partition(rng, g.n, 3)
-    factors = precompute_factors(g, M, part)
+    factors = GroupFactors(g, M, part)
     st = init_state(g.n, M)
     st.z[part.members[1]] = 0.0
-    nxt = step_group(st, g, M, factors, 1)
-    np.testing.assert_array_equal(nxt.x, st.x)
-    np.testing.assert_array_equal(nxt.z, st.z)
+    before = st.copy()
+    step_group(st, g, M, factors, 1)
+    np.testing.assert_array_equal(st.x, before.x)
+    np.testing.assert_array_equal(st.z, before.z)
 
 
 def test_step_group_rejects_bad_group(rng):
     g = random_graph(rng, 6)
-    factors = precompute_factors(g, M, trivial_partition(g))
+    factors = GroupFactors(g, M, Partition.trivial(g.n))
     with pytest.raises(ValueError, match="group"):
         step_group(init_state(g.n, M), g, M, factors, 6)
 
@@ -97,26 +133,37 @@ def test_group_step_is_limit_of_repeated_set_steps(rng):
     for _ in range(3):
         g = random_graph(rng, int(rng.integers(8, 30)), allow_self=True)
         part = random_partition(rng, g.n, 4)
-        factors = precompute_factors(g, M, part)
+        factors = GroupFactors(g, M, part)
         h = int(rng.integers(part.num_groups))
-        st = init_state(g.n, M)
-        grouped = step_group(st, g, M, factors, h)
-        iterated = st
+        grouped = init_state(g.n, M)
+        iterated = grouped.copy()
+        step_group(grouped, g, M, factors, h)
         for _ in range(200):
-            iterated = step_set(iterated, g, M, part.members[h])
+            step_set(iterated, g, M, part.members[h])
         assert np.abs(grouped.x - iterated.x).sum() <= tail + 1e-12
         assert np.abs(grouped.z - iterated.z).sum() <= tail + 1e-12
 
 
 def test_trivial_partition_mirrors_gossip(rng):
-    g = random_graph(rng, 25)  # generator emits no self-loops
+    # the runs agree bit for bit until the first draw of a self-loop page
+    # (patching gives dangling pages one); that step absorbs q_jj, so the
+    # group run's certificate falls below the gossip run's
+    g = random_graph(rng, 25)
+    loops = self_loops(g)
     sched = Schedule.uniform_singleton(g.n, seed=7)
     sets = [sched.next(k) for k in range(300)]
-    st_gossip, _ = run(g, M, Schedule.fixed_sequence(sets), steps=300)
-    st_cluster, _ = run_clustered(g, M, trivial_partition(g),
-                                  Schedule.fixed_sequence(sets), steps=300)
-    assert np.abs(st_gossip.x - st_cluster.x).max() <= 1e-13
-    assert np.abs(st_gossip.z - st_cluster.z).max() <= 1e-13
+    first_loop = next(k for k, s in enumerate(sets) if loops[s[0]])
+    _, t_gossip = run(g, M, Schedule.fixed_sequence(sets), steps=300,
+                      record_x=True)
+    _, t_cluster = run(g, M, Schedule.fixed_sequence(sets), steps=300,
+                       factors=GroupFactors(g, M, Partition.trivial(g.n)),
+                       record_x=True)
+    assert t_gossip.steps == t_cluster.steps == list(range(301))
+    assert t_gossip.updates == t_cluster.updates
+    for k in range(first_loop + 1):
+        np.testing.assert_array_equal(t_gossip.x_rows[k], t_cluster.x_rows[k])
+        assert t_gossip.cert[k] == t_cluster.cert[k]
+    assert t_cluster.cert[first_loop + 1] < t_gossip.cert[first_loop + 1]
 
 
 def test_clustered_monotone_bounded_and_conserving(rng):
@@ -124,24 +171,25 @@ def test_clustered_monotone_bounded_and_conserving(rng):
         g = random_graph(rng, int(rng.integers(8, 50)), allow_self=True)
         oracle = DenseOracle(g, M)
         part = random_partition(rng, g.n, 5)
-        factors = precompute_factors(g, M, part)
+        factors = GroupFactors(g, M, part)
         st = init_state(g.n, M)
         for _ in range(200):
             h = int(rng.integers(part.num_groups))
-            nxt = step_group(st, g, M, factors, h)
-            assert np.all(nxt.x >= st.x - 1e-12)
-            assert np.all(nxt.x <= oracle.x_star + 1e-12)
-            assert oracle.conservation_defect(nxt.x, nxt.z) <= 1e-10
-            st = nxt
+            before = st.x.copy()
+            step_group(st, g, M, factors, h)
+            assert np.all(st.x >= before - 1e-12)
+            assert np.all(st.x <= oracle.x_star + 1e-12)
+            assert oracle.conservation_defect(st.x, st.z) <= 1e-10
 
 
 def test_iterative_and_dense_local_solves_agree(rng):
     g = random_graph(rng, 60)
     part = random_partition(rng, g.n, 3)
     sched = Schedule.periodic_groups(part.num_groups)
-    st_dense, _ = run_clustered(g, M, part, sched.restart(), steps=30)
-    st_iter, _ = run_clustered(g, M, part, sched.restart(), steps=30,
-                               dense_cap=0)
+    st_dense, _ = run(g, M, sched.restart(), steps=30,
+                      factors=GroupFactors(g, M, part))
+    st_iter, _ = run(g, M, sched.restart(), steps=30,
+                     factors=GroupFactors(g, M, part, dense_cap=0))
     assert np.abs(st_dense.x - st_iter.x).max() <= 1e-12
 
 
@@ -149,9 +197,8 @@ def test_run_clustered_periodic_decays(rng):
     g = random_graph(rng, 40)
     oracle = DenseOracle(g, M)
     part = random_partition(rng, g.n, 5)
-    _, trace = run_clustered(g, M, part,
-                             Schedule.periodic_groups(part.num_groups),
-                             steps=60, oracle=oracle)
+    _, trace = run(g, M, Schedule.periodic_groups(part.num_groups),
+                   factors=GroupFactors(g, M, part), steps=60, oracle=oracle)
     errs = trace.column("err_l1")
     # 12 complete cycles dominate 12 synchronous steps
     assert errs[-1] <= (1 - M) ** 13
@@ -161,14 +208,28 @@ def test_run_clustered_periodic_decays(rng):
 def test_single_group_run_converges_immediately(rng):
     g = random_graph(rng, 15)
     oracle = DenseOracle(g, M)
-    _, trace = run_clustered(g, M, whole_graph_partition(g),
-                             Schedule.periodic_groups(1), tol=1e-9,
-                             oracle=oracle)
+    _, trace = run(g, M, Schedule.periodic_groups(1),
+                   factors=GroupFactors(g, M, Partition.whole(g.n)),
+                   tol=1e-9, oracle=oracle)
     assert trace.final_step == 1
     assert trace.final_err <= 1e-10
+
+
+def test_group_run_empty_draw_is_noop_step(rng):
+    g = random_graph(rng, 12)
+    part = random_partition(rng, g.n, 3)
+    factors = GroupFactors(g, M, part)
+    st, trace = run(g, M, Schedule.fixed_sequence([[0], [], [1]]), steps=10,
+                    factors=factors)
+    assert trace.steps == [0, 1, 2, 3]
+    assert trace.updates[2] == trace.updates[1] == part.sizes[0]
+    assert trace.cert[2] == trace.cert[1]
+    assert st.cumulative_updates == part.sizes[0] + part.sizes[1]
+    with pytest.raises(ValueError, match="one group per step"):
+        run(g, M, Schedule.fixed_sequence([[0, 1]]), steps=10, factors=factors)
 
 
 def test_partition_graph_mismatch(rng):
     g = random_graph(rng, 10)
     with pytest.raises(ValueError, match="page count"):
-        precompute_factors(g, M, Partition(np.zeros(9, dtype=int)))
+        GroupFactors(g, M, Partition(np.zeros(9, dtype=int)))

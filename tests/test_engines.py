@@ -3,7 +3,7 @@ import pytest
 
 from pushrank import (DenseOracle, Schedule, WebGraph, exact_error,
                       init_state, neumann_partial, parse_edge_list,
-                      patch_dangling, run, run_sync, step_set, step_sync)
+                      patch_dangling, run, step_set)
 
 from conftest import random_graph
 
@@ -48,10 +48,11 @@ def test_init_rejects_bad_personalization():
         init_state(3, M, np.array([1.2, -0.1, -0.1]))
 
 
-# -- synchronous steps ----------------------------------------------------
+# -- synchronous steps (every page pushes) ---------------------------------
 
 def test_step_sync_hand_values():
-    st = step_sync(init_state(2, M), cycle2(), M)
+    st = init_state(2, M)
+    step_set(st, cycle2(), M, [0, 1])
     np.testing.assert_allclose(st.x, [0.13875, 0.13875], atol=1e-16)
     np.testing.assert_allclose(st.z, [0.06375, 0.06375], atol=1e-16)
     assert st.step == 1 and st.cumulative_updates == 2
@@ -61,10 +62,11 @@ def test_step_sync_absorbing_when_z_zero():
     g = cycle2()
     st = init_state(2, M)
     st.z[:] = 0.0
-    nxt = step_sync(st, g, M)
-    np.testing.assert_array_equal(nxt.x, st.x)
-    np.testing.assert_array_equal(nxt.z, 0.0)
-    assert nxt.step == 1
+    before = st.copy()
+    step_set(st, g, M, np.arange(g.n))
+    np.testing.assert_array_equal(st.x, before.x)
+    np.testing.assert_array_equal(st.z, 0.0)
+    assert st.step == 1
 
 
 def test_sync_trajectory_is_partial_sum(rng):
@@ -72,13 +74,14 @@ def test_sync_trajectory_is_partial_sum(rng):
     st = init_state(g.n, M)
     for k in range(60):
         np.testing.assert_array_equal(st.x, neumann_partial(g, M, k))
-        st = step_sync(st, g, M)
+        step_set(st, g, M, np.arange(g.n))
 
 
 # -- set steps ------------------------------------------------------------
 
 def test_step_set_singleton_hand_values():
-    st = step_set(init_state(2, M), cycle2(), M, [0])
+    st = init_state(2, M)
+    step_set(st, cycle2(), M, [0])
     np.testing.assert_allclose(st.x, [0.075, 0.13875], atol=1e-16)
     np.testing.assert_allclose(st.z, [0.0, 0.13875], atol=1e-16)
     assert st.cumulative_updates == 1
@@ -87,21 +90,55 @@ def test_step_set_singleton_hand_values():
 def test_step_set_empty_is_noop():
     g = cycle2()
     st = init_state(2, M)
-    nxt = step_set(st, g, M, [])
-    np.testing.assert_array_equal(nxt.x, st.x)
-    np.testing.assert_array_equal(nxt.z, st.z)
-    assert nxt.step == 1 and nxt.cumulative_updates == 0
+    before = st.copy()
+    step_set(st, g, M, [])
+    np.testing.assert_array_equal(st.x, before.x)
+    np.testing.assert_array_equal(st.z, before.z)
+    assert st.step == 1 and st.cumulative_updates == 0
 
 
 def test_step_set_full_matches_sync(rng):
+    # the synchronous step x += Qz, z = Qz, with Q built independently
     g = random_graph(rng, 40, allow_self=True)
+    q = g.q_matrix(M)
     st = init_state(g.n, M)
     for _ in range(5):
-        via_set = step_set(st, g, M, np.arange(g.n))
-        via_sync = step_sync(st, g, M)
-        np.testing.assert_array_equal(via_set.x, via_sync.x)
-        np.testing.assert_array_equal(via_set.z, via_sync.z)
-        st = via_sync
+        qz = q @ st.z
+        x_want = st.x + qz
+        step_set(st, g, M, np.arange(g.n))
+        np.testing.assert_array_equal(st.x, x_want)
+        np.testing.assert_array_equal(st.z, qz)
+
+
+def test_step_set_is_masked_matvec(rng):
+    # any set phi: x += Q (mask z), z = (1 - mask) z + Q (mask z), bit for bit
+    sparse_links = random_graph(rng, 40, mean_out=1.0, patched=False)
+    assert sparse_links.dangling_pages().size > 0
+    for g in (random_graph(rng, 40, allow_self=True),
+              patch_dangling(sparse_links)[0]):
+        q = g.q_matrix(M)
+        st = init_state(g.n, M)
+        for k in range(60):
+            if k % 10 == 9:
+                mask = np.ones(g.n, dtype=bool)
+            else:
+                mask = rng.random(g.n) < rng.choice([0.05, 0.3, 0.9])
+            inflow = q @ np.where(mask, st.z, 0.0)
+            x_want = st.x + inflow
+            z_want = np.where(mask, 0.0, st.z) + inflow
+            step_set(st, g, M, np.flatnonzero(mask))
+            np.testing.assert_array_equal(st.x, x_want)
+            np.testing.assert_array_equal(st.z, z_want)
+
+
+def test_step_mutates_its_state():
+    g = cycle2()
+    st = init_state(2, M)
+    x, z = st.x, st.z
+    assert step_set(st, g, M, [0]) is None
+    assert st.x is x and st.z is z
+    np.testing.assert_allclose(x, [0.075, 0.13875], atol=1e-16)
+    assert st.step == 1 and st.cumulative_updates == 1
 
 
 def test_step_set_rejects_out_of_range():
@@ -111,8 +148,9 @@ def test_step_set_rejects_out_of_range():
 
 def test_step_set_deduplicates():
     g = cycle2()
-    once = step_set(init_state(2, M), g, M, [0])
-    twice = step_set(init_state(2, M), g, M, [0, 0])
+    once, twice = init_state(2, M), init_state(2, M)
+    step_set(once, g, M, [0])
+    step_set(twice, g, M, [0, 0])
     np.testing.assert_array_equal(once.x, twice.x)
     assert twice.cumulative_updates == 1
 
@@ -143,11 +181,11 @@ def test_monotone_bounded_random_mixes(rng):
                 phi = np.flatnonzero(rng.random(g.n) < 0.3)
             else:
                 phi = []
-            nxt = step_set(st, g, M, phi)
-            assert np.all(nxt.x >= st.x - 1e-12)
-            assert np.all(nxt.x <= x_star + 1e-12)
-            assert np.all(nxt.z >= 0.0)
-            st = nxt
+            before = st.x.copy()
+            step_set(st, g, M, phi)
+            assert np.all(st.x >= before - 1e-12)
+            assert np.all(st.x <= x_star + 1e-12)
+            assert np.all(st.z >= 0.0)
 
 
 def test_pages_without_inlinks_stay_at_floor(rng):
@@ -160,9 +198,9 @@ def test_pages_without_inlinks_stay_at_floor(rng):
     assert abs(oracle.x_star[0] - M / n) <= 1e-12
     st = init_state(g.n, M)
     for _ in range(200):
-        st = step_set(st, g, M, np.flatnonzero(rng.random(n) < 0.4))
+        step_set(st, g, M, np.flatnonzero(rng.random(n) < 0.4))
         assert st.x[0] == M / n
-    st, _ = run_sync(g, M, steps=50)
+    st, _ = run(g, M, steps=50)
     assert st.x[0] == M / n
 
 
@@ -173,7 +211,7 @@ def test_conservation_and_certificate(rng):
     st = init_state(g.n, M)
     assert abs(exact_error(st, M) - (1 - M)) <= 1e-12
     for k in range(500):
-        st = step_set(st, g, M, sched.next(k))
+        step_set(st, g, M, sched.next(k))
         assert oracle.conservation_defect(st.x, st.z) <= 1e-10
         assert abs(exact_error(st, M) - oracle.error_l1(st.x)) <= 1e-9
     st.z[:] = 0.0
@@ -230,6 +268,18 @@ def test_run_round_robin_liveness_and_decay(rng):
 def test_run_requires_some_bound():
     with pytest.raises(ValueError):
         run(cycle2(), M, Schedule.round_robin(2))
+
+
+def test_run_rejects_personalization_with_oracle(rng):
+    # the dense oracle solves for uniform teleportation only
+    g = random_graph(rng, 10)
+    v = np.zeros(g.n)
+    v[0] = 1.0
+    with pytest.raises(ValueError, match="personalized"):
+        run(g, M, Schedule.uniform_singleton(g.n, seed=1), steps=5, v=v,
+            oracle=DenseOracle(g, M))
+    st, _ = run(g, M, Schedule.uniform_singleton(g.n, seed=1), steps=5, v=v)
+    assert st.step == 5
 
 
 def test_mean_trajectory_smoke(rng):

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pushrank import ConfigError, ExperimentConfig, compare, monte_carlo, run_experiment
+from pushrank import ConfigError, ExperimentConfig, cli, compare, monte_carlo, run_experiment
 from pushrank.trace import CSV_HEADER
 
 from conftest import (community_graph, random_graph, write_edge_list,
@@ -120,6 +120,22 @@ def test_weights_file_length_checked(small_graph_path, tmp_path):
                            steps=10)
     with pytest.raises(ConfigError, match="entries"):
         run_experiment(cfg)
+
+
+def test_cli_rejects_non_finite_weights(small_graph_path, tmp_path, capsys):
+    pages = tmp_path / "w.txt"
+    pages.write_text("1.0\n" * 19 + "nan\n")
+    assert cli.main(["gossip", "--graph", small_graph_path,
+                     "--schedule", "weighted", "--weights", f"file:{pages}",
+                     "--steps", "10"]) == cli.EXIT_CONFIG
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+    groups = tmp_path / "gw.txt"
+    groups.write_text("1.0\nnan\n")
+    assert cli.main(["cluster", "--graph", small_graph_path,
+                     "--partition", str(part), "--schedule", "weighted",
+                     "--weights", f"file:{groups}", "--steps", "10"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("positive and finite") == 2
 
 
 def test_exact_writes_rank_vector(cycle_path, tmp_path):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, analytic_mean_trace, init_state,
-                      lift_group_hat, lift_set, lift_single, mean_matrices,
-                      parse_edge_list, precompute_factors, step_group,
-                      step_set, trivial_partition, whole_graph_partition)
+from pushrank import (DenseOracle, GroupFactors, Partition,
+                      analytic_mean_trace, init_state, lift_group_hat,
+                      lift_set, lift_single, mean_matrices, parse_edge_list,
+                      step_group, step_set)
 from pushrank.lifted import (dense_q, lift_group_hat_blocks,
                              spectral_radius)
 
@@ -92,10 +92,10 @@ def test_engine_step_matches_matrix_form(rng):
         phi = np.flatnonzero(rng.random(g.n) < 0.35)
         _, r_phi, _ = lift_set(g, M, phi)
         q_phi = lift_set(g, M, phi)[0]
-        nxt = step_set(st, g, M, phi)
-        np.testing.assert_allclose(nxt.x, st.x + r_phi @ st.z, atol=1e-14)
-        np.testing.assert_allclose(nxt.z, q_phi @ st.z, atol=1e-14)
-        st = nxt
+        before = st.copy()
+        step_set(st, g, M, phi)
+        np.testing.assert_allclose(st.x, before.x + r_phi @ before.z, atol=1e-14)
+        np.testing.assert_allclose(st.z, q_phi @ before.z, atol=1e-14)
 
 
 def test_trajectory_matches_matrix_recursion(rng):
@@ -108,14 +108,14 @@ def test_trajectory_matches_matrix_recursion(rng):
         q_phi, r_phi, _ = lift_set(g, M, phi)
         x = x + r_phi @ z
         z = q_phi @ z
-        st = step_set(st, g, M, phi)
+        step_set(st, g, M, phi)
         np.testing.assert_allclose(st.x, x, atol=1e-13)
         np.testing.assert_allclose(st.z, z, atol=1e-13)
 
 
 def test_group_hat_singleton_without_self_loop(rng):
     g = random_graph(rng, 12)
-    part = trivial_partition(g)
+    part = Partition.trivial(g.n)
     i = 4
     rhat = lift_group_hat(g, M, part, i)
     np.testing.assert_allclose(rhat, lift_single(g, M, i)[1], atol=1e-15)
@@ -124,7 +124,7 @@ def test_group_hat_singleton_without_self_loop(rng):
 def test_group_hat_whole_graph(rng):
     g = random_graph(rng, 12)
     q = dense_q(g, M)
-    rhat = lift_group_hat(g, M, whole_graph_partition(g), 0)
+    rhat = lift_group_hat(g, M, Partition.whole(g.n), 0)
     expected = q @ np.linalg.inv(np.eye(g.n) - q)
     np.testing.assert_allclose(rhat, expected, atol=1e-12)
 
@@ -144,17 +144,17 @@ def test_group_hat_block_form_agrees(rng):
 def test_step_group_matches_hat_form(rng):
     g = random_graph(rng, 25, allow_self=True)
     part = random_partition(rng, g.n, 5)
-    factors = precompute_factors(g, M, part)
+    factors = GroupFactors(g, M, part)
     st = init_state(g.n, M)
     for k in range(40):
         h = int(rng.integers(part.num_groups))
         rhat = lift_group_hat(g, M, part, h)
         _, _, s_h = lift_set(g, M, part.members[h])
-        nxt = step_group(st, g, M, factors, h)
-        np.testing.assert_allclose(nxt.x, st.x + rhat @ st.z, atol=1e-10)
-        np.testing.assert_allclose(nxt.z, s_h @ (st.z + rhat @ st.z),
+        before = st.copy()
+        step_group(st, g, M, factors, h)
+        np.testing.assert_allclose(st.x, before.x + rhat @ before.z, atol=1e-10)
+        np.testing.assert_allclose(st.z, s_h @ (before.z + rhat @ before.z),
                                    atol=1e-10)
-        st = nxt
 
 
 def test_mean_matrices_column_sums(rng):

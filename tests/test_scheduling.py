@@ -117,8 +117,9 @@ def test_random_schedule_requires_sequential_consumption():
 
 
 def test_weights_must_be_positive():
-    with pytest.raises(ValueError, match="positive"):
-        Schedule.weighted_singleton(np.array([0.5, 0.0]), seed=0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            Schedule.weighted_singleton(np.array([0.5, bad]), seed=0)
 
 
 def test_liveness_round_robin_gap_equals_n():

@@ -5,8 +5,7 @@ import pytest
 
 from pushrank import (Partition, ParseError, WebGraph, load_edge_list,
                       load_partition, parse_edge_list, parse_partition,
-                      patch_dangling, q_column, trivial_partition,
-                      whole_graph_partition)
+                      patch_dangling, q_column)
 
 from conftest import random_graph, random_partition
 
@@ -23,6 +22,17 @@ def test_parse_one_based_collapses_duplicates():
     g = parse_edge_list("1 2\n1 2\n2 1", index_base=1)
     assert g.n == 2
     assert g.out_degree.tolist() == [1, 1]
+    # unsorted, duplicated edges: loader and list constructor store the same
+    # sorted, deduplicated arrays, which are Q's own
+    g = parse_edge_list("3 1\n1 3\n3 1\n1 2\n4 4\n2 4\n1 3\n4 1",
+                        index_base=1)
+    h = WebGraph(4, [[2, 1, 2, 1], [3], [0], [3, 0, 0]])
+    for graph in (g, h):
+        assert graph.indptr.tolist() == [0, 2, 3, 4, 6]
+        assert graph.indices.tolist() == [1, 2, 3, 0, 0, 3]
+        q = graph.q_matrix(0.15)
+        np.testing.assert_array_equal(q.indptr, graph.indptr)
+        np.testing.assert_array_equal(q.indices, graph.indices)
 
 
 def test_parse_dangling_page_allowed():
@@ -80,6 +90,16 @@ def test_patch_dangling_uniform_all_pages():
     idx, vals = q_column(g, 0.15, 1)
     assert idx.tolist() == [0, 1]
     np.testing.assert_allclose(vals, [0.425, 0.425])
+    # unsorted, duplicated edges around a dangling page
+    g, report = patch_dangling(parse_edge_list("2 0\n0 2\n2 0\n0 1"))
+    h, _ = patch_dangling(WebGraph(3, [[2, 1, 1], [], [0, 0]]))
+    assert report.tolist() == [1]
+    for graph in (g, h):
+        assert graph.indptr.tolist() == [0, 2, 5, 6]
+        assert graph.indices.tolist() == [1, 2, 0, 1, 2, 0]
+        q = graph.q_matrix(0.15)
+        np.testing.assert_array_equal(q.indptr, graph.indptr)
+        np.testing.assert_array_equal(q.indices, graph.indices)
 
 
 def test_patch_isolated_pages_fully_uniform():
@@ -144,14 +164,14 @@ def test_self_loops_preserved():
 
 def test_trivial_partition():
     g = random_graph(np.random.default_rng(0), 7)
-    p = trivial_partition(g)
+    p = Partition.trivial(g.n)
     assert p.num_groups == 7
     assert p.sizes.tolist() == [1] * 7
 
 
 def test_whole_graph_partition():
     g = random_graph(np.random.default_rng(0), 7)
-    p = whole_graph_partition(g)
+    p = Partition.whole(g.n)
     assert p.num_groups == 1
     assert p.sizes.tolist() == [7]
 
