@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 from .errors import ConfigError, NumericalFailure, ParseError
-from .harness import ALGORITHMS, ExperimentConfig, compare, monte_carlo, run_experiment
+from .harness import (ALGORITHMS, SCHEDULES, ExperimentConfig, compare,
+                      monte_carlo, run_experiment)
 
 __all__ = ["main", "build_parser"]
 
@@ -45,9 +47,9 @@ def _add_common(parser, with_schedule=True):
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized schedules")
     if with_schedule:
-        parser.add_argument("--schedule", default=None,
-                            help="uniform | weighted | roundrobin | subset:<q>"
-                                 " | file:<path> | periodic (cluster)")
+        parser.add_argument("--schedule", default=None, help="; ".join(
+            f"{algo}: {' | '.join(specs)}" for algo, specs in SCHEDULES.items())
+            + " (the first is the default)")
         parser.add_argument("--weights", default="uniform",
                             help="uniform | indegree_plus_one | file:<path>")
     parser.add_argument("--partition", default=None,
@@ -68,11 +70,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for algo in ALGORITHMS:
         p = sub.add_parser(algo, help=f"run the {algo} algorithm")
-        _add_common(p, with_schedule=algo in ("gossip", "multi", "cluster"))
+        _add_common(p, with_schedule=algo in SCHEDULES)
     mc = sub.add_parser("mc", help="Monte Carlo average over seeded replicas")
     _add_common(mc)
     mc.add_argument("--algorithm", default="gossip",
-                    choices=("gossip", "multi", "cluster"),
+                    choices=tuple(SCHEDULES),
                     help="engine to replicate (default gossip)")
     mc.add_argument("--replicas", type=int, default=1000,
                     help="number of replicas (default 1000)")
@@ -85,32 +87,19 @@ def build_parser():
     return parser
 
 
-def _config_from(args, algorithm, schedule=None, drop_partition=False):
-    partition = None if drop_partition and algorithm != "cluster" else args.partition
-    return ExperimentConfig(
-        graph=args.graph,
-        algorithm=algorithm,
-        base=args.base,
-        m=args.m,
-        schedule=schedule if schedule is not None else getattr(args, "schedule", None),
-        weights=getattr(args, "weights", "uniform"),
-        partition=partition,
-        steps=args.steps,
-        tol=args.tol,
-        seed=args.seed,
-        replicas=getattr(args, "replicas", 1),
-        out=args.out,
-        cadence=args.cadence,
-        dense_cap=args.dense_cap,
-        include_x=args.include_x,
-    )
+def _config_from(args, **overrides):
+    """ExperimentConfig from the parsed options that name its fields."""
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if hasattr(args, f.name)}
+    return ExperimentConfig(**{**given, **overrides})
 
 
 def _run(args):
     if args.command == "mc":
-        monte_carlo(_config_from(args, args.algorithm))
+        monte_carlo(_config_from(args))
         return EXIT_OK
     if args.command == "compare":
+        base = _config_from(args, algorithm=None, out=None)
         configs = []
         for spec in args.runs.split(","):
             spec = spec.strip()
@@ -119,15 +108,13 @@ def _run(args):
             algo, _, sched = spec.partition("=")
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r} in --runs")
-            cfg = _config_from(args, algo, schedule=sched or None,
-                               drop_partition=True)
-            cfg.out = None
-            if algo not in ("gossip", "multi", "cluster"):
-                cfg.schedule = None
-            configs.append(cfg)
+            configs.append(replace(
+                base, algorithm=algo,
+                schedule=(sched or base.schedule) if algo in SCHEDULES else None,
+                partition=base.partition if algo == "cluster" else None))
         compare(configs, out=args.out)
         return EXIT_OK
-    run_experiment(_config_from(args, args.command))
+    run_experiment(_config_from(args, algorithm=args.command))
     return EXIT_OK
 
 

@@ -142,6 +142,8 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     """
     if steps is None and tol is None:
         raise ValueError("need steps and/or tol to bound the run")
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     if v is not None and oracle is not None:
         raise ValueError("the dense oracle assumes uniform teleportation; "
                          "it cannot check a personalized run")

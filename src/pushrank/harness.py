@@ -1,5 +1,10 @@
 """Experiment harness: configure graph + algorithm + schedule, run, emit CSV.
 
+`SCHEDULES` is the one table of which schedule specs each scheduled
+algorithm accepts; the first spec listed is its default. `_build_schedule`
+checks a spec against it and hands it to `Schedule.from_spec`. Every CSV
+goes through `pushrank.trace.write_table`.
+
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
 Monte Carlo runs average the exact error across seeded replicas and emit
 ``step,updates,err_mean,err_stderr``; comparisons align runs on the
@@ -15,35 +20,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import engines, scheduling, solvers
 from .cluster import GroupFactors
 from .errors import ConfigError, NumericalFailure
-from .trace import Trace, format_float
+from .trace import Trace, format_float, write_table
 from .webgraph import load_edge_list, load_partition, patch_dangling
 
 __all__ = ["ExperimentConfig", "run_experiment", "monte_carlo", "compare",
-           "MeanTrace", "ALGORITHMS", "DEFECT_ABORT"]
+           "MeanTrace", "ALGORITHMS", "SCHEDULES", "DEFECT_ABORT"]
 
 ALGORITHMS = ("exact", "power", "sync", "gossip", "multi", "cluster")
-SCHEDULED = ("gossip", "multi", "cluster")
+SCHEDULES = {
+    "gossip": ("uniform", "weighted"),
+    "multi": ("roundrobin", "uniform", "weighted", "subset:<q>", "file:<path>"),
+    "cluster": ("periodic", "roundrobin", "uniform", "weighted", "file:<path>"),
+}
 DEFECT_ABORT = 1e-6
 _DEFAULT_TOL = 1e-9
 _DEFAULT_STEP_CAP = 10_000_000
-
-_DEFAULT_SCHEDULE = {"gossip": "uniform", "multi": "roundrobin",
-                     "cluster": "periodic"}
 
 
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one run.
 
-    `schedule` is a spec string: ``uniform`` | ``weighted`` | ``roundrobin``
-    | ``subset:<q>`` | ``file:<path>`` (and ``periodic`` for cluster);
+    `schedule` is a spec string from the algorithm's row of `SCHEDULES`;
     `weights` is ``uniform`` | ``indegree_plus_one`` | ``file:<path>``.
     `cadence` of None records every step for graphs up to 1000 pages and
     roughly every n updates beyond that.
@@ -77,17 +81,18 @@ class ExperimentConfig:
             raise ConfigError("cluster runs need --partition")
         if self.algorithm != "cluster" and self.partition is not None:
             raise ConfigError("--partition only applies to cluster runs")
-        if self.algorithm not in SCHEDULED and self.schedule is not None:
+        if self.algorithm not in SCHEDULES and self.schedule is not None:
             raise ConfigError(
                 f"--schedule does not apply to {self.algorithm!r} runs")
+        if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        if self.steps is not None and self.steps < 0:
+            raise ConfigError(f"steps must not be negative, got {self.steps}")
         if self.cadence is not None and self.cadence < 1:
             raise ConfigError("cadence must be a positive step count")
         if self.replicas < 1:
             raise ConfigError("replicas must be at least 1")
         return self
-
-    def effective_schedule(self):
-        return self.schedule or _DEFAULT_SCHEDULE.get(self.algorithm)
 
     def effective_bounds(self):
         """(steps, tol) with a safety cap when neither was given."""
@@ -119,91 +124,56 @@ class _Runtime:
         return self.oracle
 
 
-def _page_weights(config, graph):
+def _weights(config, runtime):
+    """Selection weights of a ``weighted`` schedule, one per drawn index.
+
+    Cluster runs draw groups: there ``uniform`` and ``indegree_plus_one``
+    both weight a group by its member count.
+    """
     spec = config.weights
-    if spec == "uniform":
-        return np.ones(graph.n)
-    if spec == "indegree_plus_one":
-        return scheduling.indegree_plus_one_weights(graph)
+    groups = runtime.partition
+    n, what = ((groups.num_groups, "groups") if groups is not None
+               else (runtime.graph.n, "pages"))
     if spec.startswith("file:"):
         w = np.loadtxt(spec[5:], dtype=float, ndmin=1)
-        if w.size != graph.n:
+        if w.size != n:
             raise ConfigError(f"weights file has {w.size} entries for "
-                              f"{graph.n} pages")
+                              f"{n} {what}")
         return w
-    raise ConfigError(f"unknown weights spec {spec!r}")
-
-
-def _page_schedule(config, graph):
-    spec = config.effective_schedule()
+    if spec not in ("uniform", "indegree_plus_one"):
+        raise ConfigError(f"unknown weights spec {spec!r}")
+    if groups is not None:
+        return groups.sizes.astype(float)
     if spec == "uniform":
-        return scheduling.Schedule.uniform_singleton(graph.n, config.seed)
-    if spec == "weighted":
-        return scheduling.Schedule.weighted_singleton(
-            _page_weights(config, graph), config.seed)
-    if spec == "roundrobin":
-        return scheduling.Schedule.round_robin(graph.n)
-    if spec.startswith("subset:"):
-        try:
-            q = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad subset probability in {spec!r}") from None
-        return scheduling.Schedule.random_subset(graph.n, q, config.seed)
-    if spec.startswith("file:"):
-        return scheduling.Schedule.fixed_sequence(
-            scheduling.load_sequence_file(spec[5:]))
-    raise ConfigError(f"unknown schedule spec {spec!r} for {config.algorithm}")
-
-
-def _group_schedule(config, partition):
-    spec = config.effective_schedule()
-    n_groups = partition.num_groups
-    if spec in ("periodic", "roundrobin"):
-        return scheduling.Schedule.periodic_groups(n_groups)
-    if spec == "uniform":
-        return scheduling.Schedule.uniform_singleton(n_groups, config.seed)
-    if spec == "weighted":
-        # group draws weighted by member count unless an explicit file is given
-        if config.weights.startswith("file:"):
-            w = np.loadtxt(config.weights[5:], dtype=float, ndmin=1)
-            if w.size != n_groups:
-                raise ConfigError(f"weights file has {w.size} entries for "
-                                  f"{n_groups} groups")
-        else:
-            w = partition.sizes.astype(float)
-        return scheduling.Schedule.weighted_singleton(w, config.seed)
-    if spec.startswith("file:"):
-        return scheduling.Schedule.fixed_sequence(
-            scheduling.load_sequence_file(spec[5:]))
-    raise ConfigError(f"unknown schedule spec {spec!r} for cluster")
+        return np.ones(n)
+    return scheduling.indegree_plus_one_weights(runtime.graph)
 
 
 def _build_schedule(config, runtime):
-    if config.algorithm == "cluster":
-        return _group_schedule(config, runtime.partition)
-    if config.algorithm in ("gossip", "multi"):
-        sched = _page_schedule(config, runtime.graph)
-        if config.algorithm == "gossip" and sched.kind not in (
-                "uniform_singleton", "weighted_singleton"):
-            raise ConfigError("gossip draws one page at a time; use "
-                              "--schedule uniform or weighted (multi takes "
-                              "sets)")
-        return sched
-    return None
+    """The run's schedule from its `SCHEDULES` row; None for unscheduled runs."""
+    accepted = SCHEDULES.get(config.algorithm)
+    if accepted is None:
+        return None
+    spec = config.schedule or accepted[0]
+    kind, colon, _ = spec.partition(":")
+    # "subset:<q>" accepts any "subset:..."; "uniform" accepts only itself
+    if not any(a.partition(":")[:2] == (kind, colon) for a in accepted):
+        raise ConfigError(f"unknown schedule spec {spec!r} for "
+                          f"{config.algorithm}; choose from "
+                          f"{' | '.join(accepted)}")
+    groups = runtime.partition
+    n = groups.num_groups if groups is not None else runtime.graph.n
+    weights = _weights(config, runtime) if kind == "weighted" else None
+    return scheduling.Schedule.from_spec(spec, n, config.seed, weights)
 
 
-def _updates_per_step(config, runtime, sched):
+def _updates_per_step(runtime, sched):
     n = runtime.graph.n
-    if config.algorithm in ("power", "sync"):
+    if sched is None:
         return float(n)
-    if config.algorithm == "cluster":
+    if runtime.partition is not None:
         return float(n) / runtime.partition.num_groups
-    if sched is not None and sched.kind == "random_subset":
-        return max(1.0, sched.q * n)
-    if sched is not None and sched.kind == "fixed_sequence":
-        sizes = [s.size for s in sched.sequence] or [1]
-        return max(1.0, sum(sizes) / len(sizes))
-    return 1.0
+    return sched.mean_draw_size
 
 
 def _auto_cadence(config, runtime, sched):
@@ -212,7 +182,7 @@ def _auto_cadence(config, runtime, sched):
     n = runtime.graph.n
     if n <= 1000:
         return 1
-    return max(1, round(n / _updates_per_step(config, runtime, sched)))
+    return max(1, round(n / _updates_per_step(runtime, sched)))
 
 
 def _check_conservation(trace):
@@ -257,7 +227,8 @@ def run_experiment(config):
     trace = _execute(config, runtime, sched)
     if config.out:
         if config.algorithm == "exact":
-            _write_rank_vector(config.out, runtime.oracle.x_star)
+            x = runtime.oracle.x_star
+            write_table(config.out, ["page", "x"], [np.arange(x.size), x])
         else:
             trace.write_csv(config.out)
     print(f"{config.algorithm}: steps={trace.final_step} "
@@ -265,13 +236,6 @@ def run_experiment(config):
           f"err_l1={format_float(trace.final_err)} "
           f"cert={format_float(trace.final_cert)}")
     return trace
-
-
-def _write_rank_vector(path, x):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("page,x\n")
-        for i, v in enumerate(x):
-            fh.write(f"{i},{format_float(v)}\n")
 
 
 class MeanTrace:
@@ -288,17 +252,9 @@ class MeanTrace:
         self.err_stderr = err_stderr
         self.replicas = replicas
 
-    def lines(self):
-        yield self.HEADER
-        for r in range(len(self.steps)):
-            yield ",".join([str(self.steps[r]), format_float(self.updates[r]),
-                            format_float(self.err_mean[r]),
-                            format_float(self.err_stderr[r])])
-
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
+        write_table(path, self.HEADER.split(","),
+                    [self.steps, self.updates, self.err_mean, self.err_stderr])
 
 
 def monte_carlo(config, replicas=None):
@@ -383,9 +339,5 @@ def compare(configs, out=None):
     rows = [tuple([int(u)] + [col[i] for col in columns])
             for i, u in enumerate(grid)]
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join([str(row[0])] +
-                                  [format_float(v) for v in row[1:]]) + "\n")
+        write_table(out, header, [grid.astype(np.int64)] + columns)
     return header, rows

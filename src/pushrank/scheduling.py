@@ -1,5 +1,11 @@
 """Update schedules: which pages (or groups) push at each step.
 
+`Schedule.from_spec` is the one place a spec string becomes a schedule:
+``uniform`` and ``weighted`` draw one index per step, ``roundrobin`` and
+``periodic`` cycle ``k mod n``, ``subset:<q>`` draws each index with
+probability q and ``file:<path>`` replays the sets of a sequence file.
+Which specs an algorithm accepts is the harness's table, not this module's.
+
 Random kinds draw from a seeded PCG64 stream and are reproducible across
 platforms; singleton draws use an inverse-CDF lookup (binary search on the
 cumulative weight array). Parallel replicas never share a stream: replica
@@ -13,11 +19,11 @@ replica stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
+from .webgraph import _as_lines
 
 __all__ = ["Schedule", "liveness_audit", "LivenessReport",
            "indegree_plus_one_weights", "load_sequence_file",
@@ -26,7 +32,6 @@ __all__ = ["Schedule", "liveness_audit", "LivenessReport",
 _MASK64 = (1 << 64) - 1
 
 RANDOM_KINDS = ("uniform_singleton", "weighted_singleton", "random_subset")
-DETERMINISTIC_KINDS = ("round_robin", "fixed_sequence", "periodic_groups")
 
 
 def splitmix64(v):
@@ -54,7 +59,7 @@ class Schedule:
     per step from a seeded stream; ``round_robin`` cycles {k mod n};
     ``fixed_sequence`` replays explicit sets and signals exhaustion by
     returning None; ``random_subset`` includes each index independently
-    with probability q; ``periodic_groups`` cycles group {k mod N}.
+    with probability q.
     """
 
     def __init__(self, kind, *, n=None, weights=None, seed=None, q=None,
@@ -83,6 +88,29 @@ class Schedule:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def from_spec(cls, spec, n, seed, weights):
+        """Schedule over n indices for a spec string (see the module doc).
+
+        `weights` are the selection weights of a ``weighted`` spec (else unused).
+        """
+        kind, _, arg = spec.partition(":")
+        if kind in ("roundrobin", "periodic"):
+            return cls.round_robin(n)
+        if kind == "uniform":
+            return cls.uniform_singleton(n, seed)
+        if kind == "weighted":
+            return cls.weighted_singleton(weights, seed)
+        if kind == "subset":
+            try:
+                q = float(arg)
+            except ValueError:
+                raise ConfigError(f"bad subset probability in {spec!r}") from None
+            return cls.random_subset(n, q, seed)
+        if kind == "file":
+            return cls.fixed_sequence(load_sequence_file(arg))
+        raise ConfigError(f"unknown schedule spec {spec!r}")
+
+    @classmethod
     def uniform_singleton(cls, n, seed):
         return cls("uniform_singleton", weights=np.ones(n), seed=seed)
 
@@ -100,13 +128,9 @@ class Schedule:
 
     @classmethod
     def random_subset(cls, n, q, seed):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"subset probability must lie in [0, 1], got {q}")
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"subset probability must lie in (0, 1], got {q}")
         return cls("random_subset", n=n, q=q, seed=seed)
-
-    @classmethod
-    def periodic_groups(cls, num_groups):
-        return cls("periodic_groups", n=num_groups)
 
     # -- stream management ---------------------------------------------
 
@@ -114,16 +138,28 @@ class Schedule:
     def is_random(self):
         return self.kind in RANDOM_KINDS
 
+    @property
+    def mean_draw_size(self):
+        """Expected number of indices one draw returns, at least 1."""
+        if self.kind == "random_subset":
+            return max(1.0, self.q * self.n)
+        if self.kind == "fixed_sequence":
+            sizes = [s.size for s in self.sequence] or [1]
+            return max(1.0, sum(sizes) / len(sizes))
+        return 1.0
+
+    def _clone(self, seed):
+        return Schedule(self.kind, n=self.n, weights=self.weights,
+                        seed=seed, q=self.q, sequence=self.sequence)
+
     def restart(self):
         """Fresh schedule with identical parameters and a rewound stream."""
-        return Schedule(self.kind, n=self.n, weights=self.weights,
-                        seed=self.seed, q=self.q, sequence=self.sequence)
+        return self._clone(self.seed)
 
     def derive(self, replica):
         """Clone for a Monte Carlo replica, on its own derived stream."""
-        seed = derive_seed(self.seed, replica) if self.is_random else self.seed
-        return Schedule(self.kind, n=self.n, weights=self.weights,
-                        seed=seed, q=self.q, sequence=self.sequence)
+        return self._clone(derive_seed(self.seed, replica) if self.is_random
+                           else self.seed)
 
     # -- drawing --------------------------------------------------------
 
@@ -144,7 +180,7 @@ class Schedule:
             u = self._rng.random()
             idx = int(np.searchsorted(self._cum, u, side="right"))
             return np.array([idx], dtype=np.intp)
-        if self.kind in ("round_robin", "periodic_groups"):
+        if self.kind == "round_robin":
             return np.array([k % self.n], dtype=np.intp)
         if self.kind == "fixed_sequence":
             if k >= len(self.sequence):
@@ -202,15 +238,8 @@ def load_sequence_file(source):
     Blank and ``#`` lines are skipped; a line containing just ``-`` denotes
     the empty set (a no-op step).
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
     sets = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _as_lines(source):
         if line == "-":
             sets.append(np.empty(0, dtype=np.intp))
             continue

@@ -1,9 +1,12 @@
-"""Per-step convergence traces and their CSV serialization.
+"""Per-step convergence traces and the package's one CSV writer.
 
-Schema (header is byte-exact): ``step,updates,err_l1,cert,defect`` with
-floats rendered at 17 significant digits so files round-trip losslessly and
-diff cleanly across runs. Optional per-page state snapshots append columns
-``x0..x{n-1}``. Missing values (no oracle available) serialize as ``nan``.
+`write_table` turns a header and equal-length columns into CSV bytes:
+integer columns as plain integers, float columns at 17 significant digits
+(`format_float`), so every file the package writes round-trips losslessly
+and diffs cleanly across runs. Missing values serialize as ``nan``.
+
+Trace schema (header is byte-exact): ``step,updates,err_l1,cert,defect``;
+optional per-page state snapshots append columns ``x0..x{n-1}``.
 """
 
 from __future__ import annotations
@@ -12,13 +15,29 @@ import math
 
 import numpy as np
 
-__all__ = ["Trace", "CSV_HEADER", "format_float"]
+__all__ = ["Trace", "CSV_HEADER", "format_float", "write_table"]
 
 CSV_HEADER = "step,updates,err_l1,cert,defect"
 
 
 def format_float(v):
     return f"{v:.17g}"
+
+
+def write_table(path, header, columns):
+    """Write a CSV file: the `header` names, then one row per column index.
+
+    Integer columns are written with `str`, all others with `format_float`.
+    """
+    cells = []
+    for col in columns:
+        col = np.asarray(col)
+        fmt = str if col.dtype.kind in "iu" else format_float
+        cells.append([fmt(v) for v in col.tolist()])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*cells):
+            fh.write(",".join(row) + "\n")
 
 
 class Trace:
@@ -75,22 +94,12 @@ class Trace:
     def final_cert(self):
         return self.cert[-1]
 
-    def lines(self):
-        """CSV lines (no trailing newline on items)."""
-        header = CSV_HEADER
-        if self.has_state:
-            width = self.x_rows[0].size
-            header += "," + ",".join(f"x{i}" for i in range(width))
-        yield header
-        for r in range(len(self.steps)):
-            cells = [str(self.steps[r]), str(self.updates[r]),
-                     format_float(self.err_l1[r]), format_float(self.cert[r]),
-                     format_float(self.defect[r])]
-            if self.has_state:
-                cells.extend(format_float(v) for v in self.x_rows[r])
-            yield ",".join(cells)
-
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
+        header = CSV_HEADER.split(",")
+        columns = [self.steps, self.updates, self.err_l1, self.cert,
+                   self.defect]
+        if self.has_state:
+            x = np.array(self.x_rows)
+            header += [f"x{i}" for i in range(x.shape[1])]
+            columns += list(x.T)
+        write_table(path, header, columns)

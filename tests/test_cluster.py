@@ -185,7 +185,7 @@ def test_clustered_monotone_bounded_and_conserving(rng):
 def test_iterative_and_dense_local_solves_agree(rng):
     g = random_graph(rng, 60)
     part = random_partition(rng, g.n, 3)
-    sched = Schedule.periodic_groups(part.num_groups)
+    sched = Schedule.round_robin(part.num_groups)
     st_dense, _ = run(g, M, sched.restart(), steps=30,
                       factors=GroupFactors(g, M, part))
     st_iter, _ = run(g, M, sched.restart(), steps=30,
@@ -197,7 +197,7 @@ def test_run_clustered_periodic_decays(rng):
     g = random_graph(rng, 40)
     oracle = DenseOracle(g, M)
     part = random_partition(rng, g.n, 5)
-    _, trace = run(g, M, Schedule.periodic_groups(part.num_groups),
+    _, trace = run(g, M, Schedule.round_robin(part.num_groups),
                    factors=GroupFactors(g, M, part), steps=60, oracle=oracle)
     errs = trace.column("err_l1")
     # 12 complete cycles dominate 12 synchronous steps
@@ -208,7 +208,7 @@ def test_run_clustered_periodic_decays(rng):
 def test_single_group_run_converges_immediately(rng):
     g = random_graph(rng, 15)
     oracle = DenseOracle(g, M)
-    _, trace = run(g, M, Schedule.periodic_groups(1),
+    _, trace = run(g, M, Schedule.round_robin(1),
                    factors=GroupFactors(g, M, Partition.whole(g.n)),
                    tol=1e-9, oracle=oracle)
     assert trace.final_step == 1

@@ -268,6 +268,10 @@ def test_run_round_robin_liveness_and_decay(rng):
 def test_run_requires_some_bound():
     with pytest.raises(ValueError):
         run(cycle2(), M, Schedule.round_robin(2))
+    # a NaN or negative tol can never be met; steps=5 keeps a missing check finite
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            run(cycle2(), M, Schedule.round_robin(2), steps=5, tol=bad)
 
 
 def test_run_rejects_personalization_with_oracle(rng):

@@ -1,13 +1,41 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pushrank import ConfigError, ExperimentConfig, cli, compare, monte_carlo, run_experiment
+from pushrank import (ConfigError, DenseOracle, ExperimentConfig, cli, compare,
+                      load_edge_list, monte_carlo, patch_dangling,
+                      run_experiment)
 from pushrank.trace import CSV_HEADER
 
 from conftest import (community_graph, random_graph, write_edge_list,
                       write_partition_file)
+
+
+def assert_csv_round_trips(path, header, columns):
+    """The CSV at `path` has exactly `header` and holds `columns` losslessly.
+
+    Integer columns must hold plain integers; every float cell must parse
+    back to the in-memory float64 bit for bit, ``nan`` where it is missing.
+    """
+    lines = Path(path).read_text().splitlines()
+    assert lines[0] == header
+    cells = list(zip(*(line.split(",") for line in lines[1:])))
+    assert len(cells) == len(columns)
+    for got, want in zip(cells, columns):
+        want = np.asarray(want)
+        assert len(got) == want.size
+        if want.dtype.kind in "iu":
+            assert all(re.fullmatch(r"-?[0-9]+", c) for c in got)
+            assert [int(c) for c in got] == want.tolist()
+            continue
+        want = want.astype(np.float64)
+        missing = np.isnan(want)
+        assert all(c == "nan" for c, gap in zip(got, missing) if gap)
+        parsed = np.array([float(c) for c in got])
+        assert np.array_equal(np.isnan(parsed), missing)
+        assert parsed[~missing].tobytes() == want[~missing].tobytes()
 
 
 @pytest.fixture
@@ -86,19 +114,24 @@ def test_config_validation_errors(cycle_path):
                          cadence=0).validate()
 
 
-def test_bad_schedule_specs(small_graph_path):
+def test_bad_schedule_specs(small_graph_path, tmp_path):
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
                            schedule="roundrobin", steps=10)
-    with pytest.raises(ConfigError, match="gossip draws one page"):
+    with pytest.raises(ConfigError, match="'roundrobin' for gossip"):
         run_experiment(cfg)
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="multi",
                            schedule="subset:oops", steps=10)
     with pytest.raises(ConfigError, match="subset"):
         run_experiment(cfg)
-    cfg = ExperimentConfig(graph=small_graph_path, algorithm="multi",
-                           schedule="nope", steps=10)
-    with pytest.raises(ConfigError, match="unknown schedule"):
-        run_experiment(cfg)
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+    for algo, spec in (("multi", "nope"), ("multi", "uniform:3"),
+                       ("cluster", "subset:0.5")):
+        cfg = ExperimentConfig(
+            graph=small_graph_path, algorithm=algo, schedule=spec, steps=10,
+            partition=str(part) if algo == "cluster" else None)
+        with pytest.raises(ConfigError, match="unknown schedule"):
+            run_experiment(cfg)
 
 
 def test_weights_file_and_indegree(small_graph_path, tmp_path):
@@ -122,6 +155,18 @@ def test_weights_file_length_checked(small_graph_path, tmp_path):
         run_experiment(cfg)
 
 
+def test_unknown_weights_spec_rejected(small_graph_path, tmp_path):
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+    for algo in ("gossip", "multi", "cluster"):
+        cfg = ExperimentConfig(
+            graph=small_graph_path, algorithm=algo, schedule="weighted",
+            weights="bogus", steps=10,
+            partition=str(part) if algo == "cluster" else None)
+        with pytest.raises(ConfigError, match="unknown weights"):
+            run_experiment(cfg)
+
+
 def test_cli_rejects_non_finite_weights(small_graph_path, tmp_path, capsys):
     pages = tmp_path / "w.txt"
     pages.write_text("1.0\n" * 19 + "nan\n")
@@ -138,21 +183,45 @@ def test_cli_rejects_non_finite_weights(small_graph_path, tmp_path, capsys):
     assert capsys.readouterr().err.count("positive and finite") == 2
 
 
-def test_exact_writes_rank_vector(cycle_path, tmp_path):
+def test_cli_rejects_bad_tol_and_steps(cycle_path):
+    # --steps 5 bounds each run, so a missing check fails instead of hanging
+    for bad in ("-1", "nan", "0", "inf"):
+        assert cli.main(["sync", "--graph", cycle_path, "--steps", "5",
+                         "--tol", bad]) == cli.EXIT_CONFIG
+    assert cli.main(["sync", "--graph", cycle_path,
+                     "--steps", "-3"]) == cli.EXIT_CONFIG
+
+
+def test_exact_writes_rank_vector(cycle_path, small_graph_path, tmp_path):
     out = tmp_path / "ranks.csv"
-    cfg = ExperimentConfig(graph=cycle_path, algorithm="exact", out=str(out))
-    run_experiment(cfg)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "page,x"
-    values = [float(line.split(",")[1]) for line in lines[1:]]
-    np.testing.assert_allclose(values, [0.5, 0.5], atol=1e-12)
+    for path in (cycle_path, small_graph_path):
+        cfg = ExperimentConfig(graph=path, algorithm="exact", out=str(out))
+        run_experiment(cfg)
+        x_star = DenseOracle(patch_dangling(load_edge_list(path))[0],
+                             cfg.m).x_star
+        assert_csv_round_trips(out, "page,x", [np.arange(x_star.size), x_star])
+        if path == cycle_path:
+            np.testing.assert_allclose(x_star, [0.5, 0.5], atol=1e-12)
 
 
-def test_include_x_appends_state_columns(cycle_path, tmp_path):
+def test_include_x_appends_state_columns(cycle_path, small_graph_path,
+                                         tmp_path):
     out = tmp_path / "t.csv"
-    cfg = ExperimentConfig(graph=cycle_path, algorithm="power", tol=1e-12,
-                           out=str(out), include_x=True)
-    run_experiment(cfg)
+    for path, kwargs in ((small_graph_path,
+                          dict(algorithm="gossip", seed=3, steps=50)),
+                         (cycle_path, dict(algorithm="power", tol=1e-12))):
+        for include_x in (False, True):
+            trace = run_experiment(ExperimentConfig(
+                graph=path, **kwargs, out=str(out), include_x=include_x))
+            header = CSV_HEADER
+            columns = [trace.steps, trace.updates, trace.err_l1, trace.cert,
+                       trace.defect]
+            if include_x:
+                x = np.array(trace.x_rows)
+                header += "".join(f",x{i}" for i in range(x.shape[1]))
+                columns += list(x.T)
+            assert_csv_round_trips(out, header, columns)
+    # the last run written is the cycle's power run with its state columns
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER + ",x0,x1"
     final = lines[-1].split(",")
@@ -190,11 +259,13 @@ def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
                                schedule=sched, weights=wspec, seed=1,
                                steps=150, out=str(tmp_path / f"{name}.csv"))
         curves[name] = monte_carlo(cfg, replicas=60)
-    for mean in curves.values():
+    for name, mean in curves.items():
         assert np.all(np.isfinite(mean.err_mean))
         assert mean.err_mean[-1] < mean.err_mean[0]
-        header = (tmp_path / "uniform.csv").read_text().splitlines()[0]
-        assert header == "step,updates,err_mean,err_stderr"
+        assert_csv_round_trips(tmp_path / f"{name}.csv",
+                               "step,updates,err_mean,err_stderr",
+                               [mean.steps, mean.updates, mean.err_mean,
+                                mean.err_stderr])
 
 
 def test_compare_power_and_sync_share_cost_axis(small_graph_path, tmp_path):
@@ -207,7 +278,8 @@ def test_compare_power_and_sync_share_cost_axis(small_graph_path, tmp_path):
     assert header == ["updates", "err_power", "err_sync"]
     grid = [r[0] for r in rows]
     assert grid == [20 * k for k in range(31)]
-    assert out.read_text().splitlines()[0] == "updates,err_power,err_sync"
+    assert_csv_round_trips(out, "updates,err_power,err_sync",
+                           [list(col) for col in zip(*rows)])
 
 
 def test_compare_single_run_degenerate(small_graph_path):

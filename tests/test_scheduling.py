@@ -34,8 +34,11 @@ def test_round_robin_pattern():
 
 
 def test_periodic_groups_pattern():
-    sched = Schedule.periodic_groups(4)
-    assert [s[0] for s in draws(sched, 6)] == [0, 1, 2, 3, 0, 1]
+    # cluster's default spec cycles the groups exactly like roundrobin
+    for spec in ("periodic", "roundrobin"):
+        sched = Schedule.from_spec(spec, 4, seed=0, weights=None)
+        assert sched.kind == "round_robin"
+        assert [s[0] for s in draws(sched, 6)] == [0, 1, 2, 3, 0, 1]
 
 
 def test_weighted_frequencies_five_sigma():
@@ -70,8 +73,9 @@ def test_random_subset_membership_rate():
 
 
 def test_random_subset_probability_validated():
-    with pytest.raises(ValueError):
-        Schedule.random_subset(5, 1.5, seed=0)
+    for bad in (1.5, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            Schedule.random_subset(5, bad, seed=0)
 
 
 def test_fixed_sequence_exhaustion_signals_none():
