@@ -51,7 +51,8 @@ def _add_common(parser, with_schedule=True):
             f"{algo}: {' | '.join(specs)}" for algo, specs in SCHEDULES.items())
             + " (the first is the default)")
         parser.add_argument("--weights", default="uniform",
-                            help="uniform | indegree_plus_one | file:<path>")
+                            help="uniform | indegree_plus_one | file:<path> "
+                                 "(weighted schedules only)")
     parser.add_argument("--partition", default=None,
                         help="partition file (page group per line)")
     parser.add_argument("--out", default=None, help="CSV output path")
@@ -75,7 +76,8 @@ def build_parser():
     _add_common(mc)
     mc.add_argument("--algorithm", default="gossip",
                     choices=tuple(SCHEDULES),
-                    help="engine to replicate (default gossip)")
+                    help="engine to replicate (default gossip); its "
+                         "--schedule defaults to uniform here")
     mc.add_argument("--replicas", type=int, default=1000,
                     help="number of replicas (default 1000)")
     cmp_p = sub.add_parser("compare",
@@ -108,10 +110,15 @@ def _run(args):
             algo, _, sched = spec.partition("=")
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {algo!r} in --runs")
+            sched = (sched or base.schedule) if algo in SCHEDULES else None
             configs.append(replace(
-                base, algorithm=algo,
-                schedule=(sched or base.schedule) if algo in SCHEDULES else None,
+                base, algorithm=algo, schedule=sched,
+                weights=base.weights if sched == "weighted" else "uniform",
                 partition=base.partition if algo == "cluster" else None))
+        if base.weights != "uniform" and all(c.schedule != "weighted"
+                                             for c in configs):
+            raise ConfigError(f"--weights {base.weights} needs a weighted run "
+                              "in --runs")
         compare(configs, out=args.out)
         return EXIT_OK
     run_experiment(_config_from(args, algorithm=args.command))

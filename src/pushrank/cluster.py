@@ -10,7 +10,10 @@ repeating the set update on h forever is reached directly:
 
 The push is the same in-place step as a set update (`PushState.push`).
 Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
-from Q, so the local solve always exists. Factorizations are computed
+from Q, so the local solve always exists. Groups above `DENSE_GROUP_CAP`
+members sum the series zbar = sum_t Qhh^t z_h instead and stop once a
+term is negligible; that first unsummed term stays in z_h, so the
+residual still certifies the error exactly. Factorizations are computed
 once per partition (`GroupFactors`) and shared across steps and replicas;
 `zbar` is transient. Runs go through `pushrank.engines.run` with
 ``factors=``.
@@ -33,15 +36,15 @@ _ITER_MAX = 100_000
 class GroupFactors:
     """Per-group local solvers for (I - Qhh) plus each group's columns of Q.
 
-    Groups up to `dense_cap` members get a dense LU factorization; larger
-    groups fall back to the fixed-point iteration zbar <- rhs + Qhh zbar,
-    which converges geometrically (Qhh is Schur stable) and avoids storing
-    a possibly dense inverse.
+    Groups up to `DENSE_GROUP_CAP` members (read when the factors are
+    built) get a dense LU factorization; larger groups sum the series
+    zbar = rhs + Qhh rhs + Qhh^2 rhs + ..., which converges geometrically
+    (Qhh is Schur stable) and avoids storing a possibly dense inverse.
     """
 
     __slots__ = ("m", "members", "block_columns", "_dense_lu", "_sparse_qhh")
 
-    def __init__(self, graph, m, partition, dense_cap=DENSE_GROUP_CAP):
+    def __init__(self, graph, m, partition):
         if partition.n != graph.n:
             raise ValueError("partition and graph disagree on page count")
         q = graph.q_matrix(m)
@@ -54,7 +57,7 @@ class GroupFactors:
             cols = q[:, mem]
             self.block_columns.append(cols)
             qhh = cols[mem, :]
-            if mem.size <= dense_cap:
+            if mem.size <= DENSE_GROUP_CAP:
                 lu, piv = linalg.lu_factor(np.eye(mem.size) - qhh.toarray())
                 if np.any(np.diag(lu) == 0.0):
                     raise NumericalFailure(f"singular local block for group {h}")
@@ -69,31 +72,36 @@ class GroupFactors:
         return len(self.members)
 
     def solve_local(self, h, rhs):
-        """zbar with (I - Qhh) zbar = rhs for group h."""
+        """(zbar, rest) with (I - Qhh) zbar = rhs - rest for group h.
+
+        Dense groups solve exactly and leave rest 0.0. Larger groups stop
+        summing the series at the first term of L1 size 1e-13 or less and
+        return that term as `rest`, the mass the solve did not absorb.
+        """
         lu = self._dense_lu[h]
         if lu is not None:
-            return linalg.lu_solve(lu, rhs)
+            return linalg.lu_solve(lu, rhs), 0.0
         qhh = self._sparse_qhh[h]
         zbar = rhs.copy()
+        term = rhs
         for _ in range(_ITER_MAX):
-            nxt = rhs + qhh @ zbar
-            diff = float(np.abs(nxt - zbar).sum())
-            zbar = nxt
-            if diff <= _ITER_TOL:
-                return zbar
+            term = qhh @ term
+            if float(np.abs(term).sum()) <= _ITER_TOL:
+                return zbar, term
+            zbar += term
         raise NumericalFailure(f"local solve for group {h} failed to converge")
 
 
 def step_group(state, graph, m, factors, h):
-    """One update by group h, in place: local solve, push, reset the group residual.
+    """One update by group h, in place: local solve, push, keep the unabsorbed rest.
 
     Equivalent to the limit of infinitely many simultaneous set updates by
-    the group's member pages; the group's own residual ends exactly zero
-    (intra-group mass is fully absorbed by the local solve).
+    the group's member pages; the group's own residual ends at the rest
+    of the local solve (exactly zero for dense groups).
     """
     if not 0 <= h < factors.num_groups:
         raise ValueError(f"group {h} outside 0..{factors.num_groups - 1}")
     members = factors.members[h]
-    zbar = factors.solve_local(h, state.z[members])
+    zbar, rest = factors.solve_local(h, state.z[members])
     state.push(members, factors.block_columns[h] @ zbar)
-    state.z[members] = 0.0
+    state.z[members] = rest

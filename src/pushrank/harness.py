@@ -2,8 +2,10 @@
 
 `SCHEDULES` is the one table of which schedule specs each scheduled
 algorithm accepts; the first spec listed is its default. `_build_schedule`
-checks a spec against it and hands it to `Schedule.from_spec`. Every CSV
-goes through `pushrank.trace.write_table`.
+checks a spec against it and hands it to `Schedule.from_spec`. A
+``--weights`` spec other than ``uniform`` needs the ``weighted`` schedule,
+and Monte Carlo runs default to ``uniform``, which every row accepts.
+Every CSV goes through `pushrank.trace.write_table`.
 
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
 Monte Carlo runs average the exact error across seeded replicas and emit
@@ -81,9 +83,10 @@ class ExperimentConfig:
             raise ConfigError("cluster runs need --partition")
         if self.algorithm != "cluster" and self.partition is not None:
             raise ConfigError("--partition only applies to cluster runs")
-        if self.algorithm not in SCHEDULES and self.schedule is not None:
-            raise ConfigError(
-                f"--schedule does not apply to {self.algorithm!r} runs")
+        if self.algorithm not in SCHEDULES and (self.schedule is not None
+                                                or self.weights != "uniform"):
+            raise ConfigError(f"--schedule and --weights do not apply to "
+                              f"{self.algorithm!r} runs")
         if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.steps is not None and self.steps < 0:
@@ -161,6 +164,9 @@ def _build_schedule(config, runtime):
         raise ConfigError(f"unknown schedule spec {spec!r} for "
                           f"{config.algorithm}; choose from "
                           f"{' | '.join(accepted)}")
+    if kind != "weighted" and config.weights != "uniform":
+        raise ConfigError(f"--weights {config.weights} applies only to the "
+                          f"weighted schedule, not {spec!r}")
     groups = runtime.partition
     n = groups.num_groups if groups is not None else runtime.graph.n
     weights = _weights(config, runtime) if kind == "weighted" else None
@@ -257,18 +263,19 @@ class MeanTrace:
                     [self.steps, self.updates, self.err_mean, self.err_stderr])
 
 
-def monte_carlo(config, replicas=None):
-    """Average the exact-error curve over seeded replicas.
+def monte_carlo(config):
+    """Average the exact-error curve over `config.replicas` seeded replicas.
 
     Replica r draws from the derived stream seed XOR splitmix64(r); runs
     share the step grid (fixed step count, no tolerance stop), and the
     per-step sample mean and standard error of ||x(k) - x*||_1 are
-    reported. Requires a randomized schedule and the dense oracle.
+    reported. Requires a randomized schedule (default ``uniform``, which
+    every scheduled algorithm accepts) and the dense oracle.
     """
+    if config.schedule is None and config.algorithm in SCHEDULES:
+        config = replace(config, schedule="uniform")
     runtime = _Runtime(config)
-    m = replicas if replicas is not None else config.replicas
-    if m < 1:
-        raise ConfigError("replicas must be at least 1")
+    m = config.replicas
     if config.steps is None:
         raise ConfigError("Monte Carlo runs need --steps (a shared step grid)")
     sched = _build_schedule(config, runtime)

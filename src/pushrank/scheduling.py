@@ -12,8 +12,7 @@ cumulative weight array). Parallel replicas never share a stream: replica
 r derives its own seed as ``seed XOR splitmix64(r)``.
 
 A schedule is owned by one engine replica and consumed sequentially; call
-`restart` for a fresh stream with the same parameters or `derive` for a
-replica stream.
+`derive` for a replica stream.
 """
 
 from __future__ import annotations
@@ -148,18 +147,11 @@ class Schedule:
             return max(1.0, sum(sizes) / len(sizes))
         return 1.0
 
-    def _clone(self, seed):
-        return Schedule(self.kind, n=self.n, weights=self.weights,
-                        seed=seed, q=self.q, sequence=self.sequence)
-
-    def restart(self):
-        """Fresh schedule with identical parameters and a rewound stream."""
-        return self._clone(self.seed)
-
     def derive(self, replica):
         """Clone for a Monte Carlo replica, on its own derived stream."""
-        return self._clone(derive_seed(self.seed, replica) if self.is_random
-                           else self.seed)
+        seed = derive_seed(self.seed, replica) if self.is_random else self.seed
+        return Schedule(self.kind, n=self.n, weights=self.weights,
+                        seed=seed, q=self.q, sequence=self.sequence)
 
     # -- drawing --------------------------------------------------------
 
@@ -250,4 +242,6 @@ def load_sequence_file(source):
             raise ParseError(
                 f"line {lineno}: expected comma-separated integers, got {line!r}"
             ) from None
+        except OverflowError:
+            raise ParseError(f"line {lineno}: index too large in {line!r}") from None
     return sets

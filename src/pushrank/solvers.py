@@ -1,8 +1,9 @@
-"""Ground-truth PageRank solvers: dense solve, power method, partial sums.
+"""Reference solvers: the dense oracle and the power method.
 
-These are the oracles the push engines are validated against. The rank
-vector x* solves x* = (1-m) A x* + (m/n) 1 with entries summing to 1,
-equivalently x* = (I - Q)^{-1} (m/n) 1 with Q = (1-m) A.
+The rank vector x* solves x* = (1-m) A x* + (m/n) 1 with entries summing
+to 1, equivalently x* = (I - Q)^{-1} (m/n) 1 with Q = (1-m) A.
+`DenseOracle` factors (I - Q) once and checks every recorded step of a
+run against x*; `power_method` is the ``power`` algorithm of the CLI.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from scipy import linalg
 from .errors import NumericalFailure
 from .trace import Trace
 
-__all__ = ["DENSE_CAP", "solve_dense", "DenseOracle", "power_method",
-           "neumann_partial", "check_probability_vector"]
+__all__ = ["DENSE_CAP", "DenseOracle", "power_method",
+           "check_probability_vector"]
 
 DENSE_CAP = 5000
 
@@ -50,7 +51,6 @@ class DenseOracle:
         self.m = m
         i_minus_q = np.eye(n) - graph.q_matrix(m).toarray()
         self._lu = linalg.lu_factor(i_minus_q)
-        self._i_minus_q = i_minus_q
         self.x_star = linalg.lu_solve(self._lu, np.full(n, m / n))
         residual = np.abs(i_minus_q @ self.x_star - m / n).sum()
         if residual > 1e-12 * n:
@@ -58,10 +58,6 @@ class DenseOracle:
         if abs(self.x_star.sum() - 1.0) > 1e-10:
             raise NumericalFailure(
                 f"dense solve mass {self.x_star.sum()!r} deviates from 1")
-
-    def resolvent(self, v):
-        """(I - Q)^{-1} v."""
-        return linalg.lu_solve(self._lu, v)
 
     def error_l1(self, x):
         return float(np.abs(self.x_star - x).sum())
@@ -71,12 +67,8 @@ class DenseOracle:
 
         Uses (I - Q)^{-1} Q = (I - Q)^{-1} - I to reuse the factorization.
         """
-        return float(np.abs(x + self.resolvent(z) - z - self.x_star).sum())
-
-
-def solve_dense(graph, m, dense_cap=DENSE_CAP):
-    """Exact rank vector by a partial-pivoted dense solve of (I - Q) x = (m/n) 1."""
-    return DenseOracle(graph, m, dense_cap=dense_cap).x_star
+        resolved = linalg.lu_solve(self._lu, z)
+        return float(np.abs(x + resolved - z - self.x_star).sum())
 
 
 def power_method(graph, m, x0=None, tol=1e-12, max_steps=100_000,
@@ -120,21 +112,3 @@ def power_method(graph, m, x0=None, tol=1e-12, max_steps=100_000,
         record(k, x)
     return x, trace
 
-
-def neumann_partial(graph, m, k):
-    """Partial sum x(k) = sum_{t=0..k} Q^t (m/n) 1 by running accumulation.
-
-    Never materializes matrix powers: k sparse mat-vecs, each term added as
-    it is produced. The result increases entrywise with k and tends to x*
-    with geometric tail (1-m)^{k+1} / m in L1.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    n = graph.n
-    q = graph.q_matrix(m)
-    term = np.full(n, m / n)
-    acc = term.copy()
-    for _ in range(k):
-        term = q @ term
-        acc = acc + term
-    return acc

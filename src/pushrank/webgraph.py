@@ -6,14 +6,18 @@ sorted and deduplicated (CSR by source page). The link matrix A is column
 stochastic with A[i, j] = 1/n_j for every link j -> i, where n_j is the
 out-degree of page j, so the same two arrays are the CSC structure of A and
 of the scaled operator Q = (1-m) * A that drives all engines; `q_matrix`
-only adds the values (1-m)/n_j. In-links come from the transpose, built the
-first time they are asked for. Pages without out-links ("dangling") must
-be patched before Q can be formed.
+only adds the values (1-m)/n_j. Every graph is built from two link
+arrays by ``WebGraph(n, src, dst)``, the loader and `patch_dangling`
+included. Pages without out-links ("dangling") must be patched before Q
+can be formed.
 
 File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 
 * edge list  -- one ``src dst`` pair per line, whitespace separated;
 * partition  -- one ``page group`` pair per line, every page exactly once.
+
+Numbers must fit a signed 64-bit integer; anything else is a `ParseError`
+that names the line.
 
 Both graphs and partitions are immutable after construction and safe to
 share across threads.
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import io
 from array import array
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,6 @@ __all__ = [
     "load_edge_list",
     "parse_edge_list",
     "patch_dangling",
-    "q_column",
     "load_partition",
     "parse_partition",
 ]
@@ -66,31 +68,16 @@ class WebGraph:
     ----------
     n : int
         Page count, at least 2.
-    out_neighbors : sequence of integer sequences
-        ``out_neighbors[j]`` lists the targets of page j's out-links.
-        Duplicates are collapsed; targets are stored sorted.
+    src, dst : integer sequences
+        One link ``src[k] -> dst[k]`` per k. Duplicates are collapsed;
+        each page's targets are stored sorted.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_transpose", "_q_cache")
+    __slots__ = ("n", "indptr", "indices", "_q_cache")
 
-    def __init__(self, n, out_neighbors):
-        if len(out_neighbors) != n:
-            raise ValueError("out_neighbors must have one entry per page")
-        degree = np.fromiter(map(len, out_neighbors), dtype=np.intp, count=n)
-        src = np.repeat(np.arange(n, dtype=np.intp), degree)
-        dst = np.fromiter(chain.from_iterable(out_neighbors), dtype=np.intp,
-                          count=src.size)
-        self._set_edges(n, src, dst)
-
-    @classmethod
-    def from_edges(cls, n, src, dst):
-        """Graph with a link src[k] -> dst[k] for every k (duplicates collapse)."""
-        graph = cls.__new__(cls)
-        graph._set_edges(n, np.asarray(src, dtype=np.intp),
-                         np.asarray(dst, dtype=np.intp))
-        return graph
-
-    def _set_edges(self, n, src, dst):
+    def __init__(self, n, src, dst):
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
         if n < 2:
             raise ValueError(f"need at least 2 pages, got n={n}")
         bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
@@ -103,7 +90,6 @@ class WebGraph:
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self.indices = dst.astype(np.intp)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        self._transpose = None
         self._q_cache = {}
 
     @property
@@ -112,12 +98,6 @@ class WebGraph:
 
     def out_neighbors(self, i):
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def in_neighbors(self, i):
-        if self._transpose is None:
-            sources = np.repeat(np.arange(self.n, dtype=np.intp), self.out_degree)
-            self._transpose = WebGraph.from_edges(self.n, self.indices, sources)
-        return self._transpose.out_neighbors(i)
 
     @property
     def num_edges(self):
@@ -182,14 +162,17 @@ def load_edge_list(source, index_base=0):
             raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
         if s < 0 or d < 0:
             raise ParseError(f"line {lineno}: index below base {index_base}")
-        src.append(s)
-        dst.append(d)
+        try:
+            src.append(s)
+            dst.append(d)
+        except OverflowError:
+            raise ParseError(f"line {lineno}: index too large in {line!r}") from None
     src = np.frombuffer(src, dtype=np.int64)
     dst = np.frombuffer(dst, dtype=np.int64)
     n = int(max(src.max(), dst.max())) + 1 if src.size else 0
     if n < 2:
         raise ValueError(f"edge list describes {n} page(s); need at least 2")
-    return WebGraph.from_edges(n, src, dst)
+    return WebGraph(n, src, dst)
 
 
 def patch_dangling(graph):
@@ -206,22 +189,7 @@ def patch_dangling(graph):
                           np.repeat(patched, n)])
     dst = np.concatenate([graph.indices, np.tile(np.arange(n, dtype=np.intp),
                                                   patched.size)])
-    return WebGraph.from_edges(n, src, dst), patched
-
-
-def q_column(graph, m, i):
-    """Column i of Q = (1-m) A as (indices, values).
-
-    Entries are (1-m)/n_i at each out-neighbor of page i; they sum to 1-m.
-    Raises if page i is dangling (column would not be sub-stochastic).
-    """
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"m must lie in (0, 1), got {m}")
-    deg = int(graph.out_degree[i])
-    if deg == 0:
-        raise ValueError(f"page {i} is dangling; patch the graph first")
-    targets = graph.out_neighbors(i)
-    return targets, np.full(deg, (1.0 - m) / deg)
+    return WebGraph(n, src, dst), patched
 
 
 class Partition:
@@ -229,13 +197,9 @@ class Partition:
 
     Built from a full page -> group assignment; group labels are densified
     to 0..N-1 in sorted label order and each group's member list is sorted.
-    `permutation` maps original page index to a reindexing under which every
-    group occupies a contiguous block (group 0 first); `inverse_permutation`
-    undoes it.
     """
 
-    __slots__ = ("n", "num_groups", "group_of", "members", "sizes",
-                 "permutation", "inverse_permutation")
+    __slots__ = ("n", "num_groups", "group_of", "members", "sizes")
 
     def __init__(self, assignments):
         group_of = np.asarray(assignments, dtype=np.intp)
@@ -248,11 +212,6 @@ class Partition:
         self.members = tuple(np.flatnonzero(self.group_of == h)
                              for h in range(self.num_groups))
         self.sizes = np.array([mem.size for mem in self.members], dtype=np.intp)
-        order = np.concatenate(self.members)
-        perm = np.empty(self.n, dtype=np.intp)
-        perm[order] = np.arange(self.n, dtype=np.intp)
-        self.permutation = perm
-        self.inverse_permutation = order
 
     @classmethod
     def trivial(cls, n):
@@ -291,7 +250,10 @@ def load_partition(source, graph):
             raise ParseError(f"line {lineno}: page {page} outside 0..{n - 1}")
         if assigned[page] != -1:
             dupes.append(page)
-        assigned[page] = group
+        try:
+            assigned[page] = group
+        except OverflowError:
+            raise ParseError(f"line {lineno}: group label too large in {line!r}") from None
     missing = np.flatnonzero(assigned == -1)
     if dupes or missing.size:
         raise ValueError(

@@ -6,6 +6,13 @@ import pytest
 from pushrank import Partition, WebGraph, patch_dangling
 
 
+def graph_from_lists(n, out):
+    """Graph whose page j links to every page in out[j]."""
+    src = np.repeat(np.arange(n), [len(targets) for targets in out])
+    dst = np.concatenate([np.asarray(t, dtype=np.intp) for t in out])
+    return WebGraph(n, src, dst)
+
+
 def random_graph(rng, n, mean_out=4.0, allow_self=False, patched=True):
     """Seeded random digraph; out-degrees are Poisson(mean_out), clipped.
 
@@ -16,7 +23,7 @@ def random_graph(rng, n, mean_out=4.0, allow_self=False, patched=True):
         pool = np.arange(n) if allow_self else np.delete(np.arange(n), j)
         d = min(int(rng.poisson(mean_out)), pool.size)
         out.append(rng.choice(pool, size=d, replace=False) if d else [])
-    g = WebGraph(n, out)
+    g = graph_from_lists(n, out)
     if patched:
         g, _ = patch_dangling(g)
     return g
@@ -31,7 +38,7 @@ def community_graph(rng, num_groups=10, group_size=20, p_in=0.3, p_out=0.01):
         prob = np.where(assignments == assignments[j], p_in, p_out)
         prob[j] = 0.0
         out.append(np.flatnonzero(rng.random(n) < prob))
-    g, _ = patch_dangling(WebGraph(n, out))
+    g, _ = patch_dangling(graph_from_lists(n, out))
     return g, Partition(assignments)
 
 

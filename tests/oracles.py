@@ -1,4 +1,4 @@
-"""Dense lifted matrices encoding the engines' update steps.
+"""Dense reference oracles the tests check the engines against.
 
 One simultaneous push by the set phi acts linearly on the state pair:
 ``x+ = x + R_phi z`` and ``z+ = Q_phi z``, where column i of Q_phi is q_i
@@ -6,22 +6,20 @@ One simultaneous push by the set phi acts linearly on the state pair:
 the q_i columns, and S_phi keeps only the e_i columns. Single-page
 matrices Q_i, R_i, S_i are the singleton case. The group step uses
 ``Rhat = R (I - R)^{-1}`` built from R of the group's member set.
+`mean_matrices` and `analytic_mean_trace` give the expected dynamics under
+random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
+`neumann_partial` the partial sums of x* = sum_t Q^t (m/n) 1 that
+synchronous steps reproduce.
 
-Everything here is dense, capped at small n, and exists purely as a test
-oracle for the engines; nothing on the hot path calls into this module.
-All functions are pure and safe to call concurrently.
+The lifted matrices are dense and capped at small n. All functions are
+pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .solvers import check_probability_vector
-from .webgraph import q_column
-
-__all__ = ["ORACLE_CAP", "dense_q", "lift_single", "lift_set",
-           "lift_group_hat", "lift_group_hat_blocks", "mean_matrices",
-           "analytic_mean_trace", "spectral_radius"]
+from pushrank.solvers import check_probability_vector
 
 ORACLE_CAP = 200
 
@@ -29,6 +27,40 @@ ORACLE_CAP = 200
 def _check_cap(n):
     if n > ORACLE_CAP:
         raise ValueError(f"lifted matrices are dense oracles; n={n} exceeds {ORACLE_CAP}")
+
+
+def q_column(graph, m, i):
+    """Column i of Q = (1-m) A as (indices, values).
+
+    Entries are (1-m)/n_i at each out-neighbor of page i; they sum to 1-m.
+    Raises if page i is dangling (column would not be sub-stochastic).
+    """
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"m must lie in (0, 1), got {m}")
+    deg = int(graph.out_degree[i])
+    if deg == 0:
+        raise ValueError(f"page {i} is dangling; patch the graph first")
+    targets = graph.out_neighbors(i)
+    return targets, np.full(deg, (1.0 - m) / deg)
+
+
+def neumann_partial(graph, m, k):
+    """Partial sum x(k) = sum_{t=0..k} Q^t (m/n) 1 by running accumulation.
+
+    Never materializes matrix powers: k sparse mat-vecs, each term added as
+    it is produced. The result increases entrywise with k and tends to x*
+    with geometric tail (1-m)^{k+1} / m in L1.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    n = graph.n
+    q = graph.q_matrix(m)
+    term = np.full(n, m / n)
+    acc = term.copy()
+    for _ in range(k):
+        term = q @ term
+        acc = acc + term
+    return acc
 
 
 def dense_q(graph, m):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, GroupFactors, Partition, Schedule,
-                      init_state, parse_edge_list, run, step_group, step_set)
+from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
+                      cluster, init_state, parse_edge_list, run, step_group,
+                      step_set)
 
 from conftest import random_graph, random_partition
 
@@ -13,7 +14,9 @@ def test_singleton_factor_without_self_loop_is_identity():
     g = parse_edge_list("0 1\n1 0")
     factors = GroupFactors(g, M, Partition.trivial(g.n))
     rhs = np.array([0.3])
-    np.testing.assert_array_equal(factors.solve_local(0, rhs), rhs)
+    zbar, rest = factors.solve_local(0, rhs)
+    np.testing.assert_array_equal(zbar, rhs)
+    assert rest == 0.0
 
 
 def test_singleton_factor_with_self_loop():
@@ -21,7 +24,7 @@ def test_singleton_factor_with_self_loop():
     g = parse_edge_list("0 0\n0 1\n1 0")
     factors = GroupFactors(g, M, Partition.trivial(g.n))
     rhs = np.array([0.2])
-    np.testing.assert_allclose(factors.solve_local(0, rhs),
+    np.testing.assert_allclose(factors.solve_local(0, rhs)[0],
                                rhs / (1 - 0.425), rtol=1e-15)
 
 
@@ -29,21 +32,23 @@ def test_whole_graph_factor_reaches_fixed_point(rng):
     g = random_graph(rng, 24)
     oracle = DenseOracle(g, M)
     factors = GroupFactors(g, M, Partition.whole(g.n))
-    x = factors.solve_local(0, np.full(g.n, M / g.n))
+    x, _ = factors.solve_local(0, np.full(g.n, M / g.n))
     assert np.abs(x - oracle.x_star).sum() <= 1e-12
 
 
-def test_factor_roundtrip(rng):
+def test_factor_roundtrip(rng, monkeypatch):
     g = random_graph(rng, 40, allow_self=True)
     part = random_partition(rng, g.n, 6)
     q = g.q_matrix(M).toarray()
     for dense_cap in (512, 0):
-        factors = GroupFactors(g, M, part, dense_cap=dense_cap)
+        monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", dense_cap)
+        factors = GroupFactors(g, M, part)
         for h, mem in enumerate(part.members):
             rhs = rng.random(mem.size)
-            zbar = factors.solve_local(h, rhs)
+            zbar, rest = factors.solve_local(h, rhs)
             block = np.eye(mem.size) - q[np.ix_(mem, mem)]
-            assert np.abs(block @ zbar - rhs).max() <= 1e-12
+            assert np.abs(block @ zbar - (rhs - rest)).max() <= 1e-12
+            assert np.all(rest >= 0.0) and np.sum(rest) <= 1e-13
 
 
 def self_loops(g):
@@ -182,15 +187,40 @@ def test_clustered_monotone_bounded_and_conserving(rng):
             assert oracle.conservation_defect(st.x, st.z) <= 1e-10
 
 
-def test_iterative_and_dense_local_solves_agree(rng):
+def test_iterative_and_dense_local_solves_agree(rng, monkeypatch):
     g = random_graph(rng, 60)
     part = random_partition(rng, g.n, 3)
-    sched = Schedule.round_robin(part.num_groups)
-    st_dense, _ = run(g, M, sched.restart(), steps=30,
-                      factors=GroupFactors(g, M, part))
-    st_iter, _ = run(g, M, sched.restart(), steps=30,
-                     factors=GroupFactors(g, M, part, dense_cap=0))
+    dense = GroupFactors(g, M, part)
+    monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 0)
+    st_dense, _ = run(g, M, Schedule.round_robin(part.num_groups), steps=30,
+                      factors=dense)
+    st_iter, _ = run(g, M, Schedule.round_robin(part.num_groups), steps=30,
+                     factors=GroupFactors(g, M, part))
     assert np.abs(st_dense.x - st_iter.x).max() <= 1e-12
+
+
+def test_iterative_group_solves_keep_the_certificate(rng):
+    # two 600-page communities, so both groups take the iterative solve;
+    # the mass a solve does not absorb stays in the residual, so the
+    # certificate still equals the true error when the run stops
+    size = 600
+    n = 2 * size
+    src = np.repeat(np.arange(n), 5)
+    dst = np.empty_like(src)
+    for j in range(n):
+        home = (j // size) * size
+        others = np.delete(np.arange(home, home + size), j - home)
+        dst[5 * j:5 * j + 4] = rng.choice(others, size=4, replace=False)
+        dst[5 * j + 4] = (home + size) % n + rng.integers(size)
+    g = WebGraph(n, src, dst)
+    part = Partition(np.arange(n) // size)
+    assert part.sizes.min() > cluster.DENSE_GROUP_CAP
+    tol = 1e-12
+    _, trace = run(g, M, Schedule.round_robin(2), tol=tol,
+                   factors=GroupFactors(g, M, part), oracle=DenseOracle(g, M))
+    assert trace.final_cert <= tol
+    assert trace.final_err <= tol
+    assert abs(trace.final_err - trace.final_cert) <= 1e-14
 
 
 def test_run_clustered_periodic_decays(rng):

@@ -183,6 +183,60 @@ def test_cli_rejects_non_finite_weights(small_graph_path, tmp_path, capsys):
     assert capsys.readouterr().err.count("positive and finite") == 2
 
 
+def test_cli_rejects_oversized_integers(cycle_path, tmp_path, capsys):
+    huge = "99999999999999999999999"
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"0 1\n1 {huge}\n")
+    part = tmp_path / "part.txt"
+    part.write_text(f"0 0\n1 {huge}\n")
+    seq = tmp_path / "seq.txt"
+    seq.write_text(f"0\n1,{huge}\n")
+    assert cli.main(["sync", "--graph", str(graph),
+                     "--steps", "1"]) == cli.EXIT_CONFIG
+    assert cli.main(["cluster", "--graph", cycle_path, "--partition",
+                     str(part), "--steps", "1"]) == cli.EXIT_CONFIG
+    assert cli.main(["multi", "--graph", cycle_path, "--schedule",
+                     f"file:{seq}", "--steps", "1"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("line 2: ") == 3
+
+
+def test_weights_need_weighted_schedule(small_graph_path, tmp_path):
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+    for argv in (["gossip", "--weights", "file:/nonexistent"],
+                 ["gossip", "--schedule", "uniform",
+                  "--weights", "indegree_plus_one"],
+                 ["multi", "--weights", "indegree_plus_one"],
+                 ["cluster", "--partition", str(part),
+                  "--weights", "file:/nonexistent"],
+                 ["compare", "--runs", "sync,gossip=uniform",
+                  "--weights", "indegree_plus_one"]):
+        assert cli.main(argv + ["--graph", small_graph_path,
+                                "--steps", "3"]) == cli.EXIT_CONFIG
+    with pytest.raises(ConfigError, match="weights"):
+        ExperimentConfig(graph=small_graph_path, algorithm="sync",
+                         weights="indegree_plus_one").validate()
+    # compare hands --weights to its weighted runs only
+    assert cli.main(["compare", "--graph", small_graph_path, "--steps", "3",
+                     "--runs", "sync,gossip=uniform,gossip=weighted",
+                     "--weights", "indegree_plus_one"]) == cli.EXIT_OK
+
+
+def test_mc_defaults_to_uniform_schedule(small_graph_path, tmp_path):
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {i % 3}\n" for i in range(20)))
+    for algo in ("gossip", "multi", "cluster"):
+        argv = ["mc", "--graph", small_graph_path, "--algorithm", algo,
+                "--replicas", "3", "--steps", "20", "--seed", "5"]
+        if algo == "cluster":
+            argv += ["--partition", str(part)]
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert cli.main(argv + ["--out", str(default)]) == cli.EXIT_OK
+        assert cli.main(argv + ["--schedule", "uniform",
+                                "--out", str(explicit)]) == cli.EXIT_OK
+        assert default.read_bytes() == explicit.read_bytes()
+
+
 def test_cli_rejects_bad_tol_and_steps(cycle_path):
     # --steps 5 bounds each run, so a missing check fails instead of hanging
     for bad in ("-1", "nan", "0", "inf"):
@@ -231,8 +285,8 @@ def test_include_x_appends_state_columns(cycle_path, small_graph_path,
 
 def test_monte_carlo_single_replica_degenerates(small_graph_path):
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                           schedule="uniform", seed=17, steps=100)
-    mean = monte_carlo(cfg, replicas=1)
+                           schedule="uniform", seed=17, steps=100, replicas=1)
+    mean = monte_carlo(cfg)
     assert np.all(mean.err_stderr == 0.0)
     assert mean.replicas == 1
     assert len(mean.steps) == 101
@@ -240,13 +294,13 @@ def test_monte_carlo_single_replica_degenerates(small_graph_path):
 
 def test_monte_carlo_requires_random_schedule(small_graph_path):
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="multi",
-                           schedule="roundrobin", steps=50)
+                           schedule="roundrobin", steps=50, replicas=4)
     with pytest.raises(ConfigError, match="randomized"):
-        monte_carlo(cfg, replicas=4)
+        monte_carlo(cfg)
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                           schedule="uniform")
+                           schedule="uniform", replicas=4)
     with pytest.raises(ConfigError, match="steps"):
-        monte_carlo(cfg, replicas=4)
+        monte_carlo(cfg)
 
 
 def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
@@ -257,8 +311,9 @@ def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
         sched = "uniform" if name == "uniform" else "weighted"
         cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
                                schedule=sched, weights=wspec, seed=1,
-                               steps=150, out=str(tmp_path / f"{name}.csv"))
-        curves[name] = monte_carlo(cfg, replicas=60)
+                               steps=150, replicas=60,
+                               out=str(tmp_path / f"{name}.csv"))
+        curves[name] = monte_carlo(cfg)
     for name, mean in curves.items():
         assert np.all(np.isfinite(mean.err_mean))
         assert mean.err_mean[-1] < mean.err_mean[0]

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, GroupFactors, Partition,
-                      analytic_mean_trace, init_state, lift_group_hat,
-                      lift_set, lift_single, mean_matrices, parse_edge_list,
-                      step_group, step_set)
-from pushrank.lifted import (dense_q, lift_group_hat_blocks,
-                             spectral_radius)
+from pushrank import (DenseOracle, GroupFactors, Partition, init_state,
+                      parse_edge_list, step_group, step_set)
 
 from conftest import random_graph, random_partition
+from oracles import (analytic_mean_trace, dense_q, lift_group_hat,
+                     lift_group_hat_blocks, lift_set, lift_single,
+                     mean_matrices, spectral_radius)
 
 M = 0.15
 

@@ -91,13 +91,6 @@ def test_same_seed_same_sequence():
     assert [x[0] for x in draws(a, 200)] == [x[0] for x in draws(b, 200)]
 
 
-def test_restart_rewinds_stream():
-    a = Schedule.random_subset(12, 0.3, seed=5)
-    first = [s.tolist() for s in draws(a, 50)]
-    again = [s.tolist() for s in draws(a.restart(), 50)]
-    assert first == again
-
-
 def test_derived_streams_differ_and_are_stable():
     base = Schedule.uniform_singleton(50, seed=42)
     r1 = [s[0] for s in draws(base.derive(1), 100)]

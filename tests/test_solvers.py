@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, WebGraph, neumann_partial, parse_edge_list,
-                      patch_dangling, power_method, solve_dense)
+from pushrank import DenseOracle, parse_edge_list, patch_dangling, power_method
 
-from conftest import random_graph
+from conftest import graph_from_lists, random_graph
+from oracles import neumann_partial
 
 M = 0.15
 
@@ -16,6 +16,10 @@ def cycle2():
 def patched_chain():
     g, _ = patch_dangling(parse_edge_list("0 1"))
     return g
+
+
+def solve_dense(graph, m):
+    return DenseOracle(graph, m).x_star
 
 
 def test_dense_two_node_cycle():
@@ -35,7 +39,7 @@ def test_dense_patched_chain():
 
 
 def test_dense_three_isolated_pages():
-    g, _ = patch_dangling(WebGraph(3, [[], [], []]))
+    g, _ = patch_dangling(graph_from_lists(3, [[], [], []]))
     np.testing.assert_allclose(solve_dense(g, M), np.full(3, 1 / 3),
                                atol=1e-14)
 
@@ -43,7 +47,7 @@ def test_dense_three_isolated_pages():
 def test_dense_cap_error():
     g = cycle2()
     with pytest.raises(ValueError, match="power_method"):
-        solve_dense(g, M, dense_cap=1)
+        DenseOracle(g, M, dense_cap=1)
 
 
 def test_dense_floor_and_mass(rng):

@@ -5,9 +5,10 @@ import pytest
 
 from pushrank import (Partition, ParseError, WebGraph, load_edge_list,
                       load_partition, parse_edge_list, parse_partition,
-                      patch_dangling, q_column)
+                      patch_dangling)
 
-from conftest import random_graph, random_partition
+from conftest import random_graph
+from oracles import q_column
 
 
 def test_parse_two_node_cycle():
@@ -15,18 +16,17 @@ def test_parse_two_node_cycle():
     assert g.n == 2
     assert g.out_degree.tolist() == [1, 1]
     assert g.out_neighbors(0).tolist() == [1]
-    assert g.in_neighbors(0).tolist() == [1]
 
 
 def test_parse_one_based_collapses_duplicates():
     g = parse_edge_list("1 2\n1 2\n2 1", index_base=1)
     assert g.n == 2
     assert g.out_degree.tolist() == [1, 1]
-    # unsorted, duplicated edges: loader and list constructor store the same
+    # unsorted, duplicated edges: loader and constructor store the same
     # sorted, deduplicated arrays, which are Q's own
     g = parse_edge_list("3 1\n1 3\n3 1\n1 2\n4 4\n2 4\n1 3\n4 1",
                         index_base=1)
-    h = WebGraph(4, [[2, 1, 2, 1], [3], [0], [3, 0, 0]])
+    h = WebGraph(4, [3, 0, 2, 0, 0, 3, 1, 0, 3], [0, 2, 0, 1, 2, 3, 3, 1, 3])
     for graph in (g, h):
         assert graph.indptr.tolist() == [0, 2, 3, 4, 6]
         assert graph.indices.tolist() == [1, 2, 3, 0, 0, 3]
@@ -92,7 +92,7 @@ def test_patch_dangling_uniform_all_pages():
     np.testing.assert_allclose(vals, [0.425, 0.425])
     # unsorted, duplicated edges around a dangling page
     g, report = patch_dangling(parse_edge_list("2 0\n0 2\n2 0\n0 1"))
-    h, _ = patch_dangling(WebGraph(3, [[2, 1, 1], [], [0, 0]]))
+    h, _ = patch_dangling(WebGraph(3, [2, 0, 2, 0, 0], [0, 2, 0, 1, 1]))
     assert report.tolist() == [1]
     for graph in (g, h):
         assert graph.indptr.tolist() == [0, 2, 5, 6]
@@ -103,7 +103,7 @@ def test_patch_dangling_uniform_all_pages():
 
 
 def test_patch_isolated_pages_fully_uniform():
-    g = WebGraph(3, [[], [], []])
+    g = WebGraph(3, [], [])
     g, report = patch_dangling(g)
     assert report.tolist() == [0, 1, 2]
     cols = g.q_matrix(0.15).toarray()
@@ -144,17 +144,6 @@ def test_q_matrix_requires_patched_and_valid_m():
     g, _ = patch_dangling(g)
     with pytest.raises(ValueError, match="m must"):
         g.q_matrix(1.5)
-
-
-def test_transpose_consistency(rng):
-    for _ in range(5):
-        g = random_graph(rng, int(rng.integers(5, 50)), allow_self=True)
-        for j in range(g.n):
-            for i in g.out_neighbors(j):
-                assert j in g.in_neighbors(i)
-        for i in range(g.n):
-            for j in g.in_neighbors(i):
-                assert i in g.out_neighbors(j)
 
 
 def test_self_loops_preserved():
@@ -204,19 +193,3 @@ def test_partition_bad_line():
     with pytest.raises(ParseError, match="line 1"):
         load_partition(io.StringIO("0 a"), g)
 
-
-def test_partition_permutation_roundtrip(rng):
-    for _ in range(10):
-        n = int(rng.integers(2, 60))
-        p = random_partition(rng, n, int(rng.integers(1, 8)))
-        pages = np.arange(n)
-        np.testing.assert_array_equal(
-            p.inverse_permutation[p.permutation[pages]], pages)
-        np.testing.assert_array_equal(
-            p.permutation[p.inverse_permutation[pages]], pages)
-        # groups occupy contiguous blocks under the permutation
-        offset = 0
-        for h, mem in enumerate(p.members):
-            assert sorted(p.permutation[mem]) == list(
-                range(offset, offset + mem.size))
-            offset += mem.size
