@@ -16,8 +16,12 @@ File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 * edge list  -- one ``src dst`` pair per line, whitespace separated;
 * partition  -- one ``page group`` pair per line, every page exactly once.
 
-Numbers must fit a signed 64-bit integer; anything else is a `ParseError`
-that names the line.
+Both are read by one `np.loadtxt` call. Numbers are ASCII integers with an
+optional sign that fit a signed 64-bit integer, and a ``#`` ends a line's
+payload, so ``0 1  # comment`` is a pair. Two spellings that Python's
+`int` accepts are rejected: digit separators (``1_000``) and non-ASCII
+digits. Every malformed line is a `ParseError` that names it (``line N``,
+counting every line of the file from 1).
 
 Both graphs and partitions are immutable after construction and safe to
 share across threads.
@@ -26,7 +30,9 @@ share across threads.
 from __future__ import annotations
 
 import io
-from array import array
+import re
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +67,80 @@ def _as_lines(source):
         yield lineno, line
 
 
+_INT64 = re.compile(r"[+-]?[0-9]+")   # the integer spelling np.loadtxt parses
+
+
+def _read_pairs(source, fields, rules):
+    """The ``a b`` lines of a text source as a (k, 2) int64 array.
+
+    `source` is a filesystem path or an object with a ``read`` method.
+    `fields` names the two columns in messages. `rules` holds
+    ``(reject, message)`` pairs: ``reject(a, b)`` is true for a pair the
+    caller refuses and is written with ``|`` and comparisons, so that it
+    takes both the columns of all pairs and the two ints of one line;
+    ``message(a, b)`` says what is wrong with a refused pair.
+
+    One `np.loadtxt` call parses the whole text. Only when it fails or a
+    rule refuses a pair are the lines walked one at a time (the file is read
+    a second time), so that the `ParseError` names the first bad line.
+    """
+    if hasattr(source, "read"):
+        # newline=None reads \r and \r\n line ends as a file opened below would
+        reopen = partial(io.StringIO, source.read(), newline=None)
+    else:
+        reopen = partial(open, source, encoding="utf-8")
+    try:
+        with reopen() as stream, warnings.catch_warnings():
+            # no pairs at all: the caller says what is missing
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pairs = np.loadtxt(stream, dtype=np.int64, comments="#", ndmin=2)
+    except ValueError as exc:
+        reason = str(exc)
+    else:
+        if pairs.size == 0:
+            return pairs.reshape(0, 2)
+        if pairs.shape[1] != 2:
+            reason = f"lines of {pairs.shape[1]} numbers"
+        elif not any(reject(pairs[:, 0], pairs[:, 1]).any() for reject, _ in rules):
+            return pairs
+        else:
+            reason = "a pair is out of range"
+    with reopen() as stream:
+        for lineno, line in _as_lines(stream):
+            problem = _pair_problem(line, fields, rules)
+            if problem:
+                raise ParseError(f"line {lineno}: {problem}")
+    # the walk and loadtxt split the text differently (e.g. at a \v)
+    raise ParseError(f"cannot read '{fields}' lines: {reason}")
+
+
+def _pair_problem(line, fields, rules):
+    """What is wrong with one payload line, or None; see `_read_pairs`."""
+    parts = line.split("#", 1)[0].split()
+    if len(parts) != 2:
+        return f"expected '{fields}', got {line!r}"
+    if not all(_INT64.fullmatch(part) for part in parts):
+        return f"expected two integers, got {line!r}"
+    a, b = int(parts[0]), int(parts[1])
+    if not all(-2**63 <= v < 2**63 for v in (a, b)):
+        return f"integer does not fit 64 bits in {line!r}"
+    for reject, message in rules:
+        if reject(a, b):
+            return message(a, b)
+    return None
+
+
+# the largest n whose sort key src*n + dst (at most n*n - 1) fits int64
+MAX_PAGES = 3_037_000_499
+
+
 class WebGraph:
     """Immutable hyperlink structure in compressed-column form.
 
     Parameters
     ----------
     n : int
-        Page count, at least 2.
+        Page count, at least 2 and at most `MAX_PAGES`.
     src, dst : integer sequences
         One link ``src[k] -> dst[k]`` per k. Duplicates are collapsed;
         each page's targets are stored sorted.
@@ -80,15 +153,24 @@ class WebGraph:
         dst = np.asarray(dst, dtype=np.intp)
         if n < 2:
             raise ValueError(f"need at least 2 pages, got n={n}")
+        if n > MAX_PAGES:
+            raise ValueError(f"{n} pages exceed the limit of {MAX_PAGES}")
         bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
         if bad.any():
             raise ValueError(f"page {src[bad][0]} links outside 0..{n - 1}")
-        # one sort orders the links by source, then target, and exposes duplicates
-        src, dst = np.divmod(np.unique(src.astype(np.int64) * n + dst), n)
+        # one sort orders the links by source, then target, and puts
+        # duplicates next to each other
+        key = np.multiply(src, n, dtype=np.int64)
+        key += dst
+        key.sort()
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        src, dst = np.divmod(key[first], n)
         self.n = int(n)
         self.indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        self.indices = dst.astype(np.intp)
+        self.indices = dst.astype(np.intp, copy=False)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
         self._q_cache = {}
 
@@ -146,33 +228,26 @@ def load_edge_list(source, index_base=0):
 
     Each payload line is ``src dst``. `index_base` selects 0- or 1-based
     page numbering in the file; pages are always 0-based in memory. The
-    page count is one plus the largest (rebased) index seen. Duplicate
-    edges collapse; dangling pages are allowed at this stage.
+    page count is one plus the largest (rebased) index seen, at most
+    `MAX_PAGES`: a line with a larger index is a `ParseError`, so that a
+    mistyped index cannot size the graph. Duplicate edges collapse;
+    dangling pages are allowed at this stage.
     """
     if index_base not in (0, 1):
         raise ValueError(f"index_base must be 0 or 1, got {index_base}")
-    src, dst = array("q"), array("q")
-    for lineno, line in _as_lines(source):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'src dst', got {line!r}")
-        try:
-            s, d = int(parts[0]) - index_base, int(parts[1]) - index_base
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
-        if s < 0 or d < 0:
-            raise ParseError(f"line {lineno}: index below base {index_base}")
-        try:
-            src.append(s)
-            dst.append(d)
-        except OverflowError:
-            raise ParseError(f"line {lineno}: index too large in {line!r}") from None
-    src = np.frombuffer(src, dtype=np.int64)
-    dst = np.frombuffer(dst, dtype=np.int64)
-    n = int(max(src.max(), dst.max())) + 1 if src.size else 0
+    limit = MAX_PAGES + index_base
+    pairs = _read_pairs(source, "src dst", [
+        (lambda s, d: (s < index_base) | (d < index_base),
+         lambda s, d: f"index below base {index_base}"),
+        (lambda s, d: (s >= limit) | (d >= limit),
+         lambda s, d: f"index {max(s, d)} exceeds the limit of {MAX_PAGES} "
+                      f"pages (base {index_base})"),
+    ])
+    pairs -= index_base
+    n = int(pairs.max()) + 1 if pairs.size else 0
     if n < 2:
         raise ValueError(f"edge list describes {n} page(s); need at least 2")
-    return WebGraph(n, src, dst)
+    return WebGraph(n, pairs[:, 0], pairs[:, 1])
 
 
 def patch_dangling(graph):
@@ -209,9 +284,10 @@ class Partition:
         self.n = group_of.size
         self.num_groups = labels.size
         self.group_of = dense.astype(np.intp)
-        self.members = tuple(np.flatnonzero(self.group_of == h)
-                             for h in range(self.num_groups))
-        self.sizes = np.array([mem.size for mem in self.members], dtype=np.intp)
+        self.sizes = np.bincount(self.group_of, minlength=self.num_groups)
+        # a stable sort by group keeps each group's pages ascending
+        order = np.argsort(self.group_of, kind="stable")
+        self.members = tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
 
     @classmethod
     def trivial(cls, n):
@@ -236,28 +312,18 @@ def load_partition(source, graph):
     raise with the full offender list.
     """
     n = graph.n
-    assigned = np.full(n, -1, dtype=np.intp)
-    dupes = []
-    for lineno, line in _as_lines(source):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'page group', got {line!r}")
-        try:
-            page, group = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected two integers, got {line!r}") from None
-        if not 0 <= page < n:
-            raise ParseError(f"line {lineno}: page {page} outside 0..{n - 1}")
-        if assigned[page] != -1:
-            dupes.append(page)
-        try:
-            assigned[page] = group
-        except OverflowError:
-            raise ParseError(f"line {lineno}: group label too large in {line!r}") from None
-    missing = np.flatnonzero(assigned == -1)
-    if dupes or missing.size:
+    pairs = _read_pairs(source, "page group", [
+        (lambda page, group: (page < 0) | (page >= n),
+         lambda page, group: f"page {page} outside 0..{n - 1}"),
+    ])
+    pages = pairs[:, 0]
+    counts = np.bincount(pages, minlength=n)
+    dupes, missing = np.flatnonzero(counts > 1), np.flatnonzero(counts == 0)
+    if dupes.size or missing.size:
         raise ValueError(
             "invalid partition: "
-            f"doubly-assigned pages {sorted(set(dupes))}, "
+            f"doubly-assigned pages {dupes.tolist()}, "
             f"unassigned pages {missing.tolist()}")
+    assigned = np.empty(n, dtype=np.intp)
+    assigned[pages] = pairs[:, 1]
     return Partition(assigned)

@@ -200,6 +200,16 @@ def test_cli_rejects_oversized_integers(cycle_path, tmp_path, capsys):
     assert capsys.readouterr().err.count("line 2: ") == 3
 
 
+def test_cli_rejects_page_index_typo(tmp_path, capsys):
+    # one mistyped index must not size the graph: n = 1e11 pages would
+    # need 745 GiB for indptr alone
+    graph = tmp_path / "typo.txt"
+    graph.write_text("1 99999999999\n")
+    assert cli.main(["sync", "--graph", str(graph),
+                     "--steps", "1"]) == cli.EXIT_CONFIG
+    assert "line 1: " in capsys.readouterr().err
+
+
 def test_weights_need_weighted_schedule(small_graph_path, tmp_path):
     part = tmp_path / "part.txt"
     part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))

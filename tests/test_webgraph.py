@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -193,3 +194,159 @@ def test_partition_bad_line():
     with pytest.raises(ParseError, match="line 1"):
         load_partition(io.StringIO("0 a"), g)
 
+
+def unique_reference(n, src, dst):
+    """CSR arrays of a graph built with np.unique over the link keys."""
+    key = np.unique(np.asarray(src, dtype=np.int64) * n + np.asarray(dst))
+    src, dst = np.divmod(key, n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return indptr, dst
+
+
+@pytest.mark.parametrize("index_base", [0, 1])
+def test_loader_matches_unique_reference(index_base):
+    rng = np.random.default_rng(17 + index_base)
+    for n in (2, 5, 60, 700):
+        # unsorted links with duplicates and self-loops; pages may dangle
+        k = int(rng.integers(1, 6 * n))
+        src = rng.integers(0, n, size=k)
+        dst = rng.integers(0, n, size=k)
+        src[0], dst[0] = n - 1, n - 1          # fixes the page count
+        dup = rng.integers(0, k, size=k // 3)
+        src, dst = np.concatenate([src, src[dup]]), np.concatenate([dst, dst[dup]])
+        order = rng.permutation(src.size)
+        src, dst = src[order], dst[order]
+        lines = []
+        for s, d in zip(src + index_base, dst + index_base):
+            if rng.random() < 0.1:
+                lines.append("# a comment")
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "   ", "\t"]))
+            lines.append(f"{s} {d}")
+        g = parse_edge_list("\n".join(lines), index_base=index_base)
+        indptr, indices = unique_reference(n, src, dst)
+        assert g.n == n
+        np.testing.assert_array_equal(g.indptr, indptr)
+        np.testing.assert_array_equal(g.indices, indices)
+        h = WebGraph(n, src, dst)
+        np.testing.assert_array_equal(h.indptr, indptr)
+        np.testing.assert_array_equal(h.indices, indices)
+
+
+def test_partition_members_match_flatnonzero_reference():
+    rng = np.random.default_rng(3)
+    labels = rng.choice([-7, 2, 5, 40, 41, 1000], size=300)  # not contiguous
+    for p in (Partition(labels), Partition.trivial(50), Partition.whole(50)):
+        dense = np.unique(p.group_of, return_inverse=True)[1]
+        np.testing.assert_array_equal(p.group_of, dense)
+        reference = [np.flatnonzero(p.group_of == h) for h in range(p.num_groups)]
+        assert len(p.members) == p.num_groups
+        for mem, ref in zip(p.members, reference):
+            assert mem.dtype == ref.dtype
+            np.testing.assert_array_equal(mem, ref)
+        np.testing.assert_array_equal(p.sizes, [ref.size for ref in reference])
+    assert Partition(labels).num_groups == 6
+    assert Partition(labels).members[0].tolist() == np.flatnonzero(labels == -7).tolist()
+
+
+# comment and blank lines come first, so line N counts them
+PREAMBLE = "# pages\n\n   \n0 1\n# more\n\n"
+BAD_LINE = 7
+
+
+@pytest.mark.parametrize("line, index_base, message", [
+    ("3", 0, "expected 'src dst'"),
+    ("1 2 3", 0, "expected 'src dst'"),
+    ("1 x", 0, "expected two integers"),
+    ("1 2.0", 0, "expected two integers"),
+    ("1_000 2", 0, "expected two integers"),       # int() accepts it
+    ("\u0661 2", 0, "expected two integers"),      # ARABIC-INDIC DIGIT ONE
+    ("1 99999999999999999999", 0, "integer does not fit 64 bits"),
+    ("-9223372036854775809 1", 0, "integer does not fit 64 bits"),
+    ("0 3", 1, "index below base 1"),
+    ("-1 3", 0, "index below base 0"),
+    ("1 99999999999", 0, "index 99999999999 exceeds the limit"),
+])
+def test_edge_list_error_names_the_line(line, index_base, message):
+    text = PREAMBLE.replace("0 1", "1 2") + line + "\n2 1\n"
+    with pytest.raises(ParseError, match=f"line {BAD_LINE}: {message}"):
+        parse_edge_list(text, index_base=index_base)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1", "expected 'page group'"),
+    ("1 0 0", "expected 'page group'"),
+    ("1 zero", "expected two integers"),
+    ("1 1_0", "expected two integers"),
+    ("1 \u0661", "expected two integers"),
+    ("1 99999999999999999999", "integer does not fit 64 bits"),
+    ("3 0", r"page 3 outside 0\.\.2"),
+    ("-1 0", r"page -1 outside 0\.\.2"),
+])
+def test_partition_error_names_the_line(line, message):
+    g = parse_edge_list("0 1\n1 2\n2 0")
+    with pytest.raises(ParseError, match=f"line {BAD_LINE}: {message}"):
+        parse_partition(PREAMBLE + line + "\n2 1\n", g)
+
+
+def test_first_bad_line_is_named():
+    # a range error before a syntax error is still the one reported
+    with pytest.raises(ParseError, match="line 2: index below base"):
+        parse_edge_list("1 2\n0 1\n1 x\n", index_base=1)
+    with pytest.raises(ParseError, match="line 3: expected two integers"):
+        parse_edge_list("1 2\n2 1\n1 x\n0 1\n", index_base=1)
+
+
+def test_trailing_comment_accepted(tmp_path):
+    g = parse_edge_list("0 1  # first link\n1 0# second\n")
+    assert g.indices.tolist() == [1, 0]
+    p = parse_partition("0 4 # group four\n1 4\n", g)
+    assert p.members[0].tolist() == [0, 1]
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1 # a\r\n1 0\r\n")
+    assert load_edge_list(path).indices.tolist() == [1, 0]
+    # the line walk that names a bad line reads comments the same way
+    with pytest.raises(ParseError, match="line 2: expected two integers"):
+        parse_edge_list("0 1 # a\n1 x # b\n")
+
+
+def test_text_and_file_read_line_ends_alike(tmp_path):
+    text = "# cr\r0 1\r1 2\r\n2 0\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    for g in (parse_edge_list(text), load_edge_list(path)):
+        assert g.indices.tolist() == [1, 2, 0]
+
+
+def test_parse_failure_without_a_bad_line_keeps_loadtxt_message():
+    # loadtxt reads \v as a field separator where str.splitlines breaks the
+    # line, so every line looks right to the walk
+    with pytest.raises(ParseError, match="number of columns changed"):
+        parse_edge_list("0 1\n0 1\x0b1 0\n")
+
+
+@pytest.mark.parametrize("text", ["", "# only\n\n# comments\n", "\n  \n"])
+def test_empty_input_raises_without_warning(text, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    g = parse_edge_list("0 1\n1 2\n2 0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (io.StringIO(text), path):
+            with pytest.raises(ValueError, match=r"describes 0 page\(s\)"):
+                load_edge_list(source)
+        with pytest.raises(ValueError, match=r"unassigned pages \[0, 1, 2\]"):
+            parse_partition(text, g)
+
+
+def test_page_limit_checked_before_allocation():
+    from pushrank.webgraph import MAX_PAGES
+    # the largest n whose link key src*n + dst fits int64
+    assert (MAX_PAGES**2 - 1 < 2**63) and (MAX_PAGES + 1)**2 - 1 >= 2**63
+    for n in (MAX_PAGES + 1, 10**11, 2**62):
+        with pytest.raises(ValueError, match="exceed the limit"):
+            WebGraph(n, [0], [1])
+    with pytest.raises(ParseError, match="line 2: index 3037000499 exceeds"):
+        parse_edge_list(f"0 1\n1 {MAX_PAGES}\n{MAX_PAGES} 0\n")
+    with pytest.raises(ParseError, match="line 1: index 3037000500 exceeds"):
+        parse_edge_list(f"{MAX_PAGES + 1} 1\n", index_base=1)
