@@ -11,8 +11,7 @@ from .cluster import GroupFactors, step_group
 from .engines import PushState, exact_error, init_state, run, step_set
 from .errors import ConfigError, NumericalFailure, ParseError
 from .harness import ExperimentConfig, compare, monte_carlo, run_experiment
-from .scheduling import (Schedule, derive_seed, indegree_plus_one_weights,
-                         liveness_audit)
+from .scheduling import Schedule, derive_seed, indegree_plus_one_weights
 from .solvers import DenseOracle, power_method
 from .trace import Trace
 from .webgraph import (Partition, WebGraph, load_edge_list, load_partition,
@@ -26,7 +25,7 @@ __all__ = [
     "DenseOracle", "power_method",
     "PushState", "init_state", "step_set", "exact_error", "run",
     "GroupFactors", "step_group",
-    "Schedule", "liveness_audit", "indegree_plus_one_weights", "derive_seed",
+    "Schedule", "indegree_plus_one_weights", "derive_seed",
     "Trace", "ExperimentConfig", "run_experiment", "monte_carlo", "compare",
     "ParseError", "ConfigError", "NumericalFailure",
 ]

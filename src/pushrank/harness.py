@@ -170,7 +170,34 @@ def _build_schedule(config, runtime):
     groups = runtime.partition
     n = groups.num_groups if groups is not None else runtime.graph.n
     weights = _weights(config, runtime) if kind == "weighted" else None
-    return scheduling.Schedule.from_spec(spec, n, config.seed, weights)
+    sched = scheduling.Schedule.from_spec(spec, n, config.seed, weights)
+    _check_tol_reachable(config, runtime, sched.never_drawn(n))
+    return sched
+
+
+def _check_tol_reachable(config, runtime, idle):
+    """Refuse a --tol that the schedule can never certify.
+
+    A page that never pushes keeps z_i >= m/n, so k such pages (the
+    members of the `idle` groups on cluster runs, else the `idle` pages)
+    hold the certificate at or above (1-m) k / n.
+    """
+    if config.tol is None or idle.size == 0:
+        return
+    groups = runtime.partition
+    pages = int(groups.sizes[idle].sum()) if groups is not None else idle.size
+    floor = (1.0 - config.m) * pages / runtime.graph.n
+    if config.tol < floor:
+        what = "group" if groups is not None else "page"
+        if idle.size > 1:
+            what += "s"
+        shown = ", ".join(str(i) for i in idle[:10].tolist())
+        if idle.size > 10:
+            shown += f" and {idle.size - 10} more"
+        raise ConfigError(
+            f"--tol {config.tol:g} cannot be reached: the schedule never "
+            f"updates {what} {shown}, so the certificate stays at or above "
+            f"{floor:.6g}")
 
 
 def _updates_per_step(runtime, sched):

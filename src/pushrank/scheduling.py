@@ -8,8 +8,12 @@ Which specs an algorithm accepts is the harness's table, not this module's.
 
 Random kinds draw from a seeded PCG64 stream and are reproducible across
 platforms; singleton draws use an inverse-CDF lookup (binary search on the
-cumulative weight array). Parallel replicas never share a stream: replica
-r derives its own seed as ``seed XOR splitmix64(r)``.
+cumulative weight array). Singleton draws are made in blocks: one
+``rng.random(k)`` and one vector search give the indices of the next k
+steps, the same doubles and indices as k scalar draws. Blocks double from
+16 to 4096 draws, so a short replica draws few it does not use. Parallel
+replicas never share a stream: replica r derives its own seed as
+``seed XOR splitmix64(r)``.
 
 A schedule is owned by one engine replica and consumed sequentially; call
 `derive` for a replica stream.
@@ -17,20 +21,20 @@ A schedule is owned by one engine replica and consumed sequentially; call
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .webgraph import _as_lines
+from .webgraph import _INT64, _as_lines
 
-__all__ = ["Schedule", "liveness_audit", "LivenessReport",
-           "indegree_plus_one_weights", "load_sequence_file",
+__all__ = ["Schedule", "indegree_plus_one_weights", "load_sequence_file",
            "derive_seed", "splitmix64"]
 
 _MASK64 = (1 << 64) - 1
 
 RANDOM_KINDS = ("uniform_singleton", "weighted_singleton", "random_subset")
+# singleton draws come in blocks that double from _BLOCK_MIN to _BLOCK_MAX
+_BLOCK_MIN = 16
+_BLOCK_MAX = 4096
 
 
 def splitmix64(v):
@@ -83,6 +87,8 @@ class Schedule:
                              for s in sequence]
         self._rng = np.random.default_rng(seed) if kind in RANDOM_KINDS else None
         self._next_k = 0
+        self._block = np.empty(0, dtype=np.intp)    # drawn singleton indices
+        self._taken = 0
 
     # -- constructors -------------------------------------------------
 
@@ -147,6 +153,18 @@ class Schedule:
             return max(1.0, sum(sizes) / len(sizes))
         return 1.0
 
+    def never_drawn(self, n):
+        """Indices in 0..n-1 that a fixed sequence never draws, ascending.
+
+        Empty for the other kinds, which reach every index eventually.
+        """
+        if self.sequence is None:
+            return np.empty(0, dtype=np.intp)
+        drawn = np.zeros(n, dtype=bool)
+        named = np.concatenate([np.empty(0, dtype=np.intp), *self.sequence])
+        drawn[named[(named >= 0) & (named < n)]] = True
+        return np.flatnonzero(~drawn)
+
     def derive(self, replica):
         """Clone for a Monte Carlo replica, on its own derived stream."""
         seed = derive_seed(self.seed, replica) if self.is_random else self.seed
@@ -169,9 +187,13 @@ class Schedule:
             self._next_k += 1
             if self.kind == "random_subset":
                 return np.flatnonzero(self._rng.random(self.n) < self.q)
-            u = self._rng.random()
-            idx = int(np.searchsorted(self._cum, u, side="right"))
-            return np.array([idx], dtype=np.intp)
+            if self._taken == self._block.size:
+                size = min(_BLOCK_MAX, max(_BLOCK_MIN, 2 * self._block.size))
+                self._block = np.searchsorted(self._cum, self._rng.random(size),
+                                              side="right")
+                self._taken = 0
+            self._taken += 1
+            return self._block[self._taken - 1:self._taken]
         if self.kind == "round_robin":
             return np.array([k % self.n], dtype=np.intp)
         if self.kind == "fixed_sequence":
@@ -181,67 +203,25 @@ class Schedule:
         raise AssertionError(f"unhandled schedule kind {self.kind!r}")
 
 
-@dataclass
-class LivenessReport:
-    """Per-page update gaps over an emitted history of update sets.
-
-    ``max_gap[i]`` is the largest number of consecutive steps page i went
-    without updating, counting lead-in and tail-out; a page that never
-    appears gets len(history) + 1. Pages with max_gap > window violate the
-    every-T-steps premise.
-    """
-
-    window: int
-    num_steps: int
-    max_gap: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def violators(self):
-        return np.flatnonzero(self.max_gap > self.window)
-
-    @property
-    def ok(self):
-        return self.violators.size == 0
-
-
-def liveness_audit(history, T, n):
-    """Audit an emitted set history against the every-T-steps premise."""
-    length = 0
-    last = np.full(n, -1, dtype=np.intp)
-    max_gap = np.zeros(n, dtype=np.intp)
-    counts = np.zeros(n, dtype=np.intp)
-    for t, chosen in enumerate(history):
-        idx = np.asarray(list(chosen), dtype=np.intp)
-        if idx.size:
-            gap = t - last[idx]
-            np.maximum.at(max_gap, idx, gap)
-            last[idx] = t
-            counts[idx] += 1
-        length = t + 1
-    np.maximum(max_gap, length - last, out=max_gap)
-    return LivenessReport(window=T, num_steps=length, max_gap=max_gap,
-                          counts=counts)
-
-
 def load_sequence_file(source):
     """Explicit update sequence: one set per line, comma-separated indices.
 
     Blank and ``#`` lines are skipped; a line containing just ``-`` denotes
-    the empty set (a no-op step).
+    the empty set (a no-op step). Indices are ASCII integers with an
+    optional sign that fit 64 bits, as in edge lists (`pushrank.webgraph`).
     """
     sets = []
     for lineno, line in _as_lines(source):
         if line == "-":
             sets.append(np.empty(0, dtype=np.intp))
             continue
-        try:
-            sets.append(np.array([int(tok) for tok in line.split(",")],
-                                 dtype=np.intp))
-        except ValueError:
+        tokens = [tok.strip() for tok in line.split(",")]
+        if not all(_INT64.fullmatch(tok) for tok in tokens):
             raise ParseError(
-                f"line {lineno}: expected comma-separated integers, got {line!r}"
-            ) from None
-        except OverflowError:
-            raise ParseError(f"line {lineno}: index too large in {line!r}") from None
+                f"line {lineno}: expected comma-separated integers, got {line!r}")
+        values = [int(tok) for tok in tokens]
+        if not all(-2**63 <= v < 2**63 for v in values):
+            raise ParseError(
+                f"line {lineno}: integer does not fit 64 bits in {line!r}")
+        sets.append(np.array(values, dtype=np.intp))
     return sets

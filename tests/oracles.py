@@ -9,16 +9,20 @@ matrices Q_i, R_i, S_i are the singleton case. The group step uses
 `mean_matrices` and `analytic_mean_trace` give the expected dynamics under
 random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
 `neumann_partial` the partial sums of x* = sum_t Q^t (m/n) 1 that
-synchronous steps reproduce.
+synchronous steps reproduce. `run_summing_every_step` is the driver loop
+that sums the residual before every step, the reference for the stop step
+of `pushrank.engines.run`.
 
-The lifted matrices are dense and capped at small n. All functions are
-pure.
+The lifted matrices are dense and capped at small n. All functions but
+`run_summing_every_step`, which consumes its schedule, are pure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from pushrank.cluster import step_group
+from pushrank.engines import init_state, step_set
 from pushrank.solvers import check_probability_vector
 
 ORACLE_CAP = 200
@@ -183,3 +187,28 @@ def spectral_radius(mat, iters=200, tol=1e-12):
         est = nrm
         v = w / nrm
     return est
+
+
+def run_summing_every_step(graph, m, schedule=None, *, factors=None,
+                           steps=None, tol):
+    """The final state of `engines.run` when it sums z before every step.
+
+    Same draws and steps as `engines.run`, and the stop test
+    ``z.sum() <= m tol / (1-m)`` evaluated exactly before each step.
+    """
+    state = init_state(graph.n, m)
+    everyone = np.arange(graph.n, dtype=np.intp)
+    z_stop = m * tol / (1.0 - m)
+    while steps is None or state.step < steps:
+        if state.z.sum() <= z_stop:
+            break
+        drawn = everyone if schedule is None else schedule.next(state.step)
+        if drawn is None:
+            break
+        if factors is None:
+            step_set(state, graph, m, drawn)
+        elif len(drawn) == 0:
+            state.step += 1
+        else:
+            step_group(state, graph, m, factors, int(drawn[0]))
+    return state

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, Schedule, exact_error, init_state,
+from pushrank import (DenseOracle, Schedule, engines, exact_error, init_state,
                       parse_edge_list, patch_dangling, run, step_set)
 
 from conftest import graph_from_lists, random_graph
@@ -129,6 +129,25 @@ def test_step_set_is_masked_matvec(rng):
             step_set(st, g, M, np.flatnonzero(mask))
             np.testing.assert_array_equal(st.x, x_want)
             np.testing.assert_array_equal(st.z, z_want)
+
+
+def test_every_push_path_is_masked_matvec(rng):
+    # single pages, sets small enough to gather and sets past the crossover
+    # to the mat-vec, on a graph large enough for all three
+    g = random_graph(rng, 500, mean_out=6.0, allow_self=True)
+    q = g.q_matrix(M)
+    crossover = g.n // engines.SET_CROSSOVER
+    st = init_state(g.n, M)
+    for size in [1, 2, 3, crossover // 2, crossover, crossover + 1, 3 * crossover] * 4:
+        phi = rng.choice(g.n, size=size, replace=False)
+        mask = np.zeros(g.n, dtype=bool)
+        mask[phi] = True
+        inflow = q @ np.where(mask, st.z, 0.0)
+        x_want = st.x + inflow
+        z_want = np.where(mask, 0.0, st.z) + inflow
+        step_set(st, g, M, phi)
+        np.testing.assert_array_equal(st.x, x_want)
+        np.testing.assert_array_equal(st.z, z_want)
 
 
 def test_step_mutates_its_state():

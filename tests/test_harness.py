@@ -200,6 +200,44 @@ def test_cli_rejects_oversized_integers(cycle_path, tmp_path, capsys):
     assert capsys.readouterr().err.count("line 2: ") == 3
 
 
+def test_cli_rejects_python_only_integer_spellings(small_graph_path, tmp_path,
+                                                  capsys):
+    # sequence files take the ASCII integers edge lists take: no digit
+    # separators, no non-ASCII digits
+    for name, line in (("underscore", "1_0"), ("arabic_indic", "\u0663")):
+        seq = tmp_path / f"{name}.txt"
+        seq.write_text(f"0\n# a comment\n{line}\n", encoding="utf-8")
+        assert cli.main(["multi", "--graph", small_graph_path, "--schedule",
+                         f"file:{seq}", "--steps", "2"]) == cli.EXIT_CONFIG
+        assert f"line 3: expected comma-separated integers, got {line!r}" in \
+            capsys.readouterr().err
+
+
+def test_cli_rejects_tol_a_file_schedule_cannot_reach(small_graph_path,
+                                                       tmp_path, capsys):
+    # pages 3 and 7 never push, so their residual keeps the certificate
+    # at or above (1-m) 2/20 = 0.085
+    seq = tmp_path / "seq.txt"
+    named = [i for i in range(20) if i not in (3, 7)]
+    seq.write_text(",".join(map(str, named)) + "\n" + "0,1\n" * 30)
+    argv = ["multi", "--graph", small_graph_path, "--schedule", f"file:{seq}"]
+    assert cli.main(argv + ["--tol", "0.08"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "never updates pages 3, 7" in err and "0.085" in err
+    assert cli.main(argv + ["--tol", "0.09"]) == cli.EXIT_OK
+    assert cli.main(argv + ["--steps", "5"]) == cli.EXIT_OK
+    # cluster runs name the groups: group 2 holds pages 2, 5, ..., 17
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {i % 3}\n" for i in range(20)))
+    groups = tmp_path / "groups.txt"
+    groups.write_text("0\n1\n" * 10)
+    argv = ["cluster", "--graph", small_graph_path, "--partition", str(part),
+            "--schedule", f"file:{groups}"]
+    assert cli.main(argv + ["--tol", "0.25"]) == cli.EXIT_CONFIG
+    assert "never updates group 2," in capsys.readouterr().err
+    assert cli.main(argv + ["--tol", "0.3"]) == cli.EXIT_OK
+
+
 def test_cli_rejects_page_index_typo(tmp_path, capsys):
     # one mistyped index must not size the graph: n = 1e11 pages would
     # need 745 GiB for indptr alone

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pushrank import (ParseError, Schedule, derive_seed,
-                      indegree_plus_one_weights, liveness_audit,
-                      parse_edge_list)
+                      indegree_plus_one_weights, parse_edge_list)
 from pushrank.scheduling import load_sequence_file, splitmix64
 
 from conftest import random_graph
@@ -119,29 +118,6 @@ def test_weights_must_be_positive():
             Schedule.weighted_singleton(np.array([0.5, bad]), seed=0)
 
 
-def test_liveness_round_robin_gap_equals_n():
-    n = 6
-    history = [np.array([k % n]) for k in range(4 * n)]
-    report = liveness_audit(history, T=n, n=n)
-    assert report.max_gap.max() == n
-    assert report.ok
-
-
-def test_liveness_flags_omitted_page():
-    history = [np.array([k % 3]) for k in range(100)]  # pages 0..2 only
-    report = liveness_audit(history, T=50, n=4)
-    assert report.violators.tolist() == [3]
-    assert not report.ok
-    assert report.max_gap[3] == 101
-
-
-def test_liveness_random_subset_clean():
-    sched = Schedule.random_subset(10, 0.5, seed=31)
-    report = liveness_audit(draws(sched, 1000), T=60, n=10)
-    assert report.ok
-    assert report.counts.min() > 0
-
-
 def test_sequence_file_parsing():
     text = "# schedule\n0,2,4\n-\n1\n\n3,3\n"
     sets = load_sequence_file(io.StringIO(text))
@@ -155,3 +131,41 @@ def test_weighted_draw_matches_indegree_policy_on_random_graph(rng):
     w = indegree_plus_one_weights(g)
     assert np.all(w >= 1.0)
     assert w.sum() == pytest.approx(g.num_edges + g.n)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "weighted"])
+def test_block_draws_match_scalar_draws(kind):
+    # singleton draws come in blocks; the indices must be those of one
+    # scalar rng.random() per step, across every block boundary, also on
+    # derived replica streams
+    n, seed, count = 37, 2024, 10_001
+    weights = np.arange(1.0, n + 1.0) if kind == "weighted" else np.ones(n)
+    base = Schedule.from_spec(kind, n, seed, weights if kind == "weighted" else None)
+    cum = np.cumsum(weights / weights.sum())
+    cum[-1] = 1.0
+    for replica, sched in ((None, base), (3, base.derive(3))):
+        rng = np.random.default_rng(
+            seed if replica is None else derive_seed(seed, replica))
+        want = [int(np.searchsorted(cum, rng.random(), side="right"))
+                for _ in range(count)]
+        got = [sched.next(k) for k in range(count)]
+        assert all(d.shape == (1,) and d.dtype == np.intp for d in got)
+        assert [int(d[0]) for d in got] == want
+
+
+def test_block_draws_still_require_sequential_steps():
+    sched = Schedule.uniform_singleton(5, seed=1)
+    for k in range(16):          # the whole first block
+        sched.next(k)
+    with pytest.raises(ValueError, match="sequentially"):
+        sched.next(15)
+    with pytest.raises(ValueError, match="sequentially"):
+        sched.next(17)
+    assert sched.next(16).shape == (1,)
+
+
+def test_never_drawn_names_idle_indices():
+    sched = Schedule.fixed_sequence([[0, 2], [], [2, 9], [-1]])
+    assert sched.never_drawn(5).tolist() == [1, 3, 4]
+    assert Schedule.round_robin(4).never_drawn(4).size == 0
+    assert Schedule.uniform_singleton(4, seed=0).never_drawn(4).size == 0
