@@ -8,12 +8,9 @@ repeating the set update on h forever is reached directly:
     x   += Q[:, h] @ zbar              (push along the group's out-links)
     z   += Q[:, h] @ zbar,  then z_h = 0
 
-The push is the same in-place step as a set update (`PushState.push`).
-`GroupFactors` keeps each group's columns of Q compacted to the rows they
-reach plus the group's own (`rows[h]`, ascending, relabelled 0..k-1 in
-`out_links[h]`), so a group push costs O(nnz of its columns) and touches
-only those rows, and it still sums every row's inflow in the order
-``Q[:, h] @ zbar`` does.
+The push is the same in-place step as a set update (`PushState.push`),
+over every page: it costs O(n + nnz of the group's columns), and it leaves
+the state's running certificate unknown until z is next summed.
 Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
 from Q, so the local solve always exists. Groups above `DENSE_GROUP_CAP`
 members sum the series zbar = sum_t Qhh^t z_h instead and stop once a
@@ -41,18 +38,13 @@ _ITER_MAX = 100_000
 class GroupFactors:
     """Per-group local solvers for (I - Qhh) plus each group's columns of Q.
 
-    `rows[h]` are the pages group h's columns reach and its own members,
-    `out_links[h]` the columns on those rows, and `leaving[h]` marks the
-    rows outside the group.
-
     Groups up to `DENSE_GROUP_CAP` members (read when the factors are
     built) get a dense LU factorization; larger groups sum the series
     zbar = rhs + Qhh rhs + Qhh^2 rhs + ..., which converges geometrically
     (Qhh is Schur stable) and avoids storing a possibly dense inverse.
     """
 
-    __slots__ = ("m", "members", "rows", "out_links", "leaving",
-                 "_dense_lu", "_sparse_qhh")
+    __slots__ = ("m", "members", "block_columns", "_dense_lu", "_sparse_qhh")
 
     def __init__(self, graph, m, partition):
         if partition.n != graph.n:
@@ -60,13 +52,13 @@ class GroupFactors:
         q = graph.q_matrix(m)
         self.m = m
         self.members = partition.members
-        self.rows = []
-        self.out_links = []
-        self.leaving = []
+        self.block_columns = []
         self._dense_lu = []
         self._sparse_qhh = []
         for h, mem in enumerate(self.members):
-            qhh = q[:, mem][mem, :]
+            cols = q[:, mem]
+            self.block_columns.append(cols)
+            qhh = cols[mem, :]
             if mem.size <= DENSE_GROUP_CAP:
                 lu, piv = linalg.lu_factor(np.eye(mem.size) - qhh.toarray())
                 if np.any(np.diag(lu) == 0.0):
@@ -76,21 +68,6 @@ class GroupFactors:
             else:
                 self._dense_lu.append(None)
                 self._sparse_qhh.append(qhh.tocsc())
-        # built in a second pass: interleaved with the factorizations' large
-        # temporaries, these small long-lived arrays fragment the heap and
-        # add up to 7 MB to the peak RSS of a 50,000-page run
-        for h, mem in enumerate(self.members):
-            cols = q[:, mem]
-            # the group's columns of Q, in Q's sparse format, on the rows
-            # they reach and on its own rows, relabelled 0..len(rows)-1 in
-            # ascending page order
-            rows, local = np.unique(np.concatenate([mem, cols.indices]),
-                                    return_inverse=True)
-            self.rows.append(rows)
-            self.out_links.append(type(q)(
-                (cols.data, local[mem.size:], cols.indptr),
-                shape=(rows.size, mem.size)))
-            self.leaving.append(partition.group_of[rows] != h)
 
     @property
     def num_groups(self):
@@ -126,13 +103,7 @@ def step_group(state, graph, m, factors, h):
     """
     if not 0 <= h < factors.num_groups:
         raise ValueError(f"group {h} outside 0..{factors.num_groups - 1}")
-    members, rows = factors.members[h], factors.rows[h]
-    z_h = state.z[members]
-    zbar, rest = factors.solve_local(h, z_h)
-    inflow = factors.out_links[h] @ zbar
-    state.push(members, rows, inflow)
+    members = factors.members[h]
+    zbar, rest = factors.solve_local(h, state.z[members])
+    state.push(members, None, factors.block_columns[h] @ zbar)
     state.z[members] = rest
-    # the group keeps `rest` and the inflow to its own rows is overwritten;
-    # the summed inflow can reach (1-m)/m times the group's mass, hence /m
-    change = inflow[factors.leaving[h]].sum() + np.sum(rest) - z_h.sum()
-    state.account(float(change), (rows.size + 2 * members.size + 8) / m)

@@ -16,22 +16,25 @@ state they are given. One driver, `run`, draws the sets or groups and
 stops on the certificate.
 
 A step costs what its senders send. A single page writes its inflow
-straight into x and z at its out-links: O(out-degree). A set below
-n / `SET_CROSSOVER` pages gathers its senders' out-links and sums each
-target's inflow in one `bincount`: O(sum of the senders' out-degrees, times
-a log for the sort). Larger sets push with one sparse mat-vec,
-``Q @ where(mask, z, 0)``: O(nnz + n). Every path sums a target's inflow
-from 0.0 in ascending sender index and touches no page it does not reach,
-so a push by any set of pages reproduces ``x + Q @ (mask * z)`` and
-``(1 - mask) * z + Q @ (mask * z)`` bit for bit.
+straight into x and z at its out-links: O(out-degree). Any other partial
+set gathers its senders' out-links and sums each target's inflow in one
+`bincount`: O(sum of the senders' out-degrees, times a log for the sort).
+The set of every page pushes with one sparse mat-vec, ``Q @ z``:
+O(nnz + n). Every path sums a target's inflow from 0.0 in ascending
+sender index and touches no page it does not reach, so a push by any set
+of pages reproduces ``x + Q @ (mask * z)`` and ``(1 - mask) * z +
+Q @ (mask * z)`` bit for bit.
 
-The certificate is not summed every step. The state keeps a running
-||z||_1 (`PushState.mass`), moved by each step's sent minus pushed mass,
-and a bound on its rounding drift that grows with the updates since the
-last exact sum. `run` sums z exactly only when the running value is within
-that bound of the stop level, at every record, and at least once every n
-updates; without a `tol` it never sums between records. So a run stops at
-the step, and with the state, that an exact sum before every step picks.
+The certificate is not summed every step. After a single-page or gathered
+push the state keeps a running ||z||_1 (`PushState.mass`), moved by the
+step's sent minus pushed mass, and a bound on its rounding drift that
+grows with the updates since the last exact sum. A push to every page (a
+synchronous or a group step) rewrites z wholesale and leaves the running
+mass unknown until the next exact sum. `run` sums z exactly only when
+there is a `tol` and the running value is unknown or within its drift of
+the stop level, or n updates have passed since the last exact sum; and at
+every record. So a run stops at the step, and with the state, that an
+exact sum before every step picks, and without a `tol` no step sums z.
 
 Engines are single-threaded and deterministic; replicas may run
 concurrently on the shared immutable graph, each owning its state and
@@ -52,10 +55,6 @@ from .trace import Trace
 __all__ = ["PushState", "init_state", "step_set", "exact_error", "run"]
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-# a set of at least n / SET_CROSSOVER pages pushes with one sparse mat-vec;
-# on uniform 5- to 8-out graphs of 2e4 to 2e5 pages the gather and the
-# mat-vec cost the same between n/32 and n/16 senders
-SET_CROSSOVER = 24
 
 
 @dataclass
@@ -65,7 +64,8 @@ class PushState:
 
     `mass` follows z.sum() from step to step without summing z, and
     `drift` bounds |mass - z.sum()|; `resync` sums z exactly and resets
-    both. Editing z by hand leaves them stale until the next `resync`.
+    both. A push to every page sets `drift` to infinity, the running mass
+    unknown. Editing z by hand leaves them stale until the next `resync`.
     """
 
     x: np.ndarray
@@ -99,11 +99,13 @@ class PushState:
     def push(self, senders, rows, inflow):
         """Finish one step in place: the pages `rows` (None for all) take
         `inflow` into x and z; the senders' residual is reset first, so a
-        sender that receives keeps only what it receives."""
+        sender that receives keeps only what it receives. Pushing to all
+        pages leaves the running mass unknown until the next `resync`."""
         if rows is None:
             self.x += inflow
             self.z[senders] = 0.0
             self.z += inflow
+            self.drift = math.inf
         else:
             self.x[rows] += inflow
             self.z[senders] = 0.0
@@ -145,8 +147,6 @@ def step_set(state, graph, m, phi):
     the inflow alone (z_i = inflow_i for i in phi) while everyone else
     integrates it (z_i += inflow_i). A singleton phi is exactly one gossip
     update, the set of all pages one synchronous step x += Qz, z = Qz.
-    Sets of n / `SET_CROSSOVER` pages or more push through Q, so they need
-    a patched graph.
     """
     phi = _normalize_phi(graph, phi)
     z = state.z
@@ -154,7 +154,9 @@ def step_set(state, graph, m, phi):
     if phi.size == 0:
         state.step += 1
         return
-    summed = 3 * phi.size + 8        # rounded terms in the mass bookkeeping
+    if phi.size == graph.n:
+        state.push(phi, None, graph.q_matrix(m) @ z)
+        return
     if phi.size == 1:
         phi = phi[0]                 # a scalar index writes z[phi] faster
         pushed = z[phi]
@@ -162,7 +164,7 @@ def step_set(state, graph, m, phi):
         rows = indices[lo:hi]
         inflow = ((1.0 - m) / (hi - lo)) * pushed if hi > lo else 0.0
         sent = (hi - lo) * inflow
-    elif phi.size * SET_CROSSOVER < graph.n:
+    else:
         # gather the senders' out-links sender by sender: each target sums
         # its inflow from 0.0 in ascending sender order, as Q @ (mask z) does
         lo = indptr[phi]
@@ -176,19 +178,9 @@ def step_set(state, graph, m, phi):
                              minlength=rows.size)
         sent = np.dot(degree, sends)
         pushed = pushed.sum()
-    else:
-        if phi.size == graph.n:
-            masked = z
-        else:
-            masked = np.zeros(graph.n)
-            masked[phi] = z[phi]
-        pushed = masked.sum()
-        inflow = graph.q_matrix(m) @ masked
-        rows = None
-        sent = inflow.sum()
-        summed += graph.n
     state.push(phi, rows, inflow)
-    state.account(float(sent - pushed), summed)
+    # 3 |phi| + 8 bounds the rounded terms in the mass bookkeeping
+    state.account(float(sent - pushed), 3 * phi.size + 8)
 
 
 def exact_error(state, m):
@@ -215,8 +207,8 @@ def _record(trace, state, m, oracle, record_x=False):
 def _certified(state, z_stop):
     """Whether z.sum() <= z_stop, decided as the exact sum decides it.
 
-    z is summed only when the running mass is within its drift of z_stop
-    or n updates have passed since the last exact sum.
+    z is summed only when the running mass is unknown or within its drift
+    of z_stop, or n updates have passed since the last exact sum.
     """
     if (state.mass - state.drift > z_stop
             and state.cumulative_updates - state.synced_at < state.n):

@@ -132,13 +132,12 @@ def test_step_set_is_masked_matvec(rng):
 
 
 def test_every_push_path_is_masked_matvec(rng):
-    # single pages, sets small enough to gather and sets past the crossover
-    # to the mat-vec, on a graph large enough for all three
+    # single pages, gathered sets from two pages to all but one, and the
+    # mat-vec of every page, on a graph with pages of every out-degree
     g = random_graph(rng, 500, mean_out=6.0, allow_self=True)
     q = g.q_matrix(M)
-    crossover = g.n // engines.SET_CROSSOVER
     st = init_state(g.n, M)
-    for size in [1, 2, 3, crossover // 2, crossover, crossover + 1, 3 * crossover] * 4:
+    for size in [1, 2, 3, 10, 21, 100, 300, g.n - 1, g.n] * 4:
         phi = rng.choice(g.n, size=size, replace=False)
         mask = np.zeros(g.n, dtype=bool)
         mask[phi] = True
@@ -148,6 +147,16 @@ def test_every_push_path_is_masked_matvec(rng):
         step_set(st, g, M, phi)
         np.testing.assert_array_equal(st.x, x_want)
         np.testing.assert_array_equal(st.z, z_want)
+
+
+def test_partial_sets_push_on_an_unpatched_graph():
+    # only the set of every page goes through Q, which needs a patched
+    # graph; partial sets, dangling senders included, push without it
+    g = graph_from_lists(30, [[1], [2], [0]] + [[]] * 27)
+    st = init_state(g.n, M)
+    step_set(st, g, M, [1, 5])
+    assert st.z[1] == 0.0 and st.z[5] == 0.0
+    assert st.z[2] == st.x[2] == M / 30 + (1.0 - M) * (M / 30)
 
 
 def test_step_mutates_its_state():

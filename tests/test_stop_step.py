@@ -9,7 +9,7 @@ bit-equal x and z.
 import numpy as np
 import pytest
 
-from pushrank import (GroupFactors, Partition, Schedule, cluster, init_state,
+from pushrank import (GroupFactors, Schedule, cluster, init_state,
                       run, step_group, step_set)
 
 from conftest import community_graph, random_graph, random_partition
@@ -119,21 +119,31 @@ def test_running_mass_of_a_long_run_stays_within_its_drift(rng):
         assert abs(st.mass - st.z.sum()) <= st.drift
 
 
-def test_running_mass_stays_within_its_drift(monkeypatch):
+def test_running_mass_stays_within_its_drift():
     # the bound the stop rule relies on: |mass - z.sum()| <= drift after
-    # every kind of step, without any resync
+    # every partial-set step, without any resync
     rng = np.random.default_rng(11)
     g = random_graph(rng, 400, allow_self=True)
     st = init_state(g.n, M)
     for _ in range(300):
-        size = rng.choice([0, 1, 5, 60, g.n])
+        size = rng.choice([0, 1, 5, 60, g.n - 1])
         step_set(st, g, M, rng.choice(g.n, size=size, replace=False))
-        assert abs(st.mass - st.z.sum()) <= st.drift
+        assert abs(st.mass - st.z.sum()) <= st.drift < 1e-9
     assert st.synced_at == 0
-    # a 100-page group takes the series solve, 20-page groups the LU
-    monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 50)
-    pages = np.arange(g.n)
-    factors = GroupFactors(g, M, Partition(np.maximum(0, pages - 80) // 20))
-    for _ in range(300):
-        step_group(st, g, M, factors, int(rng.integers(factors.num_groups)))
-        assert abs(st.mass - st.z.sum()) <= st.drift
+
+
+def test_pushes_to_every_page_leave_the_mass_unknown():
+    # synchronous and group steps rewrite z wholesale: the running mass is
+    # unknown (infinite drift) until the next exact sum
+    rng = np.random.default_rng(12)
+    g = random_graph(rng, 100, allow_self=True)
+    factors = GroupFactors(g, M, random_partition(rng, g.n, 5))
+    st = init_state(g.n, M)
+    for push in (lambda: step_set(st, g, M, np.arange(g.n)),
+                 lambda: step_group(st, g, M, factors, 2)):
+        push()
+        assert st.drift == np.inf
+        assert st.resync() == st.z.sum() == st.mass
+        assert st.drift < 1e-12
+        step_set(st, g, M, [3, 7])
+        assert abs(st.mass - st.z.sum()) <= st.drift < 1e-12
