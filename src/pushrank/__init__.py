@@ -15,13 +15,13 @@ from .scheduling import Schedule, derive_seed, indegree_plus_one_weights
 from .solvers import DenseOracle, power_method
 from .trace import Trace
 from .webgraph import (Partition, WebGraph, load_edge_list, load_partition,
-                       parse_edge_list, parse_partition, patch_dangling)
+                       patch_dangling)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "WebGraph", "Partition", "load_edge_list", "parse_edge_list",
-    "load_partition", "parse_partition", "patch_dangling",
+    "WebGraph", "Partition", "load_edge_list", "load_partition",
+    "patch_dangling",
     "DenseOracle", "power_method",
     "PushState", "init_state", "step_set", "exact_error", "run",
     "GroupFactors", "step_group",

@@ -44,13 +44,12 @@ class GroupFactors:
     (Qhh is Schur stable) and avoids storing a possibly dense inverse.
     """
 
-    __slots__ = ("m", "members", "block_columns", "_dense_lu", "_sparse_qhh")
+    __slots__ = ("members", "block_columns", "_dense_lu", "_sparse_qhh")
 
     def __init__(self, graph, m, partition):
         if partition.n != graph.n:
             raise ValueError("partition and graph disagree on page count")
         q = graph.q_matrix(m)
-        self.m = m
         self.members = partition.members
         self.block_columns = []
         self._dense_lu = []

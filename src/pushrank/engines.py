@@ -44,12 +44,11 @@ schedule stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import step_group
-from .solvers import check_probability_vector
 from .trace import Trace
 
 __all__ = ["PushState", "init_state", "step_set", "exact_error", "run"]
@@ -84,9 +83,6 @@ class PushState:
     def n(self):
         return self.x.size
 
-    def copy(self):
-        return replace(self, x=self.x.copy(), z=self.z.copy())
-
     def resync(self):
         """Sum z exactly, make it the running mass and return it."""
         self.mass = float(self.z.sum())
@@ -120,12 +116,9 @@ class PushState:
         self.drift += 2 * terms * _UNIT_ROUNDOFF * abs(self.mass)
 
 
-def init_state(n, m, v=None):
-    """Fresh state x = z = (m/n) 1, or m*v for a personalization vector v."""
-    if v is None:
-        x = np.full(n, m / n)
-    else:
-        x = m * check_probability_vector(v, n, "personalization vector")
+def init_state(n, m):
+    """Fresh state x = z = (m/n) 1, uniform teleportation's start."""
+    x = np.full(n, m / n)
     return PushState(x, x.copy())
 
 
@@ -217,8 +210,8 @@ def _certified(state, z_stop):
 
 
 def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
-        oracle=None, cadence=1, v=None, record_x=False):
-    """Run one engine from the initial state; returns (state, trace).
+        oracle=None, cadence=1, record_x=False):
+    """Run one engine from `init_state`; returns (state, trace).
 
     Each step pushes the set that `schedule` draws, or every page when
     `schedule` is None (synchronous). With `factors` (a
@@ -227,17 +220,13 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     certificate reaches `tol`, after `steps` steps, or when the schedule
     is exhausted, whichever comes first. The trace records every
     `cadence`-th step (plus the first and last); err/defect columns are
-    filled when a dense oracle is supplied. The oracle solves for uniform
-    teleportation, so it cannot be combined with a personalization `v`.
+    filled when a dense oracle is supplied.
     """
     if steps is None and tol is None:
         raise ValueError("need steps and/or tol to bound the run")
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
-    if v is not None and oracle is not None:
-        raise ValueError("the dense oracle assumes uniform teleportation; "
-                         "it cannot check a personalized run")
-    state = init_state(graph.n, m, v)
+    state = init_state(graph.n, m)
     everyone = np.arange(graph.n, dtype=np.intp)
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle
     z_stop = m * tol / (1.0 - m) if tol is not None else None

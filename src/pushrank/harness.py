@@ -110,7 +110,7 @@ class _Runtime:
     def __init__(self, config):
         config.validate()
         graph = load_edge_list(config.graph, index_base=config.base)
-        self.graph, self.patched_pages = patch_dangling(graph)
+        self.graph, _ = patch_dangling(graph)
         self.partition = self.factors = None
         if config.partition is not None:
             self.partition = load_partition(config.partition, self.graph)
@@ -297,8 +297,15 @@ def monte_carlo(config):
     share the step grid (fixed step count, no tolerance stop), and the
     per-step sample mean and standard error of ||x(k) - x*||_1 are
     reported. Requires a randomized schedule (default ``uniform``, which
-    every scheduled algorithm accepts) and the dense oracle.
+    every scheduled algorithm accepts) and the dense oracle; refuses a
+    `tol` and `include_x`, which it would ignore.
     """
+    if config.tol is not None:
+        raise ConfigError("--tol does not apply to Monte Carlo runs, which "
+                          "share a fixed step grid (--steps)")
+    if config.include_x:
+        raise ConfigError("--include-x does not apply to Monte Carlo runs, "
+                          "which write no per-page columns")
     if config.schedule is None and config.algorithm in SCHEDULES:
         config = replace(config, schedule="uniform")
     runtime = _Runtime(config)
@@ -309,7 +316,7 @@ def monte_carlo(config):
     if sched is None or not sched.is_random:
         raise ConfigError("Monte Carlo averaging needs a randomized schedule")
     runtime.require_oracle("Monte Carlo error averaging")
-    base = replace(config, tol=None, out=None)
+    base = replace(config, out=None)
     errs = []
     upds = []
     steps_grid = None
@@ -344,6 +351,9 @@ def compare(configs, out=None):
     """
     if not configs:
         raise ConfigError("compare needs at least one run")
+    if any(cfg.include_x for cfg in configs):
+        raise ConfigError("--include-x does not apply to compare, which "
+                          "writes one error column per run")
     first = configs[0]
     for cfg in configs[1:]:
         if (cfg.graph, cfg.base, cfg.m) != (first.graph, first.base, first.m):

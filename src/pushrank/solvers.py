@@ -3,7 +3,8 @@
 The rank vector x* solves x* = (1-m) A x* + (m/n) 1 with entries summing
 to 1, equivalently x* = (I - Q)^{-1} (m/n) 1 with Q = (1-m) A.
 `DenseOracle` factors (I - Q) once and checks every recorded step of a
-run against x*; `power_method` is the ``power`` algorithm of the CLI.
+run against x*; `power_method` is the ``power`` algorithm of the CLI. Both
+solve for uniform teleportation, the only kind the package runs.
 """
 
 from __future__ import annotations
@@ -16,21 +17,9 @@ from scipy import linalg
 from .errors import NumericalFailure
 from .trace import Trace
 
-__all__ = ["DENSE_CAP", "DenseOracle", "power_method",
-           "check_probability_vector"]
+__all__ = ["DENSE_CAP", "DenseOracle", "power_method"]
 
 DENSE_CAP = 5000
-
-
-def check_probability_vector(v, n, what="vector"):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"{what} must have length {n}")
-    if np.any(v < 0):
-        raise ValueError(f"{what} has negative entries")
-    if abs(v.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{what} entries sum to {v.sum()!r}, not 1")
-    return v
 
 
 class DenseOracle:
@@ -71,9 +60,9 @@ class DenseOracle:
         return float(np.abs(x + resolved - z - self.x_star).sum())
 
 
-def power_method(graph, m, x0=None, tol=1e-12, max_steps=100_000,
+def power_method(graph, m, tol=1e-12, max_steps=100_000,
                  oracle=None, cadence=1, record_x=False):
-    """Power iteration x(k+1) = Q x(k) + (m/n) 1 from a probability vector.
+    """Power iteration x(k+1) = Q x(k) + (m/n) 1 from the uniform x(0) = 1/n.
 
     Stops when the L1 step difference drops to `tol` or after `max_steps`.
     Each iterate stays a probability vector; a drift beyond 1e-12 raises.
@@ -82,10 +71,7 @@ def power_method(graph, m, x0=None, tol=1e-12, max_steps=100_000,
     supplied).
     """
     n = graph.n
-    if x0 is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = check_probability_vector(x0, n, "x0").copy()
+    x = np.full(n, 1.0 / n)
     q = graph.q_matrix(m)
     teleport = m / n
     trace = Trace()

@@ -68,9 +68,6 @@ class Trace:
         if x is not None:
             self.x_rows.append(np.array(x, dtype=float))
 
-    def __len__(self):
-        return len(self.steps)
-
     @property
     def has_state(self):
         return bool(self.x_rows)

@@ -16,12 +16,14 @@ File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 * edge list  -- one ``src dst`` pair per line, whitespace separated;
 * partition  -- one ``page group`` pair per line, every page exactly once.
 
-Both are read by one `np.loadtxt` call. Numbers are ASCII integers with an
-optional sign that fit a signed 64-bit integer, and a ``#`` ends a line's
-payload, so ``0 1  # comment`` is a pair. Two spellings that Python's
-`int` accepts are rejected: digit separators (``1_000``) and non-ASCII
-digits. Every malformed line is a `ParseError` that names it (``line N``,
-counting every line of the file from 1).
+`load_edge_list` and `load_partition` take a path or an open text stream
+(an `io.StringIO` for text held in memory) and read either with one
+`np.loadtxt` call. Numbers are ASCII integers with an optional sign that
+fit a signed 64-bit integer, and a ``#`` ends a line's payload, so
+``0 1  # comment`` is a pair. Two spellings that Python's `int` accepts
+are rejected: digit separators (``1_000``) and non-ASCII digits. Every
+malformed line is a `ParseError` that names it (``line N``, counting every
+line of the file from 1).
 
 Both graphs and partitions are immutable after construction and safe to
 share across threads.
@@ -44,10 +46,8 @@ __all__ = [
     "WebGraph",
     "Partition",
     "load_edge_list",
-    "parse_edge_list",
     "patch_dangling",
     "load_partition",
-    "parse_partition",
 ]
 
 
@@ -178,9 +178,6 @@ class WebGraph:
     def out_degree(self):
         return np.diff(self.indptr)
 
-    def out_neighbors(self, i):
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     @property
     def num_edges(self):
         return int(self.indices.size)
@@ -218,11 +215,6 @@ class WebGraph:
         return q
 
 
-def parse_edge_list(text, index_base=0):
-    """Build a graph from edge-list text. See `load_edge_list`."""
-    return load_edge_list(io.StringIO(text), index_base=index_base)
-
-
 def load_edge_list(source, index_base=0):
     """Load a directed graph from an edge list.
 
@@ -250,16 +242,27 @@ def load_edge_list(source, index_base=0):
     return WebGraph(n, pairs[:, 0], pairs[:, 1])
 
 
+# patched links allowed in one graph: about 2.5 GB at ~50 bytes per link
+MAX_PATCHED_LINKS = 50_000_000
+
+
 def patch_dangling(graph):
     """Give every dangling page a uniform out-link to all n pages (self included).
 
     Returns the patched graph plus the list of pages that were patched.
     Non-dangling pages are untouched; the result is column stochastic.
+    Raises ValueError, before allocating them, when the n links of every
+    dangling page would exceed `MAX_PATCHED_LINKS`.
     """
     patched = graph.dangling_pages()
     if patched.size == 0:
         return graph, patched
     n = graph.n
+    if patched.size * n > MAX_PATCHED_LINKS:
+        raise ValueError(
+            f"{patched.size} dangling pages of {n} would need "
+            f"{patched.size * n} patched links, more than the limit of "
+            f"{MAX_PATCHED_LINKS}")
     src = np.concatenate([np.repeat(np.arange(n, dtype=np.intp), graph.out_degree),
                           np.repeat(patched, n)])
     dst = np.concatenate([graph.indices, np.tile(np.arange(n, dtype=np.intp),
@@ -288,20 +291,6 @@ class Partition:
         # a stable sort by group keeps each group's pages ascending
         order = np.argsort(self.group_of, kind="stable")
         self.members = tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
-
-    @classmethod
-    def trivial(cls, n):
-        """n singleton groups, group index equal to page index."""
-        return cls(np.arange(n))
-
-    @classmethod
-    def whole(cls, n):
-        """A single group containing every page."""
-        return cls(np.zeros(n, dtype=np.intp))
-
-
-def parse_partition(text, graph):
-    return load_partition(io.StringIO(text), graph)
 
 
 def load_partition(source, graph):

@@ -1,4 +1,6 @@
-"""Shared graph generators and file helpers for the test suite."""
+"""Shared graph generators, state and file helpers for the test suite."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,10 +49,15 @@ def random_partition(rng, n, num_groups):
     return Partition(rng.integers(0, num_groups, size=n))
 
 
+def copy_state(state):
+    """A PushState with the same fields and its own x and z arrays."""
+    return replace(state, x=state.x.copy(), z=state.z.copy())
+
+
 def write_edge_list(graph, path, index_base=0):
     with open(path, "w", encoding="utf-8") as fh:
         for j in range(graph.n):
-            for i in graph.out_neighbors(j):
+            for i in graph.indices[graph.indptr[j]:graph.indptr[j + 1]]:
                 fh.write(f"{j + index_base} {i + index_base}\n")
     return str(path)
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from pushrank.cluster import step_group
 from pushrank.engines import init_state, step_set
-from pushrank.solvers import check_probability_vector
 
 ORACLE_CAP = 200
 
@@ -44,8 +43,19 @@ def q_column(graph, m, i):
     deg = int(graph.out_degree[i])
     if deg == 0:
         raise ValueError(f"page {i} is dangling; patch the graph first")
-    targets = graph.out_neighbors(i)
+    targets = graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
     return targets, np.full(deg, (1.0 - m) / deg)
+
+
+def check_probability_vector(v, n, what="vector"):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{what} must have length {n}")
+    if np.any(v < 0):
+        raise ValueError(f"{what} has negative entries")
+    if abs(v.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{what} entries sum to {v.sum()!r}, not 1")
+    return v
 
 
 def neumann_partial(graph, m, k):

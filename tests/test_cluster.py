@@ -1,18 +1,20 @@
+import io
+
 import numpy as np
 import pytest
 
 from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
-                      cluster, init_state, parse_edge_list, run, step_group,
+                      cluster, init_state, load_edge_list, run, step_group,
                       step_set)
 
-from conftest import random_graph, random_partition
+from conftest import copy_state, random_graph, random_partition
 
 M = 0.15
 
 
 def test_singleton_factor_without_self_loop_is_identity():
-    g = parse_edge_list("0 1\n1 0")
-    factors = GroupFactors(g, M, Partition.trivial(g.n))
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
+    factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     rhs = np.array([0.3])
     zbar, rest = factors.solve_local(0, rhs)
     np.testing.assert_array_equal(zbar, rhs)
@@ -21,8 +23,8 @@ def test_singleton_factor_without_self_loop_is_identity():
 
 def test_singleton_factor_with_self_loop():
     # page 0 links to itself and to 1, so q00 = 0.425
-    g = parse_edge_list("0 0\n0 1\n1 0")
-    factors = GroupFactors(g, M, Partition.trivial(g.n))
+    g = load_edge_list(io.StringIO("0 0\n0 1\n1 0"))
+    factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     rhs = np.array([0.2])
     np.testing.assert_allclose(factors.solve_local(0, rhs)[0],
                                rhs / (1 - 0.425), rtol=1e-15)
@@ -31,7 +33,7 @@ def test_singleton_factor_with_self_loop():
 def test_whole_graph_factor_reaches_fixed_point(rng):
     g = random_graph(rng, 24)
     oracle = DenseOracle(g, M)
-    factors = GroupFactors(g, M, Partition.whole(g.n))
+    factors = GroupFactors(g, M, Partition(np.zeros(g.n, int)))
     x, _ = factors.solve_local(0, np.full(g.n, M / g.n))
     assert np.abs(x - oracle.x_star).sum() <= 1e-12
 
@@ -52,7 +54,8 @@ def test_factor_roundtrip(rng, monkeypatch):
 
 
 def self_loops(g):
-    return np.array([j in g.out_neighbors(j) for j in range(g.n)])
+    return np.array([j in g.indices[g.indptr[j]:g.indptr[j + 1]]
+                     for j in range(g.n)])
 
 
 def test_step_group_singleton_matches_set_step(rng):
@@ -60,12 +63,12 @@ def test_step_group_singleton_matches_set_step(rng):
     # to every page, itself included: there the group step absorbs q_jj
     g = random_graph(rng, 20)
     loops = self_loops(g)
-    factors = GroupFactors(g, M, Partition.trivial(g.n))
+    factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     st = init_state(g.n, M)
     compared = 0
     for k in range(100):
         page = int(rng.integers(g.n))
-        via_set = st.copy()
+        via_set = copy_state(st)
         step_set(via_set, g, M, [page])
         step_group(st, g, M, factors, page)
         if not loops[page]:
@@ -83,16 +86,17 @@ def test_step_group_singleton_self_loop_pushes_absorbed_residual(rng):
     assert loops.tolist().count(True) == 1 and loops[3]
     j = 3
     q_jj = (1 - M) / g.out_degree[j]
-    factors = GroupFactors(g, M, Partition.trivial(g.n))
+    factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     via_group = init_state(g.n, M)
     via_group.z[:] = 0.0
     via_group.z[j] = 0.25
-    via_set = via_group.copy()
+    via_set = copy_state(via_group)
     step_group(via_group, g, M, factors, j)
     step_set(via_set, g, M, [j])
     # with only z_j in flight, z after the step is the pushed inflow itself
     pushed = np.zeros(g.n)
-    pushed[g.out_neighbors(j)] = (1 - M) / g.out_degree[j] * (0.25 / (1 - q_jj))
+    targets = g.indices[g.indptr[j]:g.indptr[j + 1]]
+    pushed[targets] = (1 - M) / g.out_degree[j] * (0.25 / (1 - q_jj))
     pushed[j] = 0.0
     np.testing.assert_allclose(via_group.z, pushed, rtol=1e-15, atol=0)
     gossip = via_set.z.copy()
@@ -104,7 +108,7 @@ def test_step_group_singleton_self_loop_pushes_absorbed_residual(rng):
 def test_step_group_whole_graph_converges_in_one_step(rng):
     g = random_graph(rng, 30)
     oracle = DenseOracle(g, M)
-    factors = GroupFactors(g, M, Partition.whole(g.n))
+    factors = GroupFactors(g, M, Partition(np.zeros(g.n, int)))
     st = init_state(g.n, M)
     step_group(st, g, M, factors, 0)
     assert oracle.error_l1(st.x) <= 1e-10
@@ -118,7 +122,7 @@ def test_step_group_noop_when_group_residual_zero(rng):
     factors = GroupFactors(g, M, part)
     st = init_state(g.n, M)
     st.z[part.members[1]] = 0.0
-    before = st.copy()
+    before = copy_state(st)
     step_group(st, g, M, factors, 1)
     np.testing.assert_array_equal(st.x, before.x)
     np.testing.assert_array_equal(st.z, before.z)
@@ -126,7 +130,7 @@ def test_step_group_noop_when_group_residual_zero(rng):
 
 def test_step_group_rejects_bad_group(rng):
     g = random_graph(rng, 6)
-    factors = GroupFactors(g, M, Partition.trivial(g.n))
+    factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     with pytest.raises(ValueError, match="group"):
         step_group(init_state(g.n, M), g, M, factors, 6)
 
@@ -141,7 +145,7 @@ def test_group_step_is_limit_of_repeated_set_steps(rng):
         factors = GroupFactors(g, M, part)
         h = int(rng.integers(part.num_groups))
         grouped = init_state(g.n, M)
-        iterated = grouped.copy()
+        iterated = copy_state(grouped)
         step_group(grouped, g, M, factors, h)
         for _ in range(200):
             step_set(iterated, g, M, part.members[h])
@@ -161,7 +165,7 @@ def test_trivial_partition_mirrors_gossip(rng):
     _, t_gossip = run(g, M, Schedule.fixed_sequence(sets), steps=300,
                       record_x=True)
     _, t_cluster = run(g, M, Schedule.fixed_sequence(sets), steps=300,
-                       factors=GroupFactors(g, M, Partition.trivial(g.n)),
+                       factors=GroupFactors(g, M, Partition(np.arange(g.n))),
                        record_x=True)
     assert t_gossip.steps == t_cluster.steps == list(range(301))
     assert t_gossip.updates == t_cluster.updates
@@ -239,7 +243,7 @@ def test_single_group_run_converges_immediately(rng):
     g = random_graph(rng, 15)
     oracle = DenseOracle(g, M)
     _, trace = run(g, M, Schedule.round_robin(1),
-                   factors=GroupFactors(g, M, Partition.whole(g.n)),
+                   factors=GroupFactors(g, M, Partition(np.zeros(g.n, int))),
                    tol=1e-9, oracle=oracle)
     assert trace.final_step == 1
     assert trace.final_err <= 1e-10

@@ -1,21 +1,23 @@
+import io
+
 import numpy as np
 import pytest
 
 from pushrank import (DenseOracle, Schedule, engines, exact_error, init_state,
-                      parse_edge_list, patch_dangling, run, step_set)
+                      load_edge_list, patch_dangling, run, step_set)
 
-from conftest import graph_from_lists, random_graph
+from conftest import copy_state, graph_from_lists, random_graph
 from oracles import analytic_mean_trace, neumann_partial
 
 M = 0.15
 
 
 def cycle2():
-    return parse_edge_list("0 1\n1 0")
+    return load_edge_list(io.StringIO("0 1\n1 0"))
 
 
 def patched_chain():
-    g, _ = patch_dangling(parse_edge_list("0 1"))
+    g, _ = patch_dangling(load_edge_list(io.StringIO("0 1")))
     return g
 
 
@@ -29,23 +31,9 @@ def test_init_uniform_seven_pages():
     assert st.step == 0 and st.cumulative_updates == 0
 
 
-def test_init_personalized():
-    v = np.zeros(4)
-    v[0] = 1.0
-    st = init_state(4, M, v)
-    np.testing.assert_array_equal(st.x, [0.15, 0, 0, 0])
-
-
 def test_init_half_m():
     st = init_state(2, 0.5)
     np.testing.assert_array_equal(st.x, [0.25, 0.25])
-
-
-def test_init_rejects_bad_personalization():
-    with pytest.raises(ValueError):
-        init_state(3, M, np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        init_state(3, M, np.array([1.2, -0.1, -0.1]))
 
 
 # -- synchronous steps (every page pushes) ---------------------------------
@@ -62,7 +50,7 @@ def test_step_sync_absorbing_when_z_zero():
     g = cycle2()
     st = init_state(2, M)
     st.z[:] = 0.0
-    before = st.copy()
+    before = copy_state(st)
     step_set(st, g, M, np.arange(g.n))
     np.testing.assert_array_equal(st.x, before.x)
     np.testing.assert_array_equal(st.z, 0.0)
@@ -90,7 +78,7 @@ def test_step_set_singleton_hand_values():
 def test_step_set_empty_is_noop():
     g = cycle2()
     st = init_state(2, M)
-    before = st.copy()
+    before = copy_state(st)
     step_set(st, g, M, [])
     np.testing.assert_array_equal(st.x, before.x)
     np.testing.assert_array_equal(st.z, before.z)
@@ -300,18 +288,6 @@ def test_run_requires_some_bound():
     for bad in (np.nan, -1.0):
         with pytest.raises(ValueError, match="tol"):
             run(cycle2(), M, Schedule.round_robin(2), steps=5, tol=bad)
-
-
-def test_run_rejects_personalization_with_oracle(rng):
-    # the dense oracle solves for uniform teleportation only
-    g = random_graph(rng, 10)
-    v = np.zeros(g.n)
-    v[0] = 1.0
-    with pytest.raises(ValueError, match="personalized"):
-        run(g, M, Schedule.uniform_singleton(g.n, seed=1), steps=5, v=v,
-            oracle=DenseOracle(g, M))
-    st, _ = run(g, M, Schedule.uniform_singleton(g.n, seed=1), steps=5, v=v)
-    assert st.step == 5
 
 
 def test_mean_trajectory_smoke(rng):

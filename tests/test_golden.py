@@ -1,10 +1,12 @@
 """Byte-for-byte regression of the CLI on committed inputs.
 
 Each case runs one `pushrank` command on a file under ``tests/data/`` and
-compares its CSV and its stdout summary line with the files the program
-wrote before the push kernel touched only the pages a step reaches. The
-runs pass ``--dense-cap 1``, so no dense oracle is built, and the cluster
-case's groups are one 600-page community (above `DENSE_GROUP_CAP`, so its
+compares its CSV and its stdout summary line with files an earlier
+version of the program wrote: most before the push kernel touched only the
+pages a step reaches, the power and ``--include-x`` cases before the start
+vector and the personalization parameters were removed. The runs pass
+``--dense-cap 1``, so no dense oracle is built, and the cluster case's
+groups are one 600-page community (above `DENSE_GROUP_CAP`, so its
 local solve is the sparse series) and singletons without self-loops: no
 output depends on a LAPACK build. Regenerate an expected file only for an
 intended change of output, and say so where the change is recorded.
@@ -30,6 +32,8 @@ CASES = {
     "cluster": ("cluster --graph community700.txt --partition community700.groups "
                 "--schedule uniform --seed 7 --tol 1e-10 --cadence 25"),
     "sync_tol": "sync --graph web60.txt --tol 1e-9",
+    "sync_tol_x": "sync --graph web60.txt --tol 1e-9 --include-x",
+    "power_tol": "power --graph web60.txt --tol 1e-12",
 }
 
 

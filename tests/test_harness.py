@@ -248,6 +248,16 @@ def test_cli_rejects_page_index_typo(tmp_path, capsys):
     assert "line 1: " in capsys.readouterr().err
 
 
+def test_cli_rejects_dangling_patch_too_large(tmp_path, capsys):
+    # one index typo leaves 99,997 dangling pages of 100,000: patching
+    # them would take 74.5 GiB of links
+    graph = tmp_path / "typo.txt"
+    graph.write_text("0 1\n1 2\n2 0\n1 99999\n")
+    assert cli.main(["sync", "--graph", str(graph),
+                     "--steps", "1"]) == cli.EXIT_CONFIG
+    assert "99997 dangling pages of 100000" in capsys.readouterr().err
+
+
 def test_weights_need_weighted_schedule(small_graph_path, tmp_path):
     part = tmp_path / "part.txt"
     part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
@@ -369,6 +379,20 @@ def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
                                "step,updates,err_mean,err_stderr",
                                [mean.steps, mean.updates, mean.err_mean,
                                 mean.err_stderr])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["mc", "--steps", "5", "--replicas", "2"], ["--tol", "1e-3"]),
+    (["mc", "--steps", "5", "--replicas", "2"], ["--include-x"]),
+    (["compare", "--runs", "sync,gossip=uniform", "--tol", "1e-3"],
+     ["--include-x"]),
+], ids=["mc-tol", "mc-include-x", "compare-include-x"])
+def test_cli_refuses_flags_the_command_ignores(argv, flag, small_graph_path,
+                                               capsys):
+    argv = argv + ["--graph", small_graph_path]
+    assert cli.main(argv + flag) == cli.EXIT_CONFIG
+    assert f"error: {flag[0]} does not apply" in capsys.readouterr().err
+    assert cli.main(argv) == cli.EXIT_OK
 
 
 def test_compare_power_and_sync_share_cost_axis(small_graph_path, tmp_path):

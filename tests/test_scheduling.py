@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pushrank import (ParseError, Schedule, derive_seed,
-                      indegree_plus_one_weights, parse_edge_list)
+                      indegree_plus_one_weights, load_edge_list)
 from pushrank.scheduling import load_sequence_file, splitmix64
 
 from conftest import random_graph
@@ -56,7 +56,7 @@ def test_weighted_frequencies_five_sigma():
 def test_indegree_plus_one_star():
     # center 0 linked by all 4 leaves and linking back: in-degrees 4,1,1,1,1
     edges = "\n".join(f"{j} 0\n0 {j}" for j in range(1, 5))
-    g = parse_edge_list(edges)
+    g = load_edge_list(io.StringIO(edges))
     w = indegree_plus_one_weights(g)
     assert w.tolist() == [5.0, 2.0, 2.0, 2.0, 2.0]
     sched = Schedule.weighted_singleton(w, seed=0)

@@ -5,27 +5,26 @@ import numpy as np
 import pytest
 
 from pushrank import (Partition, ParseError, WebGraph, load_edge_list,
-                      load_partition, parse_edge_list, parse_partition,
-                      patch_dangling)
+                      load_partition, patch_dangling)
 
 from conftest import random_graph
 from oracles import q_column
 
 
 def test_parse_two_node_cycle():
-    g = parse_edge_list("0 1\n1 0")
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
     assert g.n == 2
     assert g.out_degree.tolist() == [1, 1]
-    assert g.out_neighbors(0).tolist() == [1]
+    assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1]
 
 
 def test_parse_one_based_collapses_duplicates():
-    g = parse_edge_list("1 2\n1 2\n2 1", index_base=1)
+    g = load_edge_list(io.StringIO("1 2\n1 2\n2 1"), index_base=1)
     assert g.n == 2
     assert g.out_degree.tolist() == [1, 1]
     # unsorted, duplicated edges: loader and constructor store the same
     # sorted, deduplicated arrays, which are Q's own
-    g = parse_edge_list("3 1\n1 3\n3 1\n1 2\n4 4\n2 4\n1 3\n4 1",
+    g = load_edge_list(io.StringIO("3 1\n1 3\n3 1\n1 2\n4 4\n2 4\n1 3\n4 1"),
                         index_base=1)
     h = WebGraph(4, [3, 0, 2, 0, 0, 3, 1, 0, 3], [0, 2, 0, 1, 2, 3, 3, 1, 3])
     for graph in (g, h):
@@ -37,38 +36,38 @@ def test_parse_one_based_collapses_duplicates():
 
 
 def test_parse_dangling_page_allowed():
-    g = parse_edge_list("0 1")
+    g = load_edge_list(io.StringIO("0 1"))
     assert g.out_degree.tolist() == [1, 0]
     assert g.dangling_pages().tolist() == [1]
     assert not g.is_stochastic
 
 
 def test_parse_skips_comments_and_blanks():
-    g = parse_edge_list("# header\n\n0 1\n  \n1 0\n# trailing\n")
+    g = load_edge_list(io.StringIO("# header\n\n0 1\n  \n1 0\n# trailing\n"))
     assert g.n == 2
     assert g.num_edges == 2
 
 
 def test_parse_reports_line_number():
     with pytest.raises(ParseError, match="line 2"):
-        parse_edge_list("0 1\nnot an edge\n1 0")
+        load_edge_list(io.StringIO("0 1\nnot an edge\n1 0"))
     with pytest.raises(ParseError, match="line 3"):
-        parse_edge_list("0 1\n1 0\n1 2 3")
+        load_edge_list(io.StringIO("0 1\n1 0\n1 2 3"))
 
 
 def test_parse_rejects_tiny_graph():
     with pytest.raises(ValueError, match="at least 2"):
-        parse_edge_list("0 0")
+        load_edge_list(io.StringIO("0 0"))
 
 
 def test_parse_rejects_index_below_base():
     with pytest.raises(ParseError, match="below base"):
-        parse_edge_list("0 1", index_base=1)
+        load_edge_list(io.StringIO("0 1"), index_base=1)
 
 
 def test_parse_rejects_bad_base():
     with pytest.raises(ValueError):
-        parse_edge_list("0 1", index_base=2)
+        load_edge_list(io.StringIO("0 1"), index_base=2)
 
 
 def test_load_edge_list_from_path(tmp_path):
@@ -78,21 +77,21 @@ def test_load_edge_list_from_path(tmp_path):
 
 
 def test_patch_cycle_unchanged():
-    g = parse_edge_list("0 1\n1 0")
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
     patched, report = patch_dangling(g)
     assert patched is g
     assert report.size == 0
 
 
 def test_patch_dangling_uniform_all_pages():
-    g, report = patch_dangling(parse_edge_list("0 1"))
+    g, report = patch_dangling(load_edge_list(io.StringIO("0 1")))
     assert report.tolist() == [1]
-    assert g.out_neighbors(1).tolist() == [0, 1]
+    assert g.indices[g.indptr[1]:g.indptr[2]].tolist() == [0, 1]
     idx, vals = q_column(g, 0.15, 1)
     assert idx.tolist() == [0, 1]
     np.testing.assert_allclose(vals, [0.425, 0.425])
     # unsorted, duplicated edges around a dangling page
-    g, report = patch_dangling(parse_edge_list("2 0\n0 2\n2 0\n0 1"))
+    g, report = patch_dangling(load_edge_list(io.StringIO("2 0\n0 2\n2 0\n0 1")))
     h, _ = patch_dangling(WebGraph(3, [2, 0, 2, 0, 0], [0, 2, 0, 1, 1]))
     assert report.tolist() == [1]
     for graph in (g, h):
@@ -101,6 +100,20 @@ def test_patch_dangling_uniform_all_pages():
         q = graph.q_matrix(0.15)
         np.testing.assert_array_equal(q.indptr, graph.indptr)
         np.testing.assert_array_equal(q.indices, graph.indices)
+
+
+def test_patch_dangling_refuses_too_many_links(monkeypatch):
+    from pushrank import webgraph
+    # 9,999 dangling pages of 10,000 would need 99,990,000 links
+    with pytest.raises(ValueError, match="9999 dangling pages of 10000"):
+        patch_dangling(WebGraph(10_000, [0], [1]))
+    # the limit is inclusive: 2 dangling pages of 3 need 6 links
+    g = WebGraph(3, [0], [1])
+    monkeypatch.setattr(webgraph, "MAX_PATCHED_LINKS", 6)
+    assert patch_dangling(g)[0].num_edges == 7
+    monkeypatch.setattr(webgraph, "MAX_PATCHED_LINKS", 5)
+    with pytest.raises(ValueError, match="would need 6 patched links"):
+        patch_dangling(g)
 
 
 def test_patch_isolated_pages_fully_uniform():
@@ -112,14 +125,14 @@ def test_patch_isolated_pages_fully_uniform():
 
 
 def test_q_column_single_link():
-    g = parse_edge_list("0 1\n1 0")
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
     idx, vals = q_column(g, 0.15, 0)
     assert idx.tolist() == [1]
     np.testing.assert_array_equal(vals, [0.85])
 
 
 def test_q_column_two_links():
-    g = parse_edge_list("0 1\n0 2\n1 0\n2 0")
+    g = load_edge_list(io.StringIO("0 1\n0 2\n1 0\n2 0"))
     idx, vals = q_column(g, 0.15, 0)
     np.testing.assert_array_equal(vals, [0.425, 0.425])
 
@@ -133,13 +146,13 @@ def test_q_column_sums_to_one_minus_m(rng):
 
 
 def test_q_column_requires_patched():
-    g = parse_edge_list("0 1")
+    g = load_edge_list(io.StringIO("0 1"))
     with pytest.raises(ValueError, match="dangling"):
         q_column(g, 0.15, 1)
 
 
 def test_q_matrix_requires_patched_and_valid_m():
-    g = parse_edge_list("0 1")
+    g = load_edge_list(io.StringIO("0 1"))
     with pytest.raises(ValueError, match="dangling"):
         g.q_matrix(0.15)
     g, _ = patch_dangling(g)
@@ -148,49 +161,49 @@ def test_q_matrix_requires_patched_and_valid_m():
 
 
 def test_self_loops_preserved():
-    g = parse_edge_list("0 0\n0 1\n1 0")
-    assert g.out_neighbors(0).tolist() == [0, 1]
+    g = load_edge_list(io.StringIO("0 0\n0 1\n1 0"))
+    assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [0, 1]
 
 
 def test_trivial_partition():
     g = random_graph(np.random.default_rng(0), 7)
-    p = Partition.trivial(g.n)
+    p = Partition(np.arange(g.n))
     assert p.num_groups == 7
     assert p.sizes.tolist() == [1] * 7
 
 
 def test_whole_graph_partition():
     g = random_graph(np.random.default_rng(0), 7)
-    p = Partition.whole(g.n)
+    p = Partition(np.zeros(g.n, int))
     assert p.num_groups == 1
     assert p.sizes.tolist() == [7]
 
 
 def test_partition_from_file():
-    g = parse_edge_list("0 1\n1 2\n2 0")
-    p = parse_partition("0 0\n1 0\n2 1", g)
+    g = load_edge_list(io.StringIO("0 1\n1 2\n2 0"))
+    p = load_partition(io.StringIO("0 0\n1 0\n2 1"), g)
     assert p.num_groups == 2
     assert p.members[0].tolist() == [0, 1]
     assert p.members[1].tolist() == [2]
 
 
 def test_partition_labels_densified():
-    g = parse_edge_list("0 1\n1 2\n2 0")
-    p = parse_partition("0 9\n1 5\n2 9", g)
+    g = load_edge_list(io.StringIO("0 1\n1 2\n2 0"))
+    p = load_partition(io.StringIO("0 9\n1 5\n2 9"), g)
     assert p.num_groups == 2
     assert p.group_of.tolist() == [1, 0, 1]
 
 
 def test_partition_missing_and_duplicate_pages_listed():
-    g = parse_edge_list("0 1\n1 2\n2 0")
+    g = load_edge_list(io.StringIO("0 1\n1 2\n2 0"))
     with pytest.raises(ValueError, match=r"unassigned pages \[2\]"):
-        parse_partition("0 0\n1 0", g)
+        load_partition(io.StringIO("0 0\n1 0"), g)
     with pytest.raises(ValueError, match=r"doubly-assigned pages \[1\]"):
-        parse_partition("0 0\n1 0\n1 1\n2 1", g)
+        load_partition(io.StringIO("0 0\n1 0\n1 1\n2 1"), g)
 
 
 def test_partition_bad_line():
-    g = parse_edge_list("0 1\n1 0")
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
     with pytest.raises(ParseError, match="line 1"):
         load_partition(io.StringIO("0 a"), g)
 
@@ -223,7 +236,7 @@ def test_loader_matches_unique_reference(index_base):
             if rng.random() < 0.1:
                 lines.append(rng.choice(["", "   ", "\t"]))
             lines.append(f"{s} {d}")
-        g = parse_edge_list("\n".join(lines), index_base=index_base)
+        g = load_edge_list(io.StringIO("\n".join(lines)), index_base=index_base)
         indptr, indices = unique_reference(n, src, dst)
         assert g.n == n
         np.testing.assert_array_equal(g.indptr, indptr)
@@ -236,7 +249,8 @@ def test_loader_matches_unique_reference(index_base):
 def test_partition_members_match_flatnonzero_reference():
     rng = np.random.default_rng(3)
     labels = rng.choice([-7, 2, 5, 40, 41, 1000], size=300)  # not contiguous
-    for p in (Partition(labels), Partition.trivial(50), Partition.whole(50)):
+    for p in (Partition(labels), Partition(np.arange(50)),
+              Partition(np.zeros(50, int))):
         dense = np.unique(p.group_of, return_inverse=True)[1]
         np.testing.assert_array_equal(p.group_of, dense)
         reference = [np.flatnonzero(p.group_of == h) for h in range(p.num_groups)]
@@ -270,7 +284,7 @@ BAD_LINE = 7
 def test_edge_list_error_names_the_line(line, index_base, message):
     text = PREAMBLE.replace("0 1", "1 2") + line + "\n2 1\n"
     with pytest.raises(ParseError, match=f"line {BAD_LINE}: {message}"):
-        parse_edge_list(text, index_base=index_base)
+        load_edge_list(io.StringIO(text), index_base=index_base)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -284,37 +298,37 @@ def test_edge_list_error_names_the_line(line, index_base, message):
     ("-1 0", r"page -1 outside 0\.\.2"),
 ])
 def test_partition_error_names_the_line(line, message):
-    g = parse_edge_list("0 1\n1 2\n2 0")
+    g = load_edge_list(io.StringIO("0 1\n1 2\n2 0"))
     with pytest.raises(ParseError, match=f"line {BAD_LINE}: {message}"):
-        parse_partition(PREAMBLE + line + "\n2 1\n", g)
+        load_partition(io.StringIO(PREAMBLE + line + "\n2 1\n"), g)
 
 
 def test_first_bad_line_is_named():
     # a range error before a syntax error is still the one reported
     with pytest.raises(ParseError, match="line 2: index below base"):
-        parse_edge_list("1 2\n0 1\n1 x\n", index_base=1)
+        load_edge_list(io.StringIO("1 2\n0 1\n1 x\n"), index_base=1)
     with pytest.raises(ParseError, match="line 3: expected two integers"):
-        parse_edge_list("1 2\n2 1\n1 x\n0 1\n", index_base=1)
+        load_edge_list(io.StringIO("1 2\n2 1\n1 x\n0 1\n"), index_base=1)
 
 
 def test_trailing_comment_accepted(tmp_path):
-    g = parse_edge_list("0 1  # first link\n1 0# second\n")
+    g = load_edge_list(io.StringIO("0 1  # first link\n1 0# second\n"))
     assert g.indices.tolist() == [1, 0]
-    p = parse_partition("0 4 # group four\n1 4\n", g)
+    p = load_partition(io.StringIO("0 4 # group four\n1 4\n"), g)
     assert p.members[0].tolist() == [0, 1]
     path = tmp_path / "g.txt"
     path.write_bytes(b"0 1 # a\r\n1 0\r\n")
     assert load_edge_list(path).indices.tolist() == [1, 0]
     # the line walk that names a bad line reads comments the same way
     with pytest.raises(ParseError, match="line 2: expected two integers"):
-        parse_edge_list("0 1 # a\n1 x # b\n")
+        load_edge_list(io.StringIO("0 1 # a\n1 x # b\n"))
 
 
 def test_text_and_file_read_line_ends_alike(tmp_path):
     text = "# cr\r0 1\r1 2\r\n2 0\n"
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode())
-    for g in (parse_edge_list(text), load_edge_list(path)):
+    for g in (load_edge_list(io.StringIO(text)), load_edge_list(path)):
         assert g.indices.tolist() == [1, 2, 0]
 
 
@@ -322,21 +336,21 @@ def test_parse_failure_without_a_bad_line_keeps_loadtxt_message():
     # loadtxt reads \v as a field separator where str.splitlines breaks the
     # line, so every line looks right to the walk
     with pytest.raises(ParseError, match="number of columns changed"):
-        parse_edge_list("0 1\n0 1\x0b1 0\n")
+        load_edge_list(io.StringIO("0 1\n0 1\x0b1 0\n"))
 
 
 @pytest.mark.parametrize("text", ["", "# only\n\n# comments\n", "\n  \n"])
 def test_empty_input_raises_without_warning(text, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text(text)
-    g = parse_edge_list("0 1\n1 2\n2 0")
+    g = load_edge_list(io.StringIO("0 1\n1 2\n2 0"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for source in (io.StringIO(text), path):
             with pytest.raises(ValueError, match=r"describes 0 page\(s\)"):
                 load_edge_list(source)
         with pytest.raises(ValueError, match=r"unassigned pages \[0, 1, 2\]"):
-            parse_partition(text, g)
+            load_partition(io.StringIO(text), g)
 
 
 def test_page_limit_checked_before_allocation():
@@ -347,6 +361,6 @@ def test_page_limit_checked_before_allocation():
         with pytest.raises(ValueError, match="exceed the limit"):
             WebGraph(n, [0], [1])
     with pytest.raises(ParseError, match="line 2: index 3037000499 exceeds"):
-        parse_edge_list(f"0 1\n1 {MAX_PAGES}\n{MAX_PAGES} 0\n")
+        load_edge_list(io.StringIO(f"0 1\n1 {MAX_PAGES}\n{MAX_PAGES} 0\n"))
     with pytest.raises(ParseError, match="line 1: index 3037000500 exceeds"):
-        parse_edge_list(f"{MAX_PAGES + 1} 1\n", index_base=1)
+        load_edge_list(io.StringIO(f"{MAX_PAGES + 1} 1\n"), index_base=1)
