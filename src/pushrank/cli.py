@@ -12,8 +12,13 @@ One binary with per-algorithm subcommands::
     pushrank compare --graph web.txt --runs gossip=uniform,cluster=periodic \
                      --partition groups.txt --out compare.csv
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 numerical failure.
+Every subcommand takes the same flags and reads those its row of the
+harness's settings table names; ``--help`` lists the readers of each. A
+flag the command does not read, set to anything but its default, is
+refused (``error: --tol does not apply to exact runs``).
+
+Exit codes: 0 success, 2 configuration error (including a flag the
+command does not read), 3 I/O error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import sys
 from dataclasses import fields, replace
 
 from .errors import ConfigError, NumericalFailure, ParseError
-from .harness import (ALGORITHMS, SCHEDULES, ExperimentConfig, compare,
-                      monte_carlo, run_experiment)
+from .harness import (_READS, ALGORITHMS, SCHEDULES, ExperimentConfig,
+                      _reads, _refuse_unread, _unread, compare, monte_carlo,
+                      run_experiment)
 
 __all__ = ["main", "build_parser"]
 
@@ -34,34 +40,44 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 
-def _add_common(parser, with_schedule=True):
+def _read_by(name):
+    """Help suffix naming the commands whose settings row holds `name`."""
+    readers = [cmd for cmd, row in _READS.items() if name in row.split()]
+    return f" (read by {', '.join(readers)})"
+
+
+def _add_common(parser):
     parser.add_argument("--graph", required=True, help="edge-list file (src dst per line)")
     parser.add_argument("--base", type=int, default=0, choices=(0, 1),
                         help="page numbering base in the graph file")
     parser.add_argument("--m", type=float, default=0.15,
                         help="teleportation parameter (default 0.15)")
     parser.add_argument("--steps", type=int, default=None,
-                        help="maximum number of steps")
+                        help="maximum number of steps" + _read_by("steps"))
     parser.add_argument("--tol", type=float, default=None,
-                        help="target L1 error (certified via the residual)")
+                        help="target L1 error, certified via the residual"
+                             + _read_by("tol"))
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized schedules")
-    if with_schedule:
-        parser.add_argument("--schedule", default=None, help="; ".join(
-            f"{algo}: {' | '.join(specs)}" for algo, specs in SCHEDULES.items())
-            + " (the first is the default)")
-        parser.add_argument("--weights", default="uniform",
-                            help="uniform | indegree_plus_one | file:<path> "
-                                 "(weighted schedules only)")
+                        help="seed of a schedule that draws at random: "
+                             "uniform, weighted, subset:<q>" + _read_by("seed"))
+    parser.add_argument("--schedule", default=None, help="; ".join(
+        f"{algo}: {' | '.join(specs)}" for algo, specs in SCHEDULES.items())
+        + " (the first is the default)")
+    parser.add_argument("--weights", default="uniform",
+                        help="uniform | indegree_plus_one | file:<path> "
+                             "(weighted schedules only)")
     parser.add_argument("--partition", default=None,
-                        help="partition file (page group per line)")
+                        help="partition file, page group per line; needed "
+                             "by cluster runs" + _read_by("partition"))
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--cadence", type=int, default=None,
-                        help="record every j-th step (default: auto)")
+                        help="record every j-th step, by default chosen "
+                             "from n" + _read_by("cadence"))
     parser.add_argument("--dense-cap", type=int, default=5000, dest="dense_cap",
                         help="largest n for which the dense oracle is built")
     parser.add_argument("--include-x", action="store_true", dest="include_x",
-                        help="append per-page x columns to the trace CSV")
+                        help="append per-page x columns to the trace CSV"
+                             + _read_by("include_x"))
 
 
 def build_parser():
@@ -70,8 +86,7 @@ def build_parser():
         description="Residual-push PageRank engines and experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
     for algo in ALGORITHMS:
-        p = sub.add_parser(algo, help=f"run the {algo} algorithm")
-        _add_common(p, with_schedule=algo in SCHEDULES)
+        _add_common(sub.add_parser(algo, help=f"run the {algo} algorithm"))
     mc = sub.add_parser("mc", help="Monte Carlo average over seeded replicas")
     _add_common(mc)
     mc.add_argument("--algorithm", default="gossip",
@@ -102,23 +117,17 @@ def _run(args):
         return EXIT_OK
     if args.command == "compare":
         base = _config_from(args, algorithm=None, out=None)
-        configs = []
+        configs, read = [], set()
         for spec in args.runs.split(","):
             spec = spec.strip()
             if not spec:
                 continue
             algo, _, sched = spec.partition("=")
-            if algo not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {algo!r} in --runs")
-            sched = (sched or base.schedule) if algo in SCHEDULES else None
-            configs.append(replace(
-                base, algorithm=algo, schedule=sched,
-                weights=base.weights if sched == "weighted" else "uniform",
-                partition=base.partition if algo == "cluster" else None))
-        if base.weights != "uniform" and all(c.schedule != "weighted"
-                                             for c in configs):
-            raise ConfigError(f"--weights {base.weights} needs a weighted run "
-                              "in --runs")
+            reads = _reads(algo, sched or base.schedule)
+            read |= reads
+            run = replace(base, algorithm=algo, **_unread(base, reads))
+            configs.append(replace(run, schedule=sched or run.schedule))
+        _refuse_unread(base, read, args.runs)
         compare(configs, out=args.out)
         return EXIT_OK
     run_experiment(_config_from(args, algorithm=args.command))

@@ -1,10 +1,9 @@
 """Experiment harness: configure graph + algorithm + schedule, run, emit CSV.
 
 `SCHEDULES` is the one table of which schedule specs each scheduled
-algorithm accepts; the first spec listed is its default. `_build_schedule`
-checks a spec against it and hands it to `Schedule.from_spec`. A
-``--weights`` spec other than ``uniform`` needs the ``weighted`` schedule,
-and Monte Carlo runs default to ``uniform``, which every row accepts.
+algorithm accepts; the first spec listed is its default, and Monte Carlo
+runs default to ``uniform``, which every row accepts. `_READS` is the one
+table of which settings each command reads.
 Every CSV goes through `pushrank.trace.write_table`.
 
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
@@ -21,7 +20,7 @@ a hard numerical failure and aborts the experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,6 +38,18 @@ SCHEDULES = {
     "gossip": ("uniform", "weighted"),
     "multi": ("roundrobin", "uniform", "weighted", "subset:<q>", "file:<path>"),
     "cluster": ("periodic", "roundrobin", "uniform", "weighted", "file:<path>"),
+}
+# Every command reads these config fields and those of its `_READS` row
+_READ_BY_ALL = ("graph", "algorithm", "base", "m", "out", "dense_cap")
+_READS = {
+    "exact": "",
+    "power": "steps tol cadence include_x",
+    "sync": "steps tol cadence include_x",
+    "gossip": "schedule weights seed steps tol cadence include_x",
+    "multi": "schedule weights seed steps tol cadence include_x",
+    "cluster": "schedule weights seed partition steps tol cadence include_x",
+    "mc": "schedule weights seed partition steps cadence replicas",
+    "compare": "schedule weights seed partition steps tol cadence",
 }
 DEFECT_ABORT = 1e-6
 _DEFAULT_TOL = 1e-9
@@ -81,20 +92,15 @@ class ExperimentConfig:
             raise ConfigError(f"index base must be 0 or 1, got {self.base}")
         if self.algorithm == "cluster" and self.partition is None:
             raise ConfigError("cluster runs need --partition")
-        if self.algorithm != "cluster" and self.partition is not None:
-            raise ConfigError("--partition only applies to cluster runs")
-        if self.algorithm not in SCHEDULES and (self.schedule is not None
-                                                or self.weights != "uniform"):
-            raise ConfigError(f"--schedule and --weights do not apply to "
-                              f"{self.algorithm!r} runs")
+        spec = self.schedule or SCHEDULES.get(self.algorithm, ("",))[0]
+        _refuse_unread(self, _reads(self.algorithm, spec),
+                       f"{self.algorithm}={spec}" if spec else self.algorithm)
         if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.steps is not None and self.steps < 0:
             raise ConfigError(f"steps must not be negative, got {self.steps}")
         if self.cadence is not None and self.cadence < 1:
             raise ConfigError("cadence must be a positive step count")
-        if self.replicas < 1:
-            raise ConfigError("replicas must be at least 1")
         return self
 
     def effective_bounds(self):
@@ -104,27 +110,61 @@ class ExperimentConfig:
         return self.steps, self.tol
 
 
+def _reads(algorithm, schedule):
+    """The fields a run reads: its `_READS` row (none if unknown), but
+    ``weights`` only with the weighted schedule and ``seed`` only with one
+    that draws at random."""
+    kind = (schedule or SCHEDULES.get(algorithm, ("",))[0]).partition(":")[0]
+    return {name for name in _READS.get(algorithm, "").split()
+            if (name != "weights" or kind == "weighted")
+            and (name != "seed" or kind not in ("roundrobin", "periodic", "file"))}
+
+
+def _unread(config, reads):
+    """{name: default} of the fields `config` sets that `reads` leaves out."""
+    return {f.name: f.default for f in fields(config)
+            if f.name not in (*reads, *_READ_BY_ALL)
+            and getattr(config, f.name) != f.default}
+
+
+def _refuse_unread(config, reads, what):
+    for name in _unread(config, reads):
+        raise ConfigError(f"--{name.replace('_', '-')} does not apply to "
+                          f"{what} runs")
+
+
 class _Runtime:
-    """Loaded inputs shared by the runs of one experiment."""
+    """Loaded inputs shared by the runs of one experiment.
+
+    The graph and its dense oracle are built once; each partition file is
+    loaded and factored once, when a run first uses it.
+    """
 
     def __init__(self, config):
         config.validate()
         graph = load_edge_list(config.graph, index_base=config.base)
         self.graph, _ = patch_dangling(graph)
-        self.partition = self.factors = None
-        if config.partition is not None:
-            self.partition = load_partition(config.partition, self.graph)
-            self.factors = GroupFactors(self.graph, config.m, self.partition)
+        self.m = config.m
+        self._groups = {None: (None, None)}
+        self.use_groups(config.partition)
         self.oracle = None
         if self.graph.n <= config.dense_cap:
             self.oracle = solvers.DenseOracle(self.graph, config.m,
                                               dense_cap=config.dense_cap)
 
+    def use_groups(self, path):
+        """Give the next run the groups of partition file `path` (None: none)."""
+        if path not in self._groups:
+            partition = load_partition(path, self.graph)
+            self._groups[path] = (partition,
+                                  GroupFactors(self.graph, self.m, partition))
+        self.partition, self.factors = self._groups[path]
+        return self
+
     def require_oracle(self, why):
         if self.oracle is None:
             raise ConfigError(f"{why} needs the dense oracle; "
                               "raise --dense-cap or shrink the graph")
-        return self.oracle
 
 
 def _weights(config, runtime):
@@ -164,9 +204,6 @@ def _build_schedule(config, runtime):
         raise ConfigError(f"unknown schedule spec {spec!r} for "
                           f"{config.algorithm}; choose from "
                           f"{' | '.join(accepted)}")
-    if kind != "weighted" and config.weights != "uniform":
-        raise ConfigError(f"--weights {config.weights} applies only to the "
-                          f"weighted schedule, not {spec!r}")
     groups = runtime.partition
     n = groups.num_groups if groups is not None else runtime.graph.n
     weights = _weights(config, runtime) if kind == "weighted" else None
@@ -235,10 +272,9 @@ def _execute(config, runtime, sched):
     cadence = _auto_cadence(config, runtime, sched)
     oracle = runtime.oracle
     if config.algorithm == "exact":
-        oracle = runtime.require_oracle("exact solve")
+        runtime.require_oracle("exact solve")
         trace = Trace()
-        trace.append(0, 0, err_l1=0.0, cert=0.0, defect=0.0,
-                     x=oracle.x_star if config.include_x else None)
+        trace.append(0, 0, err_l1=0.0, cert=0.0, defect=0.0)
         return trace
     if config.algorithm == "power":
         _, trace = solvers.power_method(
@@ -297,31 +333,30 @@ def monte_carlo(config):
     share the step grid (fixed step count, no tolerance stop), and the
     per-step sample mean and standard error of ||x(k) - x*||_1 are
     reported. Requires a randomized schedule (default ``uniform``, which
-    every scheduled algorithm accepts) and the dense oracle; refuses a
-    `tol` and `include_x`, which it would ignore.
+    every scheduled algorithm accepts) and the dense oracle. Reads the
+    ``mc`` row of `_READS`, so it refuses a `tol` (there is no tolerance
+    stop) and `include_x` (it writes no per-page columns); each replica
+    is then a run of `config.algorithm` and reads that algorithm's row.
     """
-    if config.tol is not None:
-        raise ConfigError("--tol does not apply to Monte Carlo runs, which "
-                          "share a fixed step grid (--steps)")
-    if config.include_x:
-        raise ConfigError("--include-x does not apply to Monte Carlo runs, "
-                          "which write no per-page columns")
-    if config.schedule is None and config.algorithm in SCHEDULES:
-        config = replace(config, schedule="uniform")
-    runtime = _Runtime(config)
-    m = config.replicas
+    _refuse_unread(config, _READS["mc"].split(), "mc")
+    if config.replicas < 1:
+        raise ConfigError("replicas must be at least 1")
     if config.steps is None:
         raise ConfigError("Monte Carlo runs need --steps (a shared step grid)")
-    sched = _build_schedule(config, runtime)
+    replicas = config.replicas
+    if config.schedule is None and config.algorithm in SCHEDULES:
+        config = replace(config, schedule="uniform")
+    run = replace(config, replicas=1, out=None)
+    runtime = _Runtime(run)
+    sched = _build_schedule(run, runtime)
     if sched is None or not sched.is_random:
         raise ConfigError("Monte Carlo averaging needs a randomized schedule")
     runtime.require_oracle("Monte Carlo error averaging")
-    base = replace(config, out=None)
     errs = []
     upds = []
     steps_grid = None
-    for r in range(m):
-        trace = _execute(base, runtime, sched.derive(r))
+    for r in range(replicas):
+        trace = _execute(run, runtime, sched.derive(r))
         if steps_grid is None:
             steps_grid = trace.steps
         errs.append(trace.column("err_l1"))
@@ -329,14 +364,14 @@ def monte_carlo(config):
     err = np.vstack(errs)
     upd = np.vstack(upds)
     mean = err.mean(axis=0)
-    if m > 1:
-        stderr = err.std(axis=0, ddof=1) / math.sqrt(m)
+    if replicas > 1:
+        stderr = err.std(axis=0, ddof=1) / math.sqrt(replicas)
     else:
         stderr = np.zeros_like(mean)
-    result = MeanTrace(steps_grid, upd.mean(axis=0), mean, stderr, m)
+    result = MeanTrace(steps_grid, upd.mean(axis=0), mean, stderr, replicas)
     if config.out:
         result.write_csv(config.out)
-    print(f"mc[{config.algorithm}x{m}]: steps={steps_grid[-1]} "
+    print(f"mc[{config.algorithm}x{replicas}]: steps={steps_grid[-1]} "
           f"err_mean={format_float(mean[-1])} "
           f"stderr={format_float(stderr[-1])}")
     return result
@@ -345,27 +380,27 @@ def monte_carlo(config):
 def compare(configs, out=None):
     """Align runs on the cumulative-updates axis and tabulate their errors.
 
-    All configs must share the graph, index base and m. Rows are the union
-    of the runs' updates values; each error column carries its last value
-    forward between its own records. Returns (header, rows).
+    All configs must share the graph, index base and m. Each run reads the
+    ``compare`` row of `_READS` as well as its algorithm's, so an
+    `include_x` is refused: the table holds one error column per run. Rows
+    are the union of the runs' updates values; each error column carries
+    its last value forward between its own records. Returns (header, rows).
     """
     if not configs:
         raise ConfigError("compare needs at least one run")
-    if any(cfg.include_x for cfg in configs):
-        raise ConfigError("--include-x does not apply to compare, which "
-                          "writes one error column per run")
     first = configs[0]
-    for cfg in configs[1:]:
+    for cfg in configs:
+        _refuse_unread(cfg, _READS["compare"].split(), "compare")
         if (cfg.graph, cfg.base, cfg.m) != (first.graph, first.base, first.m):
             raise ConfigError("compared runs must share graph, base and m")
+        cfg.validate()
+        if cfg.algorithm == "exact":
+            raise ConfigError("exact has no trajectory to compare")
     runtime = _Runtime(first)
     labels = []
     traces = []
     for cfg in configs:
-        cfg.validate()
-        if cfg.algorithm == "exact":
-            raise ConfigError("exact has no trajectory to compare")
-        rt = runtime if cfg.partition == first.partition else _Runtime(cfg)
+        rt = runtime.use_groups(cfg.partition)
         traces.append(_execute(cfg, rt, _build_schedule(cfg, rt)))
         label = f"err_{cfg.algorithm}"
         while label in labels:

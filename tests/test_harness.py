@@ -1,11 +1,12 @@
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pushrank import (ConfigError, DenseOracle, ExperimentConfig, cli, compare,
-                      load_edge_list, monte_carlo, patch_dangling,
+                      harness, load_edge_list, monte_carlo, patch_dangling,
                       run_experiment)
 from pushrank.trace import CSV_HEADER
 
@@ -76,7 +77,8 @@ def test_engine_error_column_monotone_and_certified(small_graph_path):
     for algo, sched in (("sync", None), ("gossip", "uniform"),
                         ("multi", "subset:0.4")):
         cfg = ExperimentConfig(graph=small_graph_path, algorithm=algo,
-                               schedule=sched, seed=9, steps=300)
+                               schedule=sched, seed=9 if sched else 0,
+                               steps=300)
         trace = run_experiment(cfg)
         errs = trace.column("err_l1")
         certs = trace.column("cert")
@@ -112,6 +114,11 @@ def test_config_validation_errors(cycle_path):
     with pytest.raises(ConfigError, match="cadence"):
         ExperimentConfig(graph=cycle_path, algorithm="power",
                          cadence=0).validate()
+    with pytest.raises(ConfigError, match="--tol does not apply to exact"):
+        ExperimentConfig(graph=cycle_path, algorithm="exact",
+                         tol=1e-3).validate()
+    with pytest.raises(ConfigError, match="--seed does not apply to sync"):
+        ExperimentConfig(graph=cycle_path, algorithm="sync", seed=9).validate()
 
 
 def test_bad_schedule_specs(small_graph_path, tmp_path):
@@ -381,18 +388,90 @@ def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
                                 mean.err_stderr])
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["mc", "--steps", "5", "--replicas", "2"], ["--tol", "1e-3"]),
-    (["mc", "--steps", "5", "--replicas", "2"], ["--include-x"]),
-    (["compare", "--runs", "sync,gossip=uniform", "--tol", "1e-3"],
-     ["--include-x"]),
-], ids=["mc-tol", "mc-include-x", "compare-include-x"])
-def test_cli_refuses_flags_the_command_ignores(argv, flag, small_graph_path,
-                                               capsys):
+REFUSED = {
+    "mc-tol": ("mc --steps 5 --replicas 2", "--tol 1e-3"),
+    "mc-include-x": ("mc --steps 5 --replicas 2", "--include-x"),
+    "compare-include-x": ("compare --runs sync,gossip=uniform --tol 1e-3",
+                          "--include-x"),
+    "exact-tol": ("exact", "--tol 1e-3"),
+    "exact-steps": ("exact", "--steps 5"),
+    "exact-cadence": ("exact", "--cadence 7"),
+    "exact-include-x": ("exact", "--include-x"),
+    "exact-seed": ("exact", "--seed 99"),
+    "sync-seed": ("sync --steps 5", "--seed 99"),
+    "power-seed": ("power --steps 5", "--seed 9"),
+    "cluster-periodic-seed": ("cluster --partition PART --schedule periodic",
+                              "--seed 99"),
+    "cluster-default-seed": ("cluster --partition PART", "--seed 99"),
+    "cluster-roundrobin-seed": ("cluster --partition PART "
+                                "--schedule roundrobin", "--seed 3"),
+    "cluster-file-seed": ("cluster --partition PART --schedule file:GROUPS",
+                          "--seed 3"),
+    "multi-roundrobin-seed": ("multi --schedule roundrobin --steps 5",
+                              "--seed 4"),
+    "multi-default-seed": ("multi --steps 5", "--seed 4"),
+    "multi-file-seed": ("multi --schedule file:PAGES", "--seed 3"),
+    "compare-partition": ("compare --runs sync,power", "--partition PART"),
+    "compare-seed": ("compare --runs sync,power", "--seed 5"),
+    "compare-deterministic-seed": ("compare --runs sync,cluster=periodic "
+                                   "--partition PART", "--seed 5"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_cli_refuses_flags_the_command_ignores(case, small_graph_path,
+                                               tmp_path, monkeypatch, capsys):
+    # the cases name a partition and two sequence files in the working dir
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "PART").write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+    (tmp_path / "GROUPS").write_text("0\n1\n")
+    (tmp_path / "PAGES").write_text("0,1,2\n3\n")
+    argv, flag = (words.split() for words in REFUSED[case])
     argv = argv + ["--graph", small_graph_path]
     assert cli.main(argv + flag) == cli.EXIT_CONFIG
     assert f"error: {flag[0]} does not apply" in capsys.readouterr().err
     assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_compare_loads_its_inputs_once(monkeypatch, tmp_path):
+    data = Path(__file__).resolve().parent / "data"
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((harness, "load_edge_list"), (harness, "load_partition"),
+                         (harness, "GroupFactors"),
+                         (harness.solvers, "DenseOracle")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    out = tmp_path / "cmp.csv"
+    for runs in ("gossip=uniform,cluster=periodic",
+                 "cluster=periodic,gossip=uniform,sync"):
+        calls.clear()
+        # --seed goes to the gossip run only: cluster=periodic draws nothing
+        assert cli.main([
+            "compare", "--graph", str(data / "community700.txt"),
+            "--partition", str(data / "community700.groups"), "--runs", runs,
+            "--steps", "40", "--seed", "5", "--out", str(out)]) == cli.EXIT_OK
+        assert calls == {"load_edge_list": 1, "DenseOracle": 1,
+                         "load_partition": 1, "GroupFactors": 1}
+    # each column is the error of its run made alone: no run sees another's
+    # groups, and only the gossip run reads the seed
+    lines = out.read_text().splitlines()
+    grid = [int(line.split(",")[0]) for line in lines[1:]]
+    for col, (algo, sched) in enumerate((("cluster", "periodic"),
+                                         ("gossip", "uniform"),
+                                         ("sync", None)), start=1):
+        trace = run_experiment(ExperimentConfig(
+            graph=str(data / "community700.txt"), algorithm=algo,
+            schedule=sched, steps=40, seed=5 if algo == "gossip" else 0,
+            partition=str(data / "community700.groups")
+            if algo == "cluster" else None))
+        for upd, err in zip(trace.updates, trace.err_l1):
+            assert float(lines[1 + grid.index(upd)].split(",")[col]) == err
 
 
 def test_compare_power_and_sync_share_cost_axis(small_graph_path, tmp_path):
