@@ -13,9 +13,11 @@ One binary with per-algorithm subcommands::
                      --partition groups.txt --out compare.csv
 
 Every subcommand takes the same flags and reads those its row of the
-harness's settings table names; ``--help`` lists the readers of each. A
-flag the command does not read, set to anything but its default, is
-refused (``error: --tol does not apply to exact runs``).
+harness's settings table names; ``--help`` lists the readers of each.
+`ExperimentConfig.validate` settles each run before any input is read: a
+flag the command does not read is refused even at its default value
+(``error: --seed does not apply to sync runs``), as is a schedule spec it
+does not accept.
 
 Exit codes: 0 success, 2 configuration error (including a flag the
 command does not read), 3 I/O error, 4 numerical failure.
@@ -25,12 +27,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .errors import ConfigError, NumericalFailure, ParseError
 from .harness import (_READS, ALGORITHMS, SCHEDULES, ExperimentConfig,
-                      _reads, _refuse_unread, _unread, compare, monte_carlo,
-                      run_experiment)
+                      compare, monte_carlo, run_experiment)
+from .scheduling import RANDOM_KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -57,15 +59,16 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="target L1 error, certified via the residual"
                              + _read_by("tol"))
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int, default=None,
                         help="seed of a schedule that draws at random: "
-                             "uniform, weighted, subset:<q>" + _read_by("seed"))
+                             + ", ".join(RANDOM_KINDS) + " (default 0)"
+                             + _read_by("seed"))
     parser.add_argument("--schedule", default=None, help="; ".join(
         f"{algo}: {' | '.join(specs)}" for algo, specs in SCHEDULES.items())
         + " (the first is the default)")
-    parser.add_argument("--weights", default="uniform",
+    parser.add_argument("--weights", default=None,
                         help="uniform | indegree_plus_one | file:<path> "
-                             "(weighted schedules only)")
+                             "(weighted schedules only; default uniform)")
     parser.add_argument("--partition", default=None,
                         help="partition file, page group per line; needed "
                              "by cluster runs" + _read_by("partition"))
@@ -114,23 +117,10 @@ def _config_from(args, **overrides):
 def _run(args):
     if args.command == "mc":
         monte_carlo(_config_from(args))
-        return EXIT_OK
-    if args.command == "compare":
-        base = _config_from(args, algorithm=None, out=None)
-        configs, read = [], set()
-        for spec in args.runs.split(","):
-            spec = spec.strip()
-            if not spec:
-                continue
-            algo, _, sched = spec.partition("=")
-            reads = _reads(algo, sched or base.schedule)
-            read |= reads
-            run = replace(base, algorithm=algo, **_unread(base, reads))
-            configs.append(replace(run, schedule=sched or run.schedule))
-        _refuse_unread(base, read, args.runs)
-        compare(configs, out=args.out)
-        return EXIT_OK
-    run_experiment(_config_from(args, algorithm=args.command))
+    elif args.command == "compare":
+        compare(_config_from(args, algorithm="compare"), args.runs.split(","))
+    else:
+        run_experiment(_config_from(args, algorithm=args.command))
     return EXIT_OK
 
 

@@ -3,7 +3,11 @@
 `SCHEDULES` is the one table of which schedule specs each scheduled
 algorithm accepts; the first spec listed is its default, and Monte Carlo
 runs default to ``uniform``, which every row accepts. `_READS` is the one
-table of which settings each command reads.
+table of which settings each command reads. `ExperimentConfig.validate`
+settles a run before any file is opened: it applies the schedule default,
+refuses what the run does not take (a spec, or a setting given, i.e. off
+its default; ``seed`` and ``weights`` default to None) and resolves
+``seed`` and ``weights``. Later layers apply no default of their own.
 Every CSV goes through `pushrank.trace.write_table`.
 
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
@@ -71,11 +75,11 @@ class ExperimentConfig:
     base: int = 0
     m: float = 0.15
     schedule: str | None = None
-    weights: str = "uniform"
+    weights: str | None = None
     partition: str | None = None
     steps: int | None = None
     tol: float | None = None
-    seed: int = 0
+    seed: int | None = None
     replicas: int = 1
     out: str | None = None
     cadence: int | None = None
@@ -83,17 +87,15 @@ class ExperimentConfig:
     include_x: bool = False
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
-                              f"choose from {', '.join(ALGORITHMS)}")
+        """The config resolved (see the module doc); opens no file."""
+        spec, reads = _reads(self)
         if not 0.0 < self.m < 1.0:
             raise ConfigError(f"m must lie in (0, 1), got {self.m}")
         if self.base not in (0, 1):
             raise ConfigError(f"index base must be 0 or 1, got {self.base}")
         if self.algorithm == "cluster" and self.partition is None:
             raise ConfigError("cluster runs need --partition")
-        spec = self.schedule or SCHEDULES.get(self.algorithm, ("",))[0]
-        _refuse_unread(self, _reads(self.algorithm, spec),
+        _refuse_unread(self, reads,
                        f"{self.algorithm}={spec}" if spec else self.algorithm)
         if self.tol is not None and not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
@@ -101,7 +103,11 @@ class ExperimentConfig:
             raise ConfigError(f"steps must not be negative, got {self.steps}")
         if self.cadence is not None and self.cadence < 1:
             raise ConfigError("cadence must be a positive step count")
-        return self
+        return replace(
+            self, schedule=spec,
+            seed=0 if self.seed is None and "seed" in reads else self.seed,
+            weights="uniform" if self.weights is None and "weights" in reads
+            else self.weights)
 
     def effective_bounds(self):
         """(steps, tol) with a safety cap when neither was given."""
@@ -110,14 +116,29 @@ class ExperimentConfig:
         return self.steps, self.tol
 
 
-def _reads(algorithm, schedule):
-    """The fields a run reads: its `_READS` row (none if unknown), but
-    ``weights`` only with the weighted schedule and ``seed`` only with one
-    that draws at random."""
-    kind = (schedule or SCHEDULES.get(algorithm, ("",))[0]).partition(":")[0]
-    return {name for name in _READS.get(algorithm, "").split()
-            if (name != "weights" or kind == "weighted")
-            and (name != "seed" or kind not in ("roundrobin", "periodic", "file"))}
+def _reads(config):
+    """(spec, fields): the run's schedule spec, its `SCHEDULES` default
+    applied and checked (a subset spec's probability too), and the fields
+    it reads: its `_READS` row, with ``weights`` only on the weighted
+    schedule and ``seed`` only on one that draws at random."""
+    if config.algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {config.algorithm!r}; "
+                          f"choose from {', '.join(ALGORITHMS)}")
+    spec, accepted = config.schedule, SCHEDULES.get(config.algorithm)
+    if accepted:
+        spec = spec or accepted[0]
+        kind, colon, _ = spec.partition(":")
+        # "subset:<q>" accepts any "subset:..."; "uniform" accepts only itself
+        if not any(a.partition(":")[:2] == (kind, colon) for a in accepted):
+            raise ConfigError(f"unknown schedule spec {spec!r} for "
+                              f"{config.algorithm}; choose from "
+                              f"{' | '.join(accepted)}")
+    kind = (spec or "").partition(":")[0]
+    if kind == "subset":
+        scheduling.subset_probability(spec)
+    return spec, {name for name in _READS[config.algorithm].split()
+                  if (name != "weights" or kind == "weighted")
+                  and (name != "seed" or kind in scheduling.RANDOM_KINDS)}
 
 
 def _unread(config, reads):
@@ -141,7 +162,6 @@ class _Runtime:
     """
 
     def __init__(self, config):
-        config.validate()
         graph = load_edge_list(config.graph, index_base=config.base)
         self.graph, _ = patch_dangling(graph)
         self.m = config.m
@@ -193,21 +213,15 @@ def _weights(config, runtime):
 
 
 def _build_schedule(config, runtime):
-    """The run's schedule from its `SCHEDULES` row; None for unscheduled runs."""
-    accepted = SCHEDULES.get(config.algorithm)
-    if accepted is None:
+    """The schedule of a validated config; None for unscheduled runs."""
+    if config.schedule is None:
         return None
-    spec = config.schedule or accepted[0]
-    kind, colon, _ = spec.partition(":")
-    # "subset:<q>" accepts any "subset:..."; "uniform" accepts only itself
-    if not any(a.partition(":")[:2] == (kind, colon) for a in accepted):
-        raise ConfigError(f"unknown schedule spec {spec!r} for "
-                          f"{config.algorithm}; choose from "
-                          f"{' | '.join(accepted)}")
     groups = runtime.partition
     n = groups.num_groups if groups is not None else runtime.graph.n
-    weights = _weights(config, runtime) if kind == "weighted" else None
-    sched = scheduling.Schedule.from_spec(spec, n, config.seed, weights)
+    # validate resolves `weights` only where a weighted schedule reads them
+    weights = _weights(config, runtime) if config.weights else None
+    sched = scheduling.Schedule.from_spec(config.schedule, n, config.seed,
+                                          weights)
     _check_tol_reachable(config, runtime, sched.never_drawn(n))
     return sched
 
@@ -278,7 +292,7 @@ def _execute(config, runtime, sched):
         return trace
     if config.algorithm == "power":
         _, trace = solvers.power_method(
-            graph, m, tol=tol if tol is not None else 1e-12,
+            graph, m, tol=tol,
             max_steps=steps if steps is not None else _DEFAULT_STEP_CAP,
             oracle=oracle, cadence=cadence, record_x=config.include_x)
         return trace
@@ -291,6 +305,7 @@ def _execute(config, runtime, sched):
 
 def run_experiment(config):
     """Run one experiment, write its CSV if requested, print a summary line."""
+    config = config.validate()
     runtime = _Runtime(config)
     sched = _build_schedule(config, runtime)
     trace = _execute(config, runtime, sched)
@@ -346,11 +361,12 @@ def monte_carlo(config):
     replicas = config.replicas
     if config.schedule is None and config.algorithm in SCHEDULES:
         config = replace(config, schedule="uniform")
-    run = replace(config, replicas=1, out=None)
+    run = replace(config, replicas=1, out=None).validate()
+    # validate resolves `seed` only where the schedule draws at random
+    if run.seed is None:
+        raise ConfigError("Monte Carlo averaging needs a randomized schedule")
     runtime = _Runtime(run)
     sched = _build_schedule(run, runtime)
-    if sched is None or not sched.is_random:
-        raise ConfigError("Monte Carlo averaging needs a randomized schedule")
     runtime.require_oracle("Monte Carlo error averaging")
     errs = []
     upds = []
@@ -377,26 +393,36 @@ def monte_carlo(config):
     return result
 
 
-def compare(configs, out=None):
+def compare(config, runs):
     """Align runs on the cumulative-updates axis and tabulate their errors.
 
-    All configs must share the graph, index base and m. Each run reads the
-    ``compare`` row of `_READS` as well as its algorithm's, so an
-    `include_x` is refused: the table holds one error column per run. Rows
-    are the union of the runs' updates values; each error column carries
-    its last value forward between its own records. Returns (header, rows).
+    Each ``algo[=schedule]`` spec in `runs` becomes a run of the settings
+    of `config` that it reads (`config.algorithm` is replaced); a schedule
+    the spec names is the run's own and is refused where the run takes
+    none. A setting no run reads is refused, and so is `include_x`, which
+    the ``compare`` row of `_READS` leaves out: the table holds one error
+    column per run. Rows are the union of the runs' updates values; each
+    error column carries its last value forward between its own records.
+    The table is written to `config.out` if set. Returns (header, rows).
     """
-    if not configs:
+    _refuse_unread(config, _READS["compare"].split(), "compare")
+    runs = [spec.strip() for spec in runs if spec.strip()]
+    if not runs:
         raise ConfigError("compare needs at least one run")
-    first = configs[0]
-    for cfg in configs:
-        _refuse_unread(cfg, _READS["compare"].split(), "compare")
-        if (cfg.graph, cfg.base, cfg.m) != (first.graph, first.base, first.m):
-            raise ConfigError("compared runs must share graph, base and m")
-        cfg.validate()
-        if cfg.algorithm == "exact":
+    configs, read = [], set()
+    for spec in runs:
+        algo, _, sched = spec.partition("=")
+        if algo == "exact":
             raise ConfigError("exact has no trajectory to compare")
-    runtime = _Runtime(first)
+        run = replace(config, algorithm=algo, schedule=sched or config.schedule)
+        _, reads = _reads(run)
+        read |= reads
+        unread = _unread(config, reads)
+        if sched:
+            unread.pop("schedule", None)
+        configs.append(replace(run, **unread).validate())
+    _refuse_unread(config, read, ",".join(runs))
+    runtime = _Runtime(configs[0])
     labels = []
     traces = []
     for cfg in configs:
@@ -409,14 +435,12 @@ def compare(configs, out=None):
     grid = np.unique(np.concatenate([t.column("updates") for t in traces]))
     columns = []
     for t in traces:
-        upd = t.column("updates")
-        err = t.column("err_l1")
-        idx = np.searchsorted(upd, grid, side="right") - 1
-        col = np.where(idx >= 0, err[np.clip(idx, 0, None)], np.nan)
-        columns.append(col)
+        idx = np.searchsorted(t.column("updates"), grid, side="right") - 1
+        err = t.column("err_l1")[np.clip(idx, 0, None)]
+        columns.append(np.where(idx >= 0, err, np.nan))
     header = ["updates"] + labels
     rows = [tuple([int(u)] + [col[i] for col in columns])
             for i, u in enumerate(grid)]
-    if out:
-        write_table(out, header, [grid.astype(np.int64)] + columns)
+    if config.out:
+        write_table(config.out, header, [grid.astype(np.int64)] + columns)
     return header, rows

@@ -1,10 +1,12 @@
 """Update schedules: which pages (or groups) push at each step.
 
-`Schedule.from_spec` is the one place a spec string becomes a schedule:
-``uniform`` and ``weighted`` draw one index per step, ``roundrobin`` and
-``periodic`` cycle ``k mod n``, ``subset:<q>`` draws each index with
-probability q and ``file:<path>`` replays the sets of a sequence file.
-Which specs an algorithm accepts is the harness's table, not this module's.
+`Schedule.from_spec` is the one place a spec string becomes a schedule,
+and a schedule's `kind` is its spec's: ``uniform`` and ``weighted`` draw
+one index per step, ``roundrobin`` (which ``periodic`` names too) cycles
+``k mod n``, ``subset:<q>`` draws each index with probability q and
+``file:<path>`` replays the sets of a sequence file. `RANDOM_KINDS` names
+the kinds that draw at random, the only ones a seed steers. Which specs an
+algorithm accepts is the harness's table, not this module's.
 
 Random kinds draw from a seeded PCG64 stream and are reproducible across
 platforms; singleton draws use an inverse-CDF lookup (binary search on the
@@ -27,11 +29,11 @@ from .errors import ConfigError, ParseError
 from .webgraph import _INT64, _as_lines
 
 __all__ = ["Schedule", "indegree_plus_one_weights", "load_sequence_file",
-           "derive_seed", "splitmix64"]
+           "subset_probability", "derive_seed", "splitmix64"]
 
 _MASK64 = (1 << 64) - 1
 
-RANDOM_KINDS = ("uniform_singleton", "weighted_singleton", "random_subset")
+RANDOM_KINDS = ("uniform", "weighted", "subset")
 # singleton draws come in blocks that double from _BLOCK_MIN to _BLOCK_MAX
 _BLOCK_MIN = 16
 _BLOCK_MAX = 4096
@@ -58,11 +60,9 @@ def indegree_plus_one_weights(graph):
 class Schedule:
     """A policy producing the update set for each step.
 
-    Kinds: ``uniform_singleton`` and ``weighted_singleton`` draw one index
-    per step from a seeded stream; ``round_robin`` cycles {k mod n};
-    ``fixed_sequence`` replays explicit sets and signals exhaustion by
-    returning None; ``random_subset`` includes each index independently
-    with probability q.
+    `kind` is a spec kind (see the module doc). ``file`` replays explicit
+    `sequence` sets, also ones built in memory, and signals exhaustion by
+    returning None.
     """
 
     def __init__(self, kind, *, n=None, weights=None, seed=None, q=None,
@@ -93,49 +93,23 @@ class Schedule:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_spec(cls, spec, n, seed, weights):
+    def from_spec(cls, spec, n, seed=None, weights=None):
         """Schedule over n indices for a spec string (see the module doc).
 
         `weights` are the selection weights of a ``weighted`` spec (else unused).
         """
         kind, _, arg = spec.partition(":")
         if kind in ("roundrobin", "periodic"):
-            return cls.round_robin(n)
+            return cls("roundrobin", n=n)
         if kind == "uniform":
-            return cls.uniform_singleton(n, seed)
+            return cls(kind, weights=np.ones(n), seed=seed)
         if kind == "weighted":
-            return cls.weighted_singleton(weights, seed)
+            return cls(kind, weights=weights, seed=seed)
         if kind == "subset":
-            try:
-                q = float(arg)
-            except ValueError:
-                raise ConfigError(f"bad subset probability in {spec!r}") from None
-            return cls.random_subset(n, q, seed)
+            return cls(kind, n=n, q=subset_probability(spec), seed=seed)
         if kind == "file":
-            return cls.fixed_sequence(load_sequence_file(arg))
+            return cls(kind, sequence=load_sequence_file(arg))
         raise ConfigError(f"unknown schedule spec {spec!r}")
-
-    @classmethod
-    def uniform_singleton(cls, n, seed):
-        return cls("uniform_singleton", weights=np.ones(n), seed=seed)
-
-    @classmethod
-    def weighted_singleton(cls, weights, seed):
-        return cls("weighted_singleton", weights=weights, seed=seed)
-
-    @classmethod
-    def round_robin(cls, n):
-        return cls("round_robin", n=n)
-
-    @classmethod
-    def fixed_sequence(cls, sets):
-        return cls("fixed_sequence", sequence=sets)
-
-    @classmethod
-    def random_subset(cls, n, q, seed):
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"subset probability must lie in (0, 1], got {q}")
-        return cls("random_subset", n=n, q=q, seed=seed)
 
     # -- stream management ---------------------------------------------
 
@@ -146,9 +120,9 @@ class Schedule:
     @property
     def mean_draw_size(self):
         """Expected number of indices one draw returns, at least 1."""
-        if self.kind == "random_subset":
+        if self.kind == "subset":
             return max(1.0, self.q * self.n)
-        if self.kind == "fixed_sequence":
+        if self.kind == "file":
             sizes = [s.size for s in self.sequence] or [1]
             return max(1.0, sum(sizes) / len(sizes))
         return 1.0
@@ -185,7 +159,7 @@ class Schedule:
                     f"random schedule must be consumed sequentially: "
                     f"expected step {self._next_k}, got {k}")
             self._next_k += 1
-            if self.kind == "random_subset":
+            if self.kind == "subset":
                 return np.flatnonzero(self._rng.random(self.n) < self.q)
             if self._taken == self._block.size:
                 size = min(_BLOCK_MAX, max(_BLOCK_MIN, 2 * self._block.size))
@@ -194,13 +168,24 @@ class Schedule:
                 self._taken = 0
             self._taken += 1
             return self._block[self._taken - 1:self._taken]
-        if self.kind == "round_robin":
+        if self.kind == "roundrobin":
             return np.array([k % self.n], dtype=np.intp)
-        if self.kind == "fixed_sequence":
+        if self.kind == "file":
             if k >= len(self.sequence):
                 return None
             return self.sequence[k]
         raise AssertionError(f"unhandled schedule kind {self.kind!r}")
+
+
+def subset_probability(spec):
+    """The q of a ``subset:<q>`` spec, which must lie in (0, 1]."""
+    try:
+        q = float(spec.partition(":")[2])
+    except ValueError:
+        raise ConfigError(f"bad subset probability in {spec!r}") from None
+    if not 0.0 < q <= 1.0:
+        raise ConfigError(f"subset probability must lie in (0, 1], got {q}")
+    return q
 
 
 def load_sequence_file(source):

@@ -64,7 +64,7 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
                  oracle=None, cadence=1, record_x=False):
     """Power iteration x(k+1) = Q x(k) + (m/n) 1 from the uniform x(0) = 1/n.
 
-    Stops when the L1 step difference drops to `tol` or after `max_steps`.
+    Stops after `max_steps`, or once the L1 step difference is <= `tol` if set.
     Each iterate stays a probability vector; a drift beyond 1e-12 raises.
     Returns the final iterate and a trace (cert/defect columns are NaN --
     there is no residual state here; err_l1 is filled when an oracle is
@@ -92,7 +92,7 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
         x = x_next
         if k % cadence == 0:
             record(k, x)
-        if diff <= tol:
+        if tol is not None and diff <= tol:
             break
     if trace.final_step != k:
         record(k, x)

@@ -159,12 +159,12 @@ def test_trivial_partition_mirrors_gossip(rng):
     # group run's certificate falls below the gossip run's
     g = random_graph(rng, 25)
     loops = self_loops(g)
-    sched = Schedule.uniform_singleton(g.n, seed=7)
+    sched = Schedule.from_spec("uniform", g.n, 7)
     sets = [sched.next(k) for k in range(300)]
     first_loop = next(k for k, s in enumerate(sets) if loops[s[0]])
-    _, t_gossip = run(g, M, Schedule.fixed_sequence(sets), steps=300,
+    _, t_gossip = run(g, M, Schedule("file", sequence=sets), steps=300,
                       record_x=True)
-    _, t_cluster = run(g, M, Schedule.fixed_sequence(sets), steps=300,
+    _, t_cluster = run(g, M, Schedule("file", sequence=sets), steps=300,
                        factors=GroupFactors(g, M, Partition(np.arange(g.n))),
                        record_x=True)
     assert t_gossip.steps == t_cluster.steps == list(range(301))
@@ -196,9 +196,9 @@ def test_iterative_and_dense_local_solves_agree(rng, monkeypatch):
     part = random_partition(rng, g.n, 3)
     dense = GroupFactors(g, M, part)
     monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 0)
-    st_dense, _ = run(g, M, Schedule.round_robin(part.num_groups), steps=30,
-                      factors=dense)
-    st_iter, _ = run(g, M, Schedule.round_robin(part.num_groups), steps=30,
+    cycle = lambda: Schedule.from_spec("roundrobin", part.num_groups)
+    st_dense, _ = run(g, M, cycle(), steps=30, factors=dense)
+    st_iter, _ = run(g, M, cycle(), steps=30,
                      factors=GroupFactors(g, M, part))
     assert np.abs(st_dense.x - st_iter.x).max() <= 1e-12
 
@@ -220,7 +220,7 @@ def test_iterative_group_solves_keep_the_certificate(rng):
     part = Partition(np.arange(n) // size)
     assert part.sizes.min() > cluster.DENSE_GROUP_CAP
     tol = 1e-12
-    _, trace = run(g, M, Schedule.round_robin(2), tol=tol,
+    _, trace = run(g, M, Schedule.from_spec("roundrobin", 2), tol=tol,
                    factors=GroupFactors(g, M, part), oracle=DenseOracle(g, M))
     assert trace.final_cert <= tol
     assert trace.final_err <= tol
@@ -231,7 +231,7 @@ def test_run_clustered_periodic_decays(rng):
     g = random_graph(rng, 40)
     oracle = DenseOracle(g, M)
     part = random_partition(rng, g.n, 5)
-    _, trace = run(g, M, Schedule.round_robin(part.num_groups),
+    _, trace = run(g, M, Schedule.from_spec("roundrobin", part.num_groups),
                    factors=GroupFactors(g, M, part), steps=60, oracle=oracle)
     errs = trace.column("err_l1")
     # 12 complete cycles dominate 12 synchronous steps
@@ -242,7 +242,7 @@ def test_run_clustered_periodic_decays(rng):
 def test_single_group_run_converges_immediately(rng):
     g = random_graph(rng, 15)
     oracle = DenseOracle(g, M)
-    _, trace = run(g, M, Schedule.round_robin(1),
+    _, trace = run(g, M, Schedule.from_spec("roundrobin", 1),
                    factors=GroupFactors(g, M, Partition(np.zeros(g.n, int))),
                    tol=1e-9, oracle=oracle)
     assert trace.final_step == 1
@@ -253,14 +253,15 @@ def test_group_run_empty_draw_is_noop_step(rng):
     g = random_graph(rng, 12)
     part = random_partition(rng, g.n, 3)
     factors = GroupFactors(g, M, part)
-    st, trace = run(g, M, Schedule.fixed_sequence([[0], [], [1]]), steps=10,
+    st, trace = run(g, M, Schedule("file", sequence=[[0], [], [1]]), steps=10,
                     factors=factors)
     assert trace.steps == [0, 1, 2, 3]
     assert trace.updates[2] == trace.updates[1] == part.sizes[0]
     assert trace.cert[2] == trace.cert[1]
     assert st.cumulative_updates == part.sizes[0] + part.sizes[1]
     with pytest.raises(ValueError, match="one group per step"):
-        run(g, M, Schedule.fixed_sequence([[0, 1]]), steps=10, factors=factors)
+        run(g, M, Schedule("file", sequence=[[0, 1]]), steps=10,
+            factors=factors)
 
 
 def test_partition_graph_mismatch(rng):

@@ -173,10 +173,10 @@ def test_step_set_deduplicates():
 
 def test_gossip_is_singleton_set_trajectory(rng):
     g = random_graph(rng, 25)
-    drawn = Schedule.uniform_singleton(g.n, seed=99)
+    drawn = Schedule.from_spec("uniform", g.n, 99)
     sets = [drawn.next(k) for k in range(400)]
-    st_a, _ = run(g, M, Schedule.uniform_singleton(g.n, seed=99), steps=400)
-    st_b, _ = run(g, M, Schedule.fixed_sequence(sets), steps=400)
+    st_a, _ = run(g, M, Schedule.from_spec("uniform", g.n, 99), steps=400)
+    st_b, _ = run(g, M, Schedule("file", sequence=sets), steps=400)
     np.testing.assert_array_equal(st_a.x, st_b.x)
     np.testing.assert_array_equal(st_a.z, st_b.z)
     assert st_a.cumulative_updates == st_b.cumulative_updates == 400
@@ -223,7 +223,7 @@ def test_pages_without_inlinks_stay_at_floor(rng):
 def test_conservation_and_certificate(rng):
     g = random_graph(rng, 30)
     oracle = DenseOracle(g, M)
-    sched = Schedule.uniform_singleton(g.n, seed=5)
+    sched = Schedule.from_spec("uniform", g.n, 5)
     st = init_state(g.n, M)
     assert abs(exact_error(st, M) - (1 - M)) <= 1e-12
     for k in range(500):
@@ -239,7 +239,7 @@ def test_conservation_and_certificate(rng):
 def test_run_certificate_stop_guarantees_tol(rng):
     g = random_graph(rng, 20)
     oracle = DenseOracle(g, M)
-    st, trace = run(g, M, Schedule.uniform_singleton(g.n, seed=3),
+    st, trace = run(g, M, Schedule.from_spec("uniform", g.n, 3),
                     steps=200_000, tol=1e-8, oracle=oracle)
     assert trace.final_cert <= 1e-8
     assert oracle.error_l1(st.x) <= 1e-8
@@ -247,13 +247,13 @@ def test_run_certificate_stop_guarantees_tol(rng):
 
 def test_run_gossip_two_cycle_residual_vanishes():
     g = cycle2()
-    st, _ = run(g, M, Schedule.uniform_singleton(2, seed=42), steps=10_000)
+    st, _ = run(g, M, Schedule.from_spec("uniform", 2, 42), steps=10_000)
     assert st.z.sum() < 1e-8
 
 
 def test_run_stops_when_sequence_exhausted():
     g = cycle2()
-    st, trace = run(g, M, Schedule.fixed_sequence([[0], [1], [0]]),
+    st, trace = run(g, M, Schedule("file", sequence=[[0], [1], [0]]),
                     steps=100)
     assert st.step == 3
     assert trace.final_step == 3
@@ -261,7 +261,7 @@ def test_run_stops_when_sequence_exhausted():
 
 def test_run_with_empty_schedule_is_flat():
     g = cycle2()
-    st, trace = run(g, M, Schedule.fixed_sequence([[]] * 20), steps=20)
+    st, trace = run(g, M, Schedule("file", sequence=[[]] * 20), steps=20)
     np.testing.assert_array_equal(st.x, init_state(2, M).x)
     assert trace.final_updates == 0
     assert trace.column("cert")[0] == trace.column("cert")[-1]
@@ -273,8 +273,8 @@ def test_run_round_robin_liveness_and_decay(rng):
     g = random_graph(rng, 12)
     oracle = DenseOracle(g, M)
     sweeps = 60
-    _, trace = run(g, M, Schedule.round_robin(g.n), steps=sweeps * g.n,
-                   oracle=oracle)
+    _, trace = run(g, M, Schedule.from_spec("roundrobin", g.n),
+                   steps=sweeps * g.n, oracle=oracle)
     errs = trace.column("err_l1")
     assert errs[-1] <= (1 - M) ** (sweeps + 1)
     # error never increases along the way
@@ -283,11 +283,12 @@ def test_run_round_robin_liveness_and_decay(rng):
 
 def test_run_requires_some_bound():
     with pytest.raises(ValueError):
-        run(cycle2(), M, Schedule.round_robin(2))
+        run(cycle2(), M, Schedule.from_spec("roundrobin", 2))
     # a NaN or negative tol can never be met; steps=5 keeps a missing check finite
     for bad in (np.nan, -1.0):
         with pytest.raises(ValueError, match="tol"):
-            run(cycle2(), M, Schedule.round_robin(2), steps=5, tol=bad)
+            run(cycle2(), M, Schedule.from_spec("roundrobin", 2), steps=5,
+                tol=bad)
 
 
 def test_mean_trajectory_smoke(rng):
@@ -299,7 +300,7 @@ def test_mean_trajectory_smoke(rng):
     acc = np.zeros(g.n)
     sq = np.zeros(g.n)
     for r in range(reps):
-        sched = Schedule.uniform_singleton(g.n, seed=1000).derive(r)
+        sched = Schedule.from_spec("uniform", g.n, 1000).derive(r)
         st, _ = run(g, M, sched, steps=30)
         acc += st.x
         sq += st.x ** 2

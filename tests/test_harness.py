@@ -77,7 +77,7 @@ def test_engine_error_column_monotone_and_certified(small_graph_path):
     for algo, sched in (("sync", None), ("gossip", "uniform"),
                         ("multi", "subset:0.4")):
         cfg = ExperimentConfig(graph=small_graph_path, algorithm=algo,
-                               schedule=sched, seed=9 if sched else 0,
+                               schedule=sched, seed=9 if sched else None,
                                steps=300)
         trace = run_experiment(cfg)
         errs = trace.column("err_l1")
@@ -119,6 +119,43 @@ def test_config_validation_errors(cycle_path):
                          tol=1e-3).validate()
     with pytest.raises(ConfigError, match="--seed does not apply to sync"):
         ExperimentConfig(graph=cycle_path, algorithm="sync", seed=9).validate()
+
+
+def test_bad_schedule_refused_before_any_input_is_read(capsys):
+    for argv, error in (
+            (["gossip", "--schedule", "bogus"], "unknown schedule spec 'bogus'"),
+            (["compare", "--runs", "gossip=bogus,sync"],
+             "unknown schedule spec 'bogus'"),
+            (["compare", "--runs", "power=uniform"],
+             "--schedule does not apply to power=uniform runs"),
+            (["compare", "--runs", "gossip,sync=bogus"],
+             "--schedule does not apply to sync=bogus runs"),
+            (["cluster", "--partition", "/nonexistent.groups",
+              "--schedule", "subset:0.5"], "unknown schedule spec 'subset:0.5'"),
+            (["multi", "--schedule", "subset:oops"],
+             "bad subset probability in 'subset:oops'"),
+            (["multi", "--schedule", "subset:0"], "must lie in (0, 1], got 0.0")):
+        argv += ["--graph", "/nonexistent.txt"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert error in capsys.readouterr().err
+
+
+def test_power_reads_the_bounds_of_every_engine(capsys):
+    # no bounds: the default tolerance stops the run; --steps alone turns
+    # the tolerance stop off, as for sync
+    web60 = str(Path(__file__).resolve().parent / "data" / "web60.txt")
+    for argv, final in (([], 27), (["--steps", "100"], 100)):
+        assert cli.main(["power", "--graph", web60, "--dense-cap", "1",
+                         *argv]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith(f"power: steps={final} ")
+
+
+def test_power_with_tol_alone_keeps_the_step_cap(monkeypatch, capsys):
+    # the step difference may never reach a tiny tol; the cap still ends the run
+    monkeypatch.setattr(harness, "_DEFAULT_STEP_CAP", 50)
+    web60 = str(Path(__file__).resolve().parent / "data" / "web60.txt")
+    assert cli.main(["power", "--graph", web60, "--tol", "1e-300"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("power: steps=50 ")
 
 
 def test_bad_schedule_specs(small_graph_path, tmp_path):
@@ -371,7 +408,7 @@ def test_monte_carlo_requires_random_schedule(small_graph_path):
 def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
     # both averaged curves are produced; their ordering is reported, not asserted
     curves = {}
-    for name, wspec in (("uniform", "uniform"),
+    for name, wspec in (("uniform", None),
                         ("weighted", "indegree_plus_one")):
         sched = "uniform" if name == "uniform" else "weighted"
         cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
@@ -415,6 +452,13 @@ REFUSED = {
     "compare-seed": ("compare --runs sync,power", "--seed 5"),
     "compare-deterministic-seed": ("compare --runs sync,cluster=periodic "
                                    "--partition PART", "--seed 5"),
+    # a flag given at its default value is still given
+    "sync-default-seed": ("sync --steps 5", "--seed 0"),
+    "exact-default-weights-and-seed": ("exact", "--weights uniform --seed 0"),
+    "gossip-uniform-default-weights": ("gossip --schedule uniform --steps 5",
+                                       "--weights uniform"),
+    "compare-default-seed": ("compare --runs sync,power --steps 5",
+                             "--seed 0"),
 }
 
 
@@ -467,7 +511,7 @@ def test_compare_loads_its_inputs_once(monkeypatch, tmp_path):
                                          ("sync", None)), start=1):
         trace = run_experiment(ExperimentConfig(
             graph=str(data / "community700.txt"), algorithm=algo,
-            schedule=sched, steps=40, seed=5 if algo == "gossip" else 0,
+            schedule=sched, steps=40, seed=5 if algo == "gossip" else None,
             partition=str(data / "community700.groups")
             if algo == "cluster" else None))
         for upd, err in zip(trace.updates, trace.err_l1):
@@ -475,12 +519,10 @@ def test_compare_loads_its_inputs_once(monkeypatch, tmp_path):
 
 
 def test_compare_power_and_sync_share_cost_axis(small_graph_path, tmp_path):
-    configs = [
-        ExperimentConfig(graph=small_graph_path, algorithm="power", steps=30),
-        ExperimentConfig(graph=small_graph_path, algorithm="sync", steps=30),
-    ]
     out = tmp_path / "cmp.csv"
-    header, rows = compare(configs, out=str(out))
+    base = ExperimentConfig(graph=small_graph_path, algorithm="compare",
+                            steps=30, out=str(out))
+    header, rows = compare(base, ["power", "sync"])
     assert header == ["updates", "err_power", "err_sync"]
     grid = [r[0] for r in rows]
     assert grid == [20 * k for k in range(31)]
@@ -489,30 +531,27 @@ def test_compare_power_and_sync_share_cost_axis(small_graph_path, tmp_path):
 
 
 def test_compare_single_run_degenerate(small_graph_path):
-    header, rows = compare([
-        ExperimentConfig(graph=small_graph_path, algorithm="sync", steps=10)])
+    header, rows = compare(ExperimentConfig(
+        graph=small_graph_path, algorithm="compare", steps=10), ["sync"])
     assert header == ["updates", "err_sync"]
     assert len(rows) == 11
 
 
-def test_compare_rejects_mismatched_graphs(cycle_path, small_graph_path):
-    configs = [
-        ExperimentConfig(graph=cycle_path, algorithm="power", steps=5),
-        ExperimentConfig(graph=small_graph_path, algorithm="sync", steps=5),
-    ]
-    with pytest.raises(ConfigError, match="share"):
-        compare(configs)
+def test_compare_runs_share_the_dense_cap(cycle_path):
+    # every run comes from the one base config, so no run order can drop
+    # a run's cap: both columns lack the oracle whichever run comes first
+    base = ExperimentConfig(graph=cycle_path, algorithm="compare", steps=3,
+                            dense_cap=1)
+    for runs in (["sync", "power"], ["power", "sync"]):
+        _, rows = compare(base, runs)
+        assert len(rows) == 4
+        assert all(np.isnan(err) for row in rows for err in row[1:])
 
 
 def test_compare_duplicate_labels_disambiguated(small_graph_path):
-    configs = [
-        ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                         schedule="uniform", seed=1, steps=50),
-        ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                         schedule="weighted", weights="indegree_plus_one",
-                         seed=1, steps=50),
-    ]
-    header, _ = compare(configs)
+    base = ExperimentConfig(graph=small_graph_path, algorithm="compare",
+                            weights="indegree_plus_one", seed=1, steps=50)
+    header, _ = compare(base, ["gossip=uniform", "gossip=weighted"])
     assert header == ["updates", "err_gossip", "err_gossip_"]
 
 

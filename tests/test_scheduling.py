@@ -16,7 +16,7 @@ def draws(sched, count):
 
 def test_uniform_frequencies_and_chi_square():
     n, count = 7, 70_000
-    sched = Schedule.uniform_singleton(n, seed=11)
+    sched = Schedule.from_spec("uniform", n, 11)
     hits = np.zeros(n)
     for k in range(count):
         hits[sched.next(k)[0]] += 1
@@ -28,7 +28,7 @@ def test_uniform_frequencies_and_chi_square():
 
 
 def test_round_robin_pattern():
-    sched = Schedule.round_robin(3)
+    sched = Schedule.from_spec("roundrobin", 3)
     assert [s[0] for s in draws(sched, 7)] == [0, 1, 2, 0, 1, 2, 0]
 
 
@@ -36,7 +36,7 @@ def test_periodic_groups_pattern():
     # cluster's default spec cycles the groups exactly like roundrobin
     for spec in ("periodic", "roundrobin"):
         sched = Schedule.from_spec(spec, 4, seed=0, weights=None)
-        assert sched.kind == "round_robin"
+        assert sched.kind == "roundrobin"
         assert [s[0] for s in draws(sched, 6)] == [0, 1, 2, 3, 0, 1]
 
 
@@ -44,7 +44,7 @@ def test_weighted_frequencies_five_sigma():
     w = np.array([1.0, 2.0, 3.0, 4.0])
     p = w / w.sum()
     count = 1_000_000
-    sched = Schedule.weighted_singleton(w, seed=123)
+    sched = Schedule.from_spec("weighted", w.size, 123, w)
     hits = np.zeros(4)
     for k in range(count):
         hits[sched.next(k)[0]] += 1
@@ -59,13 +59,13 @@ def test_indegree_plus_one_star():
     g = load_edge_list(io.StringIO(edges))
     w = indegree_plus_one_weights(g)
     assert w.tolist() == [5.0, 2.0, 2.0, 2.0, 2.0]
-    sched = Schedule.weighted_singleton(w, seed=0)
+    sched = Schedule.from_spec("weighted", w.size, 0, w)
     assert sched.weights[0] == pytest.approx(5 / 13)
 
 
 def test_random_subset_membership_rate():
     n, q, count = 40, 0.5, 2000
-    sched = Schedule.random_subset(n, q, seed=8)
+    sched = Schedule.from_spec(f"subset:{q}", n, 8)
     total = sum(s.size for s in draws(sched, count))
     rate = total / (n * count)
     assert abs(rate - q) < 0.02
@@ -74,24 +74,24 @@ def test_random_subset_membership_rate():
 def test_random_subset_probability_validated():
     for bad in (1.5, 0.0, np.nan):
         with pytest.raises(ValueError):
-            Schedule.random_subset(5, bad, seed=0)
+            Schedule.from_spec(f"subset:{bad}", 5, 0)
 
 
 def test_fixed_sequence_exhaustion_signals_none():
-    sched = Schedule.fixed_sequence([[0], [1, 2]])
+    sched = Schedule("file", sequence=[[0], [1, 2]])
     assert sched.next(0).tolist() == [0]
     assert sched.next(1).tolist() == [1, 2]
     assert sched.next(2) is None
 
 
 def test_same_seed_same_sequence():
-    a = Schedule.uniform_singleton(9, seed=77)
-    b = Schedule.uniform_singleton(9, seed=77)
+    a = Schedule.from_spec("uniform", 9, 77)
+    b = Schedule.from_spec("uniform", 9, 77)
     assert [x[0] for x in draws(a, 200)] == [x[0] for x in draws(b, 200)]
 
 
 def test_derived_streams_differ_and_are_stable():
-    base = Schedule.uniform_singleton(50, seed=42)
+    base = Schedule.from_spec("uniform", 50, 42)
     r1 = [s[0] for s in draws(base.derive(1), 100)]
     r2 = [s[0] for s in draws(base.derive(2), 100)]
     r1_again = [s[0] for s in draws(base.derive(1), 100)]
@@ -106,7 +106,7 @@ def test_splitmix64_known_vector():
 
 
 def test_random_schedule_requires_sequential_consumption():
-    sched = Schedule.uniform_singleton(5, seed=1)
+    sched = Schedule.from_spec("uniform", 5, 1)
     sched.next(0)
     with pytest.raises(ValueError, match="sequentially"):
         sched.next(5)
@@ -115,7 +115,7 @@ def test_random_schedule_requires_sequential_consumption():
 def test_weights_must_be_positive():
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive"):
-            Schedule.weighted_singleton(np.array([0.5, bad]), seed=0)
+            Schedule.from_spec("weighted", 2, 0, np.array([0.5, bad]))
 
 
 def test_sequence_file_parsing():
@@ -154,7 +154,7 @@ def test_block_draws_match_scalar_draws(kind):
 
 
 def test_block_draws_still_require_sequential_steps():
-    sched = Schedule.uniform_singleton(5, seed=1)
+    sched = Schedule.from_spec("uniform", 5, 1)
     for k in range(16):          # the whole first block
         sched.next(k)
     with pytest.raises(ValueError, match="sequentially"):
@@ -165,7 +165,7 @@ def test_block_draws_still_require_sequential_steps():
 
 
 def test_never_drawn_names_idle_indices():
-    sched = Schedule.fixed_sequence([[0, 2], [], [2, 9], [-1]])
+    sched = Schedule("file", sequence=[[0, 2], [], [2, 9], [-1]])
     assert sched.never_drawn(5).tolist() == [1, 3, 4]
-    assert Schedule.round_robin(4).never_drawn(4).size == 0
-    assert Schedule.uniform_singleton(4, seed=0).never_drawn(4).size == 0
+    assert Schedule.from_spec("roundrobin", 4).never_drawn(4).size == 0
+    assert Schedule.from_spec("uniform", 4, 0).never_drawn(4).size == 0

@@ -85,6 +85,13 @@ def test_power_matches_dense(rng):
         assert trace.final_updates == trace.final_step * g.n
 
 
+def test_power_without_tol_runs_every_step(rng):
+    # tol=None turns the tolerance stop off, as in engines.run
+    g = random_graph(rng, 30)
+    _, trace = power_method(g, M, tol=None, max_steps=200)
+    assert trace.final_step == 200
+
+
 def test_power_keeps_probability_mass(rng):
     g = random_graph(rng, 40)
     x, _ = power_method(g, M, tol=1e-13)

@@ -26,7 +26,7 @@ def schedules(kind, n, seed, rng):
     if kind == "file":
         sets = [np.flatnonzero(rng.random(n) < rng.choice([0.01, 0.05, 0.5]))
                 for _ in range(3000)]
-        return Schedule.fixed_sequence(sets), Schedule.fixed_sequence(sets)
+        return Schedule("file", sequence=sets), Schedule("file", sequence=sets)
     spec = {"gossip": "uniform", "subset_small": "subset:0.02",
             "subset_large": "subset:0.3"}[kind]
     return (Schedule.from_spec(spec, n, seed, None),
@@ -62,8 +62,8 @@ def test_group_runs_stop_at_the_exact_sum_step(seed, dense, monkeypatch):
     if not dense:
         monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 0)
     factors = GroupFactors(g, M, part)
-    pair = (Schedule.uniform_singleton(part.num_groups, seed),
-            Schedule.uniform_singleton(part.num_groups, seed))
+    pair = (Schedule.from_spec("uniform", part.num_groups, seed),
+            Schedule.from_spec("uniform", part.num_groups, seed))
     state = assert_same_stop(g, M, pair, tol=1e-9, factors=factors)
     assert state.step > 0
 
@@ -92,7 +92,7 @@ def test_tol_met_exactly_at_step_k_stops_at_k(kind):
     factors = None
     if kind == "group":
         factors = GroupFactors(g, m, random_partition(rng, g.n, 30))
-        make = lambda: Schedule.uniform_singleton(factors.num_groups, 8)
+        make = lambda: Schedule.from_spec("uniform", factors.num_groups, 8)
     else:
         make = lambda: schedules(kind, g.n, 8, rng)[0]
     sums = exact_sums(g, m, make(), k + 1, factors)
