@@ -9,8 +9,9 @@ repeating the set update on h forever is reached directly:
     z   += Q[:, h] @ zbar,  then z_h = 0
 
 The push is the same in-place step as a set update (`PushState.push`),
-over every page: it costs O(n + nnz of the group's columns), and it leaves
-the state's running certificate unknown until z is next summed.
+over every page (of the replica's block, on a stacked state): it costs
+O(n + nnz of the group's columns), and it leaves the state's running
+certificate unknown until z is next summed.
 Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
 from Q, so the local solve always exists. Groups above `DENSE_GROUP_CAP`
 members sum the series zbar = sum_t Qhh^t z_h instead and stop once a
@@ -81,7 +82,8 @@ class GroupFactors:
         """
         lu = self._dense_lu[h]
         if lu is not None:
-            return linalg.lu_solve(lu, rhs), 0.0
+            # the factor was checked when built and rhs is engine state
+            return linalg.lu_solve(lu, rhs, check_finite=False), 0.0
         qhh = self._sparse_qhh[h]
         zbar = rhs.copy()
         term = rhs
@@ -98,11 +100,27 @@ def step_group(state, graph, m, factors, h):
 
     Equivalent to the limit of infinitely many simultaneous set updates by
     the group's member pages; the group's own residual ends at the rest
-    of the local solve (exactly zero for dense groups).
+    of the local solve (exactly zero for dense groups). `h` may also be a
+    draw: at most one group index, or on a stacked state of R replicas
+    (`pushrank.engines.init_state`) at most one stacked index ``r G + g``
+    per replica (G groups), ascending. Replica r then solves for its group
+    g and pushes into its own block of n pages only, and the step counts
+    once; an empty draw is a no-op step.
     """
-    if not 0 <= h < factors.num_groups:
-        raise ValueError(f"group {h} outside 0..{factors.num_groups - 1}")
-    members = factors.members[h]
-    zbar, rest = factors.solve_local(h, state.z[members])
-    state.push(members, None, factors.block_columns[h] @ zbar)
-    state.z[members] = rest
+    groups, n = factors.num_groups, graph.n
+    count = groups * (state.n // n)
+    drawn = np.atleast_1d(h).tolist()
+    for i in drawn:
+        if not 0 <= i < count:
+            raise ValueError(f"group {i} outside 0..{count - 1}")
+    owners = [i // groups for i in drawn]
+    if any(a >= b for a, b in zip(owners, owners[1:])):
+        raise ValueError("group schedules must draw one group per step")
+    state.step += 1
+    for r, i in zip(owners, drawn):
+        g, offset = i - r * groups, r * n
+        members = factors.members[g] + offset if offset else factors.members[g]
+        zbar, rest = factors.solve_local(g, state.z[members])
+        state.push(members, slice(offset, offset + n),
+                   factors.block_columns[g] @ zbar)
+        state.z[members] = rest

@@ -28,17 +28,24 @@ Q @ (mask * z)`` bit for bit.
 The certificate is not summed every step. After a single-page or gathered
 push the state keeps a running ||z||_1 (`PushState.mass`), moved by the
 step's sent minus pushed mass, and a bound on its rounding drift that
-grows with the updates since the last exact sum. A push to every page (a
-synchronous or a group step) rewrites z wholesale and leaves the running
-mass unknown until the next exact sum. `run` sums z exactly only when
-there is a `tol` and the running value is unknown or within its drift of
-the stop level, or n updates have passed since the last exact sum; and at
-every record. So a run stops at the step, and with the state, that an
-exact sum before every step picks, and without a `tol` no step sums z.
+grows with the updates since the last exact sum. A push to a block of
+pages (every page, or a group step's replica) rewrites it wholesale and
+leaves the running mass unknown until the next exact sum. `run` sums z
+exactly only when there is a `tol` and the running value is unknown or
+within its drift of the stop level, or n updates have passed since the
+last exact sum; and at every record. So a run stops at the step, and
+with the state, that an exact sum before every step picks, and without a
+`tol` no step sums z.
 
-Engines are single-threaded and deterministic; replicas may run
-concurrently on the shared immutable graph, each owning its state and
-schedule stream.
+Monte Carlo replicas run side by side in one stacked state (`run` with
+``replicas=``): replica r holds pages ``r n .. r n + n - 1``, so x and z
+read as (R, n) C-order arrays. A step pushes the union of the replicas'
+page draws through the gathered path, each sender into its own block
+(target = the block's offset plus the out-link); a group step solves and
+pushes replica by replica, each into its own block only. Replicas never
+mix, and each follows the trajectory it would follow alone, bit for bit.
+A stacked step counts once however many replicas push in it. Engines are
+single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -63,8 +70,8 @@ class PushState:
 
     `mass` follows z.sum() from step to step without summing z, and
     `drift` bounds |mass - z.sum()|; `resync` sums z exactly and resets
-    both. A push to every page sets `drift` to infinity, the running mass
-    unknown. Editing z by hand leaves them stale until the next `resync`.
+    both. A push to a block of pages sets `drift` to infinity, the running
+    mass unknown. Editing z by hand leaves them stale until the next `resync`.
     """
 
     x: np.ndarray
@@ -93,20 +100,16 @@ class PushState:
         return self.mass
 
     def push(self, senders, rows, inflow):
-        """Finish one step in place: the pages `rows` (None for all) take
-        `inflow` into x and z; the senders' residual is reset first, so a
-        sender that receives keeps only what it receives. Pushing to all
-        pages leaves the running mass unknown until the next `resync`."""
-        if rows is None:
-            self.x += inflow
-            self.z[senders] = 0.0
-            self.z += inflow
+        """Push in place: the pages `rows` (an index array, or a slice: a
+        block of pages, such as all) take `inflow` into x and z; the
+        senders' residual is reset first, so a sender that receives keeps
+        only what it receives. Pushing to a block leaves the running mass
+        unknown until the next `resync`. The caller counts the step."""
+        self.x[rows] += inflow
+        self.z[senders] = 0.0
+        self.z[rows] += inflow
+        if isinstance(rows, slice):
             self.drift = math.inf
-        else:
-            self.x[rows] += inflow
-            self.z[senders] = 0.0
-            self.z[rows] += inflow
-        self.step += 1
         self.cumulative_updates += int(senders.size)
 
     def account(self, change, terms):
@@ -116,20 +119,21 @@ class PushState:
         self.drift += 2 * terms * _UNIT_ROUNDOFF * abs(self.mass)
 
 
-def init_state(n, m):
-    """Fresh state x = z = (m/n) 1, uniform teleportation's start."""
-    x = np.full(n, m / n)
+def init_state(n, m, replicas=1):
+    """Fresh state x = z = (m/n) 1, uniform teleportation's start, for n
+    pages; with `replicas` R, R such states stacked (see the module doc)."""
+    x = np.full(replicas * n, m / n)
     return PushState(x, x.copy())
 
 
-def _normalize_phi(graph, phi):
+def _normalize_phi(size, phi):
     arr = np.asarray(phi, dtype=np.intp)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
         arr = np.unique(arr)
-    if arr.size and (arr[0] < 0 or arr[-1] >= graph.n):
-        raise ValueError(f"update set contains pages outside 0..{graph.n - 1}")
+    if arr.size and (arr[0] < 0 or arr[-1] >= size):
+        raise ValueError(f"update set contains pages outside 0..{size - 1}")
     return arr
 
 
@@ -139,18 +143,22 @@ def step_set(state, graph, m, phi):
     x_i += inflow_i for every page; senders restart their residual from
     the inflow alone (z_i = inflow_i for i in phi) while everyone else
     integrates it (z_i += inflow_i). A singleton phi is exactly one gossip
-    update, the set of all pages one synchronous step x += Qz, z = Qz.
+    update, the set of all pages one synchronous step x += Qz, z = Qz. On
+    a stacked state phi holds stacked pages, the union of each replica's
+    set, and always takes the gathered path.
     """
-    phi = _normalize_phi(graph, phi)
+    n, size = graph.n, state.z.size
+    phi = _normalize_phi(size, phi)
     z = state.z
     indptr, indices = graph.indptr, graph.indices
+    state.step += 1
     if phi.size == 0:
-        state.step += 1
         return
-    if phi.size == graph.n:
-        state.push(phi, None, graph.q_matrix(m) @ z)
+    stacked = size != n
+    if phi.size == n and not stacked:
+        state.push(phi, slice(None), graph.q_matrix(m) @ z)
         return
-    if phi.size == 1:
+    if phi.size == 1 and not stacked:
         phi = phi[0]                 # a scalar index writes z[phi] faster
         pushed = z[phi]
         lo, hi = indptr[phi], indptr[phi + 1]
@@ -160,13 +168,17 @@ def step_set(state, graph, m, phi):
     else:
         # gather the senders' out-links sender by sender: each target sums
         # its inflow from 0.0 in ascending sender order, as Q @ (mask z) does
-        lo = indptr[phi]
-        degree = indptr[phi + 1] - lo
+        pages = phi % n if stacked else phi
+        lo = indptr[pages]
+        degree = indptr[pages + 1] - lo
         first = np.cumsum(degree) - degree
         links = np.arange(first[-1] + degree[-1]) + np.repeat(lo - first, degree)
         pushed = z[phi]
         sends = (1.0 - m) / np.maximum(degree, 1) * pushed
-        rows, slot = np.unique(indices[links], return_inverse=True)
+        targets = indices[links]
+        if stacked:              # each sender pushes into its own block
+            targets += np.repeat(phi - pages, degree)
+        rows, slot = np.unique(targets, return_inverse=True)
         inflow = np.bincount(slot, weights=np.repeat(sends, degree),
                              minlength=rows.size)
         sent = np.dot(degree, sends)
@@ -186,15 +198,21 @@ def exact_error(state, m):
     return (1.0 - m) / m * state.resync()
 
 
-def _record(trace, state, m, oracle, record_x=False):
-    cert = exact_error(state, m)
-    if oracle is not None:
-        err = oracle.error_l1(state.x)
-        defect = oracle.conservation_defect(state.x, state.z)
+def _record(trace, state, m, oracle, record_x, replicas):
+    """Append the state's record; on a stacked state of `replicas`
+    replicas, err, cert and defect hold one value per replica."""
+    if replicas is None:
+        x, z, cert = state.x, state.z, exact_error(state, m)
     else:
-        err = defect = math.nan
-    trace.append(state.step, state.cumulative_updates, err_l1=err,
-                 cert=cert, defect=defect, x=state.x if record_x else None)
+        x, z = state.x.reshape(replicas, -1), state.z.reshape(replicas, -1)
+        cert = (1.0 - m) / m * z.sum(axis=1)
+    if oracle is not None:
+        err, defect = oracle.error_l1(x), oracle.conservation_defect(x, z)
+    else:
+        err = defect = (math.nan if replicas is None
+                        else np.full(replicas, math.nan))
+    trace.append(state.step, state.cumulative_updates, err_l1=err, cert=cert,
+                 defect=defect, x=state.x if record_x else None)
 
 
 def _certified(state, z_stop):
@@ -209,8 +227,8 @@ def _certified(state, z_stop):
     return state.resync() <= z_stop
 
 
-def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
-        oracle=None, cadence=1, record_x=False):
+def run(graph, m, schedule=None, *, replicas=None, factors=None, steps=None,
+        tol=None, oracle=None, cadence=1, record_x=False):
     """Run one engine from `init_state`; returns (state, trace).
 
     Each step pushes the set that `schedule` draws, or every page when
@@ -221,17 +239,32 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     is exhausted, whichever comes first. The trace records every
     `cadence`-th step (plus the first and last); err/defect columns are
     filled when a dense oracle is supplied.
+
+    With `replicas` R, R replicas run in one stacked state (see the module
+    doc): replica r draws what ``schedule.derive(r)`` draws
+    (`Schedule.stack`), the updates column counts the pushes of all
+    replicas, err, cert and defect hold one value per replica, and the
+    oracle is called once per record for all replicas. Such a run stops on
+    `steps` or exhaustion alone and records no x.
     """
     if steps is None and tol is None:
         raise ValueError("need steps and/or tol to bound the run")
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
-    state = init_state(graph.n, m)
-    everyone = np.arange(graph.n, dtype=np.intp)
+    if replicas is not None:
+        if replicas < 1 or tol is not None or record_x:
+            raise ValueError("replica runs need replicas >= 1, take no tol "
+                             "and record no x")
+        if schedule is not None:
+            schedule = schedule.stack(replicas, graph.n if factors is None
+                                      else factors.num_groups)
+    state = init_state(graph.n, m, replicas or 1)
+    if schedule is None:
+        everyone = np.arange(state.n, dtype=np.intp)
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle
     z_stop = m * tol / (1.0 - m) if tol is not None else None
     trace = Trace()
-    _record(trace, state, m, oracle, record_x)
+    _record(trace, state, m, oracle, record_x, replicas)
     while steps is None or state.step < steps:
         if z_stop is not None and _certified(state, z_stop):
             break
@@ -240,14 +273,10 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
             break
         if factors is None:
             step_set(state, graph, m, drawn)
-        elif len(drawn) == 0:
-            state.step += 1          # an empty group draw is a no-op step
-        elif len(drawn) == 1:
-            step_group(state, graph, m, factors, int(drawn[0]))
         else:
-            raise ValueError("group schedules must draw one group per step")
+            step_group(state, graph, m, factors, drawn)
         if state.step % cadence == 0:
-            _record(trace, state, m, oracle, record_x)
+            _record(trace, state, m, oracle, record_x, replicas)
     if trace.final_step != state.step:
-        _record(trace, state, m, oracle, record_x)
+        _record(trace, state, m, oracle, record_x, replicas)
     return state, trace

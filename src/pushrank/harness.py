@@ -270,17 +270,20 @@ def _auto_cadence(config, runtime, sched):
 
 
 def _check_conservation(trace):
+    """Abort on a recorded defect above `DEFECT_ABORT`, in any replica."""
     defect = trace.column("defect")
-    finite = defect[np.isfinite(defect)]
-    if finite.size and finite.max() > DEFECT_ABORT:
-        at = int(np.nanargmax(defect))
+    worst = np.fmax.reduce(defect, axis=None)      # NaN only if all are
+    if worst > DEFECT_ABORT:
+        at = np.unravel_index(np.nanargmax(defect), defect.shape)
+        replica = f" of replica {at[1]}" if defect.ndim > 1 else ""
         raise NumericalFailure(
-            f"conservation defect {finite.max():.3e} at step "
-            f"{trace.steps[at]} exceeds {DEFECT_ABORT:g}")
+            f"conservation defect {worst:.3e} at step "
+            f"{trace.steps[at[0]]}{replica} exceeds {DEFECT_ABORT:g}")
 
 
-def _execute(config, runtime, sched):
-    """Run one configured algorithm and return its trace."""
+def _execute(config, runtime, sched, replicas=None):
+    """Run one configured algorithm and return its trace; with `replicas`,
+    one stacked run of that many replicas (see `engines.run`)."""
     graph, m = runtime.graph, config.m
     steps, tol = config.effective_bounds()
     cadence = _auto_cadence(config, runtime, sched)
@@ -296,9 +299,10 @@ def _execute(config, runtime, sched):
             max_steps=steps if steps is not None else _DEFAULT_STEP_CAP,
             oracle=oracle, cadence=cadence, record_x=config.include_x)
         return trace
-    _, trace = engines.run(graph, m, sched, factors=runtime.factors,
-                           steps=steps, tol=tol, oracle=oracle,
-                           cadence=cadence, record_x=config.include_x)
+    trace = engines.run(graph, m, sched, replicas=replicas,
+                        factors=runtime.factors, steps=steps, tol=tol,
+                        oracle=oracle, cadence=cadence,
+                        record_x=config.include_x)[1]
     _check_conservation(trace)
     return trace
 
@@ -347,11 +351,14 @@ def monte_carlo(config):
     Replica r draws from the derived stream seed XOR splitmix64(r); runs
     share the step grid (fixed step count, no tolerance stop), and the
     per-step sample mean and standard error of ||x(k) - x*||_1 are
-    reported. Requires a randomized schedule (default ``uniform``, which
-    every scheduled algorithm accepts) and the dense oracle. Reads the
-    ``mc`` row of `_READS`, so it refuses a `tol` (there is no tolerance
-    stop) and `include_x` (it writes no per-page columns); each replica
-    is then a run of `config.algorithm` and reads that algorithm's row.
+    reported. All replicas run in one stacked `engines.run` call: each
+    record makes one oracle call for all of them, and every replica's
+    conservation defect is checked at every record. Requires a randomized
+    schedule (default ``uniform``, which every scheduled algorithm
+    accepts) and the dense oracle. Reads the ``mc`` row of `_READS`, so it
+    refuses a `tol` (there is no tolerance stop) and `include_x` (it
+    writes no per-page columns); each replica is then a run of
+    `config.algorithm` and reads that algorithm's row.
     """
     _refuse_unread(config, _READS["mc"].split(), "mc")
     if config.replicas < 1:
@@ -368,23 +375,18 @@ def monte_carlo(config):
     runtime = _Runtime(run)
     sched = _build_schedule(run, runtime)
     runtime.require_oracle("Monte Carlo error averaging")
-    errs = []
-    upds = []
-    steps_grid = None
-    for r in range(replicas):
-        trace = _execute(run, runtime, sched.derive(r))
-        if steps_grid is None:
-            steps_grid = trace.steps
-        errs.append(trace.column("err_l1"))
-        upds.append(trace.column("updates"))
-    err = np.vstack(errs)
-    upd = np.vstack(upds)
+    trace = _execute(run, runtime, sched, replicas)
+    steps_grid = trace.steps
+    # the updates of all replicas, exact integers: their mean is one division
+    updates = trace.column("updates") / replicas
+    # one C-ordered row per replica: the mean and std sum in replica order
+    err = np.stack(trace.err_l1, axis=1)
     mean = err.mean(axis=0)
     if replicas > 1:
         stderr = err.std(axis=0, ddof=1) / math.sqrt(replicas)
     else:
         stderr = np.zeros_like(mean)
-    result = MeanTrace(steps_grid, upd.mean(axis=0), mean, stderr, replicas)
+    result = MeanTrace(steps_grid, updates, mean, stderr, replicas)
     if config.out:
         result.write_csv(config.out)
     print(f"mc[{config.algorithm}x{replicas}]: steps={steps_grid[-1]} "

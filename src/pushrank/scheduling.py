@@ -18,7 +18,10 @@ replicas never share a stream: replica r derives its own seed as
 ``seed XOR splitmix64(r)``.
 
 A schedule is owned by one engine replica and consumed sequentially; call
-`derive` for a replica stream.
+`derive` for a replica stream. `Schedule.stack` draws the streams of R
+replicas together for a stacked run (`pushrank.engines.run` with
+``replicas=``): one array of stacked indices ``r n + i`` per step, with
+the singleton draws of every replica made a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = ["Schedule", "indegree_plus_one_weights", "load_sequence_file",
 _MASK64 = (1 << 64) - 1
 
 RANDOM_KINDS = ("uniform", "weighted", "subset")
+_SINGLETON_KINDS = ("uniform", "weighted")
 # singleton draws come in blocks that double from _BLOCK_MIN to _BLOCK_MAX
 _BLOCK_MIN = 16
 _BLOCK_MAX = 4096
@@ -87,8 +91,8 @@ class Schedule:
                              for s in sequence]
         self._rng = np.random.default_rng(seed) if kind in RANDOM_KINDS else None
         self._next_k = 0
-        self._block = np.empty(0, dtype=np.intp)    # drawn singleton indices
-        self._taken = 0
+        if kind in _SINGLETON_KINDS:
+            self._singles = _Blocks([self._rng], self._cum, 0)
 
     # -- constructors -------------------------------------------------
 
@@ -145,6 +149,22 @@ class Schedule:
         return Schedule(self.kind, n=self.n, weights=self.weights,
                         seed=seed, q=self.q, sequence=self.sequence)
 
+    def stack(self, replicas, n):
+        """The draws of replicas 0..replicas-1 over n indices each, together.
+
+        The result's ``next(k)`` returns every replica's draw for step k
+        as one ascending array of stacked indices (replica r's index i is
+        ``r n + i``), or None when the sequence is exhausted; replica r
+        draws what ``derive(r)`` would. Singleton kinds keep only each
+        replica's generator and draw them in blocks.
+        """
+        if self.kind not in _SINGLETON_KINDS:
+            return _Stack([self.derive(r) for r in range(replicas)], n)
+        rngs = [np.random.default_rng(derive_seed(self.seed, r))
+                for r in range(replicas)]
+        # a derived schedule normalizes its weights again: search its sums
+        return _Blocks(rngs, self.derive(0)._cum, n)
+
     # -- drawing --------------------------------------------------------
 
     def next(self, k):
@@ -153,21 +173,11 @@ class Schedule:
         Random kinds consume their stream and must be called with
         consecutive k starting at 0.
         """
-        if self.is_random:
-            if k != self._next_k:
-                raise ValueError(
-                    f"random schedule must be consumed sequentially: "
-                    f"expected step {self._next_k}, got {k}")
-            self._next_k += 1
-            if self.kind == "subset":
-                return np.flatnonzero(self._rng.random(self.n) < self.q)
-            if self._taken == self._block.size:
-                size = min(_BLOCK_MAX, max(_BLOCK_MIN, 2 * self._block.size))
-                self._block = np.searchsorted(self._cum, self._rng.random(size),
-                                              side="right")
-                self._taken = 0
-            self._taken += 1
-            return self._block[self._taken - 1:self._taken]
+        if self.kind in _SINGLETON_KINDS:
+            return self._singles.next(k)
+        if self.kind == "subset":
+            _consume(self, k)
+            return np.flatnonzero(self._rng.random(self.n) < self.q)
         if self.kind == "roundrobin":
             return np.array([k % self.n], dtype=np.intp)
         if self.kind == "file":
@@ -175,6 +185,62 @@ class Schedule:
                 return None
             return self.sequence[k]
         raise AssertionError(f"unhandled schedule kind {self.kind!r}")
+
+
+def _consume(stream, k):
+    """Advance a random stream to step k + 1; k must be its next step."""
+    if k != stream._next_k:
+        raise ValueError(f"random schedule must be consumed sequentially: "
+                         f"expected step {stream._next_k}, got {k}")
+    stream._next_k += 1
+
+
+class _Blocks:
+    """Singleton draws of R streams, a block of steps at a time.
+
+    A block is one ``rng.random(size)`` per stream and one search of the
+    cumulative weights `cum` over all of them: the doubles and indices of
+    one scalar draw per step. Its steps double from `_BLOCK_MIN` to
+    `_BLOCK_MAX`, and it holds at most ``_BLOCK_MAX * _BLOCK_MIN`` draws.
+    """
+
+    def __init__(self, rngs, cum, n):
+        self.rngs = rngs
+        self.cum = cum
+        self.offsets = n * np.arange(len(rngs), dtype=np.intp)
+        self.block = np.empty((0, len(rngs)), dtype=np.intp)
+        self.taken = 0
+        self._next_k = 0
+
+    def next(self, k):
+        """Stream r's index for step k plus ``r n``, for every r, as one
+        array; k must be the next step."""
+        _consume(self, k)
+        if self.taken == len(self.block):
+            size = min(max(_BLOCK_MIN, 2 * len(self.block)), _BLOCK_MAX,
+                       max(1, _BLOCK_MAX * _BLOCK_MIN // len(self.rngs)))
+            doubles = np.stack([rng.random(size) for rng in self.rngs])
+            self.block = np.searchsorted(self.cum, doubles.T, side="right")
+            self.block += self.offsets
+            self.taken = 0
+        self.taken += 1
+        return self.block[self.taken - 1]
+
+
+class _Stack:
+    """The schedules of R replicas over n indices each, drawn together."""
+
+    def __init__(self, streams, n):
+        self.streams = streams
+        self.n = n
+
+    def next(self, k):
+        """Replica r's set for step k plus ``r n``, for every r, as one
+        array, or None when the sequence is exhausted."""
+        sets = [stream.next(k) for stream in self.streams]
+        if sets[0] is None:
+            return None
+        return np.concatenate([s + r * self.n for r, s in enumerate(sets)])
 
 
 def subset_probability(spec):

@@ -26,8 +26,11 @@ class DenseOracle:
     """Dense factorization of (I - Q) plus the exact rank vector.
 
     Precomputes an LU factorization so that per-step error and conservation
-    diagnostics cost one pair of triangular solves. Only intended for
-    graphs up to `dense_cap` pages.
+    diagnostics cost one pair of triangular solves. Both diagnostics take a
+    state, or the (R, n) view of R stacked replicas and then return one
+    value per replica from one call: the row-wise error sums and one
+    `lu_solve` over R right-hand sides. Only intended for graphs up to
+    `dense_cap` pages.
     """
 
     def __init__(self, graph, m, dense_cap=DENSE_CAP):
@@ -49,15 +52,22 @@ class DenseOracle:
                 f"dense solve mass {self.x_star.sum()!r} deviates from 1")
 
     def error_l1(self, x):
-        return float(np.abs(self.x_star - x).sum())
+        """||x* - x||_1, per row of an (R, n) x."""
+        diff = self.x_star - x
+        return np.abs(diff, out=diff).sum(axis=-1)
 
     def conservation_defect(self, x, z):
-        """L1 defect of x + (I - Q)^{-1} Q z against x*.
+        """L1 defect of x + (I - Q)^{-1} Q z against x*, per row of (R, n)
+        x and z.
 
         Uses (I - Q)^{-1} Q = (I - Q)^{-1} - I to reuse the factorization.
         """
-        resolved = linalg.lu_solve(self._lu, z)
-        return float(np.abs(x + resolved - z - self.x_star).sum())
+        # in place, in the order of x + resolved - z - x*
+        defect = linalg.lu_solve(self._lu, z.T).T
+        defect += x
+        defect -= z
+        defect -= self.x_star
+        return np.abs(defect, out=defect).sum(axis=-1)
 
 
 def power_method(graph, m, tol=1e-12, max_steps=100_000,

@@ -45,7 +45,10 @@ class Trace:
 
     `err_l1` is the exact error against the oracle rank vector, `cert` the
     residual-based certificate, `defect` the conservation defect; any of
-    them may be NaN when not computable for the run at hand.
+    them may be NaN when not computable for the run at hand. On a run of
+    stacked replicas these three hold one entry per replica, `column`
+    returns them as (records, replicas) arrays, and `updates` counts the
+    updates of all replicas.
     """
 
     __slots__ = ("steps", "updates", "err_l1", "cert", "defect", "x_rows")
@@ -62,9 +65,9 @@ class Trace:
                defect=math.nan, x=None):
         self.steps.append(int(step))
         self.updates.append(int(updates))
-        self.err_l1.append(float(err_l1))
-        self.cert.append(float(cert))
-        self.defect.append(float(defect))
+        self.err_l1.append(err_l1)
+        self.cert.append(cert)
+        self.defect.append(defect)
         if x is not None:
             self.x_rows.append(np.array(x, dtype=float))
 

@@ -11,7 +11,9 @@ random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
 `neumann_partial` the partial sums of x* = sum_t Q^t (m/n) 1 that
 synchronous steps reproduce. `run_summing_every_step` is the driver loop
 that sums the residual before every step, the reference for the stop step
-of `pushrank.engines.run`.
+of `pushrank.engines.run`, and `monte_carlo_one_by_one` runs Monte Carlo
+replicas one after another, the reference for the stacked replicas of
+`pushrank.harness.monte_carlo`.
 
 The lifted matrices are dense and capped at small n. All functions but
 `run_summing_every_step`, which consumes its schedule, are pure.
@@ -19,10 +21,12 @@ The lifted matrices are dense and capped at small n. All functions but
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from pushrank.cluster import step_group
-from pushrank.engines import init_state, step_set
+from pushrank.engines import init_state, run, step_set
 
 ORACLE_CAP = 200
 
@@ -222,3 +226,26 @@ def run_summing_every_step(graph, m, schedule=None, *, factors=None,
         else:
             step_group(state, graph, m, factors, int(drawn[0]))
     return state
+
+
+def monte_carlo_one_by_one(graph, m, schedule, replicas, *, factors=None,
+                           steps, oracle):
+    """Monte Carlo curves from replicas run one after another.
+
+    Replica r is one `pushrank.engines.run` on ``schedule.derive(r)``.
+    Each replica's error and updates columns stack as C-ordered (replicas,
+    records) rows before the mean and standard error are taken. Returns
+    (steps, mean updates, mean error, standard error of the error, each
+    replica's defect column as the rows of one array).
+    """
+    traces = [run(graph, m, schedule.derive(r), factors=factors, steps=steps,
+                  oracle=oracle)[1] for r in range(replicas)]
+    err = np.vstack([t.column("err_l1") for t in traces])
+    updates = np.vstack([t.column("updates") for t in traces])
+    mean = err.mean(axis=0)
+    if replicas > 1:
+        stderr = err.std(axis=0, ddof=1) / math.sqrt(replicas)
+    else:
+        stderr = np.zeros_like(mean)
+    defects = np.vstack([t.column("defect") for t in traces])
+    return traces[0].steps, updates.mean(axis=0), mean, stderr, defects

@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -5,13 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pushrank import (ConfigError, DenseOracle, ExperimentConfig, cli, compare,
-                      harness, load_edge_list, monte_carlo, patch_dangling,
+from pushrank import (ConfigError, DenseOracle, ExperimentConfig, GroupFactors,
+                      NumericalFailure, Schedule, cli, compare, engines,
+                      harness, indegree_plus_one_weights, load_edge_list,
+                      load_partition, monte_carlo, patch_dangling, run,
                       run_experiment)
 from pushrank.trace import CSV_HEADER
 
-from conftest import (community_graph, random_graph, write_edge_list,
-                      write_partition_file)
+from conftest import (community_graph, random_graph, random_partition,
+                      write_edge_list, write_partition_file)
+from oracles import monte_carlo_one_by_one
 
 
 def assert_csv_round_trips(path, header, columns):
@@ -423,6 +427,98 @@ def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
                                "step,updates,err_mean,err_stderr",
                                [mean.steps, mean.updates, mean.err_mean,
                                 mean.err_stderr])
+
+
+MC_RUNS = {
+    "gossip-uniform": ("gossip", "uniform", None),
+    "gossip-weighted": ("gossip", "weighted", "indegree_plus_one"),
+    "multi-subset": ("multi", "subset:0.3", None),
+    "cluster-uniform": ("cluster", "uniform", None),
+}
+
+
+@pytest.mark.parametrize("replicas", [1, 7])
+@pytest.mark.parametrize("name", sorted(MC_RUNS))
+def test_stacked_monte_carlo_equals_its_replicas_one_by_one(
+        name, replicas, small_graph_path, tmp_path, rng):
+    algorithm, spec, weights = MC_RUNS[name]
+    graph, _ = patch_dangling(load_edge_list(small_graph_path))
+    partition = factors = None
+    n = graph.n
+    if algorithm == "cluster":
+        partition = write_partition_file(random_partition(rng, graph.n, 5),
+                                         tmp_path / "groups.txt")
+        factors = GroupFactors(graph, 0.15, load_partition(partition, graph))
+        n = factors.num_groups
+    w = indegree_plus_one_weights(graph) if weights else None
+    want = monte_carlo_one_by_one(
+        graph, 0.15, Schedule.from_spec(spec, n, seed=13, weights=w),
+        replicas, factors=factors, steps=40, oracle=DenseOracle(graph, 0.15))
+    got = monte_carlo(ExperimentConfig(
+        graph=small_graph_path, algorithm=algorithm, schedule=spec,
+        weights=weights, partition=partition, seed=13, steps=40,
+        replicas=replicas))
+    for have, expected in zip((got.steps, got.updates, got.err_mean,
+                               got.err_stderr), want):
+        assert np.array_equal(have, expected)
+
+
+def test_monte_carlo_runs_its_replicas_in_one_stacked_run(small_graph_path,
+                                                          monkeypatch):
+    calls = Counter()
+    for owner, name in ((engines, "run"),
+                        (DenseOracle, "conservation_defect"),
+                        (DenseOracle, "error_l1")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    monte_carlo(ExperimentConfig(graph=small_graph_path, algorithm="gossip",
+                                 seed=13, steps=40, replicas=7))
+    # one run, and one oracle call per record (41) for all seven replicas
+    assert calls == {"run": 1, "conservation_defect": 41, "error_l1": 41}
+
+
+def spike_step_set(monkeypatch, replica, at, size):
+    """Make each step_set add `size` to x at the first page of `replica`
+    (0 on a single run) after step `at`, and take it back after the next."""
+    step_set = engines.step_set
+
+    def spiking(state, graph, m, phi):
+        step_set(state, graph, m, phi)
+        if state.step in (at, at + 1):
+            state.x[replica * graph.n] += size if state.step == at else -size
+    monkeypatch.setattr(engines, "step_set", spiking)
+
+
+@pytest.mark.parametrize("replicas", [None, 7])
+def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
+        replicas, small_graph_path, monkeypatch):
+    graph, _ = patch_dangling(load_edge_list(small_graph_path))
+    sched = Schedule.from_spec("uniform", graph.n, seed=13)
+    oracle = DenseOracle(graph, 0.15)
+    # each replica's defects, run one by one: rounding-level everywhere
+    if replicas:
+        *_, defects = monte_carlo_one_by_one(graph, 0.15, sched, replicas,
+                                             steps=40, oracle=oracle)
+    else:
+        trace = run(graph, 0.15, sched, steps=40, oracle=oracle)[1]
+        defects = trace.column("defect")
+    middle, at, spike = (replicas or 1) // 2, 20, 1e-3
+    # the spiked replica's largest defect is about `spike`; the level lies
+    # between it and every replica's largest defect without the spike
+    level = math.sqrt(spike * defects.max())
+    assert defects.max() < level < spike
+    monkeypatch.setattr(harness, "DEFECT_ABORT", level)
+    config = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
+                              schedule="uniform", seed=13, steps=40,
+                              replicas=replicas or 1)
+    execute = monte_carlo if replicas else run_experiment
+    execute(config)                      # no defect reaches the level
+    spike_step_set(monkeypatch, middle, at, spike)
+    where = f"at step {at} of replica {middle}" if replicas else f"at step {at}"
+    with pytest.raises(NumericalFailure, match=f"{where} exceeds"):
+        execute(config)
 
 
 REFUSED = {

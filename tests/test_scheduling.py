@@ -164,6 +164,21 @@ def test_block_draws_still_require_sequential_steps():
     assert sched.next(16).shape == (1,)
 
 
+@pytest.mark.parametrize("replicas", [1, 7, 700])
+@pytest.mark.parametrize("spec", ["uniform", "weighted", "subset:0.3",
+                                  "roundrobin"])
+def test_stacked_draws_are_each_replicas_own(spec, replicas):
+    # replica r draws what its derived stream draws, offset by r n, also
+    # across the blocks that many replicas cap at fewer steps
+    n = 20
+    sched = Schedule.from_spec(spec, n, 5, np.arange(1.0, n + 1.0))
+    stacked = sched.stack(replicas, n)
+    alone = [sched.derive(r) for r in range(replicas)]
+    for k in range(120):
+        want = np.concatenate([s.next(k) + r * n for r, s in enumerate(alone)])
+        assert np.array_equal(stacked.next(k), want)
+
+
 def test_never_drawn_names_idle_indices():
     sched = Schedule("file", sequence=[[0, 2], [], [2, 9], [-1]])
     assert sched.never_drawn(5).tolist() == [1, 3, 4]
