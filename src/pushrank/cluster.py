@@ -9,7 +9,7 @@ repeating the set update on h forever is reached directly:
     z   += Q[:, h] @ zbar,  then z_h = 0
 
 The push is the same in-place step as a set update (`PushState.push`),
-over every page (of the replica's block, on a stacked state): it costs
+over every page of the pushing replica's block of the state: it costs
 O(n + nnz of the group's columns), and it leaves the state's running
 certificate unknown until z is next summed.
 Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
@@ -101,11 +101,11 @@ def step_group(state, graph, m, factors, h):
     Equivalent to the limit of infinitely many simultaneous set updates by
     the group's member pages; the group's own residual ends at the rest
     of the local solve (exactly zero for dense groups). `h` may also be a
-    draw: at most one group index, or on a stacked state of R replicas
-    (`pushrank.engines.init_state`) at most one stacked index ``r G + g``
-    per replica (G groups), ascending. Replica r then solves for its group
-    g and pushes into its own block of n pages only, and the step counts
-    once; an empty draw is a no-op step.
+    schedule's draw for the state's R replicas (`pushrank.engines`): at
+    most one stacked index ``r G + g`` per replica (G groups), ascending,
+    a single run's group being its own index. Replica r solves for its
+    group g and pushes into its own block of n pages only, and the step
+    counts once; an empty draw is a no-op step.
     """
     groups, n = factors.num_groups, graph.n
     count = groups * (state.n // n)

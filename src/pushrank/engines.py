@@ -25,27 +25,29 @@ sender index and touches no page it does not reach, so a push by any set
 of pages reproduces ``x + Q @ (mask * z)`` and ``(1 - mask) * z +
 Q @ (mask * z)`` bit for bit.
 
+Every run is R replicas stacked in one state, a single run being R = 1:
+replica r holds pages ``r n .. r n + n - 1``, so x and z read as (R, n)
+C-order arrays, and the schedule draws for all R (`pushrank.scheduling`).
+A step pushes the union of the replicas' page draws, each sender into its
+own block (target = the block's offset plus the out-link), through the
+gathered path when R > 1; a group step solves and pushes replica by
+replica, each into its own block only. Replicas never mix, and each
+follows the trajectory it would follow alone, bit for bit. A stacked step
+counts once however many replicas push in it. Each record holds the
+certificate of every replica, from one sum of z per row, and one oracle
+call checks them all. Engines are single-threaded and deterministic.
+
 The certificate is not summed every step. After a single-page or gathered
 push the state keeps a running ||z||_1 (`PushState.mass`), moved by the
 step's sent minus pushed mass, and a bound on its rounding drift that
 grows with the updates since the last exact sum. A push to a block of
 pages (every page, or a group step's replica) rewrites it wholesale and
-leaves the running mass unknown until the next exact sum. `run` sums z
-exactly only when there is a `tol` and the running value is unknown or
-within its drift of the stop level, or n updates have passed since the
-last exact sum; and at every record. So a run stops at the step, and
-with the state, that an exact sum before every step picks, and without a
-`tol` no step sums z.
-
-Monte Carlo replicas run side by side in one stacked state (`run` with
-``replicas=``): replica r holds pages ``r n .. r n + n - 1``, so x and z
-read as (R, n) C-order arrays. A step pushes the union of the replicas'
-page draws through the gathered path, each sender into its own block
-(target = the block's offset plus the out-link); a group step solves and
-pushes replica by replica, each into its own block only. Replicas never
-mix, and each follows the trajectory it would follow alone, bit for bit.
-A stacked step counts once however many replicas push in it. Engines are
-single-threaded and deterministic.
+leaves the running mass unknown until the next exact sum. With a `tol`
+(single runs only), `run` sums z exactly only when the running value is
+unknown or within its drift of the stop level, or n updates have passed
+since the last exact sum. So a run stops at the step, and with the state,
+that an exact sum before every step picks, and without a `tol` no step
+sums z.
 """
 
 from __future__ import annotations
@@ -199,18 +201,13 @@ def exact_error(state, m):
 
 
 def _record(trace, state, m, oracle, record_x, replicas):
-    """Append the state's record; on a stacked state of `replicas`
-    replicas, err, cert and defect hold one value per replica."""
-    if replicas is None:
-        x, z, cert = state.x, state.z, exact_error(state, m)
-    else:
-        x, z = state.x.reshape(replicas, -1), state.z.reshape(replicas, -1)
-        cert = (1.0 - m) / m * z.sum(axis=1)
+    """Append the state's record: err, cert and defect per replica."""
+    x, z = state.x.reshape(replicas, -1), state.z.reshape(replicas, -1)
+    cert = (1.0 - m) / m * z.sum(axis=1)
     if oracle is not None:
         err, defect = oracle.error_l1(x), oracle.conservation_defect(x, z)
     else:
-        err = defect = (math.nan if replicas is None
-                        else np.full(replicas, math.nan))
+        err = defect = np.full(replicas, math.nan)
     trace.append(state.step, state.cumulative_updates, err_l1=err, cert=cert,
                  defect=defect, x=state.x if record_x else None)
 
@@ -227,8 +224,8 @@ def _certified(state, z_stop):
     return state.resync() <= z_stop
 
 
-def run(graph, m, schedule=None, *, replicas=None, factors=None, steps=None,
-        tol=None, oracle=None, cadence=1, record_x=False):
+def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
+        oracle=None, cadence=1, record_x=False):
     """Run one engine from `init_state`; returns (state, trace).
 
     Each step pushes the set that `schedule` draws, or every page when
@@ -240,25 +237,21 @@ def run(graph, m, schedule=None, *, replicas=None, factors=None, steps=None,
     `cadence`-th step (plus the first and last); err/defect columns are
     filled when a dense oracle is supplied.
 
-    With `replicas` R, R replicas run in one stacked state (see the module
-    doc): replica r draws what ``schedule.derive(r)`` draws
-    (`Schedule.stack`), the updates column counts the pushes of all
-    replicas, err, cert and defect hold one value per replica, and the
-    oracle is called once per record for all replicas. Such a run stops on
-    `steps` or exhaustion alone and records no x.
+    The run has the schedule's R replicas (one without a schedule), in one
+    stacked state (see the module doc): the updates column counts the
+    pushes of all replicas, and err, cert and defect hold one value per
+    replica. A run of R > 1 replicas stops on `steps` or exhaustion alone
+    and records no x.
     """
     if steps is None and tol is None:
         raise ValueError("need steps and/or tol to bound the run")
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
-    if replicas is not None:
-        if replicas < 1 or tol is not None or record_x:
-            raise ValueError("replica runs need replicas >= 1, take no tol "
-                             "and record no x")
-        if schedule is not None:
-            schedule = schedule.stack(replicas, graph.n if factors is None
-                                      else factors.num_groups)
-    state = init_state(graph.n, m, replicas or 1)
+    replicas = 1 if schedule is None else schedule.replicas
+    if replicas > 1 and (tol is not None or record_x):
+        raise ValueError("a run of stacked replicas takes no tol and "
+                         "records no x")
+    state = init_state(graph.n, m, replicas)
     if schedule is None:
         everyone = np.arange(state.n, dtype=np.intp)
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle

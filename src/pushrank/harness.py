@@ -212,8 +212,9 @@ def _weights(config, runtime):
     return scheduling.indegree_plus_one_weights(runtime.graph)
 
 
-def _build_schedule(config, runtime):
-    """The schedule of a validated config; None for unscheduled runs."""
+def _build_schedule(config, runtime, replicas=None):
+    """The schedule of a validated config, drawing for `replicas` runs (see
+    `scheduling.Schedule`); None for unscheduled runs."""
     if config.schedule is None:
         return None
     groups = runtime.partition
@@ -221,7 +222,7 @@ def _build_schedule(config, runtime):
     # validate resolves `weights` only where a weighted schedule reads them
     weights = _weights(config, runtime) if config.weights else None
     sched = scheduling.Schedule.from_spec(config.schedule, n, config.seed,
-                                          weights)
+                                          weights, replicas)
     _check_tol_reachable(config, runtime, sched.never_drawn(n))
     return sched
 
@@ -275,15 +276,15 @@ def _check_conservation(trace):
     worst = np.fmax.reduce(defect, axis=None)      # NaN only if all are
     if worst > DEFECT_ABORT:
         at = np.unravel_index(np.nanargmax(defect), defect.shape)
-        replica = f" of replica {at[1]}" if defect.ndim > 1 else ""
+        replica = f" of replica {at[1]}" if defect.shape[1] > 1 else ""
         raise NumericalFailure(
             f"conservation defect {worst:.3e} at step "
             f"{trace.steps[at[0]]}{replica} exceeds {DEFECT_ABORT:g}")
 
 
-def _execute(config, runtime, sched, replicas=None):
-    """Run one configured algorithm and return its trace; with `replicas`,
-    one stacked run of that many replicas (see `engines.run`)."""
+def _execute(config, runtime, sched):
+    """Run one configured algorithm and return its trace; a run of the
+    schedule's replicas (see `engines.run`)."""
     graph, m = runtime.graph, config.m
     steps, tol = config.effective_bounds()
     cadence = _auto_cadence(config, runtime, sched)
@@ -299,9 +300,8 @@ def _execute(config, runtime, sched, replicas=None):
             max_steps=steps if steps is not None else _DEFAULT_STEP_CAP,
             oracle=oracle, cadence=cadence, record_x=config.include_x)
         return trace
-    trace = engines.run(graph, m, sched, replicas=replicas,
-                        factors=runtime.factors, steps=steps, tol=tol,
-                        oracle=oracle, cadence=cadence,
+    trace = engines.run(graph, m, sched, factors=runtime.factors,
+                        steps=steps, tol=tol, oracle=oracle, cadence=cadence,
                         record_x=config.include_x)[1]
     _check_conservation(trace)
     return trace
@@ -373,9 +373,9 @@ def monte_carlo(config):
     if run.seed is None:
         raise ConfigError("Monte Carlo averaging needs a randomized schedule")
     runtime = _Runtime(run)
-    sched = _build_schedule(run, runtime)
+    sched = _build_schedule(run, runtime, replicas)
     runtime.require_oracle("Monte Carlo error averaging")
-    trace = _execute(run, runtime, sched, replicas)
+    trace = _execute(run, runtime, sched)
     steps_grid = trace.steps
     # the updates of all replicas, exact integers: their mean is one division
     updates = trace.column("updates") / replicas
@@ -438,7 +438,7 @@ def compare(config, runs):
     columns = []
     for t in traces:
         idx = np.searchsorted(t.column("updates"), grid, side="right") - 1
-        err = t.column("err_l1")[np.clip(idx, 0, None)]
+        err = t.column("err_l1")[np.clip(idx, 0, None), 0]
         columns.append(np.where(idx >= 0, err, np.nan))
     header = ["updates"] + labels
     rows = [tuple([int(u)] + [col[i] for col in columns])

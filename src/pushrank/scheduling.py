@@ -8,20 +8,20 @@ one index per step, ``roundrobin`` (which ``periodic`` names too) cycles
 the kinds that draw at random, the only ones a seed steers. Which specs an
 algorithm accepts is the harness's table, not this module's.
 
-Random kinds draw from a seeded PCG64 stream and are reproducible across
+Random kinds draw from seeded PCG64 streams and are reproducible across
 platforms; singleton draws use an inverse-CDF lookup (binary search on the
-cumulative weight array). Singleton draws are made in blocks: one
-``rng.random(k)`` and one vector search give the indices of the next k
-steps, the same doubles and indices as k scalar draws. Blocks double from
-16 to 4096 draws, so a short replica draws few it does not use. Parallel
-replicas never share a stream: replica r derives its own seed as
-``seed XOR splitmix64(r)``.
+cumulative weight array). A schedule draws for R replicas of a run at once
+(`replicas`; one when None) and returns every replica's draw for a step as
+one ascending array of stacked indices ``r n + i`` (replica r's index i).
+A single run has one stream on `seed`; with `replicas` R, replica r has
+its own stream on ``derive_seed(seed, r)`` = ``seed XOR splitmix64(r)``,
+so no two replicas share one. Only random kinds draw for more than one
+replica. Singleton draws are made in blocks: one ``rng.random(k)`` per
+stream and one vector search give the indices of the next k steps, the
+same doubles and indices as k scalar draws. Blocks double from 16 to 4096
+steps, so a short run draws few it does not use.
 
-A schedule is owned by one engine replica and consumed sequentially; call
-`derive` for a replica stream. `Schedule.stack` draws the streams of R
-replicas together for a stacked run (`pushrank.engines.run` with
-``replicas=``): one array of stacked indices ``r n + i`` per step, with
-the singleton draws of every replica made a block of steps at a time.
+A schedule is owned by one run and consumed sequentially.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = ["Schedule", "indegree_plus_one_weights", "load_sequence_file",
 _MASK64 = (1 << 64) - 1
 
 RANDOM_KINDS = ("uniform", "weighted", "subset")
-_SINGLETON_KINDS = ("uniform", "weighted")
-# singleton draws come in blocks that double from _BLOCK_MIN to _BLOCK_MAX
+# singleton draws come in blocks of steps that double from _BLOCK_MIN to
+# _BLOCK_MAX; a block holds at most _BLOCK_MAX * _BLOCK_MIN draws
 _BLOCK_MIN = 16
 _BLOCK_MAX = 4096
 
@@ -62,7 +62,7 @@ def indegree_plus_one_weights(graph):
 
 
 class Schedule:
-    """A policy producing the update set for each step.
+    """A policy producing the update set for each step, for `replicas` runs.
 
     `kind` is a spec kind (see the module doc). ``file`` replays explicit
     `sequence` sets, also ones built in memory, and signals exhaustion by
@@ -70,60 +70,64 @@ class Schedule:
     """
 
     def __init__(self, kind, *, n=None, weights=None, seed=None, q=None,
-                 sequence=None):
+                 sequence=None, replicas=None):
         self.kind = kind
         self.n = n
-        self.seed = seed
         self.q = q
-        self.weights = None
+        self.replicas = 1 if replicas is None else replicas
+        if self.replicas < 1:
+            raise ValueError(f"replicas must be at least 1, got {replicas}")
+        if self.replicas > 1 and kind not in RANDOM_KINDS:
+            raise ValueError(f"a {kind} schedule draws for one replica, "
+                             f"not {replicas}")
         self._cum = None
         if weights is not None:
             w = np.asarray(weights, dtype=float)
             if not np.all((w > 0) & np.isfinite(w)):
                 raise ValueError("selection weights must all be positive and finite")
-            self.weights = w / w.sum()
-            self._cum = np.cumsum(self.weights)
+            self._cum = np.cumsum(w / w.sum())
             self._cum[-1] = 1.0
             self.n = w.size
         self.sequence = None
         if sequence is not None:
             self.sequence = [np.unique(np.asarray(s, dtype=np.intp)).reshape(-1)
                              for s in sequence]
-        self._rng = np.random.default_rng(seed) if kind in RANDOM_KINDS else None
+        self._rngs = None
+        if kind in RANDOM_KINDS:
+            seeds = ([seed] if replicas is None else
+                     [derive_seed(seed, r) for r in range(replicas)])
+            self._rngs = [np.random.default_rng(s) for s in seeds]
         self._next_k = 0
-        if kind in _SINGLETON_KINDS:
-            self._singles = _Blocks([self._rng], self._cum, 0)
+        self._block = np.empty((0, self.replicas), dtype=np.intp)
+        self._taken = 0
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_spec(cls, spec, n, seed=None, weights=None):
+    def from_spec(cls, spec, n, seed=None, weights=None, replicas=None):
         """Schedule over n indices for a spec string (see the module doc).
 
         `weights` are the selection weights of a ``weighted`` spec (else unused).
         """
         kind, _, arg = spec.partition(":")
         if kind in ("roundrobin", "periodic"):
-            return cls("roundrobin", n=n)
+            return cls("roundrobin", n=n, replicas=replicas)
         if kind == "uniform":
-            return cls(kind, weights=np.ones(n), seed=seed)
+            return cls(kind, weights=np.ones(n), seed=seed, replicas=replicas)
         if kind == "weighted":
-            return cls(kind, weights=weights, seed=seed)
+            return cls(kind, weights=weights, seed=seed, replicas=replicas)
         if kind == "subset":
-            return cls(kind, n=n, q=subset_probability(spec), seed=seed)
+            return cls(kind, n=n, q=subset_probability(spec), seed=seed,
+                       replicas=replicas)
         if kind == "file":
-            return cls(kind, sequence=load_sequence_file(arg))
+            return cls(kind, sequence=load_sequence_file(arg), replicas=replicas)
         raise ConfigError(f"unknown schedule spec {spec!r}")
 
-    # -- stream management ---------------------------------------------
-
-    @property
-    def is_random(self):
-        return self.kind in RANDOM_KINDS
+    # -- queries --------------------------------------------------------
 
     @property
     def mean_draw_size(self):
-        """Expected number of indices one draw returns, at least 1."""
+        """Expected number of indices one replica's draw holds, at least 1."""
         if self.kind == "subset":
             return max(1.0, self.q * self.n)
         if self.kind == "file":
@@ -143,41 +147,35 @@ class Schedule:
         drawn[named[(named >= 0) & (named < n)]] = True
         return np.flatnonzero(~drawn)
 
-    def derive(self, replica):
-        """Clone for a Monte Carlo replica, on its own derived stream."""
-        seed = derive_seed(self.seed, replica) if self.is_random else self.seed
-        return Schedule(self.kind, n=self.n, weights=self.weights,
-                        seed=seed, q=self.q, sequence=self.sequence)
-
-    def stack(self, replicas, n):
-        """The draws of replicas 0..replicas-1 over n indices each, together.
-
-        The result's ``next(k)`` returns every replica's draw for step k
-        as one ascending array of stacked indices (replica r's index i is
-        ``r n + i``), or None when the sequence is exhausted; replica r
-        draws what ``derive(r)`` would. Singleton kinds keep only each
-        replica's generator and draw them in blocks.
-        """
-        if self.kind not in _SINGLETON_KINDS:
-            return _Stack([self.derive(r) for r in range(replicas)], n)
-        rngs = [np.random.default_rng(derive_seed(self.seed, r))
-                for r in range(replicas)]
-        # a derived schedule normalizes its weights again: search its sums
-        return _Blocks(rngs, self.derive(0)._cum, n)
-
     # -- drawing --------------------------------------------------------
 
     def next(self, k):
-        """The update set for step k, or None when a sequence is exhausted.
+        """Every replica's update set for step k as stacked indices, or None
+        when a sequence is exhausted.
 
-        Random kinds consume their stream and must be called with
+        Random kinds consume their streams and must be called with
         consecutive k starting at 0.
         """
-        if self.kind in _SINGLETON_KINDS:
-            return self._singles.next(k)
+        if self._rngs is not None:
+            if k != self._next_k:
+                raise ValueError(f"random schedule must be consumed sequentially: "
+                                 f"expected step {self._next_k}, got {k}")
+            self._next_k += 1
+        if self.kind in ("uniform", "weighted"):
+            if self._taken == len(self._block):
+                size = min(max(_BLOCK_MIN, 2 * len(self._block)), _BLOCK_MAX,
+                           max(1, _BLOCK_MAX * _BLOCK_MIN // self.replicas))
+                doubles = np.stack([rng.random(size) for rng in self._rngs],
+                                   axis=1)
+                self._block = np.searchsorted(self._cum, doubles, side="right")
+                self._block += self.n * np.arange(self.replicas)
+                self._taken = 0
+            self._taken += 1
+            return self._block[self._taken - 1]
         if self.kind == "subset":
-            _consume(self, k)
-            return np.flatnonzero(self._rng.random(self.n) < self.q)
+            # replica r's draw is row r of the mask: flat index r n + i
+            return np.flatnonzero(
+                np.stack([rng.random(self.n) for rng in self._rngs]) < self.q)
         if self.kind == "roundrobin":
             return np.array([k % self.n], dtype=np.intp)
         if self.kind == "file":
@@ -185,62 +183,6 @@ class Schedule:
                 return None
             return self.sequence[k]
         raise AssertionError(f"unhandled schedule kind {self.kind!r}")
-
-
-def _consume(stream, k):
-    """Advance a random stream to step k + 1; k must be its next step."""
-    if k != stream._next_k:
-        raise ValueError(f"random schedule must be consumed sequentially: "
-                         f"expected step {stream._next_k}, got {k}")
-    stream._next_k += 1
-
-
-class _Blocks:
-    """Singleton draws of R streams, a block of steps at a time.
-
-    A block is one ``rng.random(size)`` per stream and one search of the
-    cumulative weights `cum` over all of them: the doubles and indices of
-    one scalar draw per step. Its steps double from `_BLOCK_MIN` to
-    `_BLOCK_MAX`, and it holds at most ``_BLOCK_MAX * _BLOCK_MIN`` draws.
-    """
-
-    def __init__(self, rngs, cum, n):
-        self.rngs = rngs
-        self.cum = cum
-        self.offsets = n * np.arange(len(rngs), dtype=np.intp)
-        self.block = np.empty((0, len(rngs)), dtype=np.intp)
-        self.taken = 0
-        self._next_k = 0
-
-    def next(self, k):
-        """Stream r's index for step k plus ``r n``, for every r, as one
-        array; k must be the next step."""
-        _consume(self, k)
-        if self.taken == len(self.block):
-            size = min(max(_BLOCK_MIN, 2 * len(self.block)), _BLOCK_MAX,
-                       max(1, _BLOCK_MAX * _BLOCK_MIN // len(self.rngs)))
-            doubles = np.stack([rng.random(size) for rng in self.rngs])
-            self.block = np.searchsorted(self.cum, doubles.T, side="right")
-            self.block += self.offsets
-            self.taken = 0
-        self.taken += 1
-        return self.block[self.taken - 1]
-
-
-class _Stack:
-    """The schedules of R replicas over n indices each, drawn together."""
-
-    def __init__(self, streams, n):
-        self.streams = streams
-        self.n = n
-
-    def next(self, k):
-        """Replica r's set for step k plus ``r n``, for every r, as one
-        array, or None when the sequence is exhausted."""
-        sets = [stream.next(k) for stream in self.streams]
-        if sets[0] is None:
-            return None
-        return np.concatenate([s + r * self.n for r, s in enumerate(sets)])
 
 
 def subset_probability(spec):

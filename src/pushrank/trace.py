@@ -6,7 +6,9 @@ integer columns as plain integers, float columns at 17 significant digits
 and diffs cleanly across runs. Missing values serialize as ``nan``.
 
 Trace schema (header is byte-exact): ``step,updates,err_l1,cert,defect``;
-optional per-page state snapshots append columns ``x0..x{n-1}``.
+optional per-page state snapshots append columns ``x0..x{n-1}``. A trace
+holds err_l1, cert and defect per replica of a run (`pushrank.engines`);
+its CSV and its ``final_*`` values are those of replica 0.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ class Trace:
 
     `err_l1` is the exact error against the oracle rank vector, `cert` the
     residual-based certificate, `defect` the conservation defect; any of
-    them may be NaN when not computable for the run at hand. On a run of
-    stacked replicas these three hold one entry per replica, `column`
-    returns them as (records, replicas) arrays, and `updates` counts the
-    updates of all replicas.
+    them may be NaN when not computable for the run at hand. Each record
+    of these three is an array of one entry per replica (a scalar given
+    to `append` is one replica's), `column` returns them as (records,
+    replicas) arrays, and `updates` counts the updates of all replicas.
     """
 
     __slots__ = ("steps", "updates", "err_l1", "cert", "defect", "x_rows")
@@ -65,9 +67,9 @@ class Trace:
                defect=math.nan, x=None):
         self.steps.append(int(step))
         self.updates.append(int(updates))
-        self.err_l1.append(err_l1)
-        self.cert.append(cert)
-        self.defect.append(defect)
+        self.err_l1.append(np.atleast_1d(err_l1))
+        self.cert.append(np.atleast_1d(cert))
+        self.defect.append(np.atleast_1d(defect))
         if x is not None:
             self.x_rows.append(np.array(x, dtype=float))
 
@@ -88,16 +90,16 @@ class Trace:
 
     @property
     def final_err(self):
-        return self.err_l1[-1]
+        return self.err_l1[-1][0]
 
     @property
     def final_cert(self):
-        return self.cert[-1]
+        return self.cert[-1][0]
 
     def write_csv(self, path):
         header = CSV_HEADER.split(",")
-        columns = [self.steps, self.updates, self.err_l1, self.cert,
-                   self.defect]
+        columns = [self.steps, self.updates]
+        columns += [self.column(name)[:, 0] for name in header[2:]]
         if self.has_state:
             x = np.array(self.x_rows)
             header += [f"x{i}" for i in range(x.shape[1])]

@@ -27,6 +27,7 @@ import numpy as np
 
 from pushrank.cluster import step_group
 from pushrank.engines import init_state, run, step_set
+from pushrank.scheduling import Schedule, derive_seed
 
 ORACLE_CAP = 200
 
@@ -228,24 +229,28 @@ def run_summing_every_step(graph, m, schedule=None, *, factors=None,
     return state
 
 
-def monte_carlo_one_by_one(graph, m, schedule, replicas, *, factors=None,
-                           steps, oracle):
+def monte_carlo_one_by_one(graph, m, spec, replicas, *, seed, weights=None,
+                           factors=None, steps, oracle):
     """Monte Carlo curves from replicas run one after another.
 
-    Replica r is one `pushrank.engines.run` on ``schedule.derive(r)``.
-    Each replica's error and updates columns stack as C-ordered (replicas,
-    records) rows before the mean and standard error are taken. Returns
-    (steps, mean updates, mean error, standard error of the error, each
-    replica's defect column as the rows of one array).
+    Replica r is one single `pushrank.engines.run` on its own schedule of
+    `spec`, seeded ``derive_seed(seed, r)``: it takes the single-run paths
+    of the engines. Each replica's error and updates columns stack as
+    C-ordered (replicas, records) rows before the mean and standard error
+    are taken. Returns (steps, mean updates, mean error, standard error of
+    the error, each replica's defect column as the rows of one array).
     """
-    traces = [run(graph, m, schedule.derive(r), factors=factors, steps=steps,
-                  oracle=oracle)[1] for r in range(replicas)]
-    err = np.vstack([t.column("err_l1") for t in traces])
+    n = graph.n if factors is None else factors.num_groups
+    traces = [run(graph, m, Schedule.from_spec(spec, n, derive_seed(seed, r),
+                                               weights),
+                  factors=factors, steps=steps, oracle=oracle)[1]
+              for r in range(replicas)]
+    err = np.vstack([t.column("err_l1")[:, 0] for t in traces])
     updates = np.vstack([t.column("updates") for t in traces])
     mean = err.mean(axis=0)
     if replicas > 1:
         stderr = err.std(axis=0, ddof=1) / math.sqrt(replicas)
     else:
         stderr = np.zeros_like(mean)
-    defects = np.vstack([t.column("defect") for t in traces])
+    defects = np.vstack([t.column("defect")[:, 0] for t in traces])
     return traces[0].steps, updates.mean(axis=0), mean, stderr, defects

@@ -233,7 +233,7 @@ def test_run_clustered_periodic_decays(rng):
     part = random_partition(rng, g.n, 5)
     _, trace = run(g, M, Schedule.from_spec("roundrobin", part.num_groups),
                    factors=GroupFactors(g, M, part), steps=60, oracle=oracle)
-    errs = trace.column("err_l1")
+    errs = trace.column("err_l1")[:, 0]
     # 12 complete cycles dominate 12 synchronous steps
     assert errs[-1] <= (1 - M) ** 13
     assert np.all(np.diff(errs) <= 1e-12)

@@ -84,8 +84,8 @@ def test_engine_error_column_monotone_and_certified(small_graph_path):
                                schedule=sched, seed=9 if sched else None,
                                steps=300)
         trace = run_experiment(cfg)
-        errs = trace.column("err_l1")
-        certs = trace.column("cert")
+        errs = trace.column("err_l1")[:, 0]
+        certs = trace.column("cert")[:, 0]
         assert np.all(np.diff(errs) <= 1e-12)
         assert np.all(np.abs(errs - certs) <= 1e-9)
         assert np.nanmax(trace.column("defect")) <= 1e-10
@@ -374,8 +374,9 @@ def test_include_x_appends_state_columns(cycle_path, small_graph_path,
             trace = run_experiment(ExperimentConfig(
                 graph=path, **kwargs, out=str(out), include_x=include_x))
             header = CSV_HEADER
-            columns = [trace.steps, trace.updates, trace.err_l1, trace.cert,
-                       trace.defect]
+            columns = [trace.steps, trace.updates]
+            columns += [trace.column(name)[:, 0]
+                        for name in ("err_l1", "cert", "defect")]
             if include_x:
                 x = np.array(trace.x_rows)
                 header += "".join(f",x{i}" for i in range(x.shape[1]))
@@ -452,8 +453,8 @@ def test_stacked_monte_carlo_equals_its_replicas_one_by_one(
         n = factors.num_groups
     w = indegree_plus_one_weights(graph) if weights else None
     want = monte_carlo_one_by_one(
-        graph, 0.15, Schedule.from_spec(spec, n, seed=13, weights=w),
-        replicas, factors=factors, steps=40, oracle=DenseOracle(graph, 0.15))
+        graph, 0.15, spec, replicas, seed=13, weights=w, factors=factors,
+        steps=40, oracle=DenseOracle(graph, 0.15))
     got = monte_carlo(ExperimentConfig(
         graph=small_graph_path, algorithm=algorithm, schedule=spec,
         weights=weights, partition=partition, seed=13, steps=40,
@@ -495,13 +496,13 @@ def spike_step_set(monkeypatch, replica, at, size):
 def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
         replicas, small_graph_path, monkeypatch):
     graph, _ = patch_dangling(load_edge_list(small_graph_path))
-    sched = Schedule.from_spec("uniform", graph.n, seed=13)
     oracle = DenseOracle(graph, 0.15)
     # each replica's defects, run one by one: rounding-level everywhere
     if replicas:
-        *_, defects = monte_carlo_one_by_one(graph, 0.15, sched, replicas,
-                                             steps=40, oracle=oracle)
+        *_, defects = monte_carlo_one_by_one(graph, 0.15, "uniform", replicas,
+                                             seed=13, steps=40, oracle=oracle)
     else:
+        sched = Schedule.from_spec("uniform", graph.n, seed=13)
         trace = run(graph, 0.15, sched, steps=40, oracle=oracle)[1]
         defects = trace.column("defect")
     middle, at, spike = (replicas or 1) // 2, 20, 1e-3

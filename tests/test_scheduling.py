@@ -60,7 +60,8 @@ def test_indegree_plus_one_star():
     w = indegree_plus_one_weights(g)
     assert w.tolist() == [5.0, 2.0, 2.0, 2.0, 2.0]
     sched = Schedule.from_spec("weighted", w.size, 0, w)
-    assert sched.weights[0] == pytest.approx(5 / 13)
+    # the cumulative weights start at page 0's selection probability
+    assert sched._cum[0] == pytest.approx(5 / 13)
 
 
 def test_random_subset_membership_rate():
@@ -91,10 +92,10 @@ def test_same_seed_same_sequence():
 
 
 def test_derived_streams_differ_and_are_stable():
-    base = Schedule.from_spec("uniform", 50, 42)
-    r1 = [s[0] for s in draws(base.derive(1), 100)]
-    r2 = [s[0] for s in draws(base.derive(2), 100)]
-    r1_again = [s[0] for s in draws(base.derive(1), 100)]
+    def replica_draws(replica):
+        sched = Schedule.from_spec("uniform", 50, 42, replicas=3)
+        return [s[replica] - 50 * replica for s in draws(sched, 100)]
+    r1, r2, r1_again = replica_draws(1), replica_draws(2), replica_draws(1)
     assert r1 != r2
     assert r1 == r1_again
 
@@ -137,20 +138,23 @@ def test_weighted_draw_matches_indegree_policy_on_random_graph(rng):
 def test_block_draws_match_scalar_draws(kind):
     # singleton draws come in blocks; the indices must be those of one
     # scalar rng.random() per step, across every block boundary, also on
-    # derived replica streams
+    # the derived stream of replica 3 of a four-replica schedule
     n, seed, count = 37, 2024, 10_001
     weights = np.arange(1.0, n + 1.0) if kind == "weighted" else np.ones(n)
-    base = Schedule.from_spec(kind, n, seed, weights if kind == "weighted" else None)
+    w = weights if kind == "weighted" else None
     cum = np.cumsum(weights / weights.sum())
     cum[-1] = 1.0
-    for replica, sched in ((None, base), (3, base.derive(3))):
+    for replica, replicas in ((None, None), (3, 4)):
+        sched = Schedule.from_spec(kind, n, seed, w, replicas)
         rng = np.random.default_rng(
             seed if replica is None else derive_seed(seed, replica))
         want = [int(np.searchsorted(cum, rng.random(), side="right"))
                 for _ in range(count)]
         got = [sched.next(k) for k in range(count)]
-        assert all(d.shape == (1,) and d.dtype == np.intp for d in got)
-        assert [int(d[0]) for d in got] == want
+        assert all(d.shape == (replicas or 1,) and d.dtype == np.intp
+                   for d in got)
+        r = replica or 0
+        assert [int(d[r]) - r * n for d in got] == want
 
 
 def test_block_draws_still_require_sequential_steps():
@@ -165,18 +169,30 @@ def test_block_draws_still_require_sequential_steps():
 
 
 @pytest.mark.parametrize("replicas", [1, 7, 700])
-@pytest.mark.parametrize("spec", ["uniform", "weighted", "subset:0.3",
-                                  "roundrobin"])
+@pytest.mark.parametrize("spec", ["uniform", "weighted", "subset:0.3"])
 def test_stacked_draws_are_each_replicas_own(spec, replicas):
-    # replica r draws what its derived stream draws, offset by r n, also
-    # across the blocks that many replicas cap at fewer steps
+    # replica r draws what a single schedule on its derived stream draws,
+    # offset by r n, also across the blocks that many replicas cap at
+    # fewer steps
     n = 20
-    sched = Schedule.from_spec(spec, n, 5, np.arange(1.0, n + 1.0))
-    stacked = sched.stack(replicas, n)
-    alone = [sched.derive(r) for r in range(replicas)]
+    w = np.arange(1.0, n + 1.0)
+    stacked = Schedule.from_spec(spec, n, 5, w, replicas)
+    alone = [Schedule.from_spec(spec, n, derive_seed(5, r), w)
+             for r in range(replicas)]
     for k in range(120):
         want = np.concatenate([s.next(k) + r * n for r, s in enumerate(alone)])
         assert np.array_equal(stacked.next(k), want)
+
+
+def test_fixed_schedules_refuse_more_than_one_replica(tmp_path):
+    seq = tmp_path / "two.seq"
+    seq.write_text("0\n1\n")
+    for spec in ("roundrobin", "periodic", f"file:{seq}"):
+        assert Schedule.from_spec(spec, 2, replicas=1).replicas == 1
+        with pytest.raises(ValueError, match="one replica, not 2"):
+            Schedule.from_spec(spec, 2, replicas=2)
+    with pytest.raises(ValueError, match="at least 1"):
+        Schedule.from_spec("uniform", 2, 0, replicas=0)
 
 
 def test_never_drawn_names_idle_indices():

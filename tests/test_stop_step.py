@@ -9,14 +9,14 @@ bit-equal x and z.
 import numpy as np
 import pytest
 
-from pushrank import (GroupFactors, Schedule, cluster, init_state,
-                      run, step_group, step_set)
+from pushrank import (GroupFactors, PushState, Schedule, cluster, engines,
+                      init_state, run, step_group, step_set)
 
 from conftest import community_graph, random_graph, random_partition
 from oracles import run_summing_every_step
 
 M = 0.15
-NO_RECORDS = 10**9       # no intermediate record resyncs the running mass
+NO_RECORDS = 10**9       # record only the first and the last step
 
 
 def schedules(kind, n, seed, rng):
@@ -147,3 +147,15 @@ def test_pushes_to_every_page_leave_the_mass_unknown():
         assert st.drift < 1e-12
         step_set(st, g, M, [3, 7])
         assert abs(st.mass - st.z.sum()) <= st.drift < 1e-12
+
+
+def test_a_running_mass_one_ulp_above_the_stop_level_is_summed():
+    # two exact sums of the same z, in different orders, may differ by up
+    # to 2 n u of the mass: the stop rule must sum z when the running mass
+    # lies that close above z_stop, and stop where the exact sum says
+    z = np.random.default_rng(13).random(1000)
+    st = PushState(z.copy(), z)
+    exact = st.mass
+    st.mass = np.nextafter(exact, np.inf)
+    assert engines._certified(st, exact)
+    assert st.mass == exact
