@@ -6,10 +6,11 @@ One binary with per-algorithm subcommands::
     pushrank power   --graph web.txt --tol 1e-12 --out power.csv
     pushrank sync    --graph web.txt --tol 1e-9  --out sync.csv
     pushrank gossip  --graph web.txt --schedule uniform --seed 7 --out g.csv
+    pushrank multi   --graph web.txt --schedule weighted:indegree_plus_one --tol 1e-6
     pushrank multi   --graph web.txt --schedule subset:0.25 --steps 5000
-    pushrank cluster --graph web.txt --partition groups.txt --schedule periodic
+    pushrank cluster --graph web.txt --partition groups.txt --schedule roundrobin
     pushrank mc      --graph web.txt --algorithm gossip --replicas 1000 --steps 200
-    pushrank compare --graph web.txt --runs gossip=uniform,cluster=periodic \
+    pushrank compare --graph web.txt --runs gossip=uniform,cluster=roundrobin \
                      --partition groups.txt --out compare.csv
 
 Every subcommand takes the same flags and reads those its row of the
@@ -33,6 +34,7 @@ from .errors import ConfigError, NumericalFailure, ParseError
 from .harness import (_READS, ALGORITHMS, SCHEDULES, ExperimentConfig,
                       compare, monte_carlo, run_experiment)
 from .scheduling import RANDOM_KINDS
+from .solvers import DENSE_CAP
 
 __all__ = ["main", "build_parser"]
 
@@ -66,9 +68,6 @@ def _add_common(parser):
     parser.add_argument("--schedule", default=None, help="; ".join(
         f"{algo}: {' | '.join(specs)}" for algo, specs in SCHEDULES.items())
         + " (the first is the default)")
-    parser.add_argument("--weights", default=None,
-                        help="uniform | indegree_plus_one | file:<path> "
-                             "(weighted schedules only; default uniform)")
     parser.add_argument("--partition", default=None,
                         help="partition file, page group per line; needed "
                              "by cluster runs" + _read_by("partition"))
@@ -76,8 +75,10 @@ def _add_common(parser):
     parser.add_argument("--cadence", type=int, default=None,
                         help="record every j-th step, by default chosen "
                              "from n" + _read_by("cadence"))
-    parser.add_argument("--dense-cap", type=int, default=5000, dest="dense_cap",
-                        help="largest n for which the dense oracle is built")
+    parser.add_argument("--dense-cap", type=int, default=DENSE_CAP,
+                        dest="dense_cap",
+                        help="largest n for which the dense oracle is built "
+                             f"(default {DENSE_CAP})")
     parser.add_argument("--include-x", action="store_true", dest="include_x",
                         help="append per-page x columns to the trace CSV"
                              + _read_by("include_x"))
@@ -103,7 +104,7 @@ def build_parser():
     _add_common(cmp_p)
     cmp_p.add_argument("--runs", required=True,
                        help="comma list of algo[=schedule] specs, e.g. "
-                            "'gossip=uniform,cluster=periodic,power'")
+                            "'gossip=uniform,cluster=roundrobin,power'")
     return parser
 
 

@@ -1,13 +1,15 @@
 """Experiment harness: configure graph + algorithm + schedule, run, emit CSV.
 
 `SCHEDULES` is the one table of which schedule specs each scheduled
-algorithm accepts; the first spec listed is its default, and Monte Carlo
-runs default to ``uniform``, which every row accepts. `_READS` is the one
-table of which settings each command reads. `ExperimentConfig.validate`
-settles a run before any file is opened: it applies the schedule default,
-refuses what the run does not take (a spec, or a setting given, i.e. off
-its default; ``seed`` and ``weights`` default to None) and resolves
-``seed`` and ``weights``. Later layers apply no default of their own.
+algorithm accepts, each draw named once; the first spec listed is its
+default, and Monte Carlo runs default to ``uniform``, which every row
+accepts. A spec names a draw and its argument, such as the weights of
+``weighted:indegree_plus_one``. `_READS` is the one table of which
+settings each command reads. `ExperimentConfig.validate` settles a run
+before any file is opened: it applies the schedule default, refuses what
+the run does not take (a spec, or a setting given, i.e. off its default;
+``seed`` defaults to None) and resolves ``seed``. Later layers apply no
+default of their own.
 Every CSV goes through `pushrank.trace.write_table`.
 
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
@@ -39,9 +41,11 @@ __all__ = ["ExperimentConfig", "run_experiment", "monte_carlo", "compare",
 
 ALGORITHMS = ("exact", "power", "sync", "gossip", "multi", "cluster")
 SCHEDULES = {
-    "gossip": ("uniform", "weighted"),
-    "multi": ("roundrobin", "uniform", "weighted", "subset:<q>", "file:<path>"),
-    "cluster": ("periodic", "roundrobin", "uniform", "weighted", "file:<path>"),
+    "gossip": ("uniform", "weighted:indegree_plus_one", "weighted:file:<path>"),
+    "multi": ("roundrobin", "uniform", "weighted:indegree_plus_one",
+              "weighted:file:<path>", "subset:<q>", "file:<path>"),
+    "cluster": ("roundrobin", "uniform", "weighted:size",
+                "weighted:file:<path>", "file:<path>"),
 }
 # Every command reads these config fields and those of its `_READS` row
 _READ_BY_ALL = ("graph", "algorithm", "base", "m", "out", "dense_cap")
@@ -49,11 +53,11 @@ _READS = {
     "exact": "",
     "power": "steps tol cadence include_x",
     "sync": "steps tol cadence include_x",
-    "gossip": "schedule weights seed steps tol cadence include_x",
-    "multi": "schedule weights seed steps tol cadence include_x",
-    "cluster": "schedule weights seed partition steps tol cadence include_x",
-    "mc": "schedule weights seed partition steps cadence replicas",
-    "compare": "schedule weights seed partition steps tol cadence",
+    "gossip": "schedule seed steps tol cadence include_x",
+    "multi": "schedule seed steps tol cadence include_x",
+    "cluster": "schedule seed partition steps tol cadence include_x",
+    "mc": "schedule seed partition steps cadence replicas",
+    "compare": "schedule seed partition steps tol cadence",
 }
 DEFECT_ABORT = 1e-6
 _DEFAULT_TOL = 1e-9
@@ -64,8 +68,10 @@ _DEFAULT_STEP_CAP = 10_000_000
 class ExperimentConfig:
     """Everything needed to reproduce one run.
 
-    `schedule` is a spec string from the algorithm's row of `SCHEDULES`;
-    `weights` is ``uniform`` | ``indegree_plus_one`` | ``file:<path>``.
+    `schedule` is a spec string from the algorithm's row of `SCHEDULES`.
+    A ``weighted:<weights>`` spec draws a page by its in-degree plus one
+    (``indegree_plus_one``), a group by its member count (``size``) or
+    either by the numbers of a file (``file:<path>``).
     `cadence` of None records every step for graphs up to 1000 pages and
     roughly every n updates beyond that.
     """
@@ -75,7 +81,6 @@ class ExperimentConfig:
     base: int = 0
     m: float = 0.15
     schedule: str | None = None
-    weights: str | None = None
     partition: str | None = None
     steps: int | None = None
     tol: float | None = None
@@ -105,9 +110,7 @@ class ExperimentConfig:
             raise ConfigError("cadence must be a positive step count")
         return replace(
             self, schedule=spec,
-            seed=0 if self.seed is None and "seed" in reads else self.seed,
-            weights="uniform" if self.weights is None and "weights" in reads
-            else self.weights)
+            seed=0 if self.seed is None and "seed" in reads else self.seed)
 
     def effective_bounds(self):
         """(steps, tol) with a safety cap when neither was given."""
@@ -119,17 +122,18 @@ class ExperimentConfig:
 def _reads(config):
     """(spec, fields): the run's schedule spec, its `SCHEDULES` default
     applied and checked (a subset spec's probability too), and the fields
-    it reads: its `_READS` row, with ``weights`` only on the weighted
-    schedule and ``seed`` only on one that draws at random."""
+    it reads: its `_READS` row, with ``seed`` only on a schedule that
+    draws at random."""
     if config.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}; "
                           f"choose from {', '.join(ALGORITHMS)}")
     spec, accepted = config.schedule, SCHEDULES.get(config.algorithm)
     if accepted:
         spec = spec or accepted[0]
-        kind, colon, _ = spec.partition(":")
         # "subset:<q>" accepts any "subset:..."; "uniform" accepts only itself
-        if not any(a.partition(":")[:2] == (kind, colon) for a in accepted):
+        if not any(spec.startswith(prefix) if placeholder else spec == prefix
+                   for prefix, placeholder, _ in
+                   (a.partition("<") for a in accepted)):
             raise ConfigError(f"unknown schedule spec {spec!r} for "
                               f"{config.algorithm}; choose from "
                               f"{' | '.join(accepted)}")
@@ -137,8 +141,7 @@ def _reads(config):
     if kind == "subset":
         scheduling.subset_probability(spec)
     return spec, {name for name in _READS[config.algorithm].split()
-                  if (name != "weights" or kind == "weighted")
-                  and (name != "seed" or kind in scheduling.RANDOM_KINDS)}
+                  if name != "seed" or kind in scheduling.RANDOM_KINDS}
 
 
 def _unread(config, reads):
@@ -165,7 +168,8 @@ class _Runtime:
         graph = load_edge_list(config.graph, index_base=config.base)
         self.graph, _ = patch_dangling(graph)
         self.m = config.m
-        self._groups = {None: (None, None)}
+        self._groups = {None: (np.ones(self.graph.n, dtype=np.int64), None,
+                               "page")}
         self.use_groups(config.partition)
         self.oracle = None
         if self.graph.n <= config.dense_cap:
@@ -173,12 +177,16 @@ class _Runtime:
                                               dense_cap=config.dense_cap)
 
     def use_groups(self, path):
-        """Give the next run the groups of partition file `path` (None: none)."""
+        """Give the next run the groups of partition file `path` (None: the
+        pages): `units` holds the page count of each index a schedule
+        draws, `factors` the groups' local solvers (None for pages) and
+        `unit` the word for one drawn index."""
         if path not in self._groups:
             partition = load_partition(path, self.graph)
-            self._groups[path] = (partition,
-                                  GroupFactors(self.graph, self.m, partition))
-        self.partition, self.factors = self._groups[path]
+            self._groups[path] = (partition.sizes,
+                                  GroupFactors(self.graph, self.m, partition),
+                                  "group")
+        self.units, self.factors, self.unit = self._groups[path]
         return self
 
     def require_oracle(self, why):
@@ -187,29 +195,19 @@ class _Runtime:
                               "raise --dense-cap or shrink the graph")
 
 
-def _weights(config, runtime):
-    """Selection weights of a ``weighted`` schedule, one per drawn index.
-
-    Cluster runs draw groups: there ``uniform`` and ``indegree_plus_one``
-    both weight a group by its member count.
-    """
-    spec = config.weights
-    groups = runtime.partition
-    n, what = ((groups.num_groups, "groups") if groups is not None
-               else (runtime.graph.n, "pages"))
-    if spec.startswith("file:"):
-        w = np.loadtxt(spec[5:], dtype=float, ndmin=1)
-        if w.size != n:
-            raise ConfigError(f"weights file has {w.size} entries for "
-                              f"{n} {what}")
-        return w
-    if spec not in ("uniform", "indegree_plus_one"):
-        raise ConfigError(f"unknown weights spec {spec!r}")
-    if groups is not None:
-        return groups.sizes.astype(float)
-    if spec == "uniform":
-        return np.ones(n)
-    return scheduling.indegree_plus_one_weights(runtime.graph)
+def _weights(spec, runtime):
+    """Selection weights of a validated ``weighted:<weights>`` spec, one
+    per unit (see `ExperimentConfig`)."""
+    weights = spec.partition(":")[2]
+    if weights == "size":
+        return runtime.units
+    if weights == "indegree_plus_one":
+        return scheduling.indegree_plus_one_weights(runtime.graph)
+    w = np.loadtxt(weights[5:], dtype=float, ndmin=1)     # "file:<path>"
+    if w.size != runtime.units.size:
+        raise ConfigError(f"weights file has {w.size} entries for "
+                          f"{runtime.units.size} {runtime.unit}s")
+    return w
 
 
 def _build_schedule(config, runtime, replicas=None):
@@ -217,10 +215,9 @@ def _build_schedule(config, runtime, replicas=None):
     `scheduling.Schedule`); None for unscheduled runs."""
     if config.schedule is None:
         return None
-    groups = runtime.partition
-    n = groups.num_groups if groups is not None else runtime.graph.n
-    # validate resolves `weights` only where a weighted schedule reads them
-    weights = _weights(config, runtime) if config.weights else None
+    n = runtime.units.size
+    weights = (_weights(config.schedule, runtime)
+               if config.schedule.startswith("weighted:") else None)
     sched = scheduling.Schedule.from_spec(config.schedule, n, config.seed,
                                           weights, replicas)
     _check_tol_reachable(config, runtime, sched.never_drawn(n))
@@ -230,17 +227,14 @@ def _build_schedule(config, runtime, replicas=None):
 def _check_tol_reachable(config, runtime, idle):
     """Refuse a --tol that the schedule can never certify.
 
-    A page that never pushes keeps z_i >= m/n, so k such pages (the
-    members of the `idle` groups on cluster runs, else the `idle` pages)
-    hold the certificate at or above (1-m) k / n.
+    A page that never pushes keeps z_i >= m/n, so the k pages of the
+    `idle` units hold the certificate at or above (1-m) k / n.
     """
     if config.tol is None or idle.size == 0:
         return
-    groups = runtime.partition
-    pages = int(groups.sizes[idle].sum()) if groups is not None else idle.size
-    floor = (1.0 - config.m) * pages / runtime.graph.n
+    floor = (1.0 - config.m) * runtime.units[idle].sum() / runtime.graph.n
     if config.tol < floor:
-        what = "group" if groups is not None else "page"
+        what = runtime.unit
         if idle.size > 1:
             what += "s"
         shown = ", ".join(str(i) for i in idle[:10].tolist())
@@ -253,12 +247,9 @@ def _check_tol_reachable(config, runtime, idle):
 
 
 def _updates_per_step(runtime, sched):
-    n = runtime.graph.n
     if sched is None:
-        return float(n)
-    if runtime.partition is not None:
-        return float(n) / runtime.partition.num_groups
-    return sched.mean_draw_size
+        return float(runtime.graph.n)
+    return runtime.units.mean() * sched.mean_draw_size
 
 
 def _auto_cadence(config, runtime, sched):

@@ -1,12 +1,13 @@
 """Update schedules: which pages (or groups) push at each step.
 
 `Schedule.from_spec` is the one place a spec string becomes a schedule,
-and a schedule's `kind` is its spec's: ``uniform`` and ``weighted`` draw
-one index per step, ``roundrobin`` (which ``periodic`` names too) cycles
-``k mod n``, ``subset:<q>`` draws each index with probability q and
-``file:<path>`` replays the sets of a sequence file. `RANDOM_KINDS` names
-the kinds that draw at random, the only ones a seed steers. Which specs an
-algorithm accepts is the harness's table, not this module's.
+and a schedule's `kind` is its spec's: ``uniform`` and
+``weighted:<weights>`` draw one index per step (the caller resolves the
+weights the spec names), ``roundrobin`` cycles ``k mod n``,
+``subset:<q>`` draws each index with probability q and ``file:<path>``
+replays the sets of a sequence file. `RANDOM_KINDS` names the kinds that
+draw at random, the only ones a seed steers, and each needs one. Which
+specs an algorithm accepts is the harness's table, not this module's.
 
 Random kinds draw from seeded PCG64 streams and are reproducible across
 platforms; singleton draws use an inverse-CDF lookup (binary search on the
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
-from .webgraph import _INT64, _as_lines
+from .errors import ConfigError
+from .webgraph import _as_lines, _int64s
 
 __all__ = ["Schedule", "indegree_plus_one_weights", "load_sequence_file",
            "subset_probability", "derive_seed", "splitmix64"]
@@ -94,6 +95,8 @@ class Schedule:
                              for s in sequence]
         self._rngs = None
         if kind in RANDOM_KINDS:
+            if seed is None:
+                raise ValueError(f"a {kind} schedule needs a seed")
             seeds = ([seed] if replicas is None else
                      [derive_seed(seed, r) for r in range(replicas)])
             self._rngs = [np.random.default_rng(s) for s in seeds]
@@ -110,8 +113,8 @@ class Schedule:
         `weights` are the selection weights of a ``weighted`` spec (else unused).
         """
         kind, _, arg = spec.partition(":")
-        if kind in ("roundrobin", "periodic"):
-            return cls("roundrobin", n=n, replicas=replicas)
+        if kind == "roundrobin":
+            return cls(kind, n=n, replicas=replicas)
         if kind == "uniform":
             return cls(kind, weights=np.ones(n), seed=seed, replicas=replicas)
         if kind == "weighted":
@@ -208,13 +211,7 @@ def load_sequence_file(source):
         if line == "-":
             sets.append(np.empty(0, dtype=np.intp))
             continue
-        tokens = [tok.strip() for tok in line.split(",")]
-        if not all(_INT64.fullmatch(tok) for tok in tokens):
-            raise ParseError(
-                f"line {lineno}: expected comma-separated integers, got {line!r}")
-        values = [int(tok) for tok in tokens]
-        if not all(-2**63 <= v < 2**63 for v in values):
-            raise ParseError(
-                f"line {lineno}: integer does not fit 64 bits in {line!r}")
+        values = _int64s(lineno, line, [tok.strip() for tok in line.split(",")],
+                         "comma-separated integers")
         sets.append(np.array(values, dtype=np.intp))
     return sets

@@ -107,27 +107,32 @@ def _read_pairs(source, fields, rules):
             reason = "a pair is out of range"
     with reopen() as stream:
         for lineno, line in _as_lines(stream):
-            problem = _pair_problem(line, fields, rules)
-            if problem:
-                raise ParseError(f"line {lineno}: {problem}")
+            _check_pair(lineno, line, fields, rules)
     # the walk and loadtxt split the text differently (e.g. at a \v)
     raise ParseError(f"cannot read '{fields}' lines: {reason}")
 
 
-def _pair_problem(line, fields, rules):
-    """What is wrong with one payload line, or None; see `_read_pairs`."""
+def _check_pair(lineno, line, fields, rules):
+    """Raise the `ParseError` of one bad payload line; see `_read_pairs`."""
     parts = line.split("#", 1)[0].split()
     if len(parts) != 2:
-        return f"expected '{fields}', got {line!r}"
-    if not all(_INT64.fullmatch(part) for part in parts):
-        return f"expected two integers, got {line!r}"
-    a, b = int(parts[0]), int(parts[1])
-    if not all(-2**63 <= v < 2**63 for v in (a, b)):
-        return f"integer does not fit 64 bits in {line!r}"
+        raise ParseError(f"line {lineno}: expected '{fields}', got {line!r}")
+    a, b = _int64s(lineno, line, parts, "two integers")
     for reject, message in rules:
         if reject(a, b):
-            return message(a, b)
-    return None
+            raise ParseError(f"line {lineno}: {message(a, b)}")
+
+
+def _int64s(lineno, line, tokens, expected):
+    """The ints of line `lineno`'s `tokens`, ASCII integers with an optional
+    sign that fit 64 bits; else a `ParseError` that names the line."""
+    if not all(_INT64.fullmatch(tok) for tok in tokens):
+        raise ParseError(f"line {lineno}: expected {expected}, got {line!r}")
+    values = [int(tok) for tok in tokens]
+    if not all(-2**63 <= v < 2**63 for v in values):
+        raise ParseError(
+            f"line {lineno}: integer does not fit 64 bits in {line!r}")
+    return values
 
 
 # the largest n whose sort key src*n + dst (at most n*n - 1) fits int64

@@ -22,8 +22,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 CASES = {
     "gossip": "gossip --graph web60.txt --schedule uniform --seed 3 --steps 400",
-    "gossip_tol": ("gossip --graph web60.txt --schedule weighted "
-                   "--weights indegree_plus_one --seed 4 --tol 1e-6 --cadence 50"),
+    "gossip_tol": ("gossip --graph web60.txt --schedule "
+                   "weighted:indegree_plus_one --seed 4 --tol 1e-6 --cadence 50"),
     "multi_subset": ("multi --graph web60.txt --schedule subset:0.25 --seed 5 "
                      "--tol 1e-8 --cadence 5"),
     "multi_subset_large": ("multi --graph community700.txt --schedule subset:0.5 "

@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from pushrank import (ConfigError, DenseOracle, ExperimentConfig, GroupFactors,
                       harness, indegree_plus_one_weights, load_edge_list,
                       load_partition, monte_carlo, patch_dangling, run,
                       run_experiment)
+from pushrank.scheduling import RANDOM_KINDS
 from pushrank.trace import CSV_HEADER
 
 from conftest import (community_graph, random_graph, random_partition,
@@ -95,7 +97,7 @@ def test_cluster_whole_graph_single_update(small_graph_path, tmp_path, rng):
     part_path = tmp_path / "whole.txt"
     part_path.write_text("".join(f"{i} 0\n" for i in range(20)))
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="cluster",
-                           partition=str(part_path), schedule="periodic",
+                           partition=str(part_path), schedule="roundrobin",
                            tol=1e-9)
     trace = run_experiment(cfg)
     assert trace.final_step == 1
@@ -138,7 +140,17 @@ def test_bad_schedule_refused_before_any_input_is_read(capsys):
               "--schedule", "subset:0.5"], "unknown schedule spec 'subset:0.5'"),
             (["multi", "--schedule", "subset:oops"],
              "bad subset probability in 'subset:oops'"),
-            (["multi", "--schedule", "subset:0"], "must lie in (0, 1], got 0.0")):
+            (["multi", "--schedule", "subset:0"], "must lie in (0, 1], got 0.0"),
+            # a weighted spec names its weights, checked as any spec is
+            (["gossip", "--schedule", "weighted:bogus"],
+             "unknown schedule spec 'weighted:bogus'"),
+            (["gossip", "--schedule", "weighted:size"],
+             "unknown schedule spec 'weighted:size' for gossip"),
+            (["cluster", "--partition", "/nonexistent.groups", "--schedule",
+              "weighted:indegree_plus_one"],
+             "unknown schedule spec 'weighted:indegree_plus_one' for cluster"),
+            (["cluster", "--partition", "/nonexistent.groups",
+              "--schedule", "periodic"], "unknown schedule spec 'periodic'")):
         argv += ["--graph", "/nonexistent.txt"]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert error in capsys.readouterr().err
@@ -182,13 +194,35 @@ def test_bad_schedule_specs(small_graph_path, tmp_path):
             run_experiment(cfg)
 
 
+def test_every_spec_of_a_row_draws_its_own_sets(small_graph_path, tmp_path):
+    # on one input with one seed, two specs that draw the same sets are one
+    # draw named twice; the groups (sizes 1, 3, 16) tell size weights from
+    # none, and a spec that names a file replays what the file holds
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {(i > 0) + (i > 3)}\n" for i in range(20)))
+    for algorithm, specs in harness.SCHEDULES.items():
+        drawn = {}
+        for spec in specs:
+            if "file:" in spec:
+                continue
+            config = ExperimentConfig(
+                graph=small_graph_path, algorithm=algorithm,
+                schedule=spec.replace("<q>", "0.5"),
+                seed=3 if spec.partition(":")[0] in RANDOM_KINDS else None,
+                partition=str(part) if algorithm == "cluster" else None,
+            ).validate()
+            sched = harness._build_schedule(config, harness._Runtime(config))
+            drawn[spec] = [sched.next(k).tolist() for k in range(40)]
+        assert [(a, b) for a, b in combinations(drawn, 2)
+                if drawn[a] == drawn[b]] == []
+
+
 def test_weights_file_and_indegree(small_graph_path, tmp_path):
     wfile = tmp_path / "w.txt"
     wfile.write_text("".join("1.0\n" for _ in range(20)))
     for spec in ("indegree_plus_one", f"file:{wfile}"):
         cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                               schedule="weighted", weights=spec, seed=3,
-                               steps=200)
+                               schedule=f"weighted:{spec}", seed=3, steps=200)
         trace = run_experiment(cfg)
         assert trace.final_err < 1.0
 
@@ -197,8 +231,7 @@ def test_weights_file_length_checked(small_graph_path, tmp_path):
     wfile = tmp_path / "w.txt"
     wfile.write_text("1.0\n1.0\n")
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                           schedule="weighted", weights=f"file:{wfile}",
-                           steps=10)
+                           schedule=f"weighted:file:{wfile}", steps=10)
     with pytest.raises(ConfigError, match="entries"):
         run_experiment(cfg)
 
@@ -208,10 +241,9 @@ def test_unknown_weights_spec_rejected(small_graph_path, tmp_path):
     part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
     for algo in ("gossip", "multi", "cluster"):
         cfg = ExperimentConfig(
-            graph=small_graph_path, algorithm=algo, schedule="weighted",
-            weights="bogus", steps=10,
-            partition=str(part) if algo == "cluster" else None)
-        with pytest.raises(ConfigError, match="unknown weights"):
+            graph=small_graph_path, algorithm=algo, schedule="weighted:bogus",
+            steps=10, partition=str(part) if algo == "cluster" else None)
+        with pytest.raises(ConfigError, match="unknown schedule spec"):
             run_experiment(cfg)
 
 
@@ -219,15 +251,15 @@ def test_cli_rejects_non_finite_weights(small_graph_path, tmp_path, capsys):
     pages = tmp_path / "w.txt"
     pages.write_text("1.0\n" * 19 + "nan\n")
     assert cli.main(["gossip", "--graph", small_graph_path,
-                     "--schedule", "weighted", "--weights", f"file:{pages}",
+                     "--schedule", f"weighted:file:{pages}",
                      "--steps", "10"]) == cli.EXIT_CONFIG
     part = tmp_path / "part.txt"
     part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
     groups = tmp_path / "gw.txt"
     groups.write_text("1.0\nnan\n")
     assert cli.main(["cluster", "--graph", small_graph_path,
-                     "--partition", str(part), "--schedule", "weighted",
-                     "--weights", f"file:{groups}", "--steps", "10"]) == cli.EXIT_CONFIG
+                     "--partition", str(part), "--schedule",
+                     f"weighted:file:{groups}", "--steps", "10"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("positive and finite") == 2
 
 
@@ -306,26 +338,16 @@ def test_cli_rejects_dangling_patch_too_large(tmp_path, capsys):
     assert "99997 dangling pages of 100000" in capsys.readouterr().err
 
 
-def test_weights_need_weighted_schedule(small_graph_path, tmp_path):
-    part = tmp_path / "part.txt"
-    part.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
-    for argv in (["gossip", "--weights", "file:/nonexistent"],
-                 ["gossip", "--schedule", "uniform",
-                  "--weights", "indegree_plus_one"],
-                 ["multi", "--weights", "indegree_plus_one"],
-                 ["cluster", "--partition", str(part),
-                  "--weights", "file:/nonexistent"],
-                 ["compare", "--runs", "sync,gossip=uniform",
-                  "--weights", "indegree_plus_one"]):
-        assert cli.main(argv + ["--graph", small_graph_path,
-                                "--steps", "3"]) == cli.EXIT_CONFIG
-    with pytest.raises(ConfigError, match="weights"):
-        ExperimentConfig(graph=small_graph_path, algorithm="sync",
-                         weights="indegree_plus_one").validate()
-    # compare hands --weights to its weighted runs only
+def test_weights_need_weighted_schedule(small_graph_path):
+    # the weights are a weighted spec's argument: there is no --weights flag
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["gossip", "--graph", small_graph_path, "--steps", "3",
+                  "--weights", "uniform"])
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    # so each compare run names its own weights, or none
     assert cli.main(["compare", "--graph", small_graph_path, "--steps", "3",
-                     "--runs", "sync,gossip=uniform,gossip=weighted",
-                     "--weights", "indegree_plus_one"]) == cli.EXIT_OK
+                     "--runs", "sync,gossip=uniform,"
+                     "gossip=weighted:indegree_plus_one"]) == cli.EXIT_OK
 
 
 def test_mc_defaults_to_uniform_schedule(small_graph_path, tmp_path):
@@ -413,11 +435,10 @@ def test_monte_carlo_requires_random_schedule(small_graph_path):
 def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
     # both averaged curves are produced; their ordering is reported, not asserted
     curves = {}
-    for name, wspec in (("uniform", None),
-                        ("weighted", "indegree_plus_one")):
-        sched = "uniform" if name == "uniform" else "weighted"
+    for name, sched in (("uniform", "uniform"),
+                        ("weighted", "weighted:indegree_plus_one")):
         cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                               schedule=sched, weights=wspec, seed=1,
+                               schedule=sched, seed=1,
                                steps=150, replicas=60,
                                out=str(tmp_path / f"{name}.csv"))
         curves[name] = monte_carlo(cfg)
@@ -431,10 +452,10 @@ def test_monte_carlo_uniform_vs_weighted_reported(small_graph_path, tmp_path):
 
 
 MC_RUNS = {
-    "gossip-uniform": ("gossip", "uniform", None),
-    "gossip-weighted": ("gossip", "weighted", "indegree_plus_one"),
-    "multi-subset": ("multi", "subset:0.3", None),
-    "cluster-uniform": ("cluster", "uniform", None),
+    "gossip-uniform": ("gossip", "uniform"),
+    "gossip-weighted": ("gossip", "weighted:indegree_plus_one"),
+    "multi-subset": ("multi", "subset:0.3"),
+    "cluster-uniform": ("cluster", "uniform"),
 }
 
 
@@ -442,7 +463,7 @@ MC_RUNS = {
 @pytest.mark.parametrize("name", sorted(MC_RUNS))
 def test_stacked_monte_carlo_equals_its_replicas_one_by_one(
         name, replicas, small_graph_path, tmp_path, rng):
-    algorithm, spec, weights = MC_RUNS[name]
+    algorithm, spec = MC_RUNS[name]
     graph, _ = patch_dangling(load_edge_list(small_graph_path))
     partition = factors = None
     n = graph.n
@@ -451,13 +472,13 @@ def test_stacked_monte_carlo_equals_its_replicas_one_by_one(
                                          tmp_path / "groups.txt")
         factors = GroupFactors(graph, 0.15, load_partition(partition, graph))
         n = factors.num_groups
-    w = indegree_plus_one_weights(graph) if weights else None
+    w = indegree_plus_one_weights(graph) if spec.startswith("weighted") else None
     want = monte_carlo_one_by_one(
         graph, 0.15, spec, replicas, seed=13, weights=w, factors=factors,
         steps=40, oracle=DenseOracle(graph, 0.15))
     got = monte_carlo(ExperimentConfig(
         graph=small_graph_path, algorithm=algorithm, schedule=spec,
-        weights=weights, partition=partition, seed=13, steps=40,
+        partition=partition, seed=13, steps=40,
         replicas=replicas))
     for have, expected in zip((got.steps, got.updates, got.err_mean,
                                got.err_stderr), want):
@@ -534,8 +555,6 @@ REFUSED = {
     "exact-seed": ("exact", "--seed 99"),
     "sync-seed": ("sync --steps 5", "--seed 99"),
     "power-seed": ("power --steps 5", "--seed 9"),
-    "cluster-periodic-seed": ("cluster --partition PART --schedule periodic",
-                              "--seed 99"),
     "cluster-default-seed": ("cluster --partition PART", "--seed 99"),
     "cluster-roundrobin-seed": ("cluster --partition PART "
                                 "--schedule roundrobin", "--seed 3"),
@@ -547,13 +566,13 @@ REFUSED = {
     "multi-file-seed": ("multi --schedule file:PAGES", "--seed 3"),
     "compare-partition": ("compare --runs sync,power", "--partition PART"),
     "compare-seed": ("compare --runs sync,power", "--seed 5"),
-    "compare-deterministic-seed": ("compare --runs sync,cluster=periodic "
+    "compare-deterministic-seed": ("compare --runs sync,cluster=roundrobin "
                                    "--partition PART", "--seed 5"),
     # a flag given at its default value is still given
     "sync-default-seed": ("sync --steps 5", "--seed 0"),
-    "exact-default-weights-and-seed": ("exact", "--weights uniform --seed 0"),
-    "gossip-uniform-default-weights": ("gossip --schedule uniform --steps 5",
-                                       "--weights uniform"),
+    "exact-default-seed": ("exact", "--seed 0"),
+    "cluster-roundrobin-default-seed": ("cluster --partition PART "
+                                        "--schedule roundrobin", "--seed 0"),
     "compare-default-seed": ("compare --runs sync,power --steps 5",
                              "--seed 0"),
 }
@@ -589,10 +608,10 @@ def test_compare_loads_its_inputs_once(monkeypatch, tmp_path):
                          (harness.solvers, "DenseOracle")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     out = tmp_path / "cmp.csv"
-    for runs in ("gossip=uniform,cluster=periodic",
-                 "cluster=periodic,gossip=uniform,sync"):
+    for runs in ("gossip=uniform,cluster=roundrobin",
+                 "cluster=roundrobin,gossip=uniform,sync"):
         calls.clear()
-        # --seed goes to the gossip run only: cluster=periodic draws nothing
+        # --seed goes to the gossip run only: cluster=roundrobin draws nothing
         assert cli.main([
             "compare", "--graph", str(data / "community700.txt"),
             "--partition", str(data / "community700.groups"), "--runs", runs,
@@ -603,7 +622,7 @@ def test_compare_loads_its_inputs_once(monkeypatch, tmp_path):
     # groups, and only the gossip run reads the seed
     lines = out.read_text().splitlines()
     grid = [int(line.split(",")[0]) for line in lines[1:]]
-    for col, (algo, sched) in enumerate((("cluster", "periodic"),
+    for col, (algo, sched) in enumerate((("cluster", "roundrobin"),
                                          ("gossip", "uniform"),
                                          ("sync", None)), start=1):
         trace = run_experiment(ExperimentConfig(
@@ -647,8 +666,9 @@ def test_compare_runs_share_the_dense_cap(cycle_path):
 
 def test_compare_duplicate_labels_disambiguated(small_graph_path):
     base = ExperimentConfig(graph=small_graph_path, algorithm="compare",
-                            weights="indegree_plus_one", seed=1, steps=50)
-    header, _ = compare(base, ["gossip=uniform", "gossip=weighted"])
+                            seed=1, steps=50)
+    header, _ = compare(base, ["gossip=uniform",
+                               "gossip=weighted:indegree_plus_one"])
     assert header == ["updates", "err_gossip", "err_gossip_"]
 
 
@@ -661,7 +681,7 @@ def test_compare_cluster_beats_gossip_on_community_graph(tmp_path, rng):
                               schedule="uniform", seed=2, tol=1e-6,
                               steps=200_000)
     cluster = ExperimentConfig(graph=gpath, algorithm="cluster",
-                               partition=ppath, schedule="periodic",
+                               partition=ppath, schedule="roundrobin",
                                tol=1e-6, steps=200_000)
     t_gossip = run_experiment(gossip)
     t_cluster = run_experiment(cluster)

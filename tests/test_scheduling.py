@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from pushrank import (ParseError, Schedule, derive_seed,
+from pushrank import (ConfigError, ParseError, Schedule, derive_seed,
                       indegree_plus_one_weights, load_edge_list)
 from pushrank.scheduling import load_sequence_file, splitmix64
 
@@ -33,11 +33,12 @@ def test_round_robin_pattern():
 
 
 def test_periodic_groups_pattern():
-    # cluster's default spec cycles the groups exactly like roundrobin
-    for spec in ("periodic", "roundrobin"):
-        sched = Schedule.from_spec(spec, 4, seed=0, weights=None)
-        assert sched.kind == "roundrobin"
-        assert [s[0] for s in draws(sched, 6)] == [0, 1, 2, 3, 0, 1]
+    # cluster's default spec cycles the groups; "periodic" is no other name
+    sched = Schedule.from_spec("roundrobin", 4, seed=0, weights=None)
+    assert sched.kind == "roundrobin"
+    assert [s[0] for s in draws(sched, 6)] == [0, 1, 2, 3, 0, 1]
+    with pytest.raises(ConfigError, match="unknown schedule spec 'periodic'"):
+        Schedule.from_spec("periodic", 4)
 
 
 def test_weighted_frequencies_five_sigma():
@@ -187,12 +188,21 @@ def test_stacked_draws_are_each_replicas_own(spec, replicas):
 def test_fixed_schedules_refuse_more_than_one_replica(tmp_path):
     seq = tmp_path / "two.seq"
     seq.write_text("0\n1\n")
-    for spec in ("roundrobin", "periodic", f"file:{seq}"):
+    for spec in ("roundrobin", f"file:{seq}"):
         assert Schedule.from_spec(spec, 2, replicas=1).replicas == 1
         with pytest.raises(ValueError, match="one replica, not 2"):
             Schedule.from_spec(spec, 2, replicas=2)
     with pytest.raises(ValueError, match="at least 1"):
         Schedule.from_spec("uniform", 2, 0, replicas=0)
+
+
+def test_random_kinds_need_a_seed():
+    for spec in ("uniform", "weighted", "subset:0.5"):
+        kind = spec.partition(":")[0]
+        for replicas in (None, 3):
+            with pytest.raises(ValueError, match=f"a {kind} schedule needs a seed"):
+                Schedule.from_spec(spec, 5, weights=np.ones(5),
+                                   replicas=replicas)
 
 
 def test_never_drawn_names_idle_indices():
