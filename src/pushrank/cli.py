@@ -73,8 +73,9 @@ def _add_common(parser):
                              "by cluster runs" + _read_by("partition"))
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--cadence", type=int, default=None,
-                        help="record every j-th step, by default chosen "
-                             "from n" + _read_by("cadence"))
+                        help="record every j-th step; by default every "
+                             "step up to 1000 pages, else once per sweep of "
+                             "n updates" + _read_by("cadence"))
     parser.add_argument("--dense-cap", type=int, default=DENSE_CAP,
                         dest="dense_cap",
                         help="largest n for which the dense oracle is built "

@@ -37,6 +37,12 @@ counts once however many replicas push in it. Each record holds the
 certificate of every replica, from one sum of z per row, and one oracle
 call checks them all. Engines are single-threaded and deterministic.
 
+`run` records the first step, the last, and by default every step on
+graphs of up to 1,000 pages, else the first step at or after each
+multiple of the state's size in counted updates (one sweep per replica);
+with a `cadence`, every cadence-th step. A record whose conservation
+defect exceeds `DEFECT_ABORT` in any replica aborts the run there.
+
 The certificate is not summed every step. After a single-page or gathered
 push the state keeps a running ||z||_1 (`PushState.mass`), moved by the
 step's sent minus pushed mass, and a bound on its rounding drift that
@@ -58,11 +64,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import step_group
+from .errors import NumericalFailure
 from .trace import Trace
 
-__all__ = ["PushState", "init_state", "step_set", "exact_error", "run"]
+__all__ = ["PushState", "init_state", "step_set", "exact_error", "run",
+           "DEFECT_ABORT"]
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+DEFECT_ABORT = 1e-6
 
 
 @dataclass
@@ -201,11 +210,17 @@ def exact_error(state, m):
 
 
 def _record(trace, state, m, oracle, record_x, replicas):
-    """Append the state's record: err, cert and defect per replica."""
+    """Append the state's record: err, cert and defect per replica. Raise
+    `NumericalFailure` if any replica's defect exceeds `DEFECT_ABORT`."""
     x, z = state.x.reshape(replicas, -1), state.z.reshape(replicas, -1)
     cert = (1.0 - m) / m * z.sum(axis=1)
     if oracle is not None:
         err, defect = oracle.error_l1(x), oracle.conservation_defect(x, z)
+        worst = np.fmax.reduce(defect)           # NaN only if all are
+        if worst > DEFECT_ABORT:
+            of = f" of replica {np.nanargmax(defect)}" if replicas > 1 else ""
+            raise NumericalFailure(f"conservation defect {worst:.3e} at step "
+                                   f"{state.step}{of} exceeds {DEFECT_ABORT:g}")
     else:
         err = defect = np.full(replicas, math.nan)
     trace.append(state.step, state.cumulative_updates, err_l1=err, cert=cert,
@@ -225,7 +240,7 @@ def _certified(state, z_stop):
 
 
 def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
-        oracle=None, cadence=1, record_x=False):
+        oracle=None, cadence=None, record_x=False):
     """Run one engine from `init_state`; returns (state, trace).
 
     Each step pushes the set that `schedule` draws, or every page when
@@ -233,9 +248,9 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     `pushrank.cluster.GroupFactors`) the schedule draws one group index
     per step, an empty draw being a no-op step. Stops when the residual
     certificate reaches `tol`, after `steps` steps, or when the schedule
-    is exhausted, whichever comes first. The trace records every
-    `cadence`-th step (plus the first and last); err/defect columns are
-    filled when a dense oracle is supplied.
+    is exhausted, whichever comes first. The trace records the steps the
+    module doc names; err/defect columns are filled when a dense oracle is
+    supplied, and a defect above `DEFECT_ABORT` raises `NumericalFailure`.
 
     The run has the schedule's R replicas (one without a schedule), in one
     stacked state (see the module doc): the updates column counts the
@@ -256,6 +271,10 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
         everyone = np.arange(state.n, dtype=np.intp)
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle
     z_stop = m * tol / (1.0 - m) if tol is not None else None
+    # record when the step count, or by default above 1,000 pages the
+    # update count, reaches `mark`, then move `mark` a period past it
+    by_updates = cadence is None and graph.n > 1000
+    mark = period = state.n if by_updates else cadence or 1
     trace = Trace()
     _record(trace, state, m, oracle, record_x, replicas)
     while steps is None or state.step < steps:
@@ -268,7 +287,9 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
             step_set(state, graph, m, drawn)
         else:
             step_group(state, graph, m, factors, drawn)
-        if state.step % cadence == 0:
+        done = state.cumulative_updates if by_updates else state.step
+        if done >= mark:
+            mark = (done // period + 1) * period
             _record(trace, state, m, oracle, record_x, replicas)
     if trace.final_step != state.step:
         _record(trace, state, m, oracle, record_x, replicas)

@@ -19,25 +19,27 @@ cumulative-updates axis (the fair cost measure: one update = one page
 pushing once) and emit one error column per run.
 
 Exact-error and conservation columns require the dense oracle and are NaN
-when the graph exceeds the dense cap. A conservation defect above 1e-6 is
-a hard numerical failure and aborts the experiment.
+when the graph exceeds the dense cap. A conservation defect above
+`engines.DEFECT_ABORT` (1e-6) is a hard numerical failure: the run loop
+aborts at the record where it appears.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import engines, scheduling, solvers
 from .cluster import GroupFactors
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, ParseError
 from .trace import Trace, format_float, write_table
 from .webgraph import load_edge_list, load_partition, patch_dangling
 
 __all__ = ["ExperimentConfig", "run_experiment", "monte_carlo", "compare",
-           "MeanTrace", "ALGORITHMS", "SCHEDULES", "DEFECT_ABORT"]
+           "MeanTrace", "ALGORITHMS", "SCHEDULES"]
 
 ALGORITHMS = ("exact", "power", "sync", "gossip", "multi", "cluster")
 SCHEDULES = {
@@ -59,7 +61,6 @@ _READS = {
     "mc": "schedule seed partition steps cadence replicas",
     "compare": "schedule seed partition steps tol cadence",
 }
-DEFECT_ABORT = 1e-6
 _DEFAULT_TOL = 1e-9
 _DEFAULT_STEP_CAP = 10_000_000
 
@@ -73,7 +74,8 @@ class ExperimentConfig:
     (``indegree_plus_one``), a group by its member count (``size``) or
     either by the numbers of a file (``file:<path>``).
     `cadence` of None records every step for graphs up to 1000 pages and
-    roughly every n updates beyond that.
+    beyond that the first step at or after each multiple of n counted
+    updates (one sweep); see `engines.run`.
     """
 
     graph: str
@@ -113,10 +115,11 @@ class ExperimentConfig:
             seed=0 if self.seed is None and "seed" in reads else self.seed)
 
     def effective_bounds(self):
-        """(steps, tol) with a safety cap when neither was given."""
-        if self.steps is None and self.tol is None:
-            return _DEFAULT_STEP_CAP, _DEFAULT_TOL
-        return self.steps, self.tol
+        """(steps, tol): the given steps, else `_DEFAULT_STEP_CAP`, and the
+        given tol, or `_DEFAULT_TOL` when neither was given."""
+        if self.steps is not None:
+            return self.steps, self.tol
+        return _DEFAULT_STEP_CAP, _DEFAULT_TOL if self.tol is None else self.tol
 
 
 def _reads(config):
@@ -203,11 +206,17 @@ def _weights(spec, runtime):
         return runtime.units
     if weights == "indegree_plus_one":
         return scheduling.indegree_plus_one_weights(runtime.graph)
-    w = np.loadtxt(weights[5:], dtype=float, ndmin=1)     # "file:<path>"
+    with warnings.catch_warnings():
+        # no numbers at all: the size check below says so
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        w = np.loadtxt(weights[5:], dtype=float, ndmin=2)  # "file:<path>"
+    if w.shape[1] != 1:
+        raise ParseError(f"weights file has {w.shape[1]} numbers per line; "
+                         "expected one")
     if w.size != runtime.units.size:
         raise ConfigError(f"weights file has {w.size} entries for "
                           f"{runtime.units.size} {runtime.unit}s")
-    return w
+    return w[:, 0]
 
 
 def _build_schedule(config, runtime, replicas=None):
@@ -246,56 +255,22 @@ def _check_tol_reachable(config, runtime, idle):
             f"{floor:.6g}")
 
 
-def _updates_per_step(runtime, sched):
-    if sched is None:
-        return float(runtime.graph.n)
-    return runtime.units.mean() * sched.mean_draw_size
-
-
-def _auto_cadence(config, runtime, sched):
-    if config.cadence is not None:
-        return config.cadence
-    n = runtime.graph.n
-    if n <= 1000:
-        return 1
-    return max(1, round(n / _updates_per_step(runtime, sched)))
-
-
-def _check_conservation(trace):
-    """Abort on a recorded defect above `DEFECT_ABORT`, in any replica."""
-    defect = trace.column("defect")
-    worst = np.fmax.reduce(defect, axis=None)      # NaN only if all are
-    if worst > DEFECT_ABORT:
-        at = np.unravel_index(np.nanargmax(defect), defect.shape)
-        replica = f" of replica {at[1]}" if defect.shape[1] > 1 else ""
-        raise NumericalFailure(
-            f"conservation defect {worst:.3e} at step "
-            f"{trace.steps[at[0]]}{replica} exceeds {DEFECT_ABORT:g}")
-
-
 def _execute(config, runtime, sched):
     """Run one configured algorithm and return its trace; a run of the
     schedule's replicas (see `engines.run`)."""
-    graph, m = runtime.graph, config.m
-    steps, tol = config.effective_bounds()
-    cadence = _auto_cadence(config, runtime, sched)
-    oracle = runtime.oracle
     if config.algorithm == "exact":
         runtime.require_oracle("exact solve")
         trace = Trace()
         trace.append(0, 0, err_l1=0.0, cert=0.0, defect=0.0)
         return trace
+    steps, tol = config.effective_bounds()
+    shared = dict(tol=tol, oracle=runtime.oracle, cadence=config.cadence,
+                  record_x=config.include_x)
     if config.algorithm == "power":
-        _, trace = solvers.power_method(
-            graph, m, tol=tol,
-            max_steps=steps if steps is not None else _DEFAULT_STEP_CAP,
-            oracle=oracle, cadence=cadence, record_x=config.include_x)
-        return trace
-    trace = engines.run(graph, m, sched, factors=runtime.factors,
-                        steps=steps, tol=tol, oracle=oracle, cadence=cadence,
-                        record_x=config.include_x)[1]
-    _check_conservation(trace)
-    return trace
+        return solvers.power_method(runtime.graph, config.m, max_steps=steps,
+                                    **shared)[1]
+    return engines.run(runtime.graph, config.m, sched, steps=steps,
+                       factors=runtime.factors, **shared)[1]
 
 
 def run_experiment(config):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .webgraph import _as_lines, _int64s
 
 __all__ = ["Schedule", "indegree_plus_one_weights", "load_sequence_file",
@@ -110,7 +110,8 @@ class Schedule:
     def from_spec(cls, spec, n, seed=None, weights=None, replicas=None):
         """Schedule over n indices for a spec string (see the module doc).
 
-        `weights` are the selection weights of a ``weighted`` spec (else unused).
+        `weights` are a ``weighted`` spec's selection weights, one per
+        index (else unused); a ``file`` spec's indices must lie in 0..n-1.
         """
         kind, _, arg = spec.partition(":")
         if kind == "roundrobin":
@@ -118,25 +119,19 @@ class Schedule:
         if kind == "uniform":
             return cls(kind, weights=np.ones(n), seed=seed, replicas=replicas)
         if kind == "weighted":
+            if np.shape(weights) != (n,):     # None has shape ()
+                raise ValueError(f"a weighted schedule needs {n} weights, "
+                                 "one per index")
             return cls(kind, weights=weights, seed=seed, replicas=replicas)
         if kind == "subset":
             return cls(kind, n=n, q=subset_probability(spec), seed=seed,
                        replicas=replicas)
         if kind == "file":
-            return cls(kind, sequence=load_sequence_file(arg), replicas=replicas)
+            return cls(kind, sequence=load_sequence_file(arg, n),
+                       replicas=replicas)
         raise ConfigError(f"unknown schedule spec {spec!r}")
 
     # -- queries --------------------------------------------------------
-
-    @property
-    def mean_draw_size(self):
-        """Expected number of indices one replica's draw holds, at least 1."""
-        if self.kind == "subset":
-            return max(1.0, self.q * self.n)
-        if self.kind == "file":
-            sizes = [s.size for s in self.sequence] or [1]
-            return max(1.0, sum(sizes) / len(sizes))
-        return 1.0
 
     def never_drawn(self, n):
         """Indices in 0..n-1 that a fixed sequence never draws, ascending.
@@ -145,10 +140,9 @@ class Schedule:
         """
         if self.sequence is None:
             return np.empty(0, dtype=np.intp)
-        drawn = np.zeros(n, dtype=bool)
+        # bincount refuses a negative index, which no loaded sequence holds
         named = np.concatenate([np.empty(0, dtype=np.intp), *self.sequence])
-        drawn[named[(named >= 0) & (named < n)]] = True
-        return np.flatnonzero(~drawn)
+        return np.flatnonzero(np.bincount(named, minlength=n)[:n] == 0)
 
     # -- drawing --------------------------------------------------------
 
@@ -199,12 +193,13 @@ def subset_probability(spec):
     return q
 
 
-def load_sequence_file(source):
+def load_sequence_file(source, n):
     """Explicit update sequence: one set per line, comma-separated indices.
 
     Blank and ``#`` lines are skipped; a line containing just ``-`` denotes
-    the empty set (a no-op step). Indices are ASCII integers with an
-    optional sign that fit 64 bits, as in edge lists (`pushrank.webgraph`).
+    the empty set (a no-op step). Indices are ASCII integers in 0..n-1, as
+    in edge lists (`pushrank.webgraph`); a `ParseError` names the first
+    line that breaks this.
     """
     sets = []
     for lineno, line in _as_lines(source):
@@ -213,5 +208,8 @@ def load_sequence_file(source):
             continue
         values = _int64s(lineno, line, [tok.strip() for tok in line.split(",")],
                          "comma-separated integers")
+        for v in values:
+            if not 0 <= v < n:
+                raise ParseError(f"line {lineno}: index {v} outside 0..{n - 1}")
         sets.append(np.array(values, dtype=np.intp))
     return sets

@@ -71,10 +71,11 @@ class DenseOracle:
 
 
 def power_method(graph, m, tol=1e-12, max_steps=100_000,
-                 oracle=None, cadence=1, record_x=False):
+                 oracle=None, cadence=None, record_x=False):
     """Power iteration x(k+1) = Q x(k) + (m/n) 1 from the uniform x(0) = 1/n.
 
     Stops after `max_steps`, or once the L1 step difference is <= `tol` if set.
+    Records every step, or with a `cadence` every cadence-th (plus the last).
     Each iterate stays a probability vector; a drift beyond 1e-12 raises.
     Returns the final iterate and a trace (cert/defect columns are NaN --
     there is no residual state here; err_l1 is filled when an oracle is
@@ -84,6 +85,7 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
     x = np.full(n, 1.0 / n)
     q = graph.q_matrix(m)
     teleport = m / n
+    cadence = cadence or 1
     trace = Trace()
 
     def record(k, x):

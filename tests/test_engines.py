@@ -282,6 +282,14 @@ def test_run_round_robin_liveness_and_decay(rng):
     assert np.all(np.diff(errs) <= 1e-12)
 
 
+def test_gossip_above_1000_pages_records_every_n_steps(rng):
+    # one update per step: a sweep of n updates is n steps
+    g = random_graph(rng, 1200)
+    _, trace = run(g, M, Schedule.from_spec("uniform", g.n, 5),
+                   steps=2 * g.n + 7)
+    assert trace.steps == [0, g.n, 2 * g.n, 2 * g.n + 7]
+
+
 def test_run_requires_some_bound():
     with pytest.raises(ValueError):
         run(cycle2(), M, Schedule.from_spec("roundrobin", 2))

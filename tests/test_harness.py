@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -167,11 +168,31 @@ def test_power_reads_the_bounds_of_every_engine(capsys):
 
 
 def test_power_with_tol_alone_keeps_the_step_cap(monkeypatch, capsys):
-    # the step difference may never reach a tiny tol; the cap still ends the run
+    # the step difference or the certificate may never reach a tiny tol;
+    # the cap still ends the run, for power as for every engine
     monkeypatch.setattr(harness, "_DEFAULT_STEP_CAP", 50)
     web60 = str(Path(__file__).resolve().parent / "data" / "web60.txt")
-    assert cli.main(["power", "--graph", web60, "--tol", "1e-300"]) == cli.EXIT_OK
-    assert capsys.readouterr().out.startswith("power: steps=50 ")
+    for algo in ("power", "sync"):
+        assert cli.main([algo, "--graph", web60, "--tol", "1e-300"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith(f"{algo}: steps=50 ")
+
+
+def test_default_records_of_a_skewed_cluster_run_lie_a_sweep_apart(tmp_path):
+    # one 550-page group and 550 singletons drawn by size: half the steps
+    # push 550 pages, half push one, and each sweep of n updates is recorded
+    n, big = 1100, 550
+    rng = np.random.default_rng(3)
+    graph, part = tmp_path / "g.txt", tmp_path / "part.txt"
+    src = np.repeat(np.arange(n), 3)
+    graph.write_text("".join(f"{a} {b}\n" for a, b in
+                             zip(src, rng.integers(0, n, src.size))))
+    part.write_text("".join(f"{i} {max(0, i - big + 1)}\n" for i in range(n)))
+    trace = run_experiment(ExperimentConfig(
+        graph=str(graph), algorithm="cluster", partition=str(part),
+        schedule="weighted:size", seed=2, steps=100, dense_cap=1))
+    gaps = np.diff(trace.column("updates"))
+    assert trace.final_step == 100 and gaps.size > 10
+    assert gaps.max() <= n + big
 
 
 def test_bad_schedule_specs(small_graph_path, tmp_path):
@@ -225,6 +246,41 @@ def test_weights_file_and_indegree(small_graph_path, tmp_path):
                                schedule=f"weighted:{spec}", seed=3, steps=200)
         trace = run_experiment(cfg)
         assert trace.final_err < 1.0
+
+
+def test_weights_files_hold_one_number_per_line(small_graph_path, tmp_path,
+                                                capsys):
+    # twenty numbers for twenty pages, but two to a line
+    wfile = tmp_path / "w.txt"
+    wfile.write_text("1 2\n" * 10)
+    argv = ["gossip", "--graph", small_graph_path, "--schedule",
+            f"weighted:file:{wfile}", "--steps", "3"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "2 numbers per line; expected one" in capsys.readouterr().err
+    # an empty file is refused by its count, without a NumPy warning
+    wfile.write_text("# no weights\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="has 0 entries for 20 pages"):
+            run_experiment(ExperimentConfig(
+                graph=small_graph_path, algorithm="gossip",
+                schedule=f"weighted:file:{wfile}", steps=3))
+
+
+def test_sequence_files_are_checked_against_the_drawn_range(tmp_path, capsys):
+    # a page outside the graph, or a group outside the partition, is refused
+    # when the schedule is built, by line, even if no step would draw it
+    graph, part, seq = (tmp_path / name for name in ("g.txt", "p.txt", "s.txt"))
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+    part.write_text("0 0\n1 0\n2 1\n3 1\n")
+    seq.write_text("0\n# two groups\n3,2\n")
+    base = ["--graph", str(graph), "--schedule", f"file:{seq}", "--steps", "1"]
+    assert cli.main(["multi", *base]) == cli.EXIT_OK
+    assert cli.main(["cluster", "--partition", str(part), *base]) == cli.EXIT_CONFIG
+    assert "line 3: index 3 outside 0..1" in capsys.readouterr().err
+    seq.write_text("0\n7\n")
+    assert cli.main(["multi", *base]) == cli.EXIT_CONFIG
+    assert "line 2: index 7 outside 0..3" in capsys.readouterr().err
 
 
 def test_weights_file_length_checked(small_graph_path, tmp_path):
@@ -531,7 +587,7 @@ def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
     # between it and every replica's largest defect without the spike
     level = math.sqrt(spike * defects.max())
     assert defects.max() < level < spike
-    monkeypatch.setattr(harness, "DEFECT_ABORT", level)
+    monkeypatch.setattr(engines, "DEFECT_ABORT", level)
     config = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
                               schedule="uniform", seed=13, steps=40,
                               replicas=replicas or 1)
@@ -541,6 +597,22 @@ def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
     where = f"at step {at} of replica {middle}" if replicas else f"at step {at}"
     with pytest.raises(NumericalFailure, match=f"{where} exceeds"):
         execute(config)
+
+
+def test_a_defect_spike_ends_the_run_at_its_record(small_graph_path,
+                                                   monkeypatch):
+    spike_step_set(monkeypatch, 0, 20, 1e-3)
+    spiking, calls = engines.step_set, []
+
+    def counting(*args):
+        calls.append(args)
+        spiking(*args)
+    monkeypatch.setattr(engines, "step_set", counting)
+    config = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
+                              seed=13, steps=1000)
+    with pytest.raises(NumericalFailure, match="at step 20 exceeds 1e-06"):
+        run_experiment(config)
+    assert len(calls) == 20
 
 
 REFUSED = {

@@ -120,12 +120,18 @@ def test_weights_must_be_positive():
             Schedule.from_spec("weighted", 2, 0, np.array([0.5, bad]))
 
 
+def test_weighted_specs_need_one_weight_per_index():
+    for weights in (None, np.ones(3), np.ones((5, 1))):
+        with pytest.raises(ValueError, match="needs 5 weights, one per index"):
+            Schedule.from_spec("weighted", 5, 3, weights)
+
+
 def test_sequence_file_parsing():
     text = "# schedule\n0,2,4\n-\n1\n\n3,3\n"
-    sets = load_sequence_file(io.StringIO(text))
+    sets = load_sequence_file(io.StringIO(text), 5)
     assert [s.tolist() for s in sets] == [[0, 2, 4], [], [1], [3, 3]]
     with pytest.raises(ParseError, match="line 1"):
-        load_sequence_file(io.StringIO("0;1"))
+        load_sequence_file(io.StringIO("0;1"), 5)
 
 
 def test_weighted_draw_matches_indegree_policy_on_random_graph(rng):
@@ -206,7 +212,11 @@ def test_random_kinds_need_a_seed():
 
 
 def test_never_drawn_names_idle_indices():
-    sched = Schedule("file", sequence=[[0, 2], [], [2, 9], [-1]])
+    sched = Schedule("file", sequence=[[0, 2], [], [2, 0]])
     assert sched.never_drawn(5).tolist() == [1, 3, 4]
+    # an index past n draws none of 0..n-1; a negative one is refused
+    assert Schedule("file", sequence=[[0], [9]]).never_drawn(3).tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        Schedule("file", sequence=[[-1]]).never_drawn(3)
     assert Schedule.from_spec("roundrobin", 4).never_drawn(4).size == 0
     assert Schedule.from_spec("uniform", 4, 0).never_drawn(4).size == 0
