@@ -25,7 +25,6 @@ once per partition (`GroupFactors`) and shared across steps and replicas;
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NumericalFailure
 
@@ -45,11 +44,16 @@ class GroupFactors:
     (Qhh is Schur stable) and avoids storing a possibly dense inverse.
     """
 
-    __slots__ = ("members", "block_columns", "_dense_lu", "_sparse_qhh")
+    __slots__ = ("members", "block_columns", "_dense_lu", "_sparse_qhh",
+                 "_getrs")
 
     def __init__(self, graph, m, partition):
         if partition.n != graph.n:
             raise ValueError("partition and graph disagree on page count")
+        from scipy import linalg          # only the local factors need it
+
+        # LAPACK's solve with LU factors, fetched once for every group
+        self._getrs = linalg.get_lapack_funcs("getrs", dtype=np.float64)
         q = graph.q_matrix(m)
         self.members = partition.members
         self.block_columns = []
@@ -83,7 +87,11 @@ class GroupFactors:
         lu = self._dense_lu[h]
         if lu is not None:
             # the factor was checked when built and rhs is engine state
-            return linalg.lu_solve(lu, rhs, check_finite=False), 0.0
+            zbar, info = self._getrs(*lu, rhs)
+            if info != 0:
+                raise NumericalFailure(f"local solve for group {h} failed: "
+                                       f"LAPACK getrs info {info}")
+            return zbar, 0.0
         qhh = self._sparse_qhh[h]
         zbar = rhs.copy()
         term = rhs

@@ -15,22 +15,41 @@ group's intra-group mass and then pushes the same way. Steps mutate the
 state they are given. One driver, `run`, draws the sets or groups and
 stops on the certificate.
 
-A step costs what its senders send. A single page writes its inflow
-straight into x and z at its out-links: O(out-degree). Any other partial
-set gathers its senders' out-links and sums each target's inflow in one
-`bincount`: O(sum of the senders' out-degrees, times a log for the sort).
-The set of every page pushes with one sparse mat-vec, ``Q @ z``:
-O(nnz + n). Every path sums a target's inflow from 0.0 in ascending
-sender index and touches no page it does not reach, so a push by any set
-of pages reproduces ``x + Q @ (mask * z)`` and ``(1 - mask) * z +
-Q @ (mask * z)`` bit for bit.
+A push costs what its senders send. A partial set gathers its senders'
+out-links and sums each target's inflow in one `bincount`: O(sum of the
+senders' out-degrees, times a log for the sort). The set of every page
+pushes with one sparse mat-vec, ``Q @ z``: O(nnz + n). Both paths sum a
+target's inflow from 0.0 in ascending sender index and touch no page
+they do not reach, so a push by any set of pages reproduces ``x + Q @
+(mask * z)`` and ``(1 - mask) * z + Q @ (mask * z)`` bit for bit.
 
+`run` pushes partial sets a segment at a time. A segment is a run of
+consecutive steps in which no step's senders were sent or received by an
+earlier step of the segment (the conflict rule). Its senders then push
+what they hold before the segment, so the steps commute with one
+simultaneous update applied in step order: one gather of the segment's
+out-links, keyed by (step, target), one `bincount`, the senders' residual
+reset, then the inflows added to x and z row by row in step order. That
+is bit for bit what the steps do one by one, and a segment costs one
+call's fixed overhead plus its senders' out-degrees (times a log for the
+sort), where each step used to pay the overhead alone. A uniform gossip
+segment on n pages of out-degree d runs about sqrt(pi n / (2 (d + 1)))
+steps, 59 at n = 20,000 and d = 8.
+`run` draws up to `_LOOKAHEAD` steps or pages ahead and cuts the segment
+at the first conflict, at the step that reaches the next record (a
+segment never spans a record), at the `steps` bound, where the schedule
+runs out, and, with a `tol`, before the first step at which z might have
+summed to the stop level. The set of every page conflicts with any
+earlier push; starting a segment, it pushes alone with the mat-vec. A
+group step, and any step whose record is one step away, are segments of
+one step and need no conflict search.
 Every run is R replicas stacked in one state, a single run being R = 1:
 replica r holds pages ``r n .. r n + n - 1``, so x and z read as (R, n)
 C-order arrays, and the schedule draws for all R (`pushrank.scheduling`).
 A step pushes the union of the replicas' page draws, each sender into its
 own block (target = the block's offset plus the out-link), through the
-gathered path when R > 1; a group step solves and pushes replica by
+gathered path, and segments apply to the stacked pages as they are; a
+group step solves and pushes replica by
 replica, each into its own block only. Replicas never mix, and each
 follows the trajectory it would follow alone, bit for bit. A stacked step
 counts once however many replicas push in it. Each record holds the
@@ -43,17 +62,18 @@ multiple of the state's size in counted updates (one sweep per replica);
 with a `cadence`, every cadence-th step. A record whose conservation
 defect exceeds `DEFECT_ABORT` in any replica aborts the run there.
 
-The certificate is not summed every step. After a single-page or gathered
-push the state keeps a running ||z||_1 (`PushState.mass`), moved by the
-step's sent minus pushed mass, and a bound on its rounding drift that
+The certificate is not summed every step. After a gathered push the
+state keeps a running ||z||_1 (`PushState.mass`), moved once per segment
+by its sent minus pushed mass, and a bound on its rounding drift that
 grows with the updates since the last exact sum. A push to a block of
 pages (every page, or a group step's replica) rewrites it wholesale and
 leaves the running mass unknown until the next exact sum. With a `tol`
 (single runs only), `run` sums z exactly only when the running value is
 unknown or within its drift of the stop level, or n updates have passed
-since the last exact sum. So a run stops at the step, and with the state,
-that an exact sum before every step picks, and without a `tol` no step
-sums z.
+since the last exact sum; inside a segment z can fall by at most what the
+segment pushes, which the cut before the stop level accounts for. So a
+run stops at the step, and with the state, that an exact sum before every
+step picks, and without a `tol` no step sums z.
 """
 
 from __future__ import annotations
@@ -72,6 +92,10 @@ __all__ = ["PushState", "init_state", "step_set", "exact_error", "run",
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 DEFECT_ABORT = 1e-6
+# `run` draws at most this many steps or pages ahead (at least one step);
+# `_UNMARKED` is an untouched page's conflict mark
+_LOOKAHEAD = 128
+_UNMARKED = np.iinfo(np.intp).max
 
 
 @dataclass
@@ -111,16 +135,21 @@ class PushState:
         return self.mass
 
     def push(self, senders, rows, inflow):
-        """Push in place: the pages `rows` (an index array, or a slice: a
-        block of pages, such as all) take `inflow` into x and z; the
-        senders' residual is reset first, so a sender that receives keeps
-        only what it receives. Pushing to a block leaves the running mass
-        unknown until the next `resync`. The caller counts the step."""
-        self.x[rows] += inflow
-        self.z[senders] = 0.0
-        self.z[rows] += inflow
+        """Push in place: the pages `rows` take `inflow` into x and z, the
+        senders' residual being reset first, so a sender that receives
+        keeps only what it receives. `rows` is an index array, whose
+        entries add in order (one row may repeat), or a slice, a block of
+        pages such as all; pushing to a block leaves the running mass
+        unknown until the next `resync`. The caller counts the steps."""
         if isinstance(rows, slice):
+            self.x[rows] += inflow
+            self.z[senders] = 0.0
+            self.z[rows] += inflow
             self.drift = math.inf
+        else:
+            np.add.at(self.x, rows, inflow)
+            self.z[senders] = 0.0
+            np.add.at(self.z, rows, inflow)
         self.cumulative_updates += int(senders.size)
 
     def account(self, change, terms):
@@ -137,15 +166,16 @@ def init_state(n, m, replicas=1):
     return PushState(x, x.copy())
 
 
-def _normalize_phi(size, phi):
-    arr = np.asarray(phi, dtype=np.intp)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size > 1 and not np.all(arr[1:] > arr[:-1]):
-        arr = np.unique(arr)
-    if arr.size and (arr[0] < 0 or arr[-1] >= size):
+def _normalized(drawn, sizes, size):
+    """Update sets as `_push_segment` takes them, each set's pages sorted
+    and deduplicated; raises ValueError for a page outside 0..size-1."""
+    if drawn.size and (drawn.min() < 0 or drawn.max() >= size):
         raise ValueError(f"update set contains pages outside 0..{size - 1}")
-    return arr
+    step_of = np.arange(sizes.size).repeat(sizes)
+    if ((drawn[1:] > drawn[:-1]) | (step_of[1:] > step_of[:-1])).all():
+        return drawn, sizes
+    keys = np.unique(step_of * size + drawn)
+    return keys % size, np.bincount(keys // size, minlength=sizes.size)
 
 
 def step_set(state, graph, m, phi):
@@ -156,47 +186,101 @@ def step_set(state, graph, m, phi):
     integrates it (z_i += inflow_i). A singleton phi is exactly one gossip
     update, the set of all pages one synchronous step x += Qz, z = Qz. On
     a stacked state phi holds stacked pages, the union of each replica's
-    set, and always takes the gathered path.
+    set.
     """
-    n, size = graph.n, state.z.size
-    phi = _normalize_phi(size, phi)
-    z = state.z
-    indptr, indices = graph.indptr, graph.indices
-    state.step += 1
-    if phi.size == 0:
-        return
+    phi = np.asarray(phi, dtype=np.intp).reshape(-1)
+    _push_segment(state, graph, m,
+                  *_normalized(phi, np.array([phi.size]), state.z.size))
+
+
+def _push_segment(state, graph, m, senders, sizes, until=None, z_stop=None,
+                  marks=None):
+    """Push the leading segment of consecutive steps' update sets in place
+    and return how many steps it took (see the module doc).
+
+    Step j's set is the next `sizes[j]` entries of `senders`, ascending
+    and in range. The segment ends early at the step whose update count
+    reaches `until` and, given the stop level `z_stop`, before the first
+    step at which z might have summed to it. `marks`, an intp array of
+    the state's size holding `_UNMARKED`, is scratch space for the
+    conflict search, left as it was found.
+    """
+    size, n = state.z.size, graph.n
     stacked = size != n
-    if phi.size == n and not stacked:
-        state.push(phi, slice(None), graph.q_matrix(m) @ z)
-        return
-    if phi.size == 1 and not stacked:
-        phi = phi[0]                 # a scalar index writes z[phi] faster
-        pushed = z[phi]
-        lo, hi = indptr[phi], indptr[phi + 1]
-        rows = indices[lo:hi]
-        inflow = ((1.0 - m) / (hi - lo)) * pushed if hi > lo else 0.0
-        sent = (hi - lo) * inflow
+    if not stacked and sizes[0] == n:    # every page: one step, one mat-vec
+        state.push(senders[:n], slice(None), graph.q_matrix(m) @ state.z)
+        state.step += 1
+        return 1
+    count = sizes.size
+    if count > 1:
+        ends = sizes.cumsum()
+        if until is not None:
+            count = min(count, int(ends.searchsorted(
+                until - state.cumulative_updates)) + 1)
+        senders = senders[:ends[count - 1]]
+    else:                        # one step, which `until` cannot cut
+        senders = senders[:sizes[0]]
+    if senders.size == 0:
+        state.step += count
+        return count
+    # gather the senders' out-links sender by sender, in step order
+    pages = senders % n if stacked else senders
+    lo = graph.indptr[pages]
+    degree = graph.indptr[pages + 1] - lo
+    link_ends = degree.cumsum()
+    links = np.arange(link_ends[-1]) + (lo - link_ends + degree).repeat(degree)
+    targets = graph.indices[links]
+    if stacked:                  # each sender pushes into its own block
+        targets += (senders - pages).repeat(degree)
+    if count > 1:
+        step_of = np.arange(count).repeat(sizes[:count])
+        link_step = step_of.repeat(degree)
+        gathered = count
+        if z_stop is not None:
+            # z falls by at most what the segment pushes, and the running
+            # mass bounds z.sum() before it to within its drift
+            pushed = state.z[senders]
+            room = (state.mass - state.drift - z_stop
+                    - 4 * (3 * senders.size + 8) * _UNIT_ROUNDOFF * state.mass)
+            if pushed.sum() >= room:
+                before = np.bincount(step_of, pushed, minlength=count).cumsum()
+                count = int((before >= room).argmax()) + 1
+        # a step conflicts when one of its senders was sent or received by
+        # an earlier step: the segment ends before it
+        if marks is None:
+            marks = np.full(size, _UNMARKED, dtype=np.intp)
+        touched = np.concatenate((senders, targets))
+        np.minimum.at(marks, touched, np.concatenate((step_of, link_step)))
+        late = marks[senders] < step_of
+        marks[touched] = _UNMARKED
+        if late.any():
+            count = min(count, int(step_of[late.argmax()]))
+        if count < gathered:
+            cut = ends[count - 1]
+            senders, degree = senders[:cut], degree[:cut]
+            cut = link_ends[cut - 1] if cut else 0
+            targets, link_step = targets[:cut], link_step[:cut]
+    pushed = state.z[senders]
+    sends = (1.0 - m) / np.maximum(degree, 1) * pushed
+    # each (step, target) sums its inflow from 0.0 in ascending sender
+    # order, as Q @ (mask z) does, and the rows apply in step order; keys
+    # that already ascend strictly (one sender, whose targets are stored
+    # sorted, or one per step and block) are their own rows
+    key = targets if count == 1 else link_step * size + targets
+    if senders.size == 1 or (key[1:] > key[:-1]).all():
+        rows, inflow = key, sends.repeat(degree)
     else:
-        # gather the senders' out-links sender by sender: each target sums
-        # its inflow from 0.0 in ascending sender order, as Q @ (mask z) does
-        pages = phi % n if stacked else phi
-        lo = indptr[pages]
-        degree = indptr[pages + 1] - lo
-        first = np.cumsum(degree) - degree
-        links = np.arange(first[-1] + degree[-1]) + np.repeat(lo - first, degree)
-        pushed = z[phi]
-        sends = (1.0 - m) / np.maximum(degree, 1) * pushed
-        targets = indices[links]
-        if stacked:              # each sender pushes into its own block
-            targets += np.repeat(phi - pages, degree)
-        rows, slot = np.unique(targets, return_inverse=True)
-        inflow = np.bincount(slot, weights=np.repeat(sends, degree),
+        rows, slot = np.unique(key, return_inverse=True)
+        inflow = np.bincount(slot, weights=sends.repeat(degree),
                              minlength=rows.size)
-        sent = np.dot(degree, sends)
-        pushed = pushed.sum()
-    state.push(phi, rows, inflow)
-    # 3 |phi| + 8 bounds the rounded terms in the mass bookkeeping
-    state.account(float(sent - pushed), 3 * phi.size + 8)
+    if count > 1:
+        rows = rows % size
+    state.push(senders, rows, inflow)
+    # 3 senders + 8 bounds the rounded terms in the mass bookkeeping
+    state.account(float(degree.dot(sends) - pushed.sum()),
+                  3 * senders.size + 8)
+    state.step += count
+    return count
 
 
 def exact_error(state, m):
@@ -248,9 +332,11 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     `pushrank.cluster.GroupFactors`) the schedule draws one group index
     per step, an empty draw being a no-op step. Stops when the residual
     certificate reaches `tol`, after `steps` steps, or when the schedule
-    is exhausted, whichever comes first. The trace records the steps the
-    module doc names; err/defect columns are filled when a dense oracle is
-    supplied, and a defect above `DEFECT_ABORT` raises `NumericalFailure`.
+    is exhausted, whichever comes first. Partial sets push a segment of
+    independent steps per call (see the module doc), with the state each
+    step alone would leave. The trace records the steps the module doc
+    names; err/defect columns are filled when a dense oracle is supplied,
+    and a defect above `DEFECT_ABORT` raises `NumericalFailure`.
 
     The run has the schedule's R replicas (one without a schedule), in one
     stacked state (see the module doc): the updates column counts the
@@ -268,7 +354,7 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
                          "records no x")
     state = init_state(graph.n, m, replicas)
     if schedule is None:
-        everyone = np.arange(state.n, dtype=np.intp)
+        everyone = np.arange(state.n, dtype=np.intp), np.array([state.n])
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle
     z_stop = m * tol / (1.0 - m) if tol is not None else None
     # record when the step count, or by default above 1,000 pages the
@@ -277,16 +363,48 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     mark = period = state.n if by_updates else cadence or 1
     trace = Trace()
     _record(trace, state, m, oracle, record_x, replicas)
+    # the sets drawn ahead of the state's step, as `_push_segment` takes them
+    pending, sizes = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    marks = None
     while steps is None or state.step < steps:
         if z_stop is not None and _certified(state, z_stop):
             break
-        drawn = everyone if schedule is None else schedule.next(state.step)
-        if drawn is None:
-            break
-        if factors is None:
-            step_set(state, graph, m, drawn)
+        if schedule is None:
+            _push_segment(state, graph, m, *everyone)
         else:
-            step_group(state, graph, m, factors, drawn)
+            # with fewer than half of _LOOKAHEAD pages pending, draw up to
+            # _LOOKAHEAD steps or pages (at least a step) ahead
+            ahead = _LOOKAHEAD if steps is None else min(_LOOKAHEAD,
+                                                         steps - state.step)
+            if sizes.size < ahead and pending.size < _LOOKAHEAD // 2:
+                drawn, counts = schedule.draw(state.step + sizes.size,
+                                              ahead - sizes.size,
+                                              _LOOKAHEAD - pending.size)
+                if factors is None:      # `step_group` checks its own draw
+                    drawn, counts = _normalized(drawn, counts, state.n)
+                if sizes.size:
+                    drawn = np.concatenate((pending, drawn))
+                    counts = np.concatenate((sizes, counts))
+                pending, sizes = drawn, counts
+            if sizes.size == 0:
+                break
+            if factors is not None:
+                step_group(state, graph, m, factors, pending[:sizes[0]])
+                taken, used = 1, sizes[0]
+            else:
+                # the segment ends at a step record at the latest
+                room = sizes.size if by_updates else mark - state.step
+                if room > 1 and marks is None:
+                    marks = np.full(state.n, _UNMARKED, dtype=np.intp)
+                until = mark if by_updates else None
+                if z_stop is not None:
+                    # make `_certified` sum z once n updates have passed
+                    until = min(until or math.inf, state.synced_at + state.n)
+                used = state.cumulative_updates      # the pages pushed are
+                taken = _push_segment(state, graph, m, pending, sizes[:room],
+                                      until, z_stop, marks)
+                used = state.cumulative_updates - used   # the updates counted
+            pending, sizes = pending[used:], sizes[taken:]
         done = state.cumulative_updates if by_updates else state.step
         if done >= mark:
             mark = (done // period + 1) * period

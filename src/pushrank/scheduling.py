@@ -20,7 +20,9 @@ so no two replicas share one. Only random kinds draw for more than one
 replica. Singleton draws are made in blocks: one ``rng.random(k)`` per
 stream and one vector search give the indices of the next k steps, the
 same doubles and indices as k scalar draws. Blocks double from 16 to 4096
-steps, so a short run draws few it does not use.
+steps, so a short run draws few it does not use. `next` gives one step's
+sets and `draw` those of several steps at once, as the run loop takes
+them; both consume the same streams.
 
 A schedule is owned by one run and consumed sequentially.
 """
@@ -148,38 +150,71 @@ class Schedule:
 
     def next(self, k):
         """Every replica's update set for step k as stacked indices, or None
-        when a sequence is exhausted.
+        when a sequence is exhausted (see `draw`)."""
+        drawn, sizes = self.draw(k, 1, 1)
+        return drawn if sizes.size else None
 
-        Random kinds consume their streams and must be called with
+    def draw(self, k, steps, pages):
+        """The update sets of up to `steps` steps from step k on, as
+        (indices, sizes): every set's stacked indices in step order, and
+        each set's size. Stops after the step that brings the indices
+        drawn to `pages` (at least one step), and where a sequence ends.
+
+        Random kinds consume their streams and must be drawn with
         consecutive k starting at 0.
         """
+        self._check_step(k)
+        if self.kind in ("uniform", "weighted", "roundrobin"):
+            steps = min(steps, max(1, -(-pages // self.replicas)))
+            sizes = np.full(steps, self.replicas, dtype=np.intp)
+            if self.kind == "roundrobin":
+                drawn = np.arange(k, k + steps, dtype=np.intp) % self.n
+            else:
+                drawn = self._rows(steps).reshape(-1)
+        else:
+            sets, total = [], 0
+            while len(sets) < steps and total < pages:
+                if self.kind == "subset":
+                    # replica r's draw is row r of the mask: flat index r n + i
+                    sets.append(np.flatnonzero(
+                        np.stack([rng.random(self.n) for rng in self._rngs])
+                        < self.q))
+                elif k + len(sets) < len(self.sequence):
+                    sets.append(self.sequence[k + len(sets)])
+                else:
+                    break
+                total += sets[-1].size
+            drawn = np.concatenate([np.empty(0, dtype=np.intp), *sets])
+            sizes = np.array([s.size for s in sets], dtype=np.intp)
         if self._rngs is not None:
-            if k != self._next_k:
-                raise ValueError(f"random schedule must be consumed sequentially: "
-                                 f"expected step {self._next_k}, got {k}")
-            self._next_k += 1
-        if self.kind in ("uniform", "weighted"):
+            self._next_k += sizes.size
+        return drawn, sizes
+
+    def _check_step(self, k):
+        if self._rngs is not None and k != self._next_k:
+            raise ValueError(f"random schedule must be consumed sequentially: "
+                             f"expected step {self._next_k}, got {k}")
+
+    def _refill(self):
+        """Draw the next block of singleton rows, one index per replica."""
+        size = min(max(_BLOCK_MIN, 2 * len(self._block)), _BLOCK_MAX,
+                   max(1, _BLOCK_MAX * _BLOCK_MIN // self.replicas))
+        doubles = np.stack([rng.random(size) for rng in self._rngs], axis=1)
+        self._block = np.searchsorted(self._cum, doubles, side="right")
+        self._block += self.n * np.arange(self.replicas)
+        self._taken = 0
+
+    def _rows(self, steps):
+        """The next `steps` rows of singleton draws."""
+        rows = []
+        while steps:
             if self._taken == len(self._block):
-                size = min(max(_BLOCK_MIN, 2 * len(self._block)), _BLOCK_MAX,
-                           max(1, _BLOCK_MAX * _BLOCK_MIN // self.replicas))
-                doubles = np.stack([rng.random(size) for rng in self._rngs],
-                                   axis=1)
-                self._block = np.searchsorted(self._cum, doubles, side="right")
-                self._block += self.n * np.arange(self.replicas)
-                self._taken = 0
-            self._taken += 1
-            return self._block[self._taken - 1]
-        if self.kind == "subset":
-            # replica r's draw is row r of the mask: flat index r n + i
-            return np.flatnonzero(
-                np.stack([rng.random(self.n) for rng in self._rngs]) < self.q)
-        if self.kind == "roundrobin":
-            return np.array([k % self.n], dtype=np.intp)
-        if self.kind == "file":
-            if k >= len(self.sequence):
-                return None
-            return self.sequence[k]
-        raise AssertionError(f"unhandled schedule kind {self.kind!r}")
+                self._refill()
+            take = min(steps, len(self._block) - self._taken)
+            rows.append(self._block[self._taken:self._taken + take])
+            self._taken += take
+            steps -= take
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def subset_probability(spec):

@@ -10,9 +10,9 @@ solve for uniform teleportation, the only kind the package runs.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NumericalFailure
 from .trace import Trace
@@ -39,11 +39,14 @@ class DenseOracle:
             raise ValueError(
                 f"n={n} exceeds the dense oracle cap {dense_cap}; "
                 "use power_method for larger graphs")
+        from scipy import linalg          # only the dense factors need it
+
         self.n = n
         self.m = m
         i_minus_q = np.eye(n) - graph.q_matrix(m).toarray()
-        self._lu = linalg.lu_factor(i_minus_q)
-        self.x_star = linalg.lu_solve(self._lu, np.full(n, m / n))
+        # solves with the factors of I - Q
+        self._solve = partial(linalg.lu_solve, linalg.lu_factor(i_minus_q))
+        self.x_star = self._solve(np.full(n, m / n))
         residual = np.abs(i_minus_q @ self.x_star - m / n).sum()
         if residual > 1e-12 * n:
             raise NumericalFailure(f"dense solve residual {residual:.3e} too large")
@@ -63,7 +66,7 @@ class DenseOracle:
         Uses (I - Q)^{-1} Q = (I - Q)^{-1} - I to reuse the factorization.
         """
         # in place, in the order of x + resolved - z - x*
-        defect = linalg.lu_solve(self._lu, z.T).T
+        defect = self._solve(z.T).T
         defect += x
         defect -= z
         defect -= self.x_star

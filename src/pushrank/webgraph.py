@@ -38,7 +38,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ParseError
 
@@ -212,6 +211,8 @@ class WebGraph:
         if not self.is_stochastic:
             bad = self.dangling_pages()
             raise ValueError(f"graph has dangling pages {bad.tolist()}; patch first")
+        from scipy import sparse          # only Q needs scipy
+
         degree = self.out_degree
         data = np.repeat((1.0 - m) / degree.astype(float), degree)
         q = sparse.csc_array((data, self.indices, self.indptr),

@@ -11,12 +11,14 @@ random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
 `neumann_partial` the partial sums of x* = sum_t Q^t (m/n) 1 that
 synchronous steps reproduce. `run_summing_every_step` is the driver loop
 that sums the residual before every step, the reference for the stop step
-of `pushrank.engines.run`, and `monte_carlo_one_by_one` runs Monte Carlo
+of `pushrank.engines.run`; `run_step_by_step` is that run's loop with one
+`step_set` or `step_group` call per step, the reference for the segments
+it pushes in one call; and `monte_carlo_one_by_one` runs Monte Carlo
 replicas one after another, the reference for the stacked replicas of
 `pushrank.harness.monte_carlo`.
 
 The lifted matrices are dense and capped at small n. All functions but
-`run_summing_every_step`, which consumes its schedule, are pure.
+the two drivers, which consume their schedules, are pure.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import math
 
 import numpy as np
 
+from pushrank import engines
 from pushrank.cluster import step_group
 from pushrank.engines import init_state, run, step_set
 from pushrank.scheduling import Schedule, derive_seed
+from pushrank.trace import Trace
 
 ORACLE_CAP = 200
 
@@ -227,6 +231,43 @@ def run_summing_every_step(graph, m, schedule=None, *, factors=None,
         else:
             step_group(state, graph, m, factors, int(drawn[0]))
     return state
+
+
+def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
+                     tol=None, cadence=None):
+    """(state, trace) of `engines.run` without an oracle, one step per call.
+
+    The same draws, records and stop test as `engines.run`: the trace
+    records the first and the last step and the default record rule's
+    steps (every step up to 1,000 pages, else the first step at or after
+    each sweep of counted updates) or every cadence-th step, and a `tol`
+    stops the run where `engines._certified` first says so.
+    """
+    replicas = 1 if schedule is None else schedule.replicas
+    state = init_state(graph.n, m, replicas)
+    z_stop = m * tol / (1.0 - m) if tol is not None else None
+    by_updates = cadence is None and graph.n > 1000
+    mark = period = state.n if by_updates else cadence or 1
+    trace = Trace()
+    engines._record(trace, state, m, None, False, replicas)
+    while steps is None or state.step < steps:
+        if z_stop is not None and engines._certified(state, z_stop):
+            break
+        drawn = (np.arange(graph.n) if schedule is None
+                 else schedule.next(state.step))
+        if drawn is None:
+            break
+        if factors is None:
+            step_set(state, graph, m, drawn)
+        else:
+            step_group(state, graph, m, factors, drawn)
+        done = state.cumulative_updates if by_updates else state.step
+        if done >= mark:
+            mark = (done // period + 1) * period
+            engines._record(trace, state, m, None, False, replicas)
+    if trace.final_step != state.step:
+        engines._record(trace, state, m, None, False, replicas)
+    return state, trace
 
 
 def monte_carlo_one_by_one(graph, m, spec, replicas, *, seed, weights=None,

@@ -183,6 +183,84 @@ def test_gossip_is_singleton_set_trajectory(rng):
     assert st_a.cumulative_updates == st_b.cumulative_updates == 400
 
 
+# -- segments: runs of independent steps pushed in one call ---------------
+
+def segments_by_hand(graph, sets):
+    """Step counts of the segments the conflict rule cuts `sets` into, by a
+    plain walk: a step whose sender an earlier step of the segment sent or
+    received starts the next segment."""
+    n, counts, touched = graph.n, [0], set()
+    for phi in sets:
+        senders = {int(i) for i in phi}
+        if senders & touched:
+            counts.append(0)
+            touched = set()
+        for i in senders:
+            page, block = i % n, i - i % n
+            links = graph.indices[graph.indptr[page]:graph.indptr[page + 1]]
+            touched |= {i} | {block + int(t) for t in links}
+        counts[-1] += 1
+    return counts
+
+
+def push_in_segments(state, graph, sets):
+    """Push `sets` through `engines._push_segment`, one call per segment;
+    returns each call's step count."""
+    drawn = np.concatenate([np.asarray(p, dtype=np.intp) for p in sets])
+    sizes = np.array([len(p) for p in sets])
+    counts = []
+    while sizes.size:
+        counts.append(engines._push_segment(state, graph, M, drawn, sizes))
+        drawn, sizes = drawn[sizes[:counts[-1]].sum():], sizes[counts[-1]:]
+        assert abs(state.mass - state.z.sum()) <= state.drift
+    return counts
+
+
+def segment_cases():
+    """(name, graph, replicas, sets): sets of stacked pages, each ascending."""
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, 60, allow_self=True)
+    out = g.indices[g.indptr[3]:g.indptr[4]]
+    fed = int(out[out != 3][0])              # a page that page 3 pushes into
+    yield "page drawn twice", g, 1, [[5], [17], [5], [30]]
+    yield "sender pushed into", g, 1, [[3], [fed], [44]]
+    yield "empty sets", g, 1, [[], [4], [], [], [11], []]
+    yield "multi-page sets", g, 1, [[1, 9, 40], [22, 51], [7], [2, 58]]
+    yield "stacked replicas", g, 3, [[2, 67, 122], [62], [], [3, 170],
+                                     [5, 65, 125], [2]]
+    big = random_graph(rng, 400, allow_self=True)
+    sets = [np.sort(rng.choice(big.n, size=rng.choice([0, 1, 1, 1, 2, 4]),
+                               replace=False)) for _ in range(300)]
+    sets[150] = np.arange(big.n)             # the set of every page
+    yield "random sets", big, 1, sets
+
+
+@pytest.mark.parametrize("name, g, replicas, sets",
+                         [pytest.param(*case, id=case[0])
+                          for case in segment_cases()])
+def test_a_segment_push_equals_its_steps_one_by_one(name, g, replicas, sets):
+    got, want = init_state(g.n, M, replicas), init_state(g.n, M, replicas)
+    counts = push_in_segments(got, g, sets)
+    for phi in sets:
+        step_set(want, g, M, phi)
+    assert counts == segments_by_hand(g, sets)
+    if name != "empty sets":
+        assert counts[0] < len(sets)         # the walk found a conflict
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.z, want.z)
+    assert got.step == want.step == len(sets)
+    assert got.cumulative_updates == want.cumulative_updates
+
+
+def test_a_segment_ends_at_the_step_reaching_its_update_bound(rng):
+    g = random_graph(rng, 500, allow_self=True)
+    st = init_state(g.n, M)
+    sets = np.array([0, 100, 200, 300, 400])
+    taken = engines._push_segment(st, g, M, sets, np.ones(5, dtype=np.intp),
+                                  until=3)
+    assert taken <= 3 and st.cumulative_updates == st.step == taken
+
+
 # -- invariants -----------------------------------------------------------
 
 def test_monotone_bounded_random_mixes(rng):

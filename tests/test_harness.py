@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pushrank
 from pushrank import (ConfigError, DenseOracle, ExperimentConfig, GroupFactors,
                       NumericalFailure, Schedule, cli, compare, engines,
                       harness, indegree_plus_one_weights, load_edge_list,
@@ -394,6 +397,22 @@ def test_cli_rejects_dangling_patch_too_large(tmp_path, capsys):
     assert "99997 dangling pages of 100000" in capsys.readouterr().err
 
 
+def test_gossip_without_the_dense_oracle_never_imports_scipy():
+    # scipy is imported where Q, the dense oracle or group factors are
+    # built; a gossip run without the oracle builds none of them
+    root = Path(pushrank.__file__).resolve().parent.parent
+    graph = Path(__file__).resolve().parent / "data" / "web60.txt"
+    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
+            "import pushrank.cli; "
+            f"pushrank.cli.main(['gossip', '--graph', {str(graph)!r}, "
+            "'--dense-cap', '1']); "
+            "sys.exit('scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("gossip: steps=")
+
+
 def test_weights_need_weighted_schedule(small_graph_path):
     # the weights are a weighted spec's argument: there is no --weights flag
     with pytest.raises(SystemExit) as exit_info:
@@ -557,16 +576,19 @@ def test_monte_carlo_runs_its_replicas_in_one_stacked_run(small_graph_path,
     assert calls == {"run": 1, "conservation_defect": 41, "error_l1": 41}
 
 
-def spike_step_set(monkeypatch, replica, at, size):
-    """Make each step_set add `size` to x at the first page of `replica`
-    (0 on a single run) after step `at`, and take it back after the next."""
-    step_set = engines.step_set
+def spike_pushes(monkeypatch, replica, at, size):
+    """Make each push by a run add `size` to x at the first page of
+    `replica` (0 on a single run) after step `at`, and take it back after
+    the next. Runs on these small graphs record every step, so each push
+    is one step."""
+    push = engines._push_segment
 
-    def spiking(state, graph, m, phi):
-        step_set(state, graph, m, phi)
+    def spiking(state, graph, m, *args):
+        taken = push(state, graph, m, *args)
         if state.step in (at, at + 1):
             state.x[replica * graph.n] += size if state.step == at else -size
-    monkeypatch.setattr(engines, "step_set", spiking)
+        return taken
+    monkeypatch.setattr(engines, "_push_segment", spiking)
 
 
 @pytest.mark.parametrize("replicas", [None, 7])
@@ -593,7 +615,7 @@ def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
                               replicas=replicas or 1)
     execute = monte_carlo if replicas else run_experiment
     execute(config)                      # no defect reaches the level
-    spike_step_set(monkeypatch, middle, at, spike)
+    spike_pushes(monkeypatch, middle, at, spike)
     where = f"at step {at} of replica {middle}" if replicas else f"at step {at}"
     with pytest.raises(NumericalFailure, match=f"{where} exceeds"):
         execute(config)
@@ -601,13 +623,13 @@ def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
 
 def test_a_defect_spike_ends_the_run_at_its_record(small_graph_path,
                                                    monkeypatch):
-    spike_step_set(monkeypatch, 0, 20, 1e-3)
-    spiking, calls = engines.step_set, []
+    spike_pushes(monkeypatch, 0, 20, 1e-3)
+    spiking, calls = engines._push_segment, []
 
     def counting(*args):
         calls.append(args)
-        spiking(*args)
-    monkeypatch.setattr(engines, "step_set", counting)
+        return spiking(*args)
+    monkeypatch.setattr(engines, "_push_segment", counting)
     config = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
                               seed=13, steps=1000)
     with pytest.raises(NumericalFailure, match="at step 20 exceeds 1e-06"):

@@ -164,6 +164,37 @@ def test_block_draws_match_scalar_draws(kind):
         assert [int(d[r]) - r * n for d in got] == want
 
 
+@pytest.mark.parametrize("spec, replicas", [
+    ("uniform", None), ("weighted", 3), ("roundrobin", None),
+    ("subset:0.1", 2), ("file", None)])
+def test_draws_of_many_steps_are_their_steps_one_by_one(spec, replicas):
+    # `draw` returns the sets `next` would, in step order, stopping after
+    # the step that reaches its page bound and where a sequence ends
+    n, w = 30, np.arange(1.0, 31.0)
+    rng = np.random.default_rng(8)
+    sets = [np.flatnonzero(rng.random(n) < 0.1) for _ in range(50)]
+
+    def make():
+        if spec == "file":
+            return Schedule("file", sequence=sets)
+        seed = None if spec == "roundrobin" else 9
+        return Schedule.from_spec(spec, n, seed, w, replicas)
+
+    one, many = make(), make()
+    want = [one.next(k) for k in range(100)]
+    k, got = 0, []
+    for steps, pages in [(1, 1), (7, 100), (20, 5), (64, 64), (3, 1000)]:
+        drawn, sizes = many.draw(k, steps, pages)
+        assert sizes.size <= steps and drawn.size == sizes.sum()
+        assert (sizes.size == steps or k + sizes.size == 50
+                or sizes[:-1].sum() < pages <= sizes.sum())
+        got += np.split(drawn, np.cumsum(sizes)[:-1]) if sizes.size else []
+        k += sizes.size
+    want = [d for d in want[:k] if d is not None]
+    assert len(got) == len(want) == k
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_block_draws_still_require_sequential_steps():
     sched = Schedule.from_spec("uniform", 5, 1)
     for k in range(16):          # the whole first block

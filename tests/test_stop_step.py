@@ -1,36 +1,45 @@
 """The running certificate stops `engines.run` where an exact sum would.
 
 `engines.run` keeps a running estimate of ||z||_1 and sums z only near
-the stopping threshold. These tests hold it to the driver that sums z
-before every step (`oracles.run_summing_every_step`): same stop step,
-bit-equal x and z.
+the stopping threshold, and pushes runs of independent steps in one call.
+These tests hold it to the driver that sums z before every step
+(`oracles.run_summing_every_step`): same stop step, bit-equal x and z;
+and its whole trace to the driver that pushes one step per call
+(`oracles.run_step_by_step`).
 """
 
 import numpy as np
 import pytest
 
 from pushrank import (GroupFactors, PushState, Schedule, cluster, engines,
-                      init_state, run, step_group, step_set)
+                      indegree_plus_one_weights, init_state, run, step_group,
+                      step_set)
 
 from conftest import community_graph, random_graph, random_partition
-from oracles import run_summing_every_step
+from oracles import run_step_by_step, run_summing_every_step
 
 M = 0.15
 NO_RECORDS = 10**9       # record only the first and the last step
 
 
-def schedules(kind, n, seed, rng):
+SPECS = {"gossip": "uniform", "weighted": "weighted:indegree_plus_one",
+         "roundrobin": "roundrobin", "subset_small": "subset:0.02",
+         "subset_large": "subset:0.3"}
+
+
+def schedules(kind, graph, seed, rng, replicas=None):
     """Two identical fresh schedules of a kind, for the run and its reference."""
+    n = graph.n
     if kind == "sync":
         return None, None
     if kind == "file":
         sets = [np.flatnonzero(rng.random(n) < rng.choice([0.01, 0.05, 0.5]))
                 for _ in range(3000)]
         return Schedule("file", sequence=sets), Schedule("file", sequence=sets)
-    spec = {"gossip": "uniform", "subset_small": "subset:0.02",
-            "subset_large": "subset:0.3"}[kind]
-    return (Schedule.from_spec(spec, n, seed, None),
-            Schedule.from_spec(spec, n, seed, None))
+    weights = indegree_plus_one_weights(graph) if kind == "weighted" else None
+    seed = None if kind == "roundrobin" else seed
+    return tuple(Schedule.from_spec(SPECS[kind], n, seed, weights, replicas)
+                 for _ in range(2))
 
 
 def assert_same_stop(graph, m, pair, tol, factors=None, steps=None):
@@ -45,12 +54,12 @@ def assert_same_stop(graph, m, pair, tol, factors=None, steps=None):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["sync", "gossip", "subset_small",
-                                  "subset_large", "file"])
+@pytest.mark.parametrize("kind", ["sync", "gossip", "weighted", "roundrobin",
+                                  "subset_small", "subset_large", "file"])
 def test_set_runs_stop_at_the_exact_sum_step(kind, seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, 300, allow_self=True)
-    state = assert_same_stop(g, M, schedules(kind, g.n, seed, rng), tol=1e-4)
+    state = assert_same_stop(g, M, schedules(kind, g, seed, rng), tol=1e-4)
     assert state.step > 0
 
 
@@ -66,6 +75,41 @@ def test_group_runs_stop_at_the_exact_sum_step(seed, dense, monkeypatch):
             Schedule.from_spec("uniform", part.num_groups, seed))
     state = assert_same_stop(g, M, pair, tol=1e-9, factors=factors)
     assert state.step > 0
+
+
+@pytest.mark.parametrize("tol", [None, 0.65])
+@pytest.mark.parametrize("kind", ["gossip", "weighted", "roundrobin", "file"])
+def test_runs_above_1000_pages_keep_the_step_by_step_trace(kind, tol):
+    # the default record rule records by sweeps of counted updates here,
+    # so segments end at records, at conflicts and near the stop level
+    rng = np.random.default_rng(21)
+    g = random_graph(rng, 2000, mean_out=6.0, allow_self=True)
+    pair = schedules(kind, g, 22, rng)
+    state, trace = run(g, M, pair[0], steps=5000, tol=tol)
+    want, want_trace = run_step_by_step(g, M, pair[1], steps=5000, tol=tol)
+    assert len(trace.steps) >= 3 and state.step == want.step
+    if tol is not None and kind != "file":
+        assert state.step < 5000
+    for name in ("steps", "updates", "cert"):
+        np.testing.assert_array_equal(trace.column(name),
+                                      want_trace.column(name))
+    np.testing.assert_array_equal(state.x, want.x)
+    np.testing.assert_array_equal(state.z, want.z)
+
+
+@pytest.mark.parametrize("cadence", [None, 7])
+def test_stacked_runs_keep_the_step_by_step_trace(cadence):
+    rng = np.random.default_rng(23)
+    g = random_graph(rng, 1500, allow_self=True)
+    pair = schedules("gossip", g, 24, rng, replicas=3)
+    state, trace = run(g, M, pair[0], steps=3000, cadence=cadence)
+    want, want_trace = run_step_by_step(g, M, pair[1], steps=3000,
+                                        cadence=cadence)
+    for name in ("steps", "updates", "cert"):
+        np.testing.assert_array_equal(trace.column(name),
+                                      want_trace.column(name))
+    np.testing.assert_array_equal(state.x, want.x)
+    np.testing.assert_array_equal(state.z, want.z)
 
 
 def exact_sums(graph, m, schedule, steps, factors=None):
@@ -94,7 +138,7 @@ def test_tol_met_exactly_at_step_k_stops_at_k(kind):
         factors = GroupFactors(g, m, random_partition(rng, g.n, 30))
         make = lambda: Schedule.from_spec("uniform", factors.num_groups, 8)
     else:
-        make = lambda: schedules(kind, g.n, 8, rng)[0]
+        make = lambda: schedules(kind, g, 8, rng)[0]
     sums = exact_sums(g, m, make(), k + 1, factors)
     assert min(sums[:k]) > sums[k]
     for tol in (sums[k], np.nextafter(sums[k], 0.0)):
