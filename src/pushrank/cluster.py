@@ -10,8 +10,8 @@ repeating the set update on h forever is reached directly:
 
 The push is the same in-place step as a set update (`PushState.push`),
 over every page of the pushing replica's block of the state: it costs
-O(n + nnz of the group's columns), and it leaves the state's running
-certificate unknown until z is next summed.
+O(n + nnz of the group's columns), and with a `tol` `run` sums z before
+the next step.
 Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
 from Q, so the local solve always exists. Groups above `DENSE_GROUP_CAP`
 members sum the series zbar = sum_t Qhh^t z_h instead and stop once a

@@ -62,18 +62,19 @@ multiple of the state's size in counted updates (one sweep per replica);
 with a `cadence`, every cadence-th step. A record whose conservation
 defect exceeds `DEFECT_ABORT` in any replica aborts the run there.
 
-The certificate is not summed every step. After a gathered push the
-state keeps a running ||z||_1 (`PushState.mass`), moved once per segment
-by its sent minus pushed mass, and a bound on its rounding drift that
-grows with the updates since the last exact sum. A push to a block of
-pages (every page, or a group step's replica) rewrites it wholesale and
-leaves the running mass unknown until the next exact sum. With a `tol`
-(single runs only), `run` sums z exactly only when the running value is
-unknown or within its drift of the stop level, or n updates have passed
-since the last exact sum; inside a segment z can fall by at most what the
-segment pushes, which the cut before the stop level accounts for. So a
-run stops at the step, and with the state, that an exact sum before every
-step picks, and without a `tol` no step sums z.
+The certificate is not summed every step. With a `tol` (single runs
+only), `run` keeps a lower bound on z.sum(): the last exact sum, less
+everything pushed since, less a rounding margin. A push lowers the real
+sum by m times the residual it pushes, so by no more than that residual.
+`run` sums z only when the bound is at or below the stop level, and a
+segment pushes a step only while the bound, less what the segment's
+earlier steps pushed, stays above it. A push to a block of pages (every
+page, or a group step) drops the bound to -inf, so z is summed before
+the next step. Between two exact sums the bound falls by the gap to the
+stop level while z.sum() falls by m times that, so the gap shrinks by
+(1 - m) per sum and a run sums z O(ln(gap ratio) / m) times. It stops at
+the step, and with the state, that an exact sum before every step picks,
+and without a `tol` no step sums z.
 """
 
 from __future__ import annotations
@@ -100,63 +101,32 @@ _UNMARKED = np.iinfo(np.intp).max
 
 @dataclass
 class PushState:
-    """Estimate/residual pair, step and update-cost counters, and a running
-    certificate.
-
-    `mass` follows z.sum() from step to step without summing z, and
-    `drift` bounds |mass - z.sum()|; `resync` sums z exactly and resets
-    both. A push to a block of pages sets `drift` to infinity, the running
-    mass unknown. Editing z by hand leaves them stale until the next `resync`.
-    """
+    """Estimate/residual pair and its step and update-cost counters."""
 
     x: np.ndarray
     z: np.ndarray
     step: int = 0
     cumulative_updates: int = 0
-    mass: float | None = None
-    drift: float = 0.0
-    synced_at: int = 0       # cumulative_updates at the last exact sum
-
-    def __post_init__(self):
-        if self.mass is None:
-            self.resync()
 
     @property
     def n(self):
         return self.x.size
-
-    def resync(self):
-        """Sum z exactly, make it the running mass and return it."""
-        self.mass = float(self.z.sum())
-        # any summation order of n non-negative terms is within (n-1)u of
-        # the real sum, so two exact sums differ by at most 2nu of it
-        self.drift = 2 * self.n * _UNIT_ROUNDOFF * self.mass
-        self.synced_at = self.cumulative_updates
-        return self.mass
 
     def push(self, senders, rows, inflow):
         """Push in place: the pages `rows` take `inflow` into x and z, the
         senders' residual being reset first, so a sender that receives
         keeps only what it receives. `rows` is an index array, whose
         entries add in order (one row may repeat), or a slice, a block of
-        pages such as all; pushing to a block leaves the running mass
-        unknown until the next `resync`. The caller counts the steps."""
+        pages such as all. The caller counts the steps."""
         if isinstance(rows, slice):
             self.x[rows] += inflow
             self.z[senders] = 0.0
             self.z[rows] += inflow
-            self.drift = math.inf
         else:
             np.add.at(self.x, rows, inflow)
             self.z[senders] = 0.0
             np.add.at(self.z, rows, inflow)
         self.cumulative_updates += int(senders.size)
-
-    def account(self, change, terms):
-        """Move the running mass by `change`, a sum whose rounding error is
-        at most `terms` unit roundoffs of the mass (bounded twice over)."""
-        self.mass += change
-        self.drift += 2 * terms * _UNIT_ROUNDOFF * abs(self.mass)
 
 
 def init_state(n, m, replicas=1):
@@ -193,15 +163,16 @@ def step_set(state, graph, m, phi):
                   *_normalized(phi, np.array([phi.size]), state.z.size))
 
 
-def _push_segment(state, graph, m, senders, sizes, until=None, z_stop=None,
+def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
                   marks=None):
-    """Push the leading segment of consecutive steps' update sets in place
-    and return how many steps it took (see the module doc).
+    """Push the leading segment of consecutive steps' update sets in place;
+    return (steps taken, mass pushed), the sum of the residual its senders
+    held, which is inf for the set of every page (see the module doc).
 
     Step j's set is the next `sizes[j]` entries of `senders`, ascending
     and in range. The segment ends early at the step whose update count
-    reaches `until` and, given the stop level `z_stop`, before the first
-    step at which z might have summed to it. `marks`, an intp array of
+    reaches `until` and, given `room`, at the step whose senders, with the
+    earlier steps', first push `room` or more. `marks`, an intp array of
     the state's size holding `_UNMARKED`, is scratch space for the
     conflict search, left as it was found.
     """
@@ -210,7 +181,7 @@ def _push_segment(state, graph, m, senders, sizes, until=None, z_stop=None,
     if not stacked and sizes[0] == n:    # every page: one step, one mat-vec
         state.push(senders[:n], slice(None), graph.q_matrix(m) @ state.z)
         state.step += 1
-        return 1
+        return 1, math.inf
     count = sizes.size
     if count > 1:
         ends = sizes.cumsum()
@@ -222,7 +193,7 @@ def _push_segment(state, graph, m, senders, sizes, until=None, z_stop=None,
         senders = senders[:sizes[0]]
     if senders.size == 0:
         state.step += count
-        return count
+        return count, 0.0
     # gather the senders' out-links sender by sender, in step order
     pages = senders % n if stacked else senders
     lo = graph.indptr[pages]
@@ -236,12 +207,8 @@ def _push_segment(state, graph, m, senders, sizes, until=None, z_stop=None,
         step_of = np.arange(count).repeat(sizes[:count])
         link_step = step_of.repeat(degree)
         gathered = count
-        if z_stop is not None:
-            # z falls by at most what the segment pushes, and the running
-            # mass bounds z.sum() before it to within its drift
+        if room is not None:
             pushed = state.z[senders]
-            room = (state.mass - state.drift - z_stop
-                    - 4 * (3 * senders.size + 8) * _UNIT_ROUNDOFF * state.mass)
             if pushed.sum() >= room:
                 before = np.bincount(step_of, pushed, minlength=count).cumsum()
                 count = int((before >= room).argmax()) + 1
@@ -276,21 +243,17 @@ def _push_segment(state, graph, m, senders, sizes, until=None, z_stop=None,
     if count > 1:
         rows = rows % size
     state.push(senders, rows, inflow)
-    # 3 senders + 8 bounds the rounded terms in the mass bookkeeping
-    state.account(float(degree.dot(sends) - pushed.sum()),
-                  3 * senders.size + 8)
     state.step += count
-    return count
+    return count, float(pushed.sum())
 
 
 def exact_error(state, m):
     """||x* - x||_1 computed from the residual alone: ((1-m)/m) ||z||_1.
 
     Valid on patched graphs, where every column of Q sums to 1-m; no
-    knowledge of x* is needed. Sums z exactly, so it also resyncs the
-    state's running mass.
+    knowledge of x* is needed.
     """
-    return (1.0 - m) / m * state.resync()
+    return (1.0 - m) / m * float(state.z.sum())
 
 
 def _record(trace, state, m, oracle, record_x, replicas):
@@ -309,18 +272,6 @@ def _record(trace, state, m, oracle, record_x, replicas):
         err = defect = np.full(replicas, math.nan)
     trace.append(state.step, state.cumulative_updates, err_l1=err, cert=cert,
                  defect=defect, x=state.x if record_x else None)
-
-
-def _certified(state, z_stop):
-    """Whether z.sum() <= z_stop, decided as the exact sum decides it.
-
-    z is summed only when the running mass is unknown or within its drift
-    of z_stop, or n updates have passed since the last exact sum.
-    """
-    if (state.mass - state.drift > z_stop
-            and state.cumulative_updates - state.synced_at < state.n):
-        return False
-    return state.resync() <= z_stop
 
 
 def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
@@ -366,11 +317,19 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     # the sets drawn ahead of the state's step, as `_push_segment` takes them
     pending, sizes = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     marks = None
+    # with a tol, a lower bound on z.sum(): the last exact sum `exact`, less
+    # what was pushed since and a rounding margin (see the module doc)
+    floor = -math.inf
     while steps is None or state.step < steps:
-        if z_stop is not None and _certified(state, z_stop):
-            break
+        if z_stop is not None and floor <= z_stop:
+            exact = float(state.z.sum())
+            if exact <= z_stop:
+                break
+            # any summation order of n non-negative terms is within (n-1)u
+            # of the real sum, so two exact sums differ by at most 2nu of it
+            floor = exact * (1 - 2 * state.n * _UNIT_ROUNDOFF)
         if schedule is None:
-            _push_segment(state, graph, m, *everyone)
+            floor -= _push_segment(state, graph, m, *everyone)[1]
         else:
             # with fewer than half of _LOOKAHEAD pages pending, draw up to
             # _LOOKAHEAD steps or pages (at least a step) ahead
@@ -391,18 +350,25 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
             if factors is not None:
                 step_group(state, graph, m, factors, pending[:sizes[0]])
                 taken, used = 1, sizes[0]
+                floor = -math.inf        # it pushed to a block of pages
             else:
                 # the segment ends at a step record at the latest
-                room = sizes.size if by_updates else mark - state.step
-                if room > 1 and marks is None:
+                reach = sizes.size if by_updates else mark - state.step
+                if reach > 1 and marks is None:
                     marks = np.full(state.n, _UNMARKED, dtype=np.intp)
                 until = mark if by_updates else None
+                room = None
                 if z_stop is not None:
-                    # make `_certified` sum z once n updates have passed
-                    until = min(until or math.inf, state.synced_at + state.n)
+                    # 3 senders + 8 bounds the rounded terms of a segment's
+                    # cut and bookkeeping, each at most the last exact sum
+                    floor -= (4 * (3 * pending.size + 8) * _UNIT_ROUNDOFF
+                              * exact)
+                    room = floor - z_stop
                 used = state.cumulative_updates      # the pages pushed are
-                taken = _push_segment(state, graph, m, pending, sizes[:room],
-                                      until, z_stop, marks)
+                taken, pushed = _push_segment(state, graph, m, pending,
+                                              sizes[:reach], until, room,
+                                              marks)
+                floor -= pushed
                 used = state.cumulative_updates - used   # the updates counted
             pending, sizes = pending[used:], sizes[taken:]
         done = state.cumulative_updates if by_updates else state.step

@@ -304,7 +304,7 @@ def load_partition(source, graph):
 
     Every page must be assigned exactly once; group labels need not be
     contiguous (they are densified). Unassigned or doubly-assigned pages
-    raise with the full offender list.
+    raise, naming the first 10 of each kind and counting the rest.
     """
     n = graph.n
     pairs = _read_pairs(source, "page group", [
@@ -315,10 +315,14 @@ def load_partition(source, graph):
     counts = np.bincount(pages, minlength=n)
     dupes, missing = np.flatnonzero(counts > 1), np.flatnonzero(counts == 0)
     if dupes.size or missing.size:
+        def listed(offenders):       # the first 10, then a count
+            more = (f" and {offenders.size - 10} more" if offenders.size > 10
+                    else "")
+            return f"{offenders[:10].tolist()}{more}"
         raise ValueError(
             "invalid partition: "
-            f"doubly-assigned pages {dupes.tolist()}, "
-            f"unassigned pages {missing.tolist()}")
+            f"doubly-assigned pages {listed(dupes)}, "
+            f"unassigned pages {listed(missing)}")
     assigned = np.empty(n, dtype=np.intp)
     assigned[pages] = pairs[:, 1]
     return Partition(assigned)

@@ -241,7 +241,7 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
     records the first and the last step and the default record rule's
     steps (every step up to 1,000 pages, else the first step at or after
     each sweep of counted updates) or every cadence-th step, and a `tol`
-    stops the run where `engines._certified` first says so.
+    stops the run before the first step at which ``z.sum() <= z_stop``.
     """
     replicas = 1 if schedule is None else schedule.replicas
     state = init_state(graph.n, m, replicas)
@@ -251,7 +251,7 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
     trace = Trace()
     engines._record(trace, state, m, None, False, replicas)
     while steps is None or state.step < steps:
-        if z_stop is not None and engines._certified(state, z_stop):
+        if z_stop is not None and state.z.sum() <= z_stop:
             break
         drawn = (np.arange(graph.n) if schedule is None
                  else schedule.next(state.step))

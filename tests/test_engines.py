@@ -210,9 +210,14 @@ def push_in_segments(state, graph, sets):
     sizes = np.array([len(p) for p in sets])
     counts = []
     while sizes.size:
-        counts.append(engines._push_segment(state, graph, M, drawn, sizes))
-        drawn, sizes = drawn[sizes[:counts[-1]].sum():], sizes[counts[-1]:]
-        assert abs(state.mass - state.z.sum()) <= state.drift
+        held, every_page = state.z.copy(), sizes[0] == state.z.size
+        taken, pushed = engines._push_segment(state, graph, M, drawn, sizes)
+        used = sizes[:taken].sum()
+        # the residual the senders held, or inf for the set of every page
+        assert pushed == (np.inf if every_page
+                          else held[drawn[:used]].sum())
+        counts.append(taken)
+        drawn, sizes = drawn[used:], sizes[taken:]
     return counts
 
 
@@ -256,8 +261,8 @@ def test_a_segment_ends_at_the_step_reaching_its_update_bound(rng):
     g = random_graph(rng, 500, allow_self=True)
     st = init_state(g.n, M)
     sets = np.array([0, 100, 200, 300, 400])
-    taken = engines._push_segment(st, g, M, sets, np.ones(5, dtype=np.intp),
-                                  until=3)
+    taken, _ = engines._push_segment(st, g, M, sets,
+                                     np.ones(5, dtype=np.intp), until=3)
     assert taken <= 3 and st.cumulative_updates == st.step == taken
 
 

@@ -1,5 +1,6 @@
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,15 @@ def test_partition_missing_and_duplicate_pages_listed():
         load_partition(io.StringIO("0 0\n1 0"), g)
     with pytest.raises(ValueError, match=r"doubly-assigned pages \[1\]"):
         load_partition(io.StringIO("0 0\n1 0\n1 1\n2 1"), g)
+
+
+def test_partition_error_names_at_most_10_pages_of_each_kind():
+    g = load_edge_list(Path(__file__).resolve().parent / "data" / "web60.txt")
+    with pytest.raises(ValueError) as info:
+        load_partition(io.StringIO("0 0\n"), g)
+    assert str(info.value) == ("invalid partition: doubly-assigned pages [], "
+                               "unassigned pages [1, 2, 3, 4, 5, 6, 7, 8, 9, "
+                               "10] and 49 more")
 
 
 def test_partition_bad_line():
