@@ -60,7 +60,8 @@ call checks them all. Engines are single-threaded and deterministic.
 graphs of up to 1,000 pages, else the first step at or after each
 multiple of the state's size in counted updates (one sweep per replica);
 with a `cadence`, every cadence-th step. A record whose conservation
-defect exceeds `DEFECT_ABORT` in any replica aborts the run there.
+defect bound (`pushrank.solvers.DenseOracle.conservation_defect`)
+exceeds `DEFECT_ABORT` in any replica aborts the run there.
 
 The certificate is not summed every step. With a `tol` (single runs
 only), `run` keeps a lower bound on z.sum(): the last exact sum, less
@@ -256,9 +257,12 @@ def exact_error(state, m):
     return (1.0 - m) / m * float(state.z.sum())
 
 
-def _record(trace, state, m, oracle, record_x, replicas):
-    """Append the state's record: err, cert and defect per replica. Raise
-    `NumericalFailure` if any replica's defect exceeds `DEFECT_ABORT`."""
+def _record(trace, state, m, oracle, record_x, blank):
+    """Append the state's record: err, cert and defect per replica, or the
+    run's NaN row `blank` (one entry per replica) for err and defect
+    without an oracle. Raise `NumericalFailure` if any replica's defect
+    exceeds `DEFECT_ABORT`."""
+    replicas = blank.size
     x, z = state.x.reshape(replicas, -1), state.z.reshape(replicas, -1)
     cert = (1.0 - m) / m * z.sum(axis=1)
     if oracle is not None:
@@ -269,7 +273,7 @@ def _record(trace, state, m, oracle, record_x, replicas):
             raise NumericalFailure(f"conservation defect {worst:.3e} at step "
                                    f"{state.step}{of} exceeds {DEFECT_ABORT:g}")
     else:
-        err = defect = np.full(replicas, math.nan)
+        err = defect = blank
     trace.append(state.step, state.cumulative_updates, err_l1=err, cert=cert,
                  defect=defect, x=state.x if record_x else None)
 
@@ -313,7 +317,8 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     by_updates = cadence is None and graph.n > 1000
     mark = period = state.n if by_updates else cadence or 1
     trace = Trace()
-    _record(trace, state, m, oracle, record_x, replicas)
+    blank = np.full(replicas, math.nan)
+    _record(trace, state, m, oracle, record_x, blank)
     # the sets drawn ahead of the state's step, as `_push_segment` takes them
     pending, sizes = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     marks = None
@@ -374,7 +379,7 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
         done = state.cumulative_updates if by_updates else state.step
         if done >= mark:
             mark = (done // period + 1) * period
-            _record(trace, state, m, oracle, record_x, replicas)
+            _record(trace, state, m, oracle, record_x, blank)
     if trace.final_step != state.step:
-        _record(trace, state, m, oracle, record_x, replicas)
+        _record(trace, state, m, oracle, record_x, blank)
     return state, trace

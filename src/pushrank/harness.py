@@ -19,9 +19,12 @@ cumulative-updates axis (the fair cost measure: one update = one page
 pushing once) and emit one error column per run.
 
 Exact-error and conservation columns require the dense oracle and are NaN
-when the graph exceeds the dense cap. A conservation defect above
-`engines.DEFECT_ABORT` (1e-6) is a hard numerical failure: the run loop
-aborts at the record where it appears.
+when the graph exceeds the dense cap; `mc` and `exact`, which need it,
+are refused there before any partition is factored. The conservation
+column is a bound on the defect against x*: the push invariant's
+residual, from one sparse product with Q, over m (see `pushrank.trace`).
+A bound above `engines.DEFECT_ABORT` (1e-6) is a hard numerical failure:
+the run loop aborts at the record where it appears.
 """
 
 from __future__ import annotations
@@ -164,20 +167,25 @@ class _Runtime:
     """Loaded inputs shared by the runs of one experiment.
 
     The graph and its dense oracle are built once; each partition file is
-    loaded and factored once, when a run first uses it.
+    loaded and factored once, when a run first uses it. `oracle_for` names
+    what needs the oracle: without one the run is refused, before any
+    partition is factored.
     """
 
-    def __init__(self, config):
+    def __init__(self, config, oracle_for=None):
         graph = load_edge_list(config.graph, index_base=config.base)
         self.graph, _ = patch_dangling(graph)
         self.m = config.m
-        self._groups = {None: (np.ones(self.graph.n, dtype=np.int64), None,
-                               "page")}
-        self.use_groups(config.partition)
         self.oracle = None
         if self.graph.n <= config.dense_cap:
             self.oracle = solvers.DenseOracle(self.graph, config.m,
                                               dense_cap=config.dense_cap)
+        elif oracle_for:
+            raise ConfigError(f"{oracle_for} needs the dense oracle; "
+                              "raise --dense-cap or shrink the graph")
+        self._groups = {None: (np.ones(self.graph.n, dtype=np.int64), None,
+                               "page")}
+        self.use_groups(config.partition)
 
     def use_groups(self, path):
         """Give the next run the groups of partition file `path` (None: the
@@ -191,11 +199,6 @@ class _Runtime:
                                   "group")
         self.units, self.factors, self.unit = self._groups[path]
         return self
-
-    def require_oracle(self, why):
-        if self.oracle is None:
-            raise ConfigError(f"{why} needs the dense oracle; "
-                              "raise --dense-cap or shrink the graph")
 
 
 def _weights(spec, runtime):
@@ -259,7 +262,6 @@ def _execute(config, runtime, sched):
     """Run one configured algorithm and return its trace; a run of the
     schedule's replicas (see `engines.run`)."""
     if config.algorithm == "exact":
-        runtime.require_oracle("exact solve")
         trace = Trace()
         trace.append(0, 0, err_l1=0.0, cert=0.0, defect=0.0)
         return trace
@@ -276,7 +278,8 @@ def _execute(config, runtime, sched):
 def run_experiment(config):
     """Run one experiment, write its CSV if requested, print a summary line."""
     config = config.validate()
-    runtime = _Runtime(config)
+    runtime = _Runtime(config, "exact solve" if config.algorithm == "exact"
+                       else None)
     sched = _build_schedule(config, runtime)
     trace = _execute(config, runtime, sched)
     if config.out:
@@ -338,9 +341,8 @@ def monte_carlo(config):
     # validate resolves `seed` only where the schedule draws at random
     if run.seed is None:
         raise ConfigError("Monte Carlo averaging needs a randomized schedule")
-    runtime = _Runtime(run)
+    runtime = _Runtime(run, "Monte Carlo error averaging")
     sched = _build_schedule(run, runtime, replicas)
-    runtime.require_oracle("Monte Carlo error averaging")
     trace = _execute(run, runtime, sched)
     steps_grid = trace.steps
     # the updates of all replicas, exact integers: their mean is one division

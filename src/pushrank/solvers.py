@@ -2,15 +2,16 @@
 
 The rank vector x* solves x* = (1-m) A x* + (m/n) 1 with entries summing
 to 1, equivalently x* = (I - Q)^{-1} (m/n) 1 with Q = (1-m) A.
-`DenseOracle` factors (I - Q) once and checks every recorded step of a
-run against x*; `power_method` is the ``power`` algorithm of the CLI. Both
-solve for uniform teleportation, the only kind the package runs.
+`DenseOracle` solves for x* once, densely, and checks every recorded
+step of a run: its error against x*, and its conservation from the push
+invariant's residual, one sparse product with Q; `power_method` is the
+``power`` algorithm of the CLI. Both solve for uniform teleportation, the
+only kind the package runs.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -20,17 +21,21 @@ from .trace import Trace
 __all__ = ["DENSE_CAP", "DenseOracle", "power_method"]
 
 DENSE_CAP = 5000
+# entries of one block of `DenseOracle.conservation_defect`'s work arrays,
+# 64 KB: glibc's malloc reuses blocks this small, while work arrays over
+# 1,000 replicas of 100 pages (800 KB) cost about 200 fresh page faults
+# per call in a CLI run on Linux
+_BLOCK_ENTRIES = 8192
 
 
 class DenseOracle:
-    """Dense factorization of (I - Q) plus the exact rank vector.
+    """The exact rank vector x* of a graph, and the checks made against it.
 
-    Precomputes an LU factorization so that per-step error and conservation
-    diagnostics cost one pair of triangular solves. Both diagnostics take a
-    state, or the (R, n) view of R stacked replicas and then return one
-    value per replica from one call: the row-wise error sums and one
-    `lu_solve` over R right-hand sides. Only intended for graphs up to
-    `dense_cap` pages.
+    x* comes from one dense solve of (I - Q) x* = (m/n) 1, which needs the
+    n x n matrix only while it is built: the oracle keeps x*, m, n and the
+    graph's sparse Q. Both diagnostics take a state, or the (R, n) view of
+    R stacked replicas and then return one value per replica from one
+    call. Only intended for graphs up to `dense_cap` pages.
     """
 
     def __init__(self, graph, m, dense_cap=DENSE_CAP):
@@ -39,14 +44,11 @@ class DenseOracle:
             raise ValueError(
                 f"n={n} exceeds the dense oracle cap {dense_cap}; "
                 "use power_method for larger graphs")
-        from scipy import linalg          # only the dense factors need it
-
         self.n = n
         self.m = m
-        i_minus_q = np.eye(n) - graph.q_matrix(m).toarray()
-        # solves with the factors of I - Q
-        self._solve = partial(linalg.lu_solve, linalg.lu_factor(i_minus_q))
-        self.x_star = self._solve(np.full(n, m / n))
+        self._q = graph.q_matrix(m)
+        i_minus_q = np.eye(n) - self._q.toarray()
+        self.x_star = np.linalg.solve(i_minus_q, np.full(n, m / n))
         residual = np.abs(i_minus_q @ self.x_star - m / n).sum()
         if residual > 1e-12 * n:
             raise NumericalFailure(f"dense solve residual {residual:.3e} too large")
@@ -60,17 +62,25 @@ class DenseOracle:
         return np.abs(diff, out=diff).sum(axis=-1)
 
     def conservation_defect(self, x, z):
-        """L1 defect of x + (I - Q)^{-1} Q z against x*, per row of (R, n)
-        x and z.
+        """A bound on the L1 defect of x + (I - Q)^{-1} Q z against x*, per
+        row of (R, n) x and z: ||rho||_1 / m, rho = x - Q (x - z) - m/n.
 
-        Uses (I - Q)^{-1} Q = (I - Q)^{-1} - I to reuse the factorization.
+        Every push keeps the invariant (I - Q) x + Q z = (m/n) 1, whose
+        residual rho is (I - Q) times the defect; the columns of Q sum to
+        1 - m, so ||(I - Q)^{-1}||_1 <= 1/m. One sparse product per block
+        of replicas, in the (n, block) layout: O(R (nnz + n)) in all.
         """
-        # in place, in the order of x + resolved - z - x*
-        defect = self._solve(z.T).T
-        defect += x
-        defect -= z
-        defect -= self.x_star
-        return np.abs(defect, out=defect).sum(axis=-1)
+        xs, zs = x.reshape(-1, self.n), z.reshape(-1, self.n)
+        bound = np.empty(xs.shape[0])
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        for lo in range(0, bound.size, step):
+            xb, zb = xs[lo:lo + step].T, zs[lo:lo + step].T
+            w = self._q @ np.subtract(xb, zb, order="C")
+            np.subtract(xb, w, out=w)
+            w -= self.m / self.n
+            np.abs(w, out=w).sum(axis=0, out=bound[lo:lo + step])
+        bound /= self.m
+        return bound.reshape(x.shape[:-1])
 
 
 def power_method(graph, m, tol=1e-12, max_steps=100_000,

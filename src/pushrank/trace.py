@@ -6,9 +6,13 @@ integer columns as plain integers, float columns at 17 significant digits
 and diffs cleanly across runs. Missing values serialize as ``nan``.
 
 Trace schema (header is byte-exact): ``step,updates,err_l1,cert,defect``;
-optional per-page state snapshots append columns ``x0..x{n-1}``. A trace
-holds err_l1, cert and defect per replica of a run (`pushrank.engines`);
-its CSV and its ``final_*`` values are those of replica 0.
+optional per-page state snapshots append columns ``x0..x{n-1}``. ``defect``
+is a bound on the conservation defect, ``||rho||_1 / m`` for the residual
+rho of the push invariant ``(I - Q) x + Q z = (m/n) 1``, from one sparse
+product with Q (`pushrank.solvers.DenseOracle.conservation_defect`). A
+trace holds err_l1, cert and defect per replica of a run
+(`pushrank.engines`); its CSV and its ``final_*`` values are those of
+replica 0.
 """
 
 from __future__ import annotations
@@ -42,11 +46,19 @@ def write_table(path, header, columns):
             fh.write(",".join(row) + "\n")
 
 
+def _row(values):
+    """A record's values as an array of at least one dimension, an array
+    that has one as given."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        return values
+    return np.atleast_1d(values)
+
+
 class Trace:
     """Append-only record of (step, cumulative updates, error columns).
 
     `err_l1` is the exact error against the oracle rank vector, `cert` the
-    residual-based certificate, `defect` the conservation defect; any of
+    residual-based certificate, `defect` the conservation bound; any of
     them may be NaN when not computable for the run at hand. Each record
     of these three is an array of one entry per replica (a scalar given
     to `append` is one replica's), `column` returns them as (records,
@@ -67,9 +79,9 @@ class Trace:
                defect=math.nan, x=None):
         self.steps.append(int(step))
         self.updates.append(int(updates))
-        self.err_l1.append(np.atleast_1d(err_l1))
-        self.cert.append(np.atleast_1d(cert))
-        self.defect.append(np.atleast_1d(defect))
+        self.err_l1.append(_row(err_l1))
+        self.cert.append(_row(cert))
+        self.defect.append(_row(defect))
         if x is not None:
             self.x_rows.append(np.array(x, dtype=float))
 

@@ -13,9 +13,10 @@ synchronous steps reproduce. `run_summing_every_step` is the driver loop
 that sums the residual before every step, the reference for the stop step
 of `pushrank.engines.run`; `run_step_by_step` is that run's loop with one
 `step_set` or `step_group` call per step, the reference for the segments
-it pushes in one call; and `monte_carlo_one_by_one` runs Monte Carlo
+it pushes in one call; `monte_carlo_one_by_one` runs Monte Carlo
 replicas one after another, the reference for the stacked replicas of
-`pushrank.harness.monte_carlo`.
+`pushrank.harness.monte_carlo`; and `DenseDefect` is the dense
+conservation defect that `pushrank.solvers.DenseOracle` bounds.
 
 The lifted matrices are dense and capped at small n. All functions but
 the two drivers, which consume their schedules, are pure.
@@ -249,7 +250,8 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
     by_updates = cadence is None and graph.n > 1000
     mark = period = state.n if by_updates else cadence or 1
     trace = Trace()
-    engines._record(trace, state, m, None, False, replicas)
+    blank = np.full(replicas, math.nan)
+    engines._record(trace, state, m, None, False, blank)
     while steps is None or state.step < steps:
         if z_stop is not None and state.z.sum() <= z_stop:
             break
@@ -264,9 +266,9 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
         done = state.cumulative_updates if by_updates else state.step
         if done >= mark:
             mark = (done // period + 1) * period
-            engines._record(trace, state, m, None, False, replicas)
+            engines._record(trace, state, m, None, False, blank)
     if trace.final_step != state.step:
-        engines._record(trace, state, m, None, False, replicas)
+        engines._record(trace, state, m, None, False, blank)
     return state, trace
 
 
@@ -295,3 +297,27 @@ def monte_carlo_one_by_one(graph, m, spec, replicas, *, seed, weights=None,
         stderr = np.zeros_like(mean)
     defects = np.vstack([t.column("defect")[:, 0] for t in traces])
     return traces[0].steps, updates.mean(axis=0), mean, stderr, defects
+
+
+class DenseDefect:
+    """The L1 defect of x + (I - Q)^{-1} Q z against x*, per row of (R, n)
+    x and z, from the LU factors of I - Q: the dense value that
+    `DenseOracle.conservation_defect` bounds by ||rho||_1 / m.
+
+    Uses (I - Q)^{-1} Q = (I - Q)^{-1} - I to reuse the factorization.
+    """
+
+    def __init__(self, graph, m):
+        from scipy import linalg
+
+        lu = linalg.lu_factor(np.eye(graph.n) - graph.q_matrix(m).toarray())
+        self._solve = lambda rhs: linalg.lu_solve(lu, rhs)
+        self.x_star = self._solve(np.full(graph.n, m / graph.n))
+
+    def __call__(self, x, z):
+        # in place, in the order of x + resolved - z - x*
+        defect = self._solve(z.T).T
+        defect += x
+        defect -= z
+        defect -= self.x_star
+        return np.abs(defect, out=defect).sum(axis=-1)

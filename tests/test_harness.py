@@ -413,6 +413,51 @@ def test_gossip_without_the_dense_oracle_never_imports_scipy():
     assert done.stdout.startswith("gossip: steps=")
 
 
+@pytest.mark.parametrize("argv, imported", [
+    ("mc --graph web60.txt --replicas 2 --steps 3", False),
+    ("gossip --graph web60.txt --steps 50", False),
+    ("cluster --graph community700.txt --partition community700.groups "
+     "--steps 3", True),
+])
+def test_only_group_factors_import_scipy_linalg(argv, imported):
+    # the dense oracle solves for x* with numpy and checks conservation
+    # with the sparse Q; only the local solves of group factors need
+    # scipy.linalg
+    root = Path(pushrank.__file__).resolve().parent.parent
+    data = Path(__file__).resolve().parent / "data"
+    argv = [str(data / word) if word.endswith((".txt", ".groups")) else word
+            for word in argv.split()]
+    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
+            "import pushrank.cli; "
+            f"code = pushrank.cli.main({argv!r}); "
+            "print('scipy.linalg' in sys.modules); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(imported)
+
+
+@pytest.mark.parametrize("command", [
+    "mc --algorithm cluster --partition PART --replicas 2 --steps 3",
+    "exact",
+])
+def test_a_run_needing_the_oracle_refuses_above_the_cap_before_set_up(
+        command, small_graph_path, tmp_path, monkeypatch, capsys):
+    # neither the groups' factors nor the schedule are built for a run
+    # that the missing oracle refuses
+    part = tmp_path / "part.txt"
+    part.write_text("".join(f"{i} {i % 3}\n" for i in range(20)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("built before the oracle check")
+    monkeypatch.setattr(harness, "GroupFactors", never)
+    monkeypatch.setattr(harness, "_build_schedule", never)
+    argv = command.replace("PART", str(part)).split()
+    assert cli.main(argv + ["--graph", small_graph_path,
+                            "--dense-cap", "10"]) == cli.EXIT_CONFIG
+    assert "needs the dense oracle" in capsys.readouterr().err
+
+
 def test_weights_need_weighted_schedule(small_graph_path):
     # the weights are a weighted spec's argument: there is no --weights flag
     with pytest.raises(SystemExit) as exit_info:

@@ -1,14 +1,18 @@
 import io
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pushrank import DenseOracle, load_edge_list, patch_dangling, power_method
+from pushrank import (DenseOracle, GroupFactors, Schedule, load_edge_list,
+                      load_partition, patch_dangling, power_method, run)
 
 from conftest import graph_from_lists, random_graph
-from oracles import neumann_partial
+from oracles import DenseDefect, neumann_partial
 
 M = 0.15
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def cycle2():
@@ -133,3 +137,81 @@ def test_oracle_conservation_identity(rng):
     # the initial push state conserves as well
     z0 = np.full(g.n, M / g.n)
     assert oracle.conservation_defect(z0.copy(), z0) <= 1e-12
+
+
+def test_oracle_keeps_nothing_larger_than_a_page_vector(rng):
+    # the n x n matrix of the solve for x*, and any factor of it, is
+    # dropped once x* is checked; Q is the graph's, cached before
+    g = random_graph(rng, 200)
+    g.q_matrix(M)
+    tracemalloc.start()
+    try:
+        oracle = DenseOracle(g, M)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = [v for v in vars(oracle).values() if isinstance(v, np.ndarray)]
+    assert kept and max(v.size for v in kept) <= g.n
+    assert held < 8 * g.n * g.n / 10
+
+
+class CheckedOracle(DenseOracle):
+    """A dense oracle that also takes the dense defect at every record."""
+
+    def __init__(self, graph, m):
+        super().__init__(graph, m)
+        self.dense = DenseDefect(graph, m)
+        self.pairs = []
+
+    def conservation_defect(self, x, z):
+        bound = super().conservation_defect(x, z)
+        self.pairs.append((bound, self.dense(x, z)))
+        return bound
+
+
+def patched(name):
+    return patch_dangling(load_edge_list(DATA / f"{name}.txt"))[0]
+
+
+@pytest.mark.parametrize("name, spec, replicas, steps", [
+    ("web60", "uniform", None, 400),             # gossip
+    ("web60", "subset:0.25", None, 100),         # multi
+    ("community700", "uniform", None, 60),       # cluster
+    ("web60", "uniform", 9, 200),                # stacked mc
+])
+def test_defect_bound_covers_the_dense_defect_at_every_record(name, spec,
+                                                              replicas,
+                                                              steps):
+    graph, factors = patched(name), None
+    if name == "community700":
+        factors = GroupFactors(graph, M, load_partition(
+            DATA / "community700.groups", graph))
+    units = graph.n if factors is None else factors.num_groups
+    sched = Schedule.from_spec(spec, units, 5, replicas=replicas)
+    oracle = CheckedOracle(graph, M)
+    trace = run(graph, M, sched, factors=factors, steps=steps,
+                oracle=oracle)[1]
+    bound, dense = (np.array(v) for v in zip(*oracle.pairs))
+    assert bound.shape == dense.shape == (steps + 1, sched.replicas)
+    np.testing.assert_array_equal(trace.column("defect"), bound)
+    assert (bound >= dense - 1e-15).all()
+    assert bound.max() <= 1e-13
+
+
+def test_defect_bound_sees_a_spike_on_any_page():
+    # row p of the first half holds a gossip state with s added to x at
+    # page p, of the second half with s added to z there: the dense
+    # defects are s and (1-m)/m s, and the bound is exact on the second
+    graph = patched("web60")
+    n, spike = graph.n, 1e-6
+    state = run(graph, M, Schedule.from_spec("uniform", n, 3), steps=400)[0]
+    x, z = np.tile(state.x, (2 * n, 1)), np.tile(state.z, (2 * n, 1))
+    x[np.arange(n), np.arange(n)] += spike
+    z[np.arange(n) + n, np.arange(n)] += spike
+    bound = DenseOracle(graph, M).conservation_defect(x, z)
+    dense = DenseDefect(graph, M)(x, z)
+    assert bound.shape == dense.shape == (2 * n,)
+    assert (bound >= dense - 1e-15).all()
+    assert (bound >= spike).all()
+    np.testing.assert_allclose(dense, np.repeat([1, (1 - M) / M], n) * spike,
+                               rtol=1e-9)
