@@ -9,9 +9,15 @@ repeating the set update on h forever is reached directly:
     z   += Q[:, h] @ zbar,  then z_h = 0
 
 The push is the same in-place step as a set update (`PushState.push`),
-over every page of the pushing replica's block of the state: it costs
-O(n + nnz of the group's columns), and with a `tol` `run` sums z before
-the next step.
+into the rows the group's columns reach: `GroupFactors` keeps those rows,
+ascending, and the columns with their row indices renumbered into them.
+The renumbering keeps each column's order, so every reached row sums its
+inflow in the order the full mat-vec ``Q[:, h] @ zbar`` does, bit for bit,
+and a step costs O(group size + nnz of the group's columns) besides the
+local solve. A step returns the residual its group held, the sum of z_h:
+the push only adds to z outside the group and leaves the group the
+non-negative rest of its solve, so z.sum() falls by at most that, and
+`pushrank.engines.run` lowers its bound on z.sum() by it.
 Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
 from Q, so the local solve always exists. Groups above `DENSE_GROUP_CAP`
 members sum the series zbar = sum_t Qhh^t z_h instead and stop once a
@@ -39,32 +45,50 @@ class GroupFactors:
     """Per-group local solvers for (I - Qhh) plus each group's columns of Q.
 
     Groups up to `DENSE_GROUP_CAP` members (read when the factors are
-    built) get a dense LU factorization; larger groups sum the series
+    built) get a dense LU factorization, of I - Qhh written into one
+    buffer that the factorization overwrites; larger groups sum the series
     zbar = rhs + Qhh rhs + Qhh^2 rhs + ..., which converges geometrically
     (Qhh is Schur stable) and avoids storing a possibly dense inverse.
+    Group h's columns of Q are kept compact: `block_rows[h]` lists the
+    rows they reach, ascending, and `block_columns[h]` is the
+    len(block_rows[h]) x group-size block of those rows.
     """
 
-    __slots__ = ("members", "block_columns", "_dense_lu", "_sparse_qhh",
-                 "_getrs")
+    __slots__ = ("members", "block_rows", "block_columns", "_dense_lu",
+                 "_sparse_qhh", "_getrs")
 
     def __init__(self, graph, m, partition):
         if partition.n != graph.n:
             raise ValueError("partition and graph disagree on page count")
-        from scipy import linalg          # only the local factors need it
+        from scipy import linalg, sparse  # only the group factors need it
 
         # LAPACK's solve with LU factors, fetched once for every group
         self._getrs = linalg.get_lapack_funcs("getrs", dtype=np.float64)
         q = graph.q_matrix(m)
         self.members = partition.members
+        self.block_rows = []
         self.block_columns = []
         self._dense_lu = []
         self._sparse_qhh = []
         for h, mem in enumerate(self.members):
             cols = q[:, mem]
-            self.block_columns.append(cols)
+            # renumbering rows into the ascending reached rows is monotone,
+            # so each column keeps the order of its entries
+            rows, renumbered = np.unique(cols.indices, return_inverse=True)
+            self.block_rows.append(rows)
+            self.block_columns.append(sparse.csc_array(
+                (cols.data, renumbered, cols.indptr),
+                shape=(rows.size, mem.size)))
             qhh = cols[mem, :]
             if mem.size <= DENSE_GROUP_CAP:
-                lu, piv = linalg.lu_factor(np.eye(mem.size) - qhh.toarray())
+                # -q at Qhh's nonzeros (none repeats), then 1.0 added on the
+                # diagonal: the floats of np.eye(s) - qhh.toarray()
+                local = np.arange(mem.size)
+                a = np.zeros((mem.size, mem.size), order="F")
+                a[qhh.indices, local.repeat(np.diff(qhh.indptr))] = -qhh.data
+                a[local, local] += 1.0
+                lu, piv = linalg.lu_factor(a, overwrite_a=True,
+                                           check_finite=False)
                 if np.any(np.diag(lu) == 0.0):
                     raise NumericalFailure(f"singular local block for group {h}")
                 self._dense_lu.append((lu, piv))
@@ -113,7 +137,8 @@ def step_group(state, graph, m, factors, h):
     most one stacked index ``r G + g`` per replica (G groups), ascending,
     a single run's group being its own index. Replica r solves for its
     group g and pushes into its own block of n pages only, and the step
-    counts once; an empty draw is a no-op step.
+    counts once; an empty draw is a no-op step. Returns the residual the
+    drawn groups held before the step, summed (0.0 for an empty draw).
     """
     groups, n = factors.num_groups, graph.n
     count = groups * (state.n // n)
@@ -125,10 +150,15 @@ def step_group(state, graph, m, factors, h):
     if any(a >= b for a, b in zip(owners, owners[1:])):
         raise ValueError("group schedules must draw one group per step")
     state.step += 1
+    held = 0.0
     for r, i in zip(owners, drawn):
         g, offset = i - r * groups, r * n
-        members = factors.members[g] + offset if offset else factors.members[g]
-        zbar, rest = factors.solve_local(g, state.z[members])
-        state.push(members, slice(offset, offset + n),
-                   factors.block_columns[g] @ zbar)
+        members, rows = factors.members[g], factors.block_rows[g]
+        if offset:
+            members, rows = members + offset, rows + offset
+        rhs = state.z[members]
+        held += float(rhs.sum())
+        zbar, rest = factors.solve_local(g, rhs)
+        state.push(members, rows, factors.block_columns[g] @ zbar)
         state.z[members] = rest
+    return held

@@ -69,13 +69,17 @@ everything pushed since, less a rounding margin. A push lowers the real
 sum by m times the residual it pushes, so by no more than that residual.
 `run` sums z only when the bound is at or below the stop level, and a
 segment pushes a step only while the bound, less what the segment's
-earlier steps pushed, stays above it. A push to a block of pages (every
-page, or a group step) drops the bound to -inf, so z is summed before
-the next step. Between two exact sums the bound falls by the gap to the
-stop level while z.sum() falls by m times that, so the gap shrinks by
-(1 - m) per sum and a run sums z O(ln(gap ratio) / m) times. It stops at
-the step, and with the state, that an exact sum before every step picks,
-and without a `tol` no step sums z.
+earlier steps pushed, stays above it. A group step lowers the bound by
+the residual its group held before the step, with a margin of the same
+form: it leaves the group the non-negative rest of its local solve and
+only adds to z elsewhere, so z.sum() falls by no more than that (by m
+times what the group pushes, `pushrank.cluster`). The push of every
+page drops the bound to -inf, so z is summed before the next step.
+Between two exact sums the bound falls by the gap to the stop level
+while z.sum() falls by m times that, so the gap shrinks by (1 - m) per
+sum and a run sums z O(ln(gap ratio) / m) times. It stops at the step,
+and with the state, that an exact sum before every step picks, and
+without a `tol` no step sums z.
 """
 
 from __future__ import annotations
@@ -117,12 +121,12 @@ class PushState:
         """Push in place: the pages `rows` take `inflow` into x and z, the
         senders' residual being reset first, so a sender that receives
         keeps only what it receives. `rows` is an index array, whose
-        entries add in order (one row may repeat), or a slice, a block of
-        pages such as all. The caller counts the steps."""
+        entries add in order (one row may repeat), or a slice of pages
+        that are all senders, such as every page, whose residual becomes
+        the inflow. The caller counts the steps."""
         if isinstance(rows, slice):
             self.x[rows] += inflow
-            self.z[senders] = 0.0
-            self.z[rows] += inflow
+            self.z[rows] = inflow
         else:
             np.add.at(self.x, rows, inflow)
             self.z[senders] = 0.0
@@ -353,9 +357,14 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
             if sizes.size == 0:
                 break
             if factors is not None:
-                step_group(state, graph, m, factors, pending[:sizes[0]])
+                summed = state.cumulative_updates
+                held = step_group(state, graph, m, factors, pending[:sizes[0]])
+                if z_stop is not None:
+                    # a segment's margin, for the members whose z was summed
+                    summed = state.cumulative_updates - summed
+                    floor -= held + (4 * (3 * summed + 8) * _UNIT_ROUNDOFF
+                                     * exact)
                 taken, used = 1, sizes[0]
-                floor = -math.inf        # it pushed to a block of pages
             else:
                 # the segment ends at a step record at the latest
                 reach = sizes.size if by_updates else mark - state.step

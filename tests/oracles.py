@@ -15,11 +15,15 @@ of `pushrank.engines.run`; `run_step_by_step` is that run's loop with one
 `step_set` or `step_group` call per step, the reference for the segments
 it pushes in one call; `monte_carlo_one_by_one` runs Monte Carlo
 replicas one after another, the reference for the stacked replicas of
-`pushrank.harness.monte_carlo`; and `DenseDefect` is the dense
-conservation defect that `pushrank.solvers.DenseOracle` bounds.
+`pushrank.harness.monte_carlo`; `step_group_full_block` is the group
+step that adds each group's full columns of Q to a whole block of pages,
+the reference for the compact columns of `pushrank.cluster.step_group`;
+and `DenseDefect` is the dense conservation defect that
+`pushrank.solvers.DenseOracle` bounds.
 
 The lifted matrices are dense and capped at small n. All functions but
-the two drivers, which consume their schedules, are pure.
+the two drivers, which consume their schedules, and the group step, which
+updates its state in place, are pure.
 """
 
 from __future__ import annotations
@@ -270,6 +274,29 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
     if trace.final_step != state.step:
         engines._record(trace, state, m, None, False, blank)
     return state, trace
+
+
+def step_group_full_block(state, graph, m, factors, h):
+    """`step_group` pushing n-wide: each drawn group's columns of Q, all n
+    rows of them, times zbar, added to its replica's whole block of x and
+    z; the group's residual is then reset to the rest of its solve.
+
+    Takes a single group or a stacked draw, like `step_group`, unchecked.
+    """
+    groups, n = factors.num_groups, graph.n
+    q = graph.q_matrix(m)
+    state.step += 1
+    for i in np.atleast_1d(h).tolist():
+        r, g = divmod(i, groups)
+        members = factors.members[g] + r * n
+        zbar, rest = factors.solve_local(g, state.z[members])
+        inflow = q[:, factors.members[g]] @ zbar
+        block = slice(r * n, r * n + n)
+        state.x[block] += inflow
+        state.z[members] = 0.0
+        state.z[block] += inflow
+        state.z[members] = rest
+        state.cumulative_updates += members.size
 
 
 def monte_carlo_one_by_one(graph, m, spec, replicas, *, seed, weights=None,

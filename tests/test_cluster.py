@@ -1,15 +1,30 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
-                      cluster, init_state, load_edge_list, run, step_group,
-                      step_set)
+                      cluster, init_state, load_edge_list, load_partition,
+                      patch_dangling, run, step_group, step_set)
 
 from conftest import copy_state, random_graph, random_partition
+from oracles import step_group_full_block
 
 M = 0.15
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def grouped_graph(kind, rng):
+    """(graph, partition): the golden community700 files (one 600-page
+    group and 100 singletons), or a random graph with self-loops and
+    patched dangling pages, whose columns reach every row, in 7 groups."""
+    if kind == "community700":
+        g, _ = patch_dangling(load_edge_list(DATA / "community700.txt"))
+        return g, load_partition(DATA / "community700.groups", g)
+    g = random_graph(rng, 200, allow_self=True)
+    assert g.out_degree.max() == g.n          # a patched page
+    return g, random_partition(rng, g.n, 7)
 
 
 def test_singleton_factor_without_self_loop_is_identity():
@@ -56,6 +71,57 @@ def test_factor_roundtrip(rng, monkeypatch):
 def self_loops(g):
     return np.array([j in g.indices[g.indptr[j]:g.indptr[j + 1]]
                      for j in range(g.n)])
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("dense_cap", [0, 1000])
+@pytest.mark.parametrize("kind", ["community700", "self_loops"])
+def test_step_group_matches_the_full_block_push(kind, dense_cap, replicas,
+                                                rng, monkeypatch):
+    # the compact columns sum each reached row in the full mat-vec's order
+    monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", dense_cap)
+    g, part = grouped_graph(kind, rng)
+    factors = GroupFactors(g, M, part)
+    sched = Schedule.from_spec("uniform", part.num_groups, 5,
+                               replicas=replicas)
+    compact = init_state(g.n, M, replicas)
+    full = copy_state(compact)
+    for k in range(300):
+        drawn = sched.next(k)
+        step_group(compact, g, M, factors, drawn)
+        step_group_full_block(full, g, M, factors, drawn)
+    np.testing.assert_array_equal(compact.x, full.x)
+    np.testing.assert_array_equal(compact.z, full.z)
+    assert compact.cumulative_updates == full.cumulative_updates
+
+
+@pytest.mark.parametrize("kind", ["community700", "self_loops"])
+def test_dense_factors_are_the_factors_of_i_minus_qhh(kind, rng,
+                                                      monkeypatch):
+    from scipy import linalg
+
+    monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 1000)
+    g, part = grouped_graph(kind, rng)
+    factors = GroupFactors(g, M, part)
+    q = g.q_matrix(M)
+    for h, mem in enumerate(part.members):
+        qhh = q[:, mem][mem, :].toarray()
+        want_lu, want_piv = linalg.lu_factor(np.eye(mem.size) - qhh)
+        lu, piv = factors._dense_lu[h]
+        np.testing.assert_array_equal(lu, want_lu)
+        np.testing.assert_array_equal(piv, want_piv)
+
+
+def test_step_group_returns_the_residual_it_took(rng):
+    g, part = grouped_graph("self_loops", rng)
+    factors = GroupFactors(g, M, part)
+    st = init_state(g.n, M, replicas=3)
+    st.z[:] = rng.random(st.n)
+    drawn = np.array([2, part.num_groups + 4, 2 * part.num_groups])
+    held = sum(st.z[r * g.n + part.members[i - r * part.num_groups]].sum()
+               for r, i in enumerate(drawn))
+    assert step_group(st, g, M, factors, drawn) == held
+    assert step_group(st, g, M, factors, drawn[:0]) == 0.0
 
 
 def test_step_group_singleton_matches_set_step(rng):

@@ -12,10 +12,12 @@ and its whole trace to the driver that pushes one step per call
 import numpy as np
 import pytest
 
-from pushrank import (GroupFactors, Schedule, cluster, init_state, run,
-                      indegree_plus_one_weights, step_group, step_set)
+from pushrank import (GroupFactors, Partition, Schedule, cluster, init_state,
+                      run, indegree_plus_one_weights, patch_dangling,
+                      step_group, step_set)
 
-from conftest import community_graph, random_graph, random_partition
+from conftest import (community_graph, graph_from_lists, random_graph,
+                      random_partition)
 from oracles import run_step_by_step, run_summing_every_step
 
 M = 0.15
@@ -167,3 +169,45 @@ def test_long_runs_stop_at_the_exact_sum_step(n, m):
         tol = sums[k] * (1 - m) / m
         state = assert_same_stop(g, m, (make(), make()), tol, steps=4000)
         assert 0 < state.step < 4000
+
+
+def closed_group_graph(rng, n=150, closed=20, num_groups=5):
+    """(graph, partition): pages 0..closed-1 link only among themselves,
+    with self-loops, and form group 0, which pushes nothing out; the other
+    pages link anywhere, those without out-links patched to link to every
+    page, and spread over `num_groups` random groups."""
+    out = []
+    for j in range(n):
+        pool = np.arange(closed if j < closed else n)
+        d = min(int(rng.poisson(3.0)), pool.size)
+        if j < closed:
+            d = max(d, 1)
+        out.append(rng.choice(pool, size=d, replace=False) if d else [])
+    g, patched = patch_dangling(graph_from_lists(n, out))
+    assert patched.size and patched.min() >= closed
+    groups = np.concatenate((np.zeros(closed, dtype=int),
+                             rng.integers(1, num_groups + 1, n - closed)))
+    return g, Partition(groups)
+
+
+@pytest.mark.parametrize("m", [0.01, 0.15, 0.5])
+@pytest.mark.parametrize("dense", [True, False])
+def test_group_runs_stop_at_the_exact_sum_step_of_chosen_steps(m, dense,
+                                                               monkeypatch):
+    # a group step lowers z.sum() by m times what it pushes, which for
+    # the closed group is nearly all it held, and the patched pages'
+    # columns reach every row: the bound between two sums must still
+    # stop the run where summing before every step does
+    rng = np.random.default_rng(41)
+    g, part = closed_group_graph(rng)
+    if not dense:
+        monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 0)
+    factors = GroupFactors(g, m, part)
+    make = lambda: Schedule.from_spec("uniform", part.num_groups, 43)
+    sums = exact_sums(g, m, make(), 400, factors)
+    assert sums[-1] > 0.0
+    for k in (3, 40, 399):
+        tol = sums[k] * (1 - m) / m
+        state = assert_same_stop(g, m, (make(), make()), tol,
+                                 factors=factors, steps=2000)
+        assert 0 < state.step < 2000
