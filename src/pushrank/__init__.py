@@ -1,6 +1,6 @@
 """Residual-push PageRank: synchronous, gossip, set and group update engines,
-the dense oracle and power method they are checked against, schedules and a
-reproducible experiment harness.
+the reference oracle and power method they are checked against, schedules
+and a reproducible experiment harness.
 
 The package holds what the ``pushrank`` command runs. The dense lifted-matrix
 and mean-dynamics oracles of the randomized update model live with the

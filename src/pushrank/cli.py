@@ -20,6 +20,9 @@ flag the command does not read is refused even at its default value
 (``error: --seed does not apply to sync runs``), as is a schedule spec it
 does not accept.
 
+Error and defect columns come from the reference x* of `pushrank.solvers`,
+built up to 5,000 pages for single runs and at any size for mc and exact.
+
 Exit codes: 0 success, 2 configuration error (including a flag the
 command does not read), 3 I/O error, 4 numerical failure.
 """
@@ -34,7 +37,6 @@ from .errors import ConfigError, NumericalFailure, ParseError
 from .harness import (_READS, ALGORITHMS, SCHEDULES, ExperimentConfig,
                       compare, monte_carlo, run_experiment)
 from .scheduling import RANDOM_KINDS
-from .solvers import DENSE_CAP
 
 __all__ = ["main", "build_parser"]
 
@@ -76,10 +78,6 @@ def _add_common(parser):
                         help="record every j-th step; by default every "
                              "step up to 1000 pages, else once per sweep of "
                              "n updates" + _read_by("cadence"))
-    parser.add_argument("--dense-cap", type=int, default=DENSE_CAP,
-                        dest="dense_cap",
-                        help="largest n for which the dense oracle is built "
-                             f"(default {DENSE_CAP})")
     parser.add_argument("--include-x", action="store_true", dest="include_x",
                         help="append per-page x columns to the trace CSV"
                              + _read_by("include_x"))

@@ -294,8 +294,8 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     is exhausted, whichever comes first. Partial sets push a segment of
     independent steps per call (see the module doc), with the state each
     step alone would leave. The trace records the steps the module doc
-    names; err/defect columns are filled when a dense oracle is supplied,
-    and a defect above `DEFECT_ABORT` raises `NumericalFailure`.
+    names; err/defect columns are filled when the reference oracle is
+    supplied, and a defect above `DEFECT_ABORT` raises `NumericalFailure`.
 
     The run has the schedule's R replicas (one without a schedule), in one
     stacked state (see the module doc): the updates column counts the

@@ -18,11 +18,13 @@ Monte Carlo runs average the exact error across seeded replicas and emit
 cumulative-updates axis (the fair cost measure: one update = one page
 pushing once) and emit one error column per run.
 
-Exact-error and conservation columns require the dense oracle and are NaN
-when the graph exceeds the dense cap; `mc` and `exact`, which need it,
-are refused there before any partition is factored. The conservation
-column is a bound on the defect against x*: the push invariant's
-residual, from one sparse product with Q, over m (see `pushrank.trace`).
+Exact-error and conservation columns come from the reference oracle
+(`solvers.DenseOracle`). A single run or a comparison builds it on graphs
+up to `solvers.REFERENCE_CAP` pages and writes NaN above; `mc` and
+`exact` build it at any size, for it costs a fixed number of sparse
+products. The conservation column is a bound on the defect against x*:
+the push invariant's residual, from one sparse product with Q, over m
+(see `pushrank.trace`).
 A bound above `engines.DEFECT_ABORT` (1e-6) is a hard numerical failure:
 the run loop aborts at the record where it appears.
 """
@@ -53,7 +55,7 @@ SCHEDULES = {
                 "weighted:file:<path>", "file:<path>"),
 }
 # Every command reads these config fields and those of its `_READS` row
-_READ_BY_ALL = ("graph", "algorithm", "base", "m", "out", "dense_cap")
+_READ_BY_ALL = ("graph", "algorithm", "base", "m", "out")
 _READS = {
     "exact": "",
     "power": "steps tol cadence include_x",
@@ -78,7 +80,8 @@ class ExperimentConfig:
     either by the numbers of a file (``file:<path>``).
     `cadence` of None records every step for graphs up to 1000 pages and
     beyond that the first step at or after each multiple of n counted
-    updates (one sweep); see `engines.run`.
+    updates (one sweep); see `engines.run`. No field sets where the
+    reference oracle is built (see the module doc).
     """
 
     graph: str
@@ -93,7 +96,6 @@ class ExperimentConfig:
     replicas: int = 1
     out: str | None = None
     cadence: int | None = None
-    dense_cap: int = solvers.DENSE_CAP
     include_x: bool = False
 
     def validate(self):
@@ -166,23 +168,18 @@ def _refuse_unread(config, reads, what):
 class _Runtime:
     """Loaded inputs shared by the runs of one experiment.
 
-    The graph and its dense oracle are built once; each partition file is
-    loaded and factored once, when a run first uses it. `oracle_for` names
-    what needs the oracle: without one the run is refused, before any
-    partition is factored.
+    The graph and its reference oracle are built once, the oracle up to
+    `solvers.REFERENCE_CAP` pages or at any size if `needs_oracle`; each
+    partition file is loaded and factored once, when a run first uses it.
     """
 
-    def __init__(self, config, oracle_for=None):
+    def __init__(self, config, needs_oracle=False):
         graph = load_edge_list(config.graph, index_base=config.base)
         self.graph, _ = patch_dangling(graph)
         self.m = config.m
         self.oracle = None
-        if self.graph.n <= config.dense_cap:
-            self.oracle = solvers.DenseOracle(self.graph, config.m,
-                                              dense_cap=config.dense_cap)
-        elif oracle_for:
-            raise ConfigError(f"{oracle_for} needs the dense oracle; "
-                              "raise --dense-cap or shrink the graph")
+        if needs_oracle or self.graph.n <= solvers.REFERENCE_CAP:
+            self.oracle = solvers.DenseOracle(self.graph, config.m)
         self._groups = {None: (np.ones(self.graph.n, dtype=np.int64), None,
                                "page")}
         self.use_groups(config.partition)
@@ -278,8 +275,7 @@ def _execute(config, runtime, sched):
 def run_experiment(config):
     """Run one experiment, write its CSV if requested, print a summary line."""
     config = config.validate()
-    runtime = _Runtime(config, "exact solve" if config.algorithm == "exact"
-                       else None)
+    runtime = _Runtime(config, needs_oracle=config.algorithm == "exact")
     sched = _build_schedule(config, runtime)
     trace = _execute(config, runtime, sched)
     if config.out:
@@ -324,10 +320,11 @@ def monte_carlo(config):
     record makes one oracle call for all of them, and every replica's
     conservation defect is checked at every record. Requires a randomized
     schedule (default ``uniform``, which every scheduled algorithm
-    accepts) and the dense oracle. Reads the ``mc`` row of `_READS`, so it
-    refuses a `tol` (there is no tolerance stop) and `include_x` (it
-    writes no per-page columns); each replica is then a run of
-    `config.algorithm` and reads that algorithm's row.
+    accepts), and builds the reference oracle at any graph size. Reads
+    the ``mc`` row of `_READS`, so it refuses a `tol` (there is no
+    tolerance stop) and `include_x` (it writes no per-page columns); each
+    replica is then a run of `config.algorithm` and reads that
+    algorithm's row.
     """
     _refuse_unread(config, _READS["mc"].split(), "mc")
     if config.replicas < 1:
@@ -341,7 +338,7 @@ def monte_carlo(config):
     # validate resolves `seed` only where the schedule draws at random
     if run.seed is None:
         raise ConfigError("Monte Carlo averaging needs a randomized schedule")
-    runtime = _Runtime(run, "Monte Carlo error averaging")
+    runtime = _Runtime(run, needs_oracle=True)
     sched = _build_schedule(run, runtime, replicas)
     trace = _execute(run, runtime, sched)
     steps_grid = trace.steps

@@ -2,14 +2,17 @@
 
 Each case runs one `pushrank` command on a file under ``tests/data/`` and
 compares its CSV and its stdout summary line with files an earlier
-version of the program wrote: most before the push kernel touched only the
-pages a step reaches, the power and ``--include-x`` cases before the start
-vector and the personalization parameters were removed. The runs pass
-``--dense-cap 1``, so no dense oracle is built, and the cluster case's
+version of the program wrote. Their step, updates, cert and x columns
+date from before the push kernel touched only the pages a step reaches
+(the power and ``--include-x`` cases from before the start vector and the
+personalization parameters were removed); their err_l1 and defect columns
+were first filled when the reference x* came to be taken from the power
+method. That reference is sparse products alone, and the cluster case's
 groups are one 600-page community (above `DENSE_GROUP_CAP`, so its
 local solve is the sparse series) and singletons without self-loops: no
-output depends on a LAPACK build. Regenerate an expected file only for an
-intended change of output, and say so where the change is recorded.
+output depends on a LAPACK or BLAS build. Regenerate an expected file
+only for an intended change of output, and say so where the change is
+recorded.
 """
 
 from pathlib import Path
@@ -45,7 +48,7 @@ def argv(case, out):
             prefix, colon, name = word.rpartition(":")
             word = f"{prefix}{colon}{DATA / name}"
         words.append(word)
-    return words + ["--dense-cap", "1", "--out", str(out)]
+    return words + ["--out", str(out)]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pushrank import (ConfigError, DenseOracle, ExperimentConfig, GroupFactors,
                       NumericalFailure, Schedule, cli, compare, engines,
                       harness, indegree_plus_one_weights, load_edge_list,
                       load_partition, monte_carlo, patch_dangling, run,
-                      run_experiment)
+                      run_experiment, solvers)
 from pushrank.scheduling import RANDOM_KINDS
 from pushrank.trace import CSV_HEADER
 
@@ -160,13 +161,13 @@ def test_bad_schedule_refused_before_any_input_is_read(capsys):
         assert error in capsys.readouterr().err
 
 
-def test_power_reads_the_bounds_of_every_engine(capsys):
+def test_power_reads_the_bounds_of_every_engine(monkeypatch, capsys):
     # no bounds: the default tolerance stops the run; --steps alone turns
     # the tolerance stop off, as for sync
+    monkeypatch.setattr(solvers, "REFERENCE_CAP", 0)
     web60 = str(Path(__file__).resolve().parent / "data" / "web60.txt")
     for argv, final in (([], 27), (["--steps", "100"], 100)):
-        assert cli.main(["power", "--graph", web60, "--dense-cap", "1",
-                         *argv]) == cli.EXIT_OK
+        assert cli.main(["power", "--graph", web60, *argv]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith(f"power: steps={final} ")
 
 
@@ -180,9 +181,11 @@ def test_power_with_tol_alone_keeps_the_step_cap(monkeypatch, capsys):
         assert capsys.readouterr().out.startswith(f"{algo}: steps=50 ")
 
 
-def test_default_records_of_a_skewed_cluster_run_lie_a_sweep_apart(tmp_path):
+def test_default_records_of_a_skewed_cluster_run_lie_a_sweep_apart(
+        tmp_path, monkeypatch):
     # one 550-page group and 550 singletons drawn by size: half the steps
     # push 550 pages, half push one, and each sweep of n updates is recorded
+    monkeypatch.setattr(solvers, "REFERENCE_CAP", 0)
     n, big = 1100, 550
     rng = np.random.default_rng(3)
     graph, part = tmp_path / "g.txt", tmp_path / "part.txt"
@@ -192,7 +195,7 @@ def test_default_records_of_a_skewed_cluster_run_lie_a_sweep_apart(tmp_path):
     part.write_text("".join(f"{i} {max(0, i - big + 1)}\n" for i in range(n)))
     trace = run_experiment(ExperimentConfig(
         graph=str(graph), algorithm="cluster", partition=str(part),
-        schedule="weighted:size", seed=2, steps=100, dense_cap=1))
+        schedule="weighted:size", seed=2, steps=100))
     gaps = np.diff(trace.column("updates"))
     assert trace.final_step == 100 and gaps.size > 10
     assert gaps.max() <= n + big
@@ -398,14 +401,14 @@ def test_cli_rejects_dangling_patch_too_large(tmp_path, capsys):
 
 
 def test_gossip_without_the_dense_oracle_never_imports_scipy():
-    # scipy is imported where Q, the dense oracle or group factors are
+    # scipy is imported where Q, the reference oracle or group factors are
     # built; a gossip run without the oracle builds none of them
     root = Path(pushrank.__file__).resolve().parent.parent
     graph = Path(__file__).resolve().parent / "data" / "web60.txt"
     code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
-            "import pushrank.cli; "
-            f"pushrank.cli.main(['gossip', '--graph', {str(graph)!r}, "
-            "'--dense-cap', '1']); "
+            "import pushrank.cli, pushrank.solvers; "
+            "pushrank.solvers.REFERENCE_CAP = 0; "
+            f"pushrank.cli.main(['gossip', '--graph', {str(graph)!r}]); "
             "sys.exit('scipy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
@@ -420,9 +423,9 @@ def test_gossip_without_the_dense_oracle_never_imports_scipy():
      "--steps 3", True),
 ])
 def test_only_group_factors_import_scipy_linalg(argv, imported):
-    # the dense oracle solves for x* with numpy and checks conservation
-    # with the sparse Q; only the local solves of group factors need
-    # scipy.linalg
+    # the reference oracle takes x* from the power method and checks
+    # conservation with the sparse Q; only the local solves of group
+    # factors need scipy.linalg
     root = Path(pushrank.__file__).resolve().parent.parent
     data = Path(__file__).resolve().parent / "data"
     argv = [str(data / word) if word.endswith((".txt", ".groups")) else word
@@ -437,25 +440,52 @@ def test_only_group_factors_import_scipy_linalg(argv, imported):
     assert done.stdout.splitlines()[-1] == str(imported)
 
 
-@pytest.mark.parametrize("command", [
-    "mc --algorithm cluster --partition PART --replicas 2 --steps 3",
-    "exact",
+def test_reference_outputs_do_not_depend_on_the_blas_thread_count(tmp_path,
+                                                                   rng):
+    # x* comes from sparse products alone, so exact and mc write the same
+    # bytes whatever number of threads OpenBLAS runs
+    root = Path(pushrank.__file__).resolve().parent.parent
+    graph = write_edge_list(random_graph(rng, 100), tmp_path / "g100.txt")
+    outputs = []
+    for threads in ("1", "2"):
+        exact, mc = tmp_path / f"exact{threads}.csv", tmp_path / f"mc{threads}.csv"
+        code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
+                "import pushrank.cli as cli; "
+                f"sys.exit(cli.main(['exact', '--graph', {graph!r}, "
+                f"'--out', {str(exact)!r}]) or cli.main(['mc', '--graph', "
+                f"{graph!r}, '--replicas', '20', '--steps', '50', "
+                f"'--out', {str(mc)!r}]))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        outputs.append((exact.read_bytes(), mc.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, column, rows, missing", [
+    ("mc --algorithm cluster --partition PART --replicas 2 --steps 3",
+     "err_mean", 4, False),
+    ("exact", "x", 20, False),
+    ("gossip --steps 3", "err_l1", 4, True),
 ])
-def test_a_run_needing_the_oracle_refuses_above_the_cap_before_set_up(
-        command, small_graph_path, tmp_path, monkeypatch, capsys):
-    # neither the groups' factors nor the schedule are built for a run
-    # that the missing oracle refuses
+def test_mc_and_exact_build_the_reference_above_the_cap(
+        command, column, rows, missing, small_graph_path, tmp_path,
+        monkeypatch):
+    # the reference's count of sparse products does not grow with n: mc
+    # and exact build it above the cap, a single run writes NaN error
+    monkeypatch.setattr(solvers, "REFERENCE_CAP", 10)
     part = tmp_path / "part.txt"
     part.write_text("".join(f"{i} {i % 3}\n" for i in range(20)))
-
-    def never(*args, **kwargs):
-        raise AssertionError("built before the oracle check")
-    monkeypatch.setattr(harness, "GroupFactors", never)
-    monkeypatch.setattr(harness, "_build_schedule", never)
+    out = tmp_path / "out.csv"
     argv = command.replace("PART", str(part)).split()
     assert cli.main(argv + ["--graph", small_graph_path,
-                            "--dense-cap", "10"]) == cli.EXIT_CONFIG
-    assert "needs the dense oracle" in capsys.readouterr().err
+                            "--out", str(out)]) == cli.EXIT_OK
+    header, *lines = out.read_text().splitlines()
+    at = header.split(",").index(column)
+    values = np.array([float(line.split(",")[at]) for line in lines])
+    assert values.size == rows
+    assert np.isnan(values).all() if missing else not np.isnan(values).any()
 
 
 def test_weights_need_weighted_schedule(small_graph_path):
@@ -792,11 +822,11 @@ def test_compare_single_run_degenerate(small_graph_path):
     assert len(rows) == 11
 
 
-def test_compare_runs_share_the_dense_cap(cycle_path):
-    # every run comes from the one base config, so no run order can drop
-    # a run's cap: both columns lack the oracle whichever run comes first
-    base = ExperimentConfig(graph=cycle_path, algorithm="compare", steps=3,
-                            dense_cap=1)
+def test_compare_runs_share_the_dense_cap(cycle_path, monkeypatch):
+    # all runs share one runtime, so no run order can give one run the
+    # reference: above the cap both columns lack it whichever comes first
+    monkeypatch.setattr(solvers, "REFERENCE_CAP", 1)
+    base = ExperimentConfig(graph=cycle_path, algorithm="compare", steps=3)
     for runs in (["sync", "power"], ["power", "sync"]):
         _, rows = compare(base, runs)
         assert len(rows) == 4

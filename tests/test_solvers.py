@@ -50,10 +50,23 @@ def test_dense_three_isolated_pages():
                                atol=1e-14)
 
 
-def test_dense_cap_error():
-    g = cycle2()
-    with pytest.raises(ValueError, match="power_method"):
-        DenseOracle(g, M, dense_cap=1)
+@pytest.mark.parametrize("m", [0.01, 0.15, 0.5, 0.85])
+@pytest.mark.parametrize("kind", ["web60", "community700", "random"])
+def test_reference_matches_the_dense_lu(kind, m, rng):
+    # x* from the power method against the LU solve of (I - Q) x* = (m/n) 1;
+    # the random graphs have self-loops and many patched dangling pages.
+    # The power iterate stops at a fixed point of the rounded step, whose
+    # rounding (about eps in L1) ||(I - Q)^{-1}||_1 <= 1/m amplifies: at
+    # m = 0.01 the gap reaches 2.4e-14 on such graphs
+    bound = max(1e-14, 2 * np.finfo(float).eps / m)
+    if kind == "random":
+        graphs = [random_graph(rng, int(rng.integers(5, 300)), mean_out=1.5,
+                               allow_self=True) for _ in range(3)]
+    else:
+        graphs = [patch_dangling(load_edge_list(DATA / f"{kind}.txt"))[0]]
+    for g in graphs:
+        gap = np.abs(DenseOracle(g, m).x_star - DenseDefect(g, m).x_star).sum()
+        assert gap <= bound
 
 
 def test_dense_floor_and_mass(rng):
