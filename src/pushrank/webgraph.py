@@ -18,12 +18,15 @@ File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 
 `load_edge_list` and `load_partition` take a path or an open text stream
 (an `io.StringIO` for text held in memory) and read either with one
-`np.loadtxt` call. Numbers are ASCII integers with an optional sign that
-fit a signed 64-bit integer, and a ``#`` ends a line's payload, so
-``0 1  # comment`` is a pair. Two spellings that Python's `int` accepts
-are rejected: digit separators (``1_000``) and non-ASCII digits. Every
-malformed line is a `ParseError` that names it (``line N``, counting every
-line of the file from 1).
+`np.loadtxt` call. numpy reads a file by its path in chunks in C and walks
+a stream line by line in Python, so a regular file goes to it by absolute
+path, once the loader has opened it itself (see `_read_pairs` for why); a
+stream and a file named like a compressed one go as a stream. Numbers are
+ASCII integers with an optional sign that fit a signed 64-bit integer, and
+a ``#`` ends a line's payload, so ``0 1  # comment`` is a pair. Two
+spellings that Python's `int` accepts are rejected: digit separators
+(``1_000``) and non-ASCII digits. Every malformed line is a `ParseError`
+that names it (``line N``, counting every line of the file from 1).
 
 Both graphs and partitions are immutable after construction and safe to
 share across threads.
@@ -32,7 +35,9 @@ share across threads.
 from __future__ import annotations
 
 import io
+import os
 import re
+import stat
 import warnings
 from functools import partial
 from pathlib import Path
@@ -68,6 +73,21 @@ def _as_lines(source):
 
 _INT64 = re.compile(r"[+-]?[0-9]+")   # the integer spelling np.loadtxt parses
 
+# suffixes that np.loadtxt, handed a path, decompresses by
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _path_or_stream(stream):
+    """What `np.loadtxt` reads for the open text `stream`: the absolute path
+    of the regular file that it reads, else `stream` itself, also when the
+    file's name ends in `_COMPRESSED`."""
+    name = getattr(stream, "name", None)
+    if not isinstance(name, str) or name.endswith(_COMPRESSED):
+        return stream
+    if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+        return os.path.abspath(name)
+    return stream
+
 
 def _read_pairs(source, fields, rules):
     """The ``a b`` lines of a text source as a (k, 2) int64 array.
@@ -79,9 +99,17 @@ def _read_pairs(source, fields, rules):
     takes both the columns of all pairs and the two ints of one line;
     ``message(a, b)`` says what is wrong with a refused pair.
 
-    One `np.loadtxt` call parses the whole text. Only when it fails or a
-    rule refuses a pair are the lines walked one at a time (the file is read
-    a second time), so that the `ParseError` names the first bad line.
+    One `np.loadtxt` call parses the whole text, handed a file's absolute
+    path, which numpy reads in chunks in C, where it walks a stream line by
+    line in Python. numpy treats a path as more than a file name, though:
+    it downloads a URL, opens ``<path>.gz`` (``.bz2``, ``.xz``, ``.lzma``)
+    in place of a missing path, and decompresses a file by its suffix. So
+    the file is opened here first, which raises the OS error of a missing
+    or unreadable file, numpy gets only the path of that open regular file,
+    and a name with one of those suffixes stays a stream
+    (`_path_or_stream`). Only when the call fails or a rule refuses a pair
+    are the lines walked one at a time (the file is read a second time), so
+    that the `ParseError` names the first bad line.
     """
     if hasattr(source, "read"):
         # newline=None reads \r and \r\n line ends as a file opened below would
@@ -92,7 +120,8 @@ def _read_pairs(source, fields, rules):
         with reopen() as stream, warnings.catch_warnings():
             # no pairs at all: the caller says what is missing
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            pairs = np.loadtxt(stream, dtype=np.int64, comments="#", ndmin=2)
+            pairs = np.loadtxt(_path_or_stream(stream), dtype=np.int64,
+                               comments="#", ndmin=2, encoding="utf-8")
     except ValueError as exc:
         reason = str(exc)
     else:
@@ -145,7 +174,7 @@ class WebGraph:
     ----------
     n : int
         Page count, at least 2 and at most `MAX_PAGES`.
-    src, dst : integer sequences
+    src, dst : 1-D integer sequences of one length
         One link ``src[k] -> dst[k]`` per k. Duplicates are collapsed;
         each page's targets are stored sorted.
     """
@@ -155,26 +184,31 @@ class WebGraph:
     def __init__(self, n, src, dst):
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValueError("src and dst must be 1-D and of one length, got "
+                             f"shapes {src.shape} and {dst.shape}")
         if n < 2:
             raise ValueError(f"need at least 2 pages, got n={n}")
         if n > MAX_PAGES:
             raise ValueError(f"{n} pages exceed the limit of {MAX_PAGES}")
-        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if bad.any():
+        if src.size and (min(src.min(), dst.min()) < 0
+                         or max(src.max(), dst.max()) >= n):
+            bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
             raise ValueError(f"page {src[bad][0]} links outside 0..{n - 1}")
         # one sort orders the links by source, then target, and puts
-        # duplicates next to each other
+        # duplicates next to each other; the kept keys src*n + dst give each
+        # source's first link by search and, divided by n, leave the targets
+        # in their place as remainders
         key = np.multiply(src, n, dtype=np.int64)
         key += dst
         key.sort()
         first = np.empty(key.size, dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        src, dst = np.divmod(key[first], n)
+        key = key[first]
         self.n = int(n)
-        self.indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        self.indices = dst.astype(np.intp, copy=False)
+        self.indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+        self.indices = np.remainder(key, n, out=key).astype(np.intp, copy=False)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
         self._q_cache = {}
 

@@ -1,12 +1,18 @@
+import bz2
+import gzip
 import io
+import lzma
+import socket
+import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pushrank import (Partition, ParseError, WebGraph, load_edge_list,
-                      load_partition, patch_dangling)
+from pushrank import (Partition, ParseError, WebGraph, cli, load_edge_list,
+                      load_partition, patch_dangling, webgraph)
 
 from conftest import random_graph
 from oracles import q_column
@@ -227,7 +233,7 @@ def unique_reference(n, src, dst):
 
 
 @pytest.mark.parametrize("index_base", [0, 1])
-def test_loader_matches_unique_reference(index_base):
+def test_loader_matches_unique_reference(index_base, tmp_path):
     rng = np.random.default_rng(17 + index_base)
     for n in (2, 5, 60, 700):
         # unsorted links with duplicates and self-loops; pages may dangle
@@ -246,14 +252,49 @@ def test_loader_matches_unique_reference(index_base):
             if rng.random() < 0.1:
                 lines.append(rng.choice(["", "   ", "\t"]))
             lines.append(f"{s} {d}")
-        g = load_edge_list(io.StringIO("\n".join(lines)), index_base=index_base)
+        # the same text from a file, with CRLF line ends and trailing
+        # comments, which numpy reads from its path
+        path = tmp_path / f"g{n}.txt"
+        path.write_bytes("\r\n".join(
+            line + "  # c" * (i % 7 == 3) for i, line in enumerate(lines)
+        ).encode())
         indptr, indices = unique_reference(n, src, dst)
-        assert g.n == n
-        np.testing.assert_array_equal(g.indptr, indptr)
-        np.testing.assert_array_equal(g.indices, indices)
+        for source in (io.StringIO("\n".join(lines)), path, str(path)):
+            g = load_edge_list(source, index_base=index_base)
+            assert g.n == n
+            np.testing.assert_array_equal(g.indptr, indptr)
+            np.testing.assert_array_equal(g.indices, indices)
         h = WebGraph(n, src, dst)
         np.testing.assert_array_equal(h.indptr, indptr)
         np.testing.assert_array_equal(h.indices, indices)
+
+
+def test_link_arrays_must_be_1d_and_of_one_length():
+    with pytest.raises(ValueError, match=r"shapes \(3,\) and \(1,\)"):
+        WebGraph(5, [0, 1, 2], [3])          # would broadcast to 0->3, 1->3, 2->3
+    with pytest.raises(ValueError, match=r"shapes \(2, 1\) and \(2, 1\)"):
+        WebGraph(5, [[0], [1]], [[1], [2]])
+    with pytest.raises(ValueError, match=r"shapes \(\) and \(\)"):
+        WebGraph(5, 0, 1)
+    assert WebGraph(5, [], []).indptr.tolist() == [0] * 6
+
+
+def test_build_allocates_about_two_words_per_link():
+    rng = np.random.default_rng(5)
+    n, k = 1000, 100_000
+    src = rng.integers(0, n, size=k, dtype=np.intp)
+    dst = rng.integers(0, n, size=k, dtype=np.intp)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = WebGraph(n, src, dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sorted keys, a byte per link to find duplicates and the kept keys,
+    # which become g.indices
+    beyond = peak - before - g.indptr.nbytes - g.indices.nbytes
+    assert beyond <= 2.5 * 8 * k
 
 
 def test_partition_members_match_flatnonzero_reference():
@@ -374,3 +415,56 @@ def test_page_limit_checked_before_allocation():
         load_edge_list(io.StringIO(f"0 1\n1 {MAX_PAGES}\n{MAX_PAGES} 0\n"))
     with pytest.raises(ParseError, match="line 1: index 3037000500 exceeds"):
         load_edge_list(io.StringIO(f"{MAX_PAGES + 1} 1\n"), index_base=1)
+
+
+def test_only_plain_files_go_by_path(tmp_path):
+    text = "0 1\n1 0\n"
+    for name in ("g.txt", "g.gz", "g.txt.bz2", "g.xz", "g.lzma"):
+        (tmp_path / name).write_text(text)
+    with open(tmp_path / "g.txt") as plain:
+        assert webgraph._path_or_stream(plain) == str(tmp_path / "g.txt")
+    for name in ("g.gz", "g.txt.bz2", "g.xz", "g.lzma"):
+        with open(tmp_path / name) as compressed:
+            assert webgraph._path_or_stream(compressed) is compressed
+    stream = io.StringIO(text)
+    assert webgraph._path_or_stream(stream) is stream
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_missing_file_is_not_replaced_by_its_compressed_twin(
+        suffix, tmp_path, capsys):
+    # handed a missing path, np.loadtxt would read <path>.gz and the like
+    compress = {".gz": gzip.compress, ".bz2": bz2.compress,
+                ".xz": lzma.compress,
+                ".lzma": partial(lzma.compress, format=lzma.FORMAT_ALONE)}
+    graph = tmp_path / "g.txt"
+    Path(f"{graph}{suffix}").write_bytes(compress[suffix](b"0 1\n1 0\n"))
+    with pytest.raises(FileNotFoundError):
+        load_edge_list(graph)
+    assert cli.main(["sync", "--graph", str(graph)]) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_compressed_file_is_read_as_text(tmp_path, capsys):
+    # np.loadtxt decompresses by suffix; the loader reads the bytes as UTF-8
+    graph = tmp_path / "g.gz"
+    graph.write_bytes(gzip.compress(b"0 1\n1 0\n"))
+    with pytest.raises(UnicodeDecodeError):
+        load_edge_list(graph)
+    assert cli.main(["sync", "--graph", str(graph)]) == cli.EXIT_CONFIG
+    assert "can't decode" in capsys.readouterr().err
+
+
+def test_url_graph_opens_no_socket(tmp_path, monkeypatch):
+    # np.loadtxt downloads a URL; the loader opens it as a local path
+    opened = []
+    monkeypatch.setattr(socket, "socket",
+                        lambda *a, **k: opened.append(a) or 1 / 0)
+    monkeypatch.setattr(socket, "create_connection",
+                        lambda *a, **k: opened.append(a) or 1 / 0)
+    monkeypatch.chdir(tmp_path)
+    url = "http://127.0.0.1:9/g.txt"
+    with pytest.raises(FileNotFoundError):
+        load_edge_list(url)
+    assert cli.main(["sync", "--graph", url]) == cli.EXIT_IO
+    assert opened == []
