@@ -75,9 +75,9 @@ def _add_common(parser):
                              "by cluster runs" + _read_by("partition"))
     parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument("--cadence", type=int, default=None,
-                        help="record every j-th step; by default every "
-                             "step up to 1000 pages, else once per sweep of "
-                             "n updates" + _read_by("cadence"))
+                        help="record every j-th step; by default once per "
+                             "sweep of n updates (mc: every step)"
+                             + _read_by("cadence"))
     parser.add_argument("--include-x", action="store_true", dest="include_x",
                         help="append per-page x columns to the trace CSV"
                              + _read_by("include_x"))

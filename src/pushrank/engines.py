@@ -56,12 +56,12 @@ counts once however many replicas push in it. Each record holds the
 certificate of every replica, from one sum of z per row, and one oracle
 call checks them all. Engines are single-threaded and deterministic.
 
-`run` records the first step, the last, and by default every step on
-graphs of up to 1,000 pages, else the first step at or after each
-multiple of the state's size in counted updates (one sweep per replica);
-with a `cadence`, every cadence-th step. A record whose conservation
-defect bound (`pushrank.solvers.DenseOracle.conservation_defect`)
-exceeds `DEFECT_ABORT` in any replica aborts the run there.
+`run` records the first step, the last, and by default the first step
+at or after each multiple of the state's size in counted updates (one
+sweep per replica), on every graph; with a `cadence`, every cadence-th
+step. A record whose conservation defect bound
+(`pushrank.solvers.DenseOracle.conservation_defect`) exceeds
+`DEFECT_ABORT` in any replica aborts the run there.
 
 The certificate is not summed every step. With a `tol` (single runs
 only), `run` keeps a lower bound on z.sum(): the last exact sum, less
@@ -93,8 +93,7 @@ from .cluster import step_group
 from .errors import NumericalFailure
 from .trace import Trace
 
-__all__ = ["PushState", "init_state", "step_set", "exact_error", "run",
-           "DEFECT_ABORT"]
+__all__ = ["PushState", "init_state", "step_set", "run", "DEFECT_ABORT"]
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 DEFECT_ABORT = 1e-6
@@ -252,15 +251,6 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     return count, float(pushed.sum())
 
 
-def exact_error(state, m):
-    """||x* - x||_1 computed from the residual alone: ((1-m)/m) ||z||_1.
-
-    Valid on patched graphs, where every column of Q sums to 1-m; no
-    knowledge of x* is needed.
-    """
-    return (1.0 - m) / m * float(state.z.sum())
-
-
 def _record(trace, state, m, oracle, record_x, blank):
     """Append the state's record: err, cert and defect per replica, or the
     run's NaN row `blank` (one entry per replica) for err and defect
@@ -293,9 +283,11 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     certificate reaches `tol`, after `steps` steps, or when the schedule
     is exhausted, whichever comes first. Partial sets push a segment of
     independent steps per call (see the module doc), with the state each
-    step alone would leave. The trace records the steps the module doc
-    names; err/defect columns are filled when the reference oracle is
-    supplied, and a defect above `DEFECT_ABORT` raises `NumericalFailure`.
+    step alone would leave. The trace records the first and the last step
+    and, with `cadence` None, the first step at or after each sweep of
+    counted updates, else every cadence-th step; err/defect columns are
+    filled when the reference oracle is supplied, and a defect above
+    `DEFECT_ABORT` raises `NumericalFailure`.
 
     The run has the schedule's R replicas (one without a schedule), in one
     stacked state (see the module doc): the updates column counts the
@@ -307,6 +299,9 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
         raise ValueError("need steps and/or tol to bound the run")
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
+    if cadence is not None and cadence < 1:
+        raise ValueError(f"cadence must be a positive step count, "
+                         f"got {cadence}")
     replicas = 1 if schedule is None else schedule.replicas
     if replicas > 1 and (tol is not None or record_x):
         raise ValueError("a run of stacked replicas takes no tol and "
@@ -316,10 +311,10 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
         everyone = np.arange(state.n, dtype=np.intp), np.array([state.n])
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle
     z_stop = m * tol / (1.0 - m) if tol is not None else None
-    # record when the step count, or by default above 1,000 pages the
-    # update count, reaches `mark`, then move `mark` a period past it
-    by_updates = cadence is None and graph.n > 1000
-    mark = period = state.n if by_updates else cadence or 1
+    # record when the update count, or with a cadence the step count,
+    # reaches `mark`, then move `mark` a period past it
+    by_updates = cadence is None
+    mark = period = state.n if by_updates else cadence
     trace = Trace()
     blank = np.full(replicas, math.nan)
     _record(trace, state, m, oracle, record_x, blank)

@@ -78,10 +78,10 @@ class ExperimentConfig:
     A ``weighted:<weights>`` spec draws a page by its in-degree plus one
     (``indegree_plus_one``), a group by its member count (``size``) or
     either by the numbers of a file (``file:<path>``).
-    `cadence` of None records every step for graphs up to 1000 pages and
-    beyond that the first step at or after each multiple of n counted
-    updates (one sweep); see `engines.run`. No field sets where the
-    reference oracle is built (see the module doc).
+    `cadence` of None records the first step at or after each multiple
+    of n counted updates (one sweep; see `engines.run`), except in
+    `monte_carlo`, whose curve has a row for every step. No field sets
+    where the reference oracle is built (see the module doc).
     """
 
     graph: str
@@ -315,9 +315,10 @@ def monte_carlo(config):
 
     Replica r draws from the derived stream seed XOR splitmix64(r); runs
     share the step grid (fixed step count, no tolerance stop), and the
-    per-step sample mean and standard error of ||x(k) - x*||_1 are
-    reported. All replicas run in one stacked `engines.run` call: each
-    record makes one oracle call for all of them, and every replica's
+    sample mean and standard error of ||x(k) - x*||_1 are reported at
+    every step, or with a `cadence` at every cadence-th step and the
+    last. All replicas run in one stacked `engines.run` call: each record
+    makes one oracle call for all of them, and every replica's
     conservation defect is checked at every record. Requires a randomized
     schedule (default ``uniform``, which every scheduled algorithm
     accepts), and builds the reference oracle at any graph size. Reads
@@ -334,7 +335,8 @@ def monte_carlo(config):
     replicas = config.replicas
     if config.schedule is None and config.algorithm in SCHEDULES:
         config = replace(config, schedule="uniform")
-    run = replace(config, replicas=1, out=None).validate()
+    cadence = 1 if config.cadence is None else config.cadence
+    run = replace(config, replicas=1, out=None, cadence=cadence).validate()
     # validate resolves `seed` only where the schedule draws at random
     if run.seed is None:
         raise ConfigError("Monte Carlo averaging needs a randomized schedule")

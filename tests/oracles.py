@@ -243,16 +243,16 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
     """(state, trace) of `engines.run` without an oracle, one step per call.
 
     The same draws, records and stop test as `engines.run`: the trace
-    records the first and the last step and the default record rule's
-    steps (every step up to 1,000 pages, else the first step at or after
-    each sweep of counted updates) or every cadence-th step, and a `tol`
-    stops the run before the first step at which ``z.sum() <= z_stop``.
+    records the first and the last step and, with `cadence` None, the
+    first step at or after each sweep of counted updates, else every
+    cadence-th step, and a `tol` stops the run before the first step at
+    which ``z.sum() <= z_stop``.
     """
     replicas = 1 if schedule is None else schedule.replicas
     state = init_state(graph.n, m, replicas)
     z_stop = m * tol / (1.0 - m) if tol is not None else None
-    by_updates = cadence is None and graph.n > 1000
-    mark = period = state.n if by_updates else cadence or 1
+    by_updates = cadence is None
+    mark = period = state.n if by_updates else cadence
     trace = Trace()
     blank = np.full(replicas, math.nan)
     engines._record(trace, state, m, None, False, blank)
@@ -313,7 +313,7 @@ def monte_carlo_one_by_one(graph, m, spec, replicas, *, seed, weights=None,
     n = graph.n if factors is None else factors.num_groups
     traces = [run(graph, m, Schedule.from_spec(spec, n, derive_seed(seed, r),
                                                weights),
-                  factors=factors, steps=steps, oracle=oracle)[1]
+                  factors=factors, steps=steps, oracle=oracle, cadence=1)[1]
               for r in range(replicas)]
     err = np.vstack([t.column("err_l1")[:, 0] for t in traces])
     updates = np.vstack([t.column("updates") for t in traces])

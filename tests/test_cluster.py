@@ -229,10 +229,10 @@ def test_trivial_partition_mirrors_gossip(rng):
     sets = [sched.next(k) for k in range(300)]
     first_loop = next(k for k, s in enumerate(sets) if loops[s[0]])
     _, t_gossip = run(g, M, Schedule("file", sequence=sets), steps=300,
-                      record_x=True)
+                      cadence=1, record_x=True)
     _, t_cluster = run(g, M, Schedule("file", sequence=sets), steps=300,
                        factors=GroupFactors(g, M, Partition(np.arange(g.n))),
-                       record_x=True)
+                       cadence=1, record_x=True)
     assert t_gossip.steps == t_cluster.steps == list(range(301))
     assert t_gossip.updates == t_cluster.updates
     for k in range(first_loop + 1):
@@ -320,7 +320,7 @@ def test_group_run_empty_draw_is_noop_step(rng):
     part = random_partition(rng, g.n, 3)
     factors = GroupFactors(g, M, part)
     st, trace = run(g, M, Schedule("file", sequence=[[0], [], [1]]), steps=10,
-                    factors=factors)
+                    factors=factors, cadence=1)
     assert trace.steps == [0, 1, 2, 3]
     assert trace.updates[2] == trace.updates[1] == part.sizes[0]
     assert trace.cert[2] == trace.cert[1]

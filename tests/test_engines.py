@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, Schedule, engines, exact_error, init_state,
+from pushrank import (DenseOracle, Schedule, engines, init_state,
                       load_edge_list, patch_dangling, run, step_set)
 
 from conftest import copy_state, graph_from_lists, random_graph
@@ -309,13 +309,14 @@ def test_conservation_and_certificate(rng):
     oracle = DenseOracle(g, M)
     sched = Schedule.from_spec("uniform", g.n, 5)
     st = init_state(g.n, M)
-    assert abs(exact_error(st, M) - (1 - M)) <= 1e-12
+    # the certificate ||x* - x||_1 = ((1-m)/m) ||z||_1 needs no x*
+    assert abs((1 - M) / M * st.z.sum() - (1 - M)) <= 1e-12
     for k in range(500):
         step_set(st, g, M, sched.next(k))
         assert oracle.conservation_defect(st.x, st.z) <= 1e-10
-        assert abs(exact_error(st, M) - oracle.error_l1(st.x)) <= 1e-9
+        assert abs((1 - M) / M * st.z.sum() - oracle.error_l1(st.x)) <= 1e-9
     st.z[:] = 0.0
-    assert exact_error(st, M) == 0.0
+    assert (1 - M) / M * st.z.sum() == 0.0
 
 
 # -- run loop -------------------------------------------------------------
@@ -373,6 +374,29 @@ def test_gossip_above_1000_pages_records_every_n_steps(rng):
     assert trace.steps == [0, g.n, 2 * g.n, 2 * g.n + 7]
 
 
+@pytest.mark.parametrize("spec, steps", [("uniform", None),
+                                         ("subset:0.05", 90)])
+@pytest.mark.parametrize("n", [60, 1000, 1001])
+def test_default_records_fall_at_sweep_crossings_on_any_graph(n, spec, steps):
+    # no cliff at 1,000 pages: web60 records where a graph above 1,000
+    # pages does, at the first step at or after each n counted updates
+    if n == 60:
+        g, _ = patch_dangling(load_edge_list(
+            Path(__file__).resolve().parent / "data" / "web60.txt"))
+    else:
+        g = random_graph(np.random.default_rng(n), n)
+    assert g.n == n
+    steps = steps or 2 * n + 7
+    sched = Schedule.from_spec(spec, n, 11)
+    counts = np.cumsum([len(sched.next(k)) for k in range(steps)])
+    want = (np.flatnonzero(np.diff(counts // n, prepend=0)) + 1).tolist()
+    want = [0] + want + ([] if want[-1] == steps else [steps])
+    assert len(want) >= 4
+    _, trace = run(g, M, Schedule.from_spec(spec, n, 11), steps=steps)
+    assert trace.steps == want
+    assert trace.updates == [0] + counts[np.array(want[1:]) - 1].tolist()
+
+
 def test_run_requires_some_bound():
     with pytest.raises(ValueError):
         run(cycle2(), M, Schedule.from_spec("roundrobin", 2))
@@ -381,6 +405,10 @@ def test_run_requires_some_bound():
         with pytest.raises(ValueError, match="tol"):
             run(cycle2(), M, Schedule.from_spec("roundrobin", 2), steps=5,
                 tol=bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="cadence"):
+            run(cycle2(), M, Schedule.from_spec("roundrobin", 2), steps=5,
+                cadence=bad)
 
 
 def test_mean_trajectory_smoke(rng):
@@ -407,7 +435,7 @@ def test_mean_certificate_follows_its_closed_form(spec, steps):
     g, _ = patch_dangling(load_edge_list(path))
     reps = 2000
     sched = Schedule.from_spec(spec, g.n, 31, replicas=reps)
-    _, trace = run(g, M, sched, steps=steps)
+    _, trace = run(g, M, sched, steps=steps, cadence=1)
     cert = trace.column("cert")
     assert cert.shape == (steps + 1, reps)
     rate = M / g.n if spec == "uniform" else M * sched.q

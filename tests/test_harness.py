@@ -467,7 +467,7 @@ def test_reference_outputs_do_not_depend_on_the_blas_thread_count(tmp_path,
     ("mc --algorithm cluster --partition PART --replicas 2 --steps 3",
      "err_mean", 4, False),
     ("exact", "x", 20, False),
-    ("gossip --steps 3", "err_l1", 4, True),
+    ("gossip --steps 3", "err_l1", 2, True),
 ])
 def test_mc_and_exact_build_the_reference_above_the_cap(
         command, column, rows, missing, small_graph_path, tmp_path,
@@ -571,6 +571,23 @@ def test_monte_carlo_single_replica_degenerates(small_graph_path):
     assert len(mean.steps) == 101
 
 
+@pytest.mark.parametrize("cadence", [None, 7])
+def test_mc_writes_its_step_grid_above_1000_pages(cadence, tmp_path):
+    # mc's curve is its output: a row for every step on a graph of any
+    # size, or for every cadence-th step and the last when asked
+    graph, out = tmp_path / "cycle.txt", tmp_path / "mc.csv"
+    graph.write_text("".join(f"{i} {(i + 1) % 1001}\n" for i in range(1001)))
+    argv = ["mc", "--graph", str(graph), "--replicas", "10", "--steps", "50",
+            "--out", str(out)]
+    if cadence:
+        argv += ["--cadence", str(cadence)]
+    assert cli.main(argv) == cli.EXIT_OK
+    header, *lines = out.read_text().splitlines()
+    want = list(range(51)) if cadence is None else list(range(0, 50, 7)) + [50]
+    assert header == harness.MeanTrace.HEADER
+    assert [int(line.split(",")[0]) for line in lines] == want
+
+
 def test_monte_carlo_requires_random_schedule(small_graph_path):
     cfg = ExperimentConfig(graph=small_graph_path, algorithm="multi",
                            schedule="roundrobin", steps=50, replicas=4)
@@ -654,8 +671,8 @@ def test_monte_carlo_runs_its_replicas_in_one_stacked_run(small_graph_path,
 def spike_pushes(monkeypatch, replica, at, size):
     """Make each push by a run add `size` to x at the first page of
     `replica` (0 on a single run) after step `at`, and take it back after
-    the next. Runs on these small graphs record every step, so each push
-    is one step."""
+    the next. The runs it spikes record every step (`cadence` 1, mc's
+    default), so each push is one step."""
     push = engines._push_segment
 
     def spiking(state, graph, m, *args):
@@ -677,7 +694,8 @@ def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
                                              seed=13, steps=40, oracle=oracle)
     else:
         sched = Schedule.from_spec("uniform", graph.n, seed=13)
-        trace = run(graph, 0.15, sched, steps=40, oracle=oracle)[1]
+        trace = run(graph, 0.15, sched, steps=40, oracle=oracle,
+                    cadence=1)[1]
         defects = trace.column("defect")
     middle, at, spike = (replicas or 1) // 2, 20, 1e-3
     # the spiked replica's largest defect is about `spike`; the level lies
@@ -687,7 +705,7 @@ def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
     monkeypatch.setattr(engines, "DEFECT_ABORT", level)
     config = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
                               schedule="uniform", seed=13, steps=40,
-                              replicas=replicas or 1)
+                              replicas=replicas or 1, cadence=1)
     execute = monte_carlo if replicas else run_experiment
     execute(config)                      # no defect reaches the level
     spike_pushes(monkeypatch, middle, at, spike)
@@ -706,7 +724,7 @@ def test_a_defect_spike_ends_the_run_at_its_record(small_graph_path,
         return spiking(*args)
     monkeypatch.setattr(engines, "_push_segment", counting)
     config = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
-                              seed=13, steps=1000)
+                              seed=13, steps=1000, cadence=1)
     with pytest.raises(NumericalFailure, match="at step 20 exceeds 1e-06"):
         run_experiment(config)
     assert len(calls) == 20

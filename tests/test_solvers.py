@@ -203,7 +203,7 @@ def test_defect_bound_covers_the_dense_defect_at_every_record(name, spec,
     sched = Schedule.from_spec(spec, units, 5, replicas=replicas)
     oracle = CheckedOracle(graph, M)
     trace = run(graph, M, sched, factors=factors, steps=steps,
-                oracle=oracle)[1]
+                oracle=oracle, cadence=1)[1]
     bound, dense = (np.array(v) for v in zip(*oracle.pairs))
     assert bound.shape == dense.shape == (steps + 1, sched.replicas)
     np.testing.assert_array_equal(trace.column("defect"), bound)

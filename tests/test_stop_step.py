@@ -12,9 +12,9 @@ and its whole trace to the driver that pushes one step per call
 import numpy as np
 import pytest
 
-from pushrank import (GroupFactors, Partition, Schedule, cluster, init_state,
-                      run, indegree_plus_one_weights, patch_dangling,
-                      step_group, step_set)
+from pushrank import (GroupFactors, Partition, Schedule, cluster, engines,
+                      init_state, run, indegree_plus_one_weights,
+                      patch_dangling, step_group, step_set)
 
 from conftest import (community_graph, graph_from_lists, random_graph,
                       random_partition)
@@ -85,8 +85,8 @@ def test_group_runs_stop_at_the_exact_sum_step(seed, dense, monkeypatch):
 @pytest.mark.parametrize("tol", [None, 0.65])
 @pytest.mark.parametrize("kind", ["gossip", "weighted", "roundrobin", "file"])
 def test_runs_above_1000_pages_keep_the_step_by_step_trace(kind, tol):
-    # the default record rule records by sweeps of counted updates here,
-    # so segments end at records, at conflicts and near the stop level
+    # the default record rule records by sweeps of counted updates, so
+    # segments end at records, at conflicts and near the stop level
     rng = np.random.default_rng(21)
     g = random_graph(rng, 2000, mean_out=6.0, allow_self=True)
     pair = schedules(kind, g, 22, rng)
@@ -95,6 +95,31 @@ def test_runs_above_1000_pages_keep_the_step_by_step_trace(kind, tol):
     assert len(trace.steps) >= 3 and state.step == want.step
     if tol is not None and kind != "file":
         assert state.step < 5000
+    for name in ("steps", "updates", "cert"):
+        np.testing.assert_array_equal(trace.column(name),
+                                      want_trace.column(name))
+    np.testing.assert_array_equal(state.x, want.x)
+    np.testing.assert_array_equal(state.z, want.z)
+
+
+def test_small_runs_to_a_tol_record_by_sweeps_in_segments(monkeypatch):
+    # the default record rule on a small graph: segments span the steps
+    # between sweep crossings, and the run keeps the step-by-step trace
+    rng = np.random.default_rng(25)
+    g = random_graph(rng, 300, allow_self=True)
+    pair = schedules("gossip", g, 26, rng)
+    push, calls = engines._push_segment, []
+
+    def counted(*args):
+        calls.append(args)
+        return push(*args)
+    monkeypatch.setattr(engines, "_push_segment", counted)
+    state, trace = run(g, M, pair[0], steps=50_000, tol=1e-6)
+    monkeypatch.setattr(engines, "_push_segment", push)
+    want, want_trace = run_step_by_step(g, M, pair[1], steps=50_000, tol=1e-6)
+    assert 0 < state.step == want.step < 50_000
+    assert len(calls) < state.step // 4
+    assert len(trace.steps) == len(want_trace.steps) >= 3
     for name in ("steps", "updates", "cert"):
         np.testing.assert_array_equal(trace.column(name),
                                       want_trace.column(name))
