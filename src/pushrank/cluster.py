@@ -2,11 +2,19 @@
 
 For a partition of the pages, write Qhh for the diagonal block of
 Q = (1-m) A belonging to group h. When group h updates, the limit of
-repeating the set update on h forever is reached directly:
+repeating the set update on h forever is approached directly:
 
-    zbar = (I - Qhh)^{-1} z_h          (local solve, group-sized)
+    zbar = sum_t Qhh^t z_h             (local series, group-sized)
     x   += Q[:, h] @ zbar              (push along the group's out-links)
-    z   += Q[:, h] @ zbar,  then z_h = 0
+    z   += Q[:, h] @ zbar,  then z_h = rest
+
+Each term of the series is one round of pushes inside the group. The
+columns of Qhh sum to at most 1-m, so the terms shrink geometrically;
+the sum stops at the first term of L1 size `_ITER_TOL` or less, and that
+term, `rest`, stays in z_h, so the residual still certifies the error
+exactly. No group stores a factor: `GroupFactors` keeps each group's
+sparse Qhh and its columns of Q, O(nnz + n) for all groups, built once
+per partition and shared across steps and replicas.
 
 The push is the same in-place step as a set update (`PushState.push`),
 into the rows the group's columns reach: `GroupFactors` keeps those rows,
@@ -14,63 +22,52 @@ ascending, and the columns with their row indices renumbered into them.
 The renumbering keeps each column's order, so every reached row sums its
 inflow in the order the full mat-vec ``Q[:, h] @ zbar`` does, bit for bit,
 and a step costs O(group size + nnz of the group's columns) besides the
-local solve. A step returns the residual its group held, the sum of z_h:
+local series. A step returns the residual its group held, the sum of z_h:
 the push only adds to z outside the group and leaves the group the
-non-negative rest of its solve, so z.sum() falls by at most that, and
-`pushrank.engines.run` lowers its bound on z.sum() by it.
-Each block (I - Qhh) is nonsingular because Qhh inherits Schur stability
-from Q, so the local solve always exists. Groups above `DENSE_GROUP_CAP`
-members sum the series zbar = sum_t Qhh^t z_h instead and stop once a
-term is negligible; that first unsummed term stays in z_h, so the
-residual still certifies the error exactly. Factorizations are computed
-once per partition (`GroupFactors`) and shared across steps and replicas;
-`zbar` is transient. Runs go through `pushrank.engines.run` with
-``factors=``.
+non-negative rest of its series, so z.sum() falls by at most that, and
+`pushrank.engines.run` lowers its bound on z.sum() by it. Runs go through
+`pushrank.engines.run` with ``factors=``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import NumericalFailure
 
-__all__ = ["GroupFactors", "step_group", "DENSE_GROUP_CAP"]
+__all__ = ["GroupFactors", "step_group"]
 
-DENSE_GROUP_CAP = 512
 _ITER_TOL = 1e-13
-_ITER_MAX = 100_000
 
 
 class GroupFactors:
-    """Per-group local solvers for (I - Qhh) plus each group's columns of Q.
+    """Per-group local series for (I - Qhh)^{-1} plus each group's columns of Q.
 
-    Groups up to `DENSE_GROUP_CAP` members (read when the factors are
-    built) get a dense LU factorization, of I - Qhh written into one
-    buffer that the factorization overwrites; larger groups sum the series
-    zbar = rhs + Qhh rhs + Qhh^2 rhs + ..., which converges geometrically
-    (Qhh is Schur stable) and avoids storing a possibly dense inverse.
-    Group h's columns of Q are kept compact: `block_rows[h]` lists the
-    rows they reach, ascending, and `block_columns[h]` is the
-    len(block_rows[h]) x group-size block of those rows.
+    Group h keeps its block Qhh of Q, sparse, for the series
+    zbar = rhs + Qhh rhs + Qhh^2 rhs + ..., and its columns of Q compact:
+    `block_rows[h]` lists the rows they reach, ascending, and
+    `block_columns[h]` is the len(block_rows[h]) x group-size block of
+    those rows.
     """
 
-    __slots__ = ("members", "block_rows", "block_columns", "_dense_lu",
-                 "_sparse_qhh", "_getrs")
+    __slots__ = ("members", "block_rows", "block_columns", "_qhh", "_decay")
 
     def __init__(self, graph, m, partition):
         if partition.n != graph.n:
             raise ValueError("partition and graph disagree on page count")
-        from scipy import linalg, sparse  # only the group factors need it
+        from scipy import sparse  # only the group factors need it
 
-        # LAPACK's solve with LU factors, fetched once for every group
-        self._getrs = linalg.get_lapack_funcs("getrs", dtype=np.float64)
         q = graph.q_matrix(m)
+        # terms shrink by 1-m each, up to a few rounding units per term; the
+        # guard on the term count allows 2^-20 of the count for those
+        self._decay = math.log1p(-m) * (1 - 2.0 ** -20)
         self.members = partition.members
         self.block_rows = []
         self.block_columns = []
-        self._dense_lu = []
-        self._sparse_qhh = []
-        for h, mem in enumerate(self.members):
+        self._qhh = []
+        for mem in self.members:
             cols = q[:, mem]
             # renumbering rows into the ascending reached rows is monotone,
             # so each column keeps the order of its entries
@@ -79,23 +76,7 @@ class GroupFactors:
             self.block_columns.append(sparse.csc_array(
                 (cols.data, renumbered, cols.indptr),
                 shape=(rows.size, mem.size)))
-            qhh = cols[mem, :]
-            if mem.size <= DENSE_GROUP_CAP:
-                # -q at Qhh's nonzeros (none repeats), then 1.0 added on the
-                # diagonal: the floats of np.eye(s) - qhh.toarray()
-                local = np.arange(mem.size)
-                a = np.zeros((mem.size, mem.size), order="F")
-                a[qhh.indices, local.repeat(np.diff(qhh.indptr))] = -qhh.data
-                a[local, local] += 1.0
-                lu, piv = linalg.lu_factor(a, overwrite_a=True,
-                                           check_finite=False)
-                if np.any(np.diag(lu) == 0.0):
-                    raise NumericalFailure(f"singular local block for group {h}")
-                self._dense_lu.append((lu, piv))
-                self._sparse_qhh.append(None)
-            else:
-                self._dense_lu.append(None)
-                self._sparse_qhh.append(qhh.tocsc())
+            self._qhh.append(cols[mem, :].tocsc())
 
     @property
     def num_groups(self):
@@ -104,35 +85,34 @@ class GroupFactors:
     def solve_local(self, h, rhs):
         """(zbar, rest) with (I - Qhh) zbar = rhs - rest for group h.
 
-        Dense groups solve exactly and leave rest 0.0. Larger groups stop
-        summing the series at the first term of L1 size 1e-13 or less and
-        return that term as `rest`, the mass the solve did not absorb.
+        Sums the series until the first term of L1 size 1e-13 or less and
+        returns that term as `rest`, the mass the solve did not absorb.
+        Every term is non-negative (Qhh >= 0, rhs >= 0) and at most
+        (1-m)^t ||rhs||_1, so the sum ends within
+        ln(1e-13 / ||rhs||_1) / ln(1-m) terms; past that bound, as for a
+        rhs that is not finite, it raises `NumericalFailure`.
         """
-        lu = self._dense_lu[h]
-        if lu is not None:
-            # the factor was checked when built and rhs is engine state
-            zbar, info = self._getrs(*lu, rhs)
-            if info != 0:
-                raise NumericalFailure(f"local solve for group {h} failed: "
-                                       f"LAPACK getrs info {info}")
-            return zbar, 0.0
-        qhh = self._sparse_qhh[h]
+        qhh = self._qhh[h]
+        total = float(rhs.sum())
+        limit = 1
+        if _ITER_TOL < total < math.inf:
+            limit += math.ceil(math.log(_ITER_TOL / total) / self._decay)
         zbar = rhs.copy()
         term = rhs
-        for _ in range(_ITER_MAX):
+        for _ in range(limit):
             term = qhh @ term
-            if float(np.abs(term).sum()) <= _ITER_TOL:
+            if float(term.sum()) <= _ITER_TOL:
                 return zbar, term
             zbar += term
         raise NumericalFailure(f"local solve for group {h} failed to converge")
 
 
 def step_group(state, graph, m, factors, h):
-    """One update by group h, in place: local solve, push, keep the unabsorbed rest.
+    """One update by group h, in place: local series, push, keep the unabsorbed rest.
 
-    Equivalent to the limit of infinitely many simultaneous set updates by
+    Approaches the limit of infinitely many simultaneous set updates by
     the group's member pages; the group's own residual ends at the rest
-    of the local solve (exactly zero for dense groups). `h` may also be a
+    of the local series, of L1 size 1e-13 or less. `h` may also be a
     schedule's draw for the state's R replicas (`pushrank.engines`): at
     most one stacked index ``r G + g`` per replica (G groups), ascending,
     a single run's group being its own index. Replica r solves for its

@@ -88,12 +88,16 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
     """Power iteration x(k+1) = Q x(k) + (m/n) 1 from the uniform x(0) = 1/n.
 
     Stops after `max_steps`, or once the L1 step difference is <= `tol` if set.
-    Records every step, or with a `cadence` every cadence-th (plus the last).
+    Records every step, or with a `cadence` every cadence-th (plus the last);
+    a cadence below 1 raises ValueError.
     Each iterate stays a probability vector; a drift beyond 1e-12 raises.
     Returns the final iterate and a trace (cert/defect columns are NaN --
     there is no residual state here; err_l1 is filled when an oracle is
     supplied).
     """
+    if cadence is not None and cadence < 1:
+        raise ValueError(f"cadence must be a positive step count, "
+                         f"got {cadence}")
     n = graph.n
     x = np.full(n, 1.0 / n)
     q = graph.q_matrix(m)

@@ -1,14 +1,17 @@
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
-                      cluster, init_state, load_edge_list, load_partition,
-                      patch_dangling, run, step_group, step_set)
+from pushrank import (DenseOracle, GroupFactors, NumericalFailure, Partition,
+                      Schedule, WebGraph, init_state, load_edge_list,
+                      load_partition, patch_dangling, run, step_group,
+                      step_set)
 
-from conftest import copy_state, random_graph, random_partition
+from conftest import (community_graph, copy_state, random_graph,
+                      random_partition)
 from oracles import step_group_full_block
 
 M = 0.15
@@ -37,12 +40,15 @@ def test_singleton_factor_without_self_loop_is_identity():
 
 
 def test_singleton_factor_with_self_loop():
-    # page 0 links to itself and to 1, so q00 = 0.425
+    # page 0 links to itself and to 1, so q00 = 0.425: the series sums
+    # 0.2 * 0.425^t until a term is negligible, and keeps that term
     g = load_edge_list(io.StringIO("0 0\n0 1\n1 0"))
     factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     rhs = np.array([0.2])
-    np.testing.assert_allclose(factors.solve_local(0, rhs)[0],
-                               rhs / (1 - 0.425), rtol=1e-15)
+    zbar, rest = factors.solve_local(0, rhs)
+    assert 0.0 <= rest[0] <= 1e-13
+    assert abs((1 - 0.425) * zbar[0] - (rhs[0] - rest[0])) <= 1e-12
+    np.testing.assert_allclose(zbar, rhs / (1 - 0.425), rtol=1e-12)
 
 
 def test_whole_graph_factor_reaches_fixed_point(rng):
@@ -53,19 +59,55 @@ def test_whole_graph_factor_reaches_fixed_point(rng):
     assert np.abs(x - oracle.x_star).sum() <= 1e-12
 
 
-def test_factor_roundtrip(rng, monkeypatch):
+def test_factor_roundtrip(rng):
     g = random_graph(rng, 40, allow_self=True)
     part = random_partition(rng, g.n, 6)
     q = g.q_matrix(M).toarray()
-    for dense_cap in (512, 0):
-        monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", dense_cap)
+    factors = GroupFactors(g, M, part)
+    for h, mem in enumerate(part.members):
+        rhs = rng.random(mem.size)
+        zbar, rest = factors.solve_local(h, rhs)
+        block = np.eye(mem.size) - q[np.ix_(mem, mem)]
+        assert np.abs(block @ zbar - (rhs - rest)).max() <= 1e-12
+        assert np.all(rest >= 0.0) and np.sum(rest) <= 1e-13
+
+
+def test_series_ends_on_a_closed_group_at_small_m():
+    # a closed two-page group keeps all but m of its mass each round:
+    # about 3e5 terms at m = 1e-4, past any fixed guard of 1e5
+    m = 1e-4
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
+    factors = GroupFactors(g, m, Partition(np.zeros(g.n, int)))
+    rhs = np.array([0.5, 0.5])
+    zbar, rest = factors.solve_local(0, rhs)
+    assert np.all(rest >= 0.0) and rest.sum() <= 1e-13
+    block = np.eye(2) - (1 - m) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.abs(block @ zbar - (rhs - rest)).max() <= 1e-12
+
+
+def test_series_refuses_a_residual_that_is_not_finite():
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
+    factors = GroupFactors(g, M, Partition(np.zeros(g.n, int)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalFailure, match="group 0"):
+            factors.solve_local(0, np.array([bad, 0.5]))
+
+
+def test_factors_hold_no_dense_block(rng):
+    # three 300-page communities: every group keeps its sparse block and
+    # columns, O(nnz + n) words, well under one dense 300 x 300 block
+    g, part = community_graph(rng, num_groups=3, group_size=300, p_in=0.02,
+                              p_out=0.002)
+    nnz = g.q_matrix(M).nnz
+    tracemalloc.start()
+    try:
         factors = GroupFactors(g, M, part)
-        for h, mem in enumerate(part.members):
-            rhs = rng.random(mem.size)
-            zbar, rest = factors.solve_local(h, rhs)
-            block = np.eye(mem.size) - q[np.ix_(mem, mem)]
-            assert np.abs(block @ zbar - (rhs - rest)).max() <= 1e-12
-            assert np.all(rest >= 0.0) and np.sum(rest) <= 1e-13
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert factors.num_groups == 3 and part.sizes.min() == 300
+    assert held <= 6 * 8 * (nnz + g.n)
+    assert held < 8 * 300 * 300 / 2
 
 
 def self_loops(g):
@@ -74,12 +116,9 @@ def self_loops(g):
 
 
 @pytest.mark.parametrize("replicas", [1, 3])
-@pytest.mark.parametrize("dense_cap", [0, 1000])
 @pytest.mark.parametrize("kind", ["community700", "self_loops"])
-def test_step_group_matches_the_full_block_push(kind, dense_cap, replicas,
-                                                rng, monkeypatch):
+def test_step_group_matches_the_full_block_push(kind, replicas, rng):
     # the compact columns sum each reached row in the full mat-vec's order
-    monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", dense_cap)
     g, part = grouped_graph(kind, rng)
     factors = GroupFactors(g, M, part)
     sched = Schedule.from_spec("uniform", part.num_groups, 5,
@@ -93,23 +132,6 @@ def test_step_group_matches_the_full_block_push(kind, dense_cap, replicas,
     np.testing.assert_array_equal(compact.x, full.x)
     np.testing.assert_array_equal(compact.z, full.z)
     assert compact.cumulative_updates == full.cumulative_updates
-
-
-@pytest.mark.parametrize("kind", ["community700", "self_loops"])
-def test_dense_factors_are_the_factors_of_i_minus_qhh(kind, rng,
-                                                      monkeypatch):
-    from scipy import linalg
-
-    monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 1000)
-    g, part = grouped_graph(kind, rng)
-    factors = GroupFactors(g, M, part)
-    q = g.q_matrix(M)
-    for h, mem in enumerate(part.members):
-        qhh = q[:, mem][mem, :].toarray()
-        want_lu, want_piv = linalg.lu_factor(np.eye(mem.size) - qhh)
-        lu, piv = factors._dense_lu[h]
-        np.testing.assert_array_equal(lu, want_lu)
-        np.testing.assert_array_equal(piv, want_piv)
 
 
 def test_step_group_returns_the_residual_it_took(rng):
@@ -145,8 +167,8 @@ def test_step_group_singleton_matches_set_step(rng):
 
 
 def test_step_group_singleton_self_loop_pushes_absorbed_residual(rng):
-    # a singleton group on a self-loop page j pushes z_j / (1 - q_jj), where
-    # a gossip step pushes z_j
+    # a singleton group on a self-loop page j pushes the series' sum zbar,
+    # (1 - q_jj) zbar = z_j - rest, where a gossip step pushes z_j
     g = random_graph(rng, 20)
     loops = self_loops(g)
     assert loops.tolist().count(True) == 1 and loops[3]
@@ -159,15 +181,18 @@ def test_step_group_singleton_self_loop_pushes_absorbed_residual(rng):
     via_set = copy_state(via_group)
     step_group(via_group, g, M, factors, j)
     step_set(via_set, g, M, [j])
+    rest = via_group.z[j]
+    assert 0.0 <= rest <= 1e-13
+    zbar = (0.25 - rest) / (1 - q_jj)
     # with only z_j in flight, z after the step is the pushed inflow itself
+    # off page j, and the rest of the series on it
     pushed = np.zeros(g.n)
     targets = g.indices[g.indptr[j]:g.indptr[j + 1]]
-    pushed[targets] = (1 - M) / g.out_degree[j] * (0.25 / (1 - q_jj))
-    pushed[j] = 0.0
+    pushed[targets] = (1 - M) / g.out_degree[j] * zbar
+    pushed[j] = rest
     np.testing.assert_allclose(via_group.z, pushed, rtol=1e-15, atol=0)
-    gossip = via_set.z.copy()
-    gossip[j] = 0.0
-    np.testing.assert_allclose(via_group.z, gossip / (1 - q_jj),
+    np.testing.assert_allclose(np.delete(via_group.z, j),
+                               np.delete(via_set.z, j) * (zbar / 0.25),
                                rtol=1e-15, atol=0)
 
 
@@ -178,7 +203,7 @@ def test_step_group_whole_graph_converges_in_one_step(rng):
     st = init_state(g.n, M)
     step_group(st, g, M, factors, 0)
     assert oracle.error_l1(st.x) <= 1e-10
-    np.testing.assert_array_equal(st.z, 0.0)
+    assert np.all(st.z >= 0.0) and st.z.sum() <= 1e-13
     assert st.cumulative_updates == g.n
 
 
@@ -257,22 +282,34 @@ def test_clustered_monotone_bounded_and_conserving(rng):
             assert oracle.conservation_defect(st.x, st.z) <= 1e-10
 
 
-def test_iterative_and_dense_local_solves_agree(rng, monkeypatch):
+class DenseSolves(GroupFactors):
+    """Group factors whose local solve is numpy's dense solve of I - Qhh."""
+
+    def __init__(self, graph, m, partition):
+        super().__init__(graph, m, partition)
+        q = graph.q_matrix(m).toarray()
+        self.blocks = [np.eye(mem.size) - q[np.ix_(mem, mem)]
+                       for mem in self.members]
+
+    def solve_local(self, h, rhs):
+        return np.linalg.solve(self.blocks[h], rhs), 0.0
+
+
+def test_iterative_and_dense_local_solves_agree(rng):
     g = random_graph(rng, 60)
     part = random_partition(rng, g.n, 3)
-    dense = GroupFactors(g, M, part)
-    monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 0)
     cycle = lambda: Schedule.from_spec("roundrobin", part.num_groups)
-    st_dense, _ = run(g, M, cycle(), steps=30, factors=dense)
+    st_dense, _ = run(g, M, cycle(), steps=30,
+                      factors=DenseSolves(g, M, part))
     st_iter, _ = run(g, M, cycle(), steps=30,
                      factors=GroupFactors(g, M, part))
     assert np.abs(st_dense.x - st_iter.x).max() <= 1e-12
 
 
 def test_iterative_group_solves_keep_the_certificate(rng):
-    # two 600-page communities, so both groups take the iterative solve;
-    # the mass a solve does not absorb stays in the residual, so the
-    # certificate still equals the true error when the run stops
+    # two 600-page communities; the mass a local series does not absorb
+    # stays in the residual, so the certificate still equals the true
+    # error when the run stops
     size = 600
     n = 2 * size
     src = np.repeat(np.arange(n), 5)
@@ -284,7 +321,6 @@ def test_iterative_group_solves_keep_the_certificate(rng):
         dst[5 * j + 4] = (home + size) % n + rng.integers(size)
     g = WebGraph(n, src, dst)
     part = Partition(np.arange(n) // size)
-    assert part.sizes.min() > cluster.DENSE_GROUP_CAP
     tol = 1e-12
     _, trace = run(g, M, Schedule.from_spec("roundrobin", 2), tol=tol,
                    factors=GroupFactors(g, M, part), oracle=DenseOracle(g, M))

@@ -7,10 +7,11 @@ date from before the push kernel touched only the pages a step reaches
 (the power and ``--include-x`` cases from before the start vector and the
 personalization parameters were removed); their err_l1 and defect columns
 were first filled when the reference x* came to be taken from the power
-method. That reference is sparse products alone, and the cluster case's
-groups are one 600-page community (above `DENSE_GROUP_CAP`, so its
-local solve is the sparse series) and singletons without self-loops: no
-output depends on a LAPACK or BLAS build. Regenerate an expected file
+method. That reference is sparse products alone, and every group's local
+solve is a series of sparse products (the cluster case's groups are one
+600-page community and singletons without self-loops, whose series
+returns its right-hand side exactly): no output depends on a LAPACK or
+BLAS build. Regenerate an expected file
 only for an intended change of output, and say so where the change is
 recorded.
 """

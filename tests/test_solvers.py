@@ -109,6 +109,13 @@ def test_power_without_tol_runs_every_step(rng):
     assert trace.final_step == 200
 
 
+@pytest.mark.parametrize("cadence", [0, -2])
+def test_power_refuses_a_cadence_below_one(cadence):
+    # as engines.run does: 0 is not every step, nor -2 every other step
+    with pytest.raises(ValueError, match="cadence"):
+        power_method(cycle2(), M, max_steps=5, cadence=cadence)
+
+
 def test_power_keeps_probability_mass(rng):
     g = random_graph(rng, 40)
     x, _ = power_method(g, M, tol=1e-13)

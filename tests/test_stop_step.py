@@ -12,9 +12,9 @@ and its whole trace to the driver that pushes one step per call
 import numpy as np
 import pytest
 
-from pushrank import (GroupFactors, Partition, Schedule, cluster, engines,
-                      init_state, run, indegree_plus_one_weights,
-                      patch_dangling, step_group, step_set)
+from pushrank import (GroupFactors, Partition, Schedule, engines, init_state,
+                      run, indegree_plus_one_weights, patch_dangling,
+                      step_group, step_set)
 
 from conftest import (community_graph, graph_from_lists, random_graph,
                       random_partition)
@@ -69,12 +69,9 @@ def test_set_runs_stop_at_the_exact_sum_step(kind, seed):
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-@pytest.mark.parametrize("dense", [True, False])
-def test_group_runs_stop_at_the_exact_sum_step(seed, dense, monkeypatch):
+def test_group_runs_stop_at_the_exact_sum_step(seed):
     rng = np.random.default_rng(seed)
     g, part = community_graph(rng, num_groups=6, group_size=25)
-    if not dense:
-        monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 0)
     factors = GroupFactors(g, M, part)
     pair = (Schedule.from_spec("uniform", part.num_groups, seed),
             Schedule.from_spec("uniform", part.num_groups, seed))
@@ -216,17 +213,13 @@ def closed_group_graph(rng, n=150, closed=20, num_groups=5):
 
 
 @pytest.mark.parametrize("m", [0.01, 0.15, 0.5])
-@pytest.mark.parametrize("dense", [True, False])
-def test_group_runs_stop_at_the_exact_sum_step_of_chosen_steps(m, dense,
-                                                               monkeypatch):
+def test_group_runs_stop_at_the_exact_sum_step_of_chosen_steps(m):
     # a group step lowers z.sum() by m times what it pushes, which for
     # the closed group is nearly all it held, and the patched pages'
     # columns reach every row: the bound between two sums must still
     # stop the run where summing before every step does
     rng = np.random.default_rng(41)
     g, part = closed_group_graph(rng)
-    if not dense:
-        monkeypatch.setattr(cluster, "DENSE_GROUP_CAP", 0)
     factors = GroupFactors(g, m, part)
     make = lambda: Schedule.from_spec("uniform", part.num_groups, 43)
     sums = exact_sums(g, m, make(), 400, factors)
