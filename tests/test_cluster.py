@@ -116,16 +116,21 @@ def self_loops(g):
 
 
 @pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("warmup", [0, 1000])
 @pytest.mark.parametrize("kind", ["community700", "self_loops"])
-def test_step_group_matches_the_full_block_push(kind, replicas, rng):
-    # the compact columns sum each reached row in the full mat-vec's order
+def test_step_group_matches_the_full_block_push(kind, warmup, replicas, rng):
+    # the compact columns sum each reached row in the full mat-vec's order,
+    # from the first step and from a state `warmup` group steps into the
+    # run, where the series stop after fewer terms on a smaller residual
     g, part = grouped_graph(kind, rng)
     factors = GroupFactors(g, M, part)
     sched = Schedule.from_spec("uniform", part.num_groups, 5,
                                replicas=replicas)
     compact = init_state(g.n, M, replicas)
+    for k in range(warmup):
+        step_group(compact, g, M, factors, sched.next(k))
     full = copy_state(compact)
-    for k in range(300):
+    for k in range(warmup, warmup + 300):
         drawn = sched.next(k)
         step_group(compact, g, M, factors, drawn)
         step_group_full_block(full, g, M, factors, drawn)

@@ -46,11 +46,15 @@ def schedules(kind, graph, seed, rng, replicas=None):
                  for _ in range(2))
 
 
-def assert_same_stop(graph, m, pair, tol, factors=None, steps=None):
+def assert_same_stop(graph, m, pair, tol, factors=None, steps=None,
+                     want_factors=None):
+    """Run and reference stop alike; the reference takes `want_factors`
+    when given, else the run's `factors`."""
     state, trace = run(graph, m, pair[0], factors=factors, steps=steps,
                        tol=tol, cadence=NO_RECORDS)
-    want = run_summing_every_step(graph, m, pair[1], factors=factors,
-                                  steps=steps, tol=tol)
+    want = run_summing_every_step(
+        graph, m, pair[1], steps=steps, tol=tol,
+        factors=factors if want_factors is None else want_factors)
     assert state.step == want.step == trace.final_step
     np.testing.assert_array_equal(state.x, want.x)
     np.testing.assert_array_equal(state.z, want.z)
@@ -69,13 +73,18 @@ def test_set_runs_stop_at_the_exact_sum_step(kind, seed):
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-def test_group_runs_stop_at_the_exact_sum_step(seed):
+@pytest.mark.parametrize("shared", [True, False])
+def test_group_runs_stop_at_the_exact_sum_step(seed, shared):
+    # shared: the run and its reference solve with one GroupFactors, so a
+    # solve that left state behind would show; else each builds its own
     rng = np.random.default_rng(seed)
     g, part = community_graph(rng, num_groups=6, group_size=25)
     factors = GroupFactors(g, M, part)
+    want_factors = None if shared else GroupFactors(g, M, part)
     pair = (Schedule.from_spec("uniform", part.num_groups, seed),
             Schedule.from_spec("uniform", part.num_groups, seed))
-    state = assert_same_stop(g, M, pair, tol=1e-9, factors=factors)
+    state = assert_same_stop(g, M, pair, tol=1e-9, factors=factors,
+                             want_factors=want_factors)
     assert state.step > 0
 
 
@@ -213,7 +222,8 @@ def closed_group_graph(rng, n=150, closed=20, num_groups=5):
 
 
 @pytest.mark.parametrize("m", [0.01, 0.15, 0.5])
-def test_group_runs_stop_at_the_exact_sum_step_of_chosen_steps(m):
+@pytest.mark.parametrize("shared", [True, False])
+def test_group_runs_stop_at_the_exact_sum_step_of_chosen_steps(m, shared):
     # a group step lowers z.sum() by m times what it pushes, which for
     # the closed group is nearly all it held, and the patched pages'
     # columns reach every row: the bound between two sums must still
@@ -221,11 +231,13 @@ def test_group_runs_stop_at_the_exact_sum_step_of_chosen_steps(m):
     rng = np.random.default_rng(41)
     g, part = closed_group_graph(rng)
     factors = GroupFactors(g, m, part)
+    want_factors = None if shared else GroupFactors(g, m, part)
     make = lambda: Schedule.from_spec("uniform", part.num_groups, 43)
     sums = exact_sums(g, m, make(), 400, factors)
     assert sums[-1] > 0.0
     for k in (3, 40, 399):
         tol = sums[k] * (1 - m) / m
         state = assert_same_stop(g, m, (make(), make()), tol,
-                                 factors=factors, steps=2000)
+                                 factors=factors, steps=2000,
+                                 want_factors=want_factors)
         assert 0 < state.step < 2000
