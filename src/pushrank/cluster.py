@@ -13,16 +13,20 @@ columns of Qhh sum to at most 1-m, so the terms shrink geometrically;
 the sum stops at the first term of L1 size `_ITER_TOL` or less, and that
 term, `rest`, stays in z_h, so the residual still certifies the error
 exactly. No group stores a factor: `GroupFactors` keeps each group's
-sparse Qhh and its columns of Q, O(nnz + n) for all groups, built once
-per partition and shared across steps and replicas.
+in-group links, its out-links and its members' values (1-m)/n_j of Q,
+O(nnz + n) for all groups, built once per partition from the graph's CSC
+arrays, with numpy alone, and shared across steps and replicas. So a
+cluster run imports scipy only for the reference oracle.
 
-The push is the same in-place step as a set update (`PushState.push`),
-into the rows the group's columns reach: `GroupFactors` keeps those rows,
-ascending, and the columns with their row indices renumbered into them.
-The renumbering keeps each column's order, so every reached row sums its
-inflow in the order the full mat-vec ``Q[:, h] @ zbar`` does, bit for bit,
-and a step costs O(group size + nnz of the group's columns) besides the
-local series. A step returns the residual its group held, the sum of z_h:
+A series term ``Qhh @ term`` and the push ``Q[:, h] @ zbar`` are each one
+`np.bincount` over the group's links in CSC order, each link weighted by
+(1-m)/n_j times the value of its column j: every row sums the products a
+CSC mat-vec forms, from 0.0 and in its order, so both equal scipy's
+products bit for bit. The push goes into the rows the group's columns
+reach, ascending, the out-links' rows renumbered into them, with the
+in-place step of a set update (`PushState.push`); a step costs
+O(group size + nnz of the group's columns) besides the local series.
+A step returns the residual its group held, the sum of z_h:
 the push only adds to z outside the group and leaves the group the
 non-negative rest of its series, so z.sum() falls by at most that, and
 `pushrank.engines.run` lowers its bound on z.sum() by it. Runs go through
@@ -45,38 +49,40 @@ _ITER_TOL = 1e-13
 class GroupFactors:
     """Per-group local series for (I - Qhh)^{-1} plus each group's columns of Q.
 
-    Group h keeps its block Qhh of Q, sparse, for the series
-    zbar = rhs + Qhh rhs + Qhh^2 rhs + ..., and its columns of Q compact:
-    `block_rows[h]` lists the rows they reach, ascending, and
-    `block_columns[h]` is the len(block_rows[h]) x group-size block of
-    those rows.
+    Group h keeps its members' values (1-m)/n_j (`WebGraph.q_scale`), its
+    in-group links, the entries of Qhh, as local row and column indices
+    (a page's position in the sorted members), and its out-links
+    (`WebGraph.out_links`): `block_rows[h]` lists the rows they reach,
+    ascending, and each out-link's row is renumbered into them. All links
+    stay in CSC order (see the module doc).
     """
 
-    __slots__ = ("members", "block_rows", "block_columns", "_qhh", "_decay")
+    __slots__ = ("members", "block_rows", "_scale", "_links", "_reached",
+                 "_decay")
 
     def __init__(self, graph, m, partition):
         if partition.n != graph.n:
             raise ValueError("partition and graph disagree on page count")
-        from scipy import sparse  # only the group factors need it
-
-        q = graph.q_matrix(m)
+        scale = graph.q_scale(m)
         # terms shrink by 1-m each, up to a few rounding units per term; the
         # guard on the term count allows 2^-20 of the count for those
         self._decay = math.log1p(-m) * (1 - 2.0 ** -20)
         self.members = partition.members
         self.block_rows = []
-        self.block_columns = []
-        self._qhh = []
-        for mem in self.members:
-            cols = q[:, mem]
+        self._scale, self._links, self._reached = [], [], []
+        group_of, local = partition.group_of, np.empty(graph.n, dtype=np.intp)
+        for h, mem in enumerate(self.members):
+            degree, targets = graph.out_links(mem)
+            local[mem] = np.arange(mem.size)
+            cols = local[mem].repeat(degree)
             # renumbering rows into the ascending reached rows is monotone,
             # so each column keeps the order of its entries
-            rows, renumbered = np.unique(cols.indices, return_inverse=True)
+            rows, renumbered = np.unique(targets, return_inverse=True)
+            inside = group_of[targets] == h
             self.block_rows.append(rows)
-            self.block_columns.append(sparse.csc_array(
-                (cols.data, renumbered, cols.indptr),
-                shape=(rows.size, mem.size)))
-            self._qhh.append(cols[mem, :].tocsc())
+            self._scale.append(scale[mem])
+            self._links.append((local[targets[inside]], cols[inside]))
+            self._reached.append((renumbered, cols))
 
     @property
     def num_groups(self):
@@ -92,7 +98,8 @@ class GroupFactors:
         ln(1e-13 / ||rhs||_1) / ln(1-m) terms; past that bound, as for a
         rhs that is not finite, it raises `NumericalFailure`.
         """
-        qhh = self._qhh[h]
+        rows, cols = self._links[h]
+        scale = self._scale[h]
         total = float(rhs.sum())
         limit = 1
         if _ITER_TOL < total < math.inf:
@@ -100,11 +107,19 @@ class GroupFactors:
         zbar = rhs.copy()
         term = rhs
         for _ in range(limit):
-            term = qhh @ term
+            # Qhh @ term: each in-group link's product (1-m)/n_j term_j,
+            # summed into its row from 0.0 in CSC order
+            term = np.bincount(rows, (scale * term).take(cols), rhs.size)
             if float(term.sum()) <= _ITER_TOL:
                 return zbar, term
             zbar += term
         raise NumericalFailure(f"local solve for group {h} failed to converge")
+
+    def inflow(self, h, zbar):
+        """``Q[:, h] @ zbar`` compact, over the rows `block_rows[h]`."""
+        renumbered, cols = self._reached[h]
+        return np.bincount(renumbered, (self._scale[h] * zbar).take(cols),
+                           self.block_rows[h].size)
 
 
 def step_group(state, graph, m, factors, h):
@@ -139,6 +154,6 @@ def step_group(state, graph, m, factors, h):
         rhs = state.z[members]
         held += float(rhs.sum())
         zbar, rest = factors.solve_local(g, rhs)
-        state.push(members, rows, factors.block_columns[g] @ zbar)
+        state.push(members, rows, factors.inflow(g, zbar))
         state.z[members] = rest
     return held

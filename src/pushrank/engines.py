@@ -200,11 +200,7 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
         return count, 0.0
     # gather the senders' out-links sender by sender, in step order
     pages = senders % n if stacked else senders
-    lo = graph.indptr[pages]
-    degree = graph.indptr[pages + 1] - lo
-    link_ends = degree.cumsum()
-    links = np.arange(link_ends[-1]) + (lo - link_ends + degree).repeat(degree)
-    targets = graph.indices[links]
+    degree, targets = graph.out_links(pages)
     if stacked:                  # each sender pushes into its own block
         targets += (senders - pages).repeat(degree)
     if count > 1:
@@ -229,7 +225,7 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
         if count < gathered:
             cut = ends[count - 1]
             senders, degree = senders[:cut], degree[:cut]
-            cut = link_ends[cut - 1] if cut else 0
+            cut = degree.sum()
             targets, link_step = targets[:cut], link_step[:cut]
     pushed = state.z[senders]
     sends = (1.0 - m) / np.maximum(degree, 1) * pushed

@@ -87,13 +87,17 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
                  oracle=None, cadence=None, record_x=False):
     """Power iteration x(k+1) = Q x(k) + (m/n) 1 from the uniform x(0) = 1/n.
 
-    Stops after `max_steps`, or once the L1 step difference is <= `tol` if set.
+    Stops after `max_steps`, or with a `tol` once the certificate
+    ((1-m)/m) ||x(k+1) - x(k)||_1 is <= `tol`: the error of x(k+1) is
+    Q (x(k) - x*), and ||x(k) - x*||_1 <= ||x(k+1) - x(k)||_1 / m, since
+    the columns of Q sum to 1-m. So a tol stop has ||x* - x||_1 <= tol.
     Records every step, or with a `cadence` every cadence-th (plus the last);
     a cadence below 1 raises ValueError.
     Each iterate stays a probability vector; a drift beyond 1e-12 raises.
-    Returns the final iterate and a trace (cert/defect columns are NaN --
-    there is no residual state here; err_l1 is filled when an oracle is
-    supplied).
+    Returns the final iterate and a trace whose cert column holds that
+    certificate from step 1 on (NaN at step 0, and the defect column is
+    NaN: there is no residual state here); err_l1 is filled when an
+    oracle is supplied.
     """
     if cadence is not None and cadence < 1:
         raise ValueError(f"cadence must be a positive step count, "
@@ -105,11 +109,12 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
     cadence = cadence or 1
     trace = Trace()
 
-    def record(k, x):
+    def record(k, x, cert):
         err = oracle.error_l1(x) if oracle is not None else math.nan
-        trace.append(k, k * n, err_l1=err, x=x if record_x else None)
+        trace.append(k, k * n, err_l1=err, cert=cert,
+                     x=x if record_x else None)
 
-    record(0, x)
+    record(0, x, math.nan)
     k = 0
     while k < max_steps:
         x_next = q @ x + teleport
@@ -117,13 +122,14 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
         drift = abs(x_next.sum() - 1.0)
         if drift > 1e-12:
             raise NumericalFailure(f"power iterate mass drift {drift:.3e} at step {k}")
-        done = tol is not None and float(np.abs(x_next - x).sum()) <= tol
+        # the certificate costs a pass over x: take it for a stop or record
+        recorded = k % cadence == 0 or k == max_steps
+        if tol is not None or recorded:
+            cert = (1.0 - m) / m * float(np.abs(x_next - x).sum())
+        done = tol is not None and cert <= tol
         x = x_next
-        if k % cadence == 0:
-            record(k, x)
+        if recorded or done:
+            record(k, x, cert)
         if done:
             break
-    if trace.final_step != k:
-        record(k, x)
     return x, trace
-

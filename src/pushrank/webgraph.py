@@ -5,11 +5,11 @@ A graph over pages 0..n-1 is two integer arrays, ``indptr`` and
 sorted and deduplicated (CSR by source page). The link matrix A is column
 stochastic with A[i, j] = 1/n_j for every link j -> i, where n_j is the
 out-degree of page j, so the same two arrays are the CSC structure of A and
-of the scaled operator Q = (1-m) * A that drives all engines; `q_matrix`
-only adds the values (1-m)/n_j. Every graph is built from two link
-arrays by ``WebGraph(n, src, dst)``, the loader and `patch_dangling`
-included. Pages without out-links ("dangling") must be patched before Q
-can be formed.
+of the scaled operator Q = (1-m) * A that drives all engines; `q_scale`
+gives the values (1-m)/n_j, which `q_matrix` adds. Every graph is built
+from two link arrays by ``WebGraph(n, src, dst)``, the loader and
+`patch_dangling` included. Pages without out-links ("dangling") must be
+patched before Q can be formed.
 
 File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 
@@ -229,28 +229,48 @@ class WebGraph:
         """True when every page has at least one out-link."""
         return bool(np.all(self.out_degree > 0))
 
-    def q_matrix(self, m):
-        """The scaled link operator Q = (1-m) A as a CSC matrix.
+    def out_links(self, pages):
+        """(degree, targets) of the non-empty intp array `pages`: each page's
+        out-degree, and the pages' out-links one page after another, each
+        page's ascending. For ascending pages that is the entry order of
+        their columns of Q, the order in which a mat-vec sums each row."""
+        lo = self.indptr[pages]
+        degree = self.indptr[pages + 1] - lo
+        ends = degree.cumsum()
+        links = np.arange(ends[-1]) + (lo - ends + degree).repeat(degree)
+        return degree, self.indices[links]
 
-        The graph's own arrays with value (1-m)/n_j in column j. Values are
-        computed directly as (1-m)/n_j so that column scatters performed
-        with that same scalar reproduce the mat-vec bit for bit. Cached per
-        value of m; the graph must be patched first.
+    def q_scale(self, m):
+        """The value (1-m)/n_j of every entry of column j of Q, per page j.
+
+        `q_matrix` and the group steps (`pushrank.cluster`) both take Q's
+        values from here. Refuses m outside (0, 1) and a graph that is not
+        patched.
         """
-        cached = self._q_cache.get(m)
-        if cached is not None:
-            return cached
         if not 0.0 < m < 1.0:
             raise ValueError(f"m must lie in (0, 1), got {m}")
         if not self.is_stochastic:
             bad = self.dangling_pages()
             raise ValueError(f"graph has dangling pages {bad.tolist()}; patch first")
+        return (1.0 - m) / self.out_degree.astype(float)
+
+    def q_matrix(self, m):
+        """The scaled link operator Q = (1-m) A as a CSC matrix.
+
+        The graph's own arrays with value `q_scale(m)` in each column, so
+        that column scatters performed with that same scalar reproduce the
+        mat-vec bit for bit. Cached per value of m; the graph must be
+        patched first.
+        """
+        cached = self._q_cache.get(m)
+        if cached is not None:
+            return cached
+        scale = self.q_scale(m)
         from scipy import sparse          # only Q needs scipy
 
-        degree = self.out_degree
-        data = np.repeat((1.0 - m) / degree.astype(float), degree)
-        q = sparse.csc_array((data, self.indices, self.indptr),
-                             shape=(self.n, self.n))
+        q = sparse.csc_array(
+            (np.repeat(scale, self.out_degree), self.indices, self.indptr),
+            shape=(self.n, self.n))
         self._q_cache[m] = q
         return q
 

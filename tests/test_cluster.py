@@ -115,6 +115,68 @@ def self_loops(g):
                      for j in range(g.n)])
 
 
+def scipy_series(qhh, rhs):
+    """(zbar, rest) of the local series, each term a scipy product."""
+    zbar, term = rhs.copy(), rhs
+    while True:
+        term = qhh @ term
+        if float(term.sum()) <= 1e-13:
+            return zbar, term
+        zbar += term
+
+
+def assert_scipy_bits(factors, q, h, rhs):
+    """Group h's series and push equal scipy's ``Q[mem][:, mem] @ term``
+    chain and ``Q[:, mem] @ zbar``, bit for bit."""
+    mem = factors.members[h]
+    zbar, rest = factors.solve_local(h, rhs)
+    want_zbar, want_rest = scipy_series(q[mem][:, mem], rhs)
+    np.testing.assert_array_equal(zbar, want_zbar)
+    np.testing.assert_array_equal(rest, want_rest)
+    inflow, rows = q[:, mem] @ zbar, factors.block_rows[h]
+    np.testing.assert_array_equal(factors.inflow(h, zbar), inflow[rows])
+    assert not np.delete(inflow, rows).any()
+
+
+@pytest.mark.parametrize("kind", ["community700", "self_loops", "singletons"])
+def test_group_products_match_scipy_bit_for_bit(kind, rng):
+    # scipy only on this side: the products sum each row from 0.0 in CSC
+    # order, as scipy's do, on random right-hand sides and on those of a
+    # run of 3 stacked replicas; the singletons include pages with no
+    # in-group link, whose series ends after one term
+    if kind == "singletons":
+        g = random_graph(rng, 20)
+        part = Partition(np.arange(g.n))
+        assert 0 < self_loops(g).sum() < g.n
+    else:
+        g, part = grouped_graph(kind, rng)
+    q, factors = g.q_matrix(M), GroupFactors(g, M, part)
+    for h, size in enumerate(part.sizes):
+        assert_scipy_bits(factors, q, h, rng.random(size))
+    sched = Schedule.from_spec("uniform", part.num_groups, 5, replicas=3)
+    st = init_state(g.n, M, replicas=3)
+    for k in range(100):
+        drawn = sched.next(k)
+        for i in drawn.tolist():
+            r, h = divmod(i, part.num_groups)
+            assert_scipy_bits(factors, q, h, st.z[part.members[h] + r * g.n])
+        step_group(st, g, M, factors, drawn)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, -0.5, 1.5, np.nan])
+def test_group_factors_refuse_m_outside_the_unit_interval(m):
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
+    with pytest.raises(ValueError, match=r"m must lie in \(0, 1\)"):
+        GroupFactors(g, m, Partition(np.zeros(g.n, int)))
+
+
+def test_group_factors_refuse_an_unpatched_graph():
+    g = load_edge_list(io.StringIO("0 1\n2 1"))
+    with pytest.raises(ValueError,
+                       match=r"dangling pages \[1\]; patch first"):
+        GroupFactors(g, M, Partition(np.arange(g.n)))
+
+
 @pytest.mark.parametrize("replicas", [1, 3])
 @pytest.mark.parametrize("warmup", [0, 1000])
 @pytest.mark.parametrize("kind", ["community700", "self_loops"])

@@ -7,13 +7,14 @@ date from before the push kernel touched only the pages a step reaches
 (the power and ``--include-x`` cases from before the start vector and the
 personalization parameters were removed); their err_l1 and defect columns
 were first filled when the reference x* came to be taken from the power
-method. That reference is sparse products alone, and every group's local
-solve is a series of sparse products (the cluster case's groups are one
-600-page community and singletons without self-loops, whose series
-returns its right-hand side exactly): no output depends on a LAPACK or
-BLAS build. Regenerate an expected file
-only for an intended change of output, and say so where the change is
-recorded.
+method, and the power case's cert column and its last three rows date
+from when its tol stop came to be certified. That reference is sparse
+products alone, and every group's local solve is a series of sparse
+products (the cluster case's groups are one 600-page community and
+singletons without self-loops, whose series returns its right-hand side
+exactly): no output depends on a LAPACK or BLAS build. Regenerate an
+expected file only for an intended change of output, and say so where
+the change is recorded.
 """
 
 from pathlib import Path

@@ -162,11 +162,12 @@ def test_bad_schedule_refused_before_any_input_is_read(capsys):
 
 
 def test_power_reads_the_bounds_of_every_engine(monkeypatch, capsys):
-    # no bounds: the default tolerance stops the run; --steps alone turns
-    # the tolerance stop off, as for sync
+    # no bounds: the default tolerance stops the run, at the first step
+    # whose certificate is within it; --steps alone turns the tolerance
+    # stop off, as for sync
     monkeypatch.setattr(solvers, "REFERENCE_CAP", 0)
     web60 = str(Path(__file__).resolve().parent / "data" / "web60.txt")
-    for argv, final in (([], 27), (["--steps", "100"], 100)):
+    for argv, final in (([], 30), (["--steps", "100"], 100)):
         assert cli.main(["power", "--graph", web60, *argv]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith(f"power: steps={final} ")
 
@@ -401,8 +402,8 @@ def test_cli_rejects_dangling_patch_too_large(tmp_path, capsys):
 
 
 def test_gossip_without_the_dense_oracle_never_imports_scipy():
-    # scipy is imported where Q, the reference oracle or group factors are
-    # built; a gossip run without the oracle builds none of them
+    # scipy is imported where Q or the reference oracle is built; a gossip
+    # run without the oracle builds neither
     root = Path(pushrank.__file__).resolve().parent.parent
     graph = Path(__file__).resolve().parent / "data" / "web60.txt"
     code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
@@ -416,6 +417,31 @@ def test_gossip_without_the_dense_oracle_never_imports_scipy():
     assert done.stdout.startswith("gossip: steps=")
 
 
+def test_cluster_run_above_the_reference_cap_never_imports_scipy(tmp_path):
+    # group factors are built from the graph's own arrays, and above the
+    # cap no reference oracle is built: nothing imports any scipy module
+    n, size = solvers.REFERENCE_CAP + 1000, 100
+    pages = np.arange(n)
+    graph, groups = tmp_path / "ring.txt", tmp_path / "ring.groups"
+    src = pages.repeat(2)                  # page j links to j+1 and j+37
+    np.savetxt(graph, np.column_stack((src, (src + np.tile([1, 37], n)) % n)),
+               fmt="%d")
+    np.savetxt(groups, np.column_stack((pages, pages // size)), fmt="%d")
+    root = Path(pushrank.__file__).resolve().parent.parent
+    argv = ["cluster", "--graph", str(graph), "--partition", str(groups),
+            "--steps", "200"]
+    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
+            "import pushrank.cli; "
+            f"code = pushrank.cli.main({argv!r}); "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
+            "sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("cluster: steps=200 updates=20000 ")
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     "mc --graph web60.txt --replicas 2 --steps 3",
     "gossip --graph web60.txt --steps 50",
@@ -425,7 +451,7 @@ def test_gossip_without_the_dense_oracle_never_imports_scipy():
 def test_no_command_imports_scipy_linalg(argv):
     # the reference oracle takes x* from the power method and checks
     # conservation with the sparse Q, and group factors sum their local
-    # series with sparse blocks: no run needs scipy.linalg
+    # series with numpy: no run needs scipy.linalg
     root = Path(pushrank.__file__).resolve().parent.parent
     data = Path(__file__).resolve().parent / "data"
     argv = [str(data / word) if word.endswith((".txt", ".groups")) else word

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, GroupFactors, Schedule, load_edge_list,
-                      load_partition, patch_dangling, power_method, run)
+from pushrank import (DenseOracle, GroupFactors, Schedule, WebGraph,
+                      load_edge_list, load_partition, patch_dangling,
+                      power_method, run)
 
 from conftest import graph_from_lists, random_graph
 from oracles import DenseDefect, neumann_partial
@@ -100,6 +101,26 @@ def test_power_matches_dense(rng):
         x, trace = power_method(g, M, tol=1e-13, oracle=oracle)
         assert oracle.error_l1(x) <= 1e-10
         assert trace.final_updates == trace.final_step * g.n
+
+
+def looped_chain(n=200):
+    """i -> i+1 on n pages, and the last page back to pages 0..4."""
+    return WebGraph(n, [*range(n - 1), *[n - 1] * 5],
+                    [*range(1, n), *range(5)])
+
+
+@pytest.mark.parametrize("m, tol", [(0.15, 1e-6), (0.15, 1e-9), (0.01, 1e-6),
+                                    (0.01, 1e-9)])
+def test_power_tol_stop_is_certified(m, tol):
+    # on a long chain the step difference falls below tol while the error
+    # is still up to 8.6 tol (m = 0.01); ((1-m)/m) times the difference
+    # bounds the error of the new iterate, and the run stops on that
+    g = looped_chain()
+    oracle = DenseOracle(g, m)
+    _, trace = power_method(g, m, tol=tol, oracle=oracle)
+    err, cert = trace.column("err_l1")[1:, 0], trace.column("cert")[1:, 0]
+    assert np.all(err <= cert)
+    assert trace.final_cert <= tol and trace.final_err <= tol
 
 
 def test_power_without_tol_runs_every_step(rng):
