@@ -18,10 +18,12 @@ stops on the certificate.
 A push costs what its senders send. A partial set gathers its senders'
 out-links and sums each target's inflow in one `bincount`: O(sum of the
 senders' out-degrees, times a log for the sort). The set of every page
-pushes with one sparse mat-vec, ``Q @ z``: O(nnz + n). Both paths sum a
-target's inflow from 0.0 in ascending sender index and touch no page
-they do not reach, so a push by any set of pages reproduces ``x + Q @
-(mask * z)`` and ``(1 - mask) * z + Q @ (mask * z)`` bit for bit.
+pulls each page's inflow over its in-links, stored as jagged diagonals
+(`pushrank.webgraph.WebGraph.in_diagonals`): one gather and one add per
+diagonal, O(nnz + n), with no Q and no scipy. Both paths sum a target's
+inflow from 0.0 in ascending sender index, so a push by any set of pages
+reproduces ``x + Q @ (mask * z)`` and ``(1 - mask) * z + Q @ (mask * z)``
+bit for bit; the partial sets touch no page they do not reach.
 
 `run` pushes partial sets a segment at a time. A segment is a run of
 consecutive steps in which no step's senders were sent or received by an
@@ -40,7 +42,7 @@ at the first conflict, at the step that reaches the next record (a
 segment never spans a record), at the `steps` bound, where the schedule
 runs out, and, with a `tol`, before the first step at which z might have
 summed to the stop level. The set of every page conflicts with any
-earlier push; starting a segment, it pushes alone with the mat-vec. A
+earlier push; starting a segment, it pushes alone with the pull. A
 group step, and any step whose record is one step away, are segments of
 one step and need no conflict search.
 Every run is R replicas stacked in one state, a single run being R = 1:
@@ -120,16 +122,11 @@ class PushState:
         """Push in place: the pages `rows` take `inflow` into x and z, the
         senders' residual being reset first, so a sender that receives
         keeps only what it receives. `rows` is an index array, whose
-        entries add in order (one row may repeat), or a slice of pages
-        that are all senders, such as every page, whose residual becomes
-        the inflow. The caller counts the steps."""
-        if isinstance(rows, slice):
-            self.x[rows] += inflow
-            self.z[rows] = inflow
-        else:
-            np.add.at(self.x, rows, inflow)
-            self.z[senders] = 0.0
-            np.add.at(self.z, rows, inflow)
+        entries add in order (one row may repeat). The caller counts the
+        steps."""
+        np.add.at(self.x, rows, inflow)
+        self.z[senders] = 0.0
+        np.add.at(self.z, rows, inflow)
         self.cumulative_updates += int(senders.size)
 
 
@@ -172,6 +169,9 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     """Push the leading segment of consecutive steps' update sets in place;
     return (steps taken, mass pushed), the sum of the residual its senders
     held, which is inf for the set of every page (see the module doc).
+    The set of every page of a single run is a step of its own, pulled
+    over the graph's in-links (`_push_every_page`); every other set
+    gathers its senders' out-links. Neither forms Q.
 
     Step j's set is the next `sizes[j]` entries of `senders`, ascending
     and in range. The segment ends early at the step whose update count
@@ -182,9 +182,8 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     """
     size, n = state.z.size, graph.n
     stacked = size != n
-    if not stacked and sizes[0] == n:    # every page: one step, one mat-vec
-        state.push(senders[:n], slice(None), graph.q_matrix(m) @ state.z)
-        state.step += 1
+    if not stacked and sizes[0] == n:    # every page: one pull, one step
+        _push_every_page(state, graph, m)
         return 1, math.inf
     count = sizes.size
     if count > 1:
@@ -245,6 +244,37 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     state.push(senders, rows, inflow)
     state.step += count
     return count, float(pushed.sum())
+
+
+def _push_every_page(state, graph, m):
+    """The push of every page, in place: x += Q z, z = Q z, with Q z pulled
+    over the jagged diagonals of the graph's in-links
+    (`WebGraph.in_diagonals`), one row per page.
+
+    With u_j = (1-m)/n_j z_j, a page's inflow is the sum of u over its
+    in-links. The first diagonal is taken into the rows it covers, each
+    further one added to the rows it covers, and the links of the short
+    diagonals are added one by one (`np.add.at`); rows without in-links
+    keep 0.0. So every row sums from 0.0 in ascending sender order, as
+    the CSC mat-vec ``Q @ z`` does, and equals it bit for bit.
+    """
+    position, diagonals, tail_rows, tail_senders = graph.in_diagonals()
+    u = graph.q_scale(m) * state.z
+    head = diagonals[0].size if diagonals else 0
+    rows = np.empty(graph.n)
+    rows[head:] = 0.0
+    if diagonals:
+        np.take(u, diagonals[0], out=rows[:head], mode="clip")
+        gathered = np.empty(head)
+        for diagonal in diagonals[1:]:
+            size = diagonal.size
+            np.take(u, diagonal, out=gathered[:size], mode="clip")
+            rows[:size] += gathered[:size]
+    np.add.at(rows, tail_rows, u.take(tail_senders))
+    np.take(rows, position, out=state.z, mode="clip")
+    state.x += state.z
+    state.cumulative_updates += graph.n
+    state.step += 1
 
 
 def _record(trace, state, m, oracle, record_x, blank):

@@ -7,7 +7,10 @@ alone, so x* has the same bytes on any BLAS build and thread count, and
 checks every recorded step of a run: its error against x*, and its
 conservation from the push invariant's residual, one sparse product with
 Q; `power_method` is also the ``power`` algorithm of the CLI. Both solve
-for uniform teleportation, the only kind the package runs.
+for uniform teleportation, the only kind the package runs. Both multiply
+by scipy's Q (`pushrank.webgraph.WebGraph.q_matrix`), which no engine
+builds: the reference stays independent of the engines' pushes, and a
+run loads scipy only when it builds the reference or runs ``power``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class DenseOracle:
     x* is the k-th power iterate from the uniform start, k the first step
     count at which the bound 2 (1-m)^k on its L1 error is at most 2^-53:
     231 sparse products at m = 0.15, 3,725 at m = 0.01. The oracle keeps
-    x*, m, n and the graph's sparse Q. Both diagnostics take a state, or
+    x*, m, n and the graph's scipy Q. Both diagnostics take a state, or
     the (R, n) view of R stacked replicas and then return one value per
     replica from one call. The benchmark's tracer wraps the methods by
     name and leading parameters, so those stay as they are.

@@ -2,14 +2,21 @@
 
 A graph over pages 0..n-1 is two integer arrays, ``indptr`` and
 ``indices``: the out-links of page j are ``indices[indptr[j]:indptr[j+1]]``,
-sorted and deduplicated (CSR by source page). The link matrix A is column
-stochastic with A[i, j] = 1/n_j for every link j -> i, where n_j is the
-out-degree of page j, so the same two arrays are the CSC structure of A and
-of the scaled operator Q = (1-m) * A that drives all engines; `q_scale`
-gives the values (1-m)/n_j, which `q_matrix` adds. Every graph is built
-from two link arrays by ``WebGraph(n, src, dst)``, the loader and
-`patch_dangling` included. Pages without out-links ("dangling") must be
-patched before Q can be formed.
+sorted and deduplicated (CSR by source page). `indices` is int32 on graphs
+whose page numbers fit it and that have 65,536 links or more
+(`_index_dtype`), else intp; `indptr` is intp, and `out_links` hands out
+intp. The link matrix A is column stochastic with A[i, j] = 1/n_j for every
+link j -> i, where n_j is the out-degree of page j, so the same two arrays
+are the CSC structure of A and of the scaled operator Q = (1-m) * A that
+drives all engines; `q_scale` gives the values (1-m)/n_j. No engine forms
+Q: a set of pages pushes along its out-links (`out_links`), and the push of
+every page pulls each page's inflow over its in-links, laid out as jagged
+diagonals (`in_diagonals`). Only the reference (`pushrank.solvers`)
+multiplies by scipy's Q (`q_matrix`). Every graph is built from sorted
+int64 link keys ``src*n + dst``: ``WebGraph(n, src, dst)`` makes them from
+two link arrays (`patch_dangling` included), the loader from the pairs it
+parses, which it frees before the sort. Pages without out-links
+("dangling") must be patched before Q's values exist.
 
 File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 
@@ -165,10 +172,29 @@ def _int64s(lineno, line, tokens, expected):
 
 # the largest n whose sort key src*n + dst (at most n*n - 1) fits int64
 MAX_PAGES = 3_037_000_499
+# diagonals of fewer rows than this go to `in_diagonals`' tail: a loop
+# step of the push costs more than their links cost in one `np.add.at`
+MIN_DIAGONAL = 512
+# links that `in_diagonals` places at a time
+_LINK_CHUNK = 1 << 16
+# graphs with fewer links keep intp `indices`: int32 would save them at
+# most 256 KB, and on the 100-page graph of the mc-100 benchmark workload
+# it raised peak RSS by 0.1-0.2 MB (measured), as did an int32 `indptr`
+_INT32_MIN_LINKS = 1 << 16
+
+
+def _index_dtype(n, links):
+    """The dtype of a graph's `indices`: int32 when every page number below
+    `n` fits it and the graph has `_INT32_MIN_LINKS` links or more, else
+    intp."""
+    if links >= _INT32_MIN_LINKS and n - 1 <= np.iinfo(np.int32).max:
+        return np.int32
+    return np.intp
 
 
 class WebGraph:
-    """Immutable hyperlink structure in compressed-column form.
+    """Immutable hyperlink structure in compressed-column form, with Q's
+    values and the in-link diagonals cached on first use.
 
     Parameters
     ----------
@@ -179,7 +205,7 @@ class WebGraph:
         each page's targets are stored sorted.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_q_cache")
+    __slots__ = ("n", "indptr", "indices", "_cache")
 
     def __init__(self, n, src, dst):
         src = np.asarray(src, dtype=np.intp)
@@ -195,22 +221,40 @@ class WebGraph:
                          or max(src.max(), dst.max()) >= n):
             bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
             raise ValueError(f"page {src[bad][0]} links outside 0..{n - 1}")
+        key = np.multiply(src, n, dtype=np.int64)
+        key += dst
+        self._store(n, key)
+
+    @classmethod
+    def _from_keys(cls, n, key):
+        """The graph of the int64 link keys ``src*n + dst``, all in range,
+        without the checks of the constructor. Overwrites `key`."""
+        graph = cls.__new__(cls)
+        graph._store(n, key)
+        return graph
+
+    def _store(self, n, key):
         # one sort orders the links by source, then target, and puts
         # duplicates next to each other; the kept keys src*n + dst give each
         # source's first link by search and, divided by n, leave the targets
         # in their place as remainders
-        key = np.multiply(src, n, dtype=np.int64)
-        key += dst
         key.sort()
         first = np.empty(key.size, dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        key = key[first]
+        # the kept keys move to the front of `key`, so that no second
+        # buffer of keys outlives this step while the caller holds `key`
+        kept = key[first]
+        del first
+        key = key[:kept.size]
+        key[:] = kept
+        del kept
         self.n = int(n)
         self.indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-        self.indices = np.remainder(key, n, out=key).astype(np.intp, copy=False)
+        self.indices = np.remainder(key, n, out=key).astype(
+            _index_dtype(n, key.size), copy=False)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        self._q_cache = {}
+        self._cache = {}
 
     @property
     def out_degree(self):
@@ -233,46 +277,119 @@ class WebGraph:
         """(degree, targets) of the non-empty intp array `pages`: each page's
         out-degree, and the pages' out-links one page after another, each
         page's ascending. For ascending pages that is the entry order of
-        their columns of Q, the order in which a mat-vec sums each row."""
+        their columns of Q, the order in which a mat-vec sums each row.
+        Both are intp whatever the graph stores, so that offsets added to
+        them cannot wrap."""
         lo = self.indptr[pages]
         degree = self.indptr[pages + 1] - lo
         ends = degree.cumsum()
         links = np.arange(ends[-1]) + (lo - ends + degree).repeat(degree)
-        return degree, self.indices[links]
+        return degree, self.indices[links].astype(np.intp, copy=False)
 
     def q_scale(self, m):
         """The value (1-m)/n_j of every entry of column j of Q, per page j.
 
-        `q_matrix` and the group steps (`pushrank.cluster`) both take Q's
-        values from here. Refuses m outside (0, 1) and a graph that is not
-        patched.
+        `q_matrix`, the push of every page (`pushrank.engines`) and the
+        group steps (`pushrank.cluster`) all take Q's values from here.
+        Cached per value of m, read-only. Refuses m outside (0, 1) and a
+        graph that is not patched.
         """
+        scale = self._cache.get(("scale", m))
+        if scale is not None:
+            return scale
         if not 0.0 < m < 1.0:
             raise ValueError(f"m must lie in (0, 1), got {m}")
         if not self.is_stochastic:
             bad = self.dangling_pages()
             raise ValueError(f"graph has dangling pages {bad.tolist()}; patch first")
-        return (1.0 - m) / self.out_degree.astype(float)
+        scale = (1.0 - m) / self.out_degree.astype(float)
+        scale.flags.writeable = False
+        self._cache["scale", m] = scale
+        return scale
 
     def q_matrix(self, m):
-        """The scaled link operator Q = (1-m) A as a CSC matrix.
+        """The scaled link operator Q = (1-m) A as a scipy CSC matrix.
 
-        The graph's own arrays with value `q_scale(m)` in each column, so
-        that column scatters performed with that same scalar reproduce the
-        mat-vec bit for bit. Cached per value of m; the graph must be
-        patched first.
+        Only the reference (`pushrank.solvers`: the oracle and the power
+        method) multiplies by it; no engine builds it. It holds the graph's
+        own arrays with value `q_scale(m)` in each column, so that pushes
+        performed with that same scalar reproduce its mat-vec bit for bit.
+        Cached per value of m; the graph must be patched first.
         """
-        cached = self._q_cache.get(m)
-        if cached is not None:
-            return cached
+        q = self._cache.get(("q", m))
+        if q is not None:
+            return q
         scale = self.q_scale(m)
-        from scipy import sparse          # only Q needs scipy
+        from scipy import sparse          # only the reference needs scipy
 
         q = sparse.csc_array(
             (np.repeat(scale, self.out_degree), self.indices, self.indptr),
             shape=(self.n, self.n))
-        self._q_cache[m] = q
+        self._cache["q", m] = q
         return q
+
+    def in_diagonals(self):
+        """The in-links as jagged diagonals (Saad, *Iterative Methods for
+        Sparse Linear Systems*, 2003, section 3.4), for the push of every
+        page. Cached.
+
+        Returns ``(position, diagonals, tail_rows, tail_senders)``. The
+        pages stand in rows ordered by falling in-degree, ties ascending
+        (a stable sort); page i stands in row `position[i]`.
+        Diagonal p holds, row by row, the p-th in-link, senders ascending,
+        of every page with more than p in-links: those rows are a prefix,
+        so no diagonal is longer than the one before. `diagonals` holds
+        those of at least `MIN_DIAGONAL` rows; the links of the shorter
+        ones follow, diagonal after diagonal, as rows `tail_rows` and
+        senders `tail_senders`. Every link appears exactly once. Summing
+        each row's senders in diagonal order is the order in which a CSC
+        mat-vec sums it. The arrays are intp, not the graph's index dtype,
+        and writeable, though no caller may write to them: `np.take` copies
+        an index array of another dtype, or a read-only one, on every push.
+        """
+        cached = self._cache.get("diagonals")
+        if cached is not None:
+            return cached
+        n, indptr, indices = self.n, self.indptr, self.indices
+        in_degree = np.zeros(n, dtype=np.intp)
+        np.add.at(in_degree, indices, 1)
+        position = np.empty(n, dtype=np.intp)
+        position[np.argsort(-in_degree, kind="stable")] = np.arange(n)
+        # lengths[p]: the pages with more than p in-links; diagonal p is
+        # flat[start[p]:start[p + 1]]
+        lengths = n - np.bincount(in_degree).cumsum()[:-1]
+        start = np.zeros(lengths.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=start[1:])
+        flat = np.empty(indices.size, dtype=np.intp)
+        placed = np.zeros(n, dtype=np.intp)    # in-links of each page so far
+        # the links in chunks of whole columns, about _LINK_CHUNK links each,
+        # so that no temporary is link-sized
+        cuts = np.append(np.unique(indptr.searchsorted(
+            np.arange(0, indices.size, _LINK_CHUNK), side="right") - 1), n)
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            # the chunk's links by target, then sender (keys target*n +
+            # sender), each into the next free diagonal of its target
+            key = np.multiply(indices[indptr[lo]:indptr[hi]], n, dtype=np.int64)
+            key += np.arange(lo, hi).repeat(np.diff(indptr[lo:hi + 1]))
+            key.sort()
+            targets, senders = np.divmod(key, n)
+            # a link's diagonal: its target's links placed before this
+            # chunk, plus its index less that of its target's first link
+            link = np.arange(key.size)
+            first = np.empty(key.size, dtype=bool)
+            first[0] = True
+            np.not_equal(targets[1:], targets[:-1], out=first[1:])
+            diagonal = link - np.maximum.accumulate(np.where(first, link, 0))
+            diagonal += placed[targets]
+            flat[start[diagonal] + position[targets]] = senders
+            np.add.at(placed, targets, 1)
+        long = int(np.count_nonzero(lengths >= MIN_DIAGONAL))
+        diagonals = tuple(flat[start[p]:start[p + 1]] for p in range(long))
+        tail_rows = (np.arange(start[long], start[-1])
+                     - start[long:-1].repeat(lengths[long:]))
+        cached = position, diagonals, tail_rows, flat[start[long]:]
+        self._cache["diagonals"] = cached
+        return cached
 
 
 def load_edge_list(source, index_base=0):
@@ -295,11 +412,17 @@ def load_edge_list(source, index_base=0):
          lambda s, d: f"index {max(s, d)} exceeds the limit of {MAX_PAGES} "
                       f"pages (base {index_base})"),
     ])
-    pairs -= index_base
-    n = int(pairs.max()) + 1 if pairs.size else 0
+    n = int(pairs.max()) + 1 - index_base if pairs.size else 0
     if n < 2:
         raise ValueError(f"edge list describes {n} page(s); need at least 2")
-    return WebGraph(n, pairs[:, 0], pairs[:, 1])
+    # the link keys src*n + dst, rebased in one subtraction; the pairs, which
+    # `_read_pairs` has range-checked, are dead once the keys exist
+    key = np.multiply(pairs[:, 0], n)
+    key += pairs[:, 1]
+    del pairs
+    if index_base:
+        key -= (n + 1) * index_base
+    return WebGraph._from_keys(n, key)
 
 
 # patched links allowed in one graph: about 2.5 GB at ~50 bytes per link

@@ -1,11 +1,12 @@
+import functools
 import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, Schedule, engines, init_state,
-                      load_edge_list, patch_dangling, run, step_set)
+from pushrank import (DenseOracle, Schedule, WebGraph, engines, init_state,
+                      load_edge_list, patch_dangling, run, step_set, webgraph)
 
 from conftest import copy_state, graph_from_lists, random_graph
 from oracles import analytic_mean_trace, neumann_partial
@@ -138,9 +139,95 @@ def test_every_push_path_is_masked_matvec(rng):
         np.testing.assert_array_equal(st.z, z_want)
 
 
+@functools.cache
+def pull_graph(name):
+    """A graph for the push of every page, built afresh on each call of
+    `with_fresh_diagonals`."""
+    rng = np.random.default_rng(24)
+    if name == "no_inlinks":          # pages 2 and 5 have no in-links
+        return graph_from_lists(6, [[1], [0, 3], [1, 4], [0], [3, 1], [0]])
+    if name == "self_loops":          # each page links to itself and on
+        return graph_from_lists(700, [[j, (j + 1) % 700, (j * 7) % 700]
+                                      for j in range(700)])
+    if name == "patched_dense":
+        # k = 50 pages keep their links, the other n - k dangle and are
+        # patched, so every row has at least n - k in-links
+        n, k = 600, 50
+        return patch_dangling(graph_from_lists(n, [
+            rng.choice(n, size=3, replace=False) if j < k else []
+            for j in range(n)]))[0]
+    return random_graph(rng, 20_000, mean_out=6.0, allow_self=True)
+
+
+def with_fresh_diagonals(name):
+    """`pull_graph(name)` rebuilt, so that its diagonals are laid out
+    anew, with today's `webgraph.MIN_DIAGONAL`."""
+    g = pull_graph(name)
+    return WebGraph(g.n, np.repeat(np.arange(g.n), g.out_degree), g.indices)
+
+
+PULL_GRAPHS = ["no_inlinks", "self_loops", "patched_dense", "random_20000"]
+
+
+@pytest.mark.parametrize("min_diagonal", [1, webgraph.MIN_DIAGONAL])
+@pytest.mark.parametrize("name", PULL_GRAPHS)
+def test_every_page_push_is_the_csc_product_bit_for_bit(name, min_diagonal,
+                                                         monkeypatch, rng):
+    # scipy only on this side: the pull over the in-link diagonals, and over
+    # their short tail, sums each row from 0.0 in CSC order, as Q @ z does
+    monkeypatch.setattr(webgraph, "MIN_DIAGONAL", min_diagonal)
+    g = with_fresh_diagonals(name)
+    q = g.q_matrix(M)
+    st = init_state(g.n, M)
+    st.z[:] = rng.random(g.n)
+    for _ in range(3):
+        qz = q @ st.z
+        x_want = st.x + qz
+        step_set(st, g, M, np.arange(g.n))
+        np.testing.assert_array_equal(st.z, qz)
+        np.testing.assert_array_equal(st.x, x_want)
+
+
+@pytest.mark.parametrize("min_diagonal", [1, 40, webgraph.MIN_DIAGONAL])
+@pytest.mark.parametrize("name", PULL_GRAPHS[:3])
+def test_in_link_diagonals_hold_every_link_once_in_row_order(name,
+                                                              min_diagonal,
+                                                              monkeypatch):
+    monkeypatch.setattr(webgraph, "MIN_DIAGONAL", min_diagonal)
+    g = with_fresh_diagonals(name)
+    position, diagonals, tail_rows, tail_senders = g.in_diagonals()
+    assert g.in_diagonals()[1] is diagonals           # cached
+    in_degree = np.bincount(g.indices, minlength=g.n)
+    # rows by falling in-degree, ties in ascending page order
+    order = np.argsort(position)
+    np.testing.assert_array_equal(np.sort(position), np.arange(g.n))
+    np.testing.assert_array_equal(order, np.lexsort((np.arange(g.n),
+                                                     -in_degree)))
+    # diagonal sizes never increase, the tail's included, and diagonal p
+    # covers the rows with more than p in-links
+    tail_sizes = np.diff(np.flatnonzero(np.append(tail_rows == 0, True)))
+    sizes = [d.size for d in diagonals] + tail_sizes.tolist()
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert all(size >= min_diagonal for size in sizes[:len(diagonals)])
+    assert all(size < min_diagonal for size in sizes[len(diagonals):])
+    np.testing.assert_array_equal(
+        sizes, [(in_degree > p).sum() for p in range(len(sizes))])
+    # every link exactly once, each row's senders ascending
+    rows = np.concatenate([np.arange(d.size) for d in diagonals]
+                          + [tail_rows]).astype(np.intp)
+    senders = np.concatenate(list(diagonals) + [tail_senders])
+    by_row = np.argsort(rows, kind="stable")     # each row's in diagonal order
+    rows, senders = rows[by_row], senders[by_row]
+    assert ((rows[1:] > rows[:-1]) | (senders[1:] > senders[:-1])).all()
+    links = np.repeat(np.arange(g.n), g.out_degree) + g.indices * g.n
+    np.testing.assert_array_equal(np.sort(order[rows] * g.n + senders),
+                                  np.sort(links))
+
+
 def test_partial_sets_push_on_an_unpatched_graph():
-    # only the set of every page goes through Q, which needs a patched
-    # graph; partial sets, dangling senders included, push without it
+    # only the set of every page takes Q's values of every page, which
+    # need a patched graph; partial sets, dangling senders included, push
+    # without them
     g = graph_from_lists(30, [[1], [2], [0]] + [[]] * 27)
     st = init_state(g.n, M)
     step_set(st, g, M, [1, 5])

@@ -417,28 +417,56 @@ def test_gossip_without_the_dense_oracle_never_imports_scipy():
     assert done.stdout.startswith("gossip: steps=")
 
 
-def test_cluster_run_above_the_reference_cap_never_imports_scipy(tmp_path):
-    # group factors are built from the graph's own arrays, and above the
-    # cap no reference oracle is built: nothing imports any scipy module
+def ring_above_the_cap(tmp_path):
+    """(graph, groups): a ring of 1,000 pages more than the reference cap,
+    page j linking to j+1 and j+37, in groups of 100 pages."""
     n, size = solvers.REFERENCE_CAP + 1000, 100
     pages = np.arange(n)
     graph, groups = tmp_path / "ring.txt", tmp_path / "ring.groups"
-    src = pages.repeat(2)                  # page j links to j+1 and j+37
+    src = pages.repeat(2)
     np.savetxt(graph, np.column_stack((src, (src + np.tile([1, 37], n)) % n)),
                fmt="%d")
     np.savetxt(groups, np.column_stack((pages, pages // size)), fmt="%d")
+    return graph, groups
+
+
+def scipy_modules_after(argv):
+    """Run the CLI on `argv` in a fresh interpreter: the finished process,
+    whose last stdout line lists the scipy modules it loaded."""
     root = Path(pushrank.__file__).resolve().parent.parent
-    argv = ["cluster", "--graph", str(graph), "--partition", str(groups),
-            "--steps", "200"]
     code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
             "import pushrank.cli; "
             f"code = pushrank.cli.main({argv!r}); "
             "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
             "sys.exit(code)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
+
+
+def test_cluster_run_above_the_reference_cap_never_imports_scipy(tmp_path):
+    # group factors are built from the graph's own arrays, and above the
+    # cap no reference oracle is built: nothing imports any scipy module
+    graph, groups = ring_above_the_cap(tmp_path)
+    done = scipy_modules_after(["cluster", "--graph", str(graph),
+                                "--partition", str(groups), "--steps", "200"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("cluster: steps=200 updates=20000 ")
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv, summary", [
+    ("sync --tol 1e-6", "sync: steps=85 updates=510000 "),
+    ("multi --schedule subset:0.5 --seed 3 --steps 20", "multi: steps=20 "),
+])
+def test_sync_and_set_runs_above_the_reference_cap_never_import_scipy(
+        argv, summary, tmp_path):
+    # the push of every page pulls over the graph's own in-links, and a
+    # partial set gathers its out-links: neither builds Q
+    graph, _ = ring_above_the_cap(tmp_path)
+    done = scipy_modules_after(argv.split() + ["--graph", str(graph), "--out",
+                                               str(tmp_path / "run.csv")])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(summary)
     assert done.stdout.splitlines()[-1] == "[]"
 
 

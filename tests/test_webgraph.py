@@ -297,6 +297,51 @@ def test_build_allocates_about_two_words_per_link():
     assert beyond <= 2.5 * 8 * k
 
 
+def test_load_frees_the_parse_before_the_build(tmp_path):
+    # the parse (16 B per link) and the link keys (8 B) are the high-water
+    # mark: the pairs are freed before the keys are sorted, deduplicated
+    # and cut into the graph's arrays, int32 `indices` among them
+    rng = np.random.default_rng(5)
+    n, k = 1000, 100_000
+    for index_base in (0, 1):
+        path = tmp_path / f"links{index_base}.txt"
+        np.savetxt(path, rng.integers(index_base, n + index_base, size=(k, 2)),
+                   fmt="%d")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = load_edge_list(path, index_base=index_base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 26 * k
+        assert g.indices.dtype == np.int32
+
+
+def test_index_dtype_is_int32_while_every_page_number_fits():
+    # decided from the counts alone, so the boundary costs no allocation
+    many = webgraph._INT32_MIN_LINKS
+    assert webgraph._index_dtype(2**31, many) == np.int32   # pages 0..2^31-1
+    assert webgraph._index_dtype(2**31 + 1, many) == np.intp
+    assert webgraph._index_dtype(webgraph.MAX_PAGES, 2**40) == np.intp
+    assert webgraph._index_dtype(2**31, many - 1) == np.intp
+    assert WebGraph(3, [0, 1, 2], [1, 2, 0]).indices.dtype == np.intp
+    g = WebGraph(many, np.arange(many), (np.arange(many) + 1) % many)
+    assert g.indices.dtype == np.int32 and g.indptr.dtype == np.intp
+
+
+def test_out_links_are_intp_from_an_int32_graph(monkeypatch):
+    monkeypatch.setattr(webgraph, "_INT32_MIN_LINKS", 0)
+    g = WebGraph(4, [0, 0, 1, 3, 3, 3], [1, 2, 3, 0, 1, 2])
+    assert g.indices.dtype == np.int32
+    degree, targets = g.out_links(np.array([3, 0, 2], dtype=np.intp))
+    assert degree.dtype == targets.dtype == np.intp
+    assert degree.tolist() == [3, 2, 0]
+    assert targets.tolist() == [0, 1, 2, 1, 2]
+    # offsets past 2^31 added to them do not wrap
+    assert (targets + 2**31).min() == 2**31
+
+
 def test_partition_members_match_flatnonzero_reference():
     rng = np.random.default_rng(3)
     labels = rng.choice([-7, 2, 5, 40, 41, 1000], size=300)  # not contiguous
