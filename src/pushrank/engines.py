@@ -37,14 +37,15 @@ call's fixed overhead plus its senders' out-degrees (times a log for the
 sort), where each step used to pay the overhead alone. A uniform gossip
 segment on n pages of out-degree d runs about sqrt(pi n / (2 (d + 1)))
 steps, 59 at n = 20,000 and d = 8.
-`run` draws up to `_LOOKAHEAD` steps or pages ahead and cuts the segment
-at the first conflict, at the step that reaches the next record (a
-segment never spans a record), at the `steps` bound, where the schedule
-runs out, and, with a `tol`, before the first step at which z might have
-summed to the stop level. The set of every page conflicts with any
-earlier push; starting a segment, it pushes alone with the pull. A
-group step, and any step whose record is one step away, are segments of
-one step and need no conflict search.
+`run` draws up to `_LOOKAHEAD` steps or pages ahead, and pushes the sets
+as drawn: ascending, duplicate-free and in range (`pushrank.scheduling`).
+It cuts the segment at the first conflict, at the step that reaches the
+next record (a segment never spans a record), at the `steps` bound,
+where the schedule runs out, and, with a `tol`, before the first step at
+which z might have summed to the stop level. The set of every page
+conflicts with any earlier push; starting a segment, it pushes alone
+with the pull. A group step, and any step whose record is one step
+away, are segments of one step and need no conflict search.
 Every run is R replicas stacked in one state, a single run being R = 1:
 replica r holds pages ``r n .. r n + n - 1``, so x and z read as (R, n)
 C-order arrays, and the schedule draws for all R (`pushrank.scheduling`).
@@ -67,16 +68,17 @@ step. A record whose conservation defect bound
 
 The certificate is not summed every step. With a `tol` (single runs
 only), `run` keeps a lower bound on z.sum(): the last exact sum, less
-everything pushed since, less a rounding margin. A push lowers the real
+everything pushed since, less one rounding margin per step or segment,
+4 (3n + 8) u times that sum (u the unit roundoff). A push lowers the real
 sum by m times the residual it pushes, so by no more than that residual.
 `run` sums z only when the bound is at or below the stop level, and a
 segment pushes a step only while the bound, less what the segment's
 earlier steps pushed, stays above it. A group step lowers the bound by
-the residual its group held before the step, with a margin of the same
-form: it leaves the group the non-negative rest of its local solve and
-only adds to z elsewhere, so z.sum() falls by no more than that (by m
-times what the group pushes, `pushrank.cluster`). The push of every
-page drops the bound to -inf, so z is summed before the next step.
+the residual its group held before the step: it leaves the group the
+non-negative rest of its local solve and only adds to z elsewhere, so
+z.sum() falls by no more than that (by m times what the group pushes,
+`pushrank.cluster`). The push of every page drops the bound to -inf,
+so z is summed before the next step.
 Between two exact sums the bound falls by the gap to the stop level
 while z.sum() falls by m times that, so the gap shrinks by (1 - m) per
 sum and a run sums z O(ln(gap ratio) / m) times. It stops at the step,
@@ -137,18 +139,6 @@ def init_state(n, m, replicas=1):
     return PushState(x, x.copy())
 
 
-def _normalized(drawn, sizes, size):
-    """Update sets as `_push_segment` takes them, each set's pages sorted
-    and deduplicated; raises ValueError for a page outside 0..size-1."""
-    if drawn.size and (drawn.min() < 0 or drawn.max() >= size):
-        raise ValueError(f"update set contains pages outside 0..{size - 1}")
-    step_of = np.arange(sizes.size).repeat(sizes)
-    if ((drawn[1:] > drawn[:-1]) | (step_of[1:] > step_of[:-1])).all():
-        return drawn, sizes
-    keys = np.unique(step_of * size + drawn)
-    return keys % size, np.bincount(keys // size, minlength=sizes.size)
-
-
 def step_set(state, graph, m, phi):
     """One simultaneous update by the page set phi (may be empty), in place.
 
@@ -159,9 +149,11 @@ def step_set(state, graph, m, phi):
     a stacked state phi holds stacked pages, the union of each replica's
     set.
     """
-    phi = np.asarray(phi, dtype=np.intp).reshape(-1)
-    _push_segment(state, graph, m,
-                  *_normalized(phi, np.array([phi.size]), state.z.size))
+    phi = np.unique(np.asarray(phi, dtype=np.intp))
+    if phi.size and (phi[0] < 0 or phi[-1] >= state.z.size):
+        raise ValueError(f"update set contains pages outside "
+                         f"0..{state.z.size - 1}")
+    _push_segment(state, graph, m, phi, np.array([phi.size]))
 
 
 def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
@@ -305,7 +297,10 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     Each step pushes the set that `schedule` draws, or every page when
     `schedule` is None (synchronous). With `factors` (a
     `pushrank.cluster.GroupFactors`) the schedule draws one group index
-    per step, an empty draw being a no-op step. Stops when the residual
+    per step, an empty draw being a no-op step. A schedule over other
+    than the run's `graph.n` pages or `factors.num_groups` groups, and a
+    page schedule on a graph with dangling pages, whose certificate would
+    not hold, are refused before the first step. Stops when the residual
     certificate reaches `tol`, after `steps` steps, or when the schedule
     is exhausted, whichever comes first. Partial sets push a segment of
     independent steps per call (see the module doc), with the state each
@@ -332,6 +327,14 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     if replicas > 1 and (tol is not None or record_x):
         raise ValueError("a run of stacked replicas takes no tol and "
                          "records no x")
+    if schedule is not None:
+        units, unit = ((graph.n, "pages") if factors is None
+                       else (factors.num_groups, "groups"))
+        if schedule.n != units:
+            raise ValueError(f"the schedule draws from {schedule.n} indices, "
+                             f"not the run's {units} {unit}")
+        if factors is None:      # group factors refuse dangling pages
+            graph.require_patched()
     state = init_state(graph.n, m, replicas)
     if schedule is None:
         everyone = np.arange(state.n, dtype=np.intp), np.array([state.n])
@@ -348,16 +351,22 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     pending, sizes = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     marks = None
     # with a tol, a lower bound on z.sum(): the last exact sum `exact`, less
-    # what was pushed since and a rounding margin (see the module doc)
-    floor = -math.inf
+    # what was pushed since and a rounding `margin` per step or segment (see
+    # the module doc)
+    floor, margin = -math.inf, 0.0
     while steps is None or state.step < steps:
         if z_stop is not None and floor <= z_stop:
             exact = float(state.z.sum())
             if exact <= z_stop:
                 break
             # any summation order of n non-negative terms is within (n-1)u
-            # of the real sum, so two exact sums differ by at most 2nu of it
+            # of the real sum, so two exact sums differ by at most 2nu of it;
+            # 3n + 8 bounds the rounded terms of a step's or a segment's cut
+            # and bookkeeping, each at most `exact`, as none pushes more
+            # than n senders (a segment repeats none)
             floor = exact * (1 - 2 * state.n * _UNIT_ROUNDOFF)
+            margin = 4 * (3 * state.n + 8) * _UNIT_ROUNDOFF * exact
+        floor -= margin
         if schedule is None:
             floor -= _push_segment(state, graph, m, *everyone)[1]
         else:
@@ -366,11 +375,8 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
             ahead = _LOOKAHEAD if steps is None else min(_LOOKAHEAD,
                                                          steps - state.step)
             if sizes.size < ahead and pending.size < _LOOKAHEAD // 2:
-                drawn, counts = schedule.draw(state.step + sizes.size,
-                                              ahead - sizes.size,
+                drawn, counts = schedule.draw(ahead - sizes.size,
                                               _LOOKAHEAD - pending.size)
-                if factors is None:      # `step_group` checks its own draw
-                    drawn, counts = _normalized(drawn, counts, state.n)
                 if sizes.size:
                     drawn = np.concatenate((pending, drawn))
                     counts = np.concatenate((sizes, counts))
@@ -378,34 +384,21 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
             if sizes.size == 0:
                 break
             if factors is not None:
-                summed = state.cumulative_updates
-                held = step_group(state, graph, m, factors, pending[:sizes[0]])
-                if z_stop is not None:
-                    # a segment's margin, for the members whose z was summed
-                    summed = state.cumulative_updates - summed
-                    floor -= held + (4 * (3 * summed + 8) * _UNIT_ROUNDOFF
-                                     * exact)
-                taken, used = 1, sizes[0]
+                floor -= step_group(state, graph, m, factors,
+                                    pending[:sizes[0]])
+                taken = 1
             else:
                 # the segment ends at a step record at the latest
                 reach = sizes.size if by_updates else mark - state.step
                 if reach > 1 and marks is None:
                     marks = np.full(state.n, _UNMARKED, dtype=np.intp)
                 until = mark if by_updates else None
-                room = None
-                if z_stop is not None:
-                    # 3 senders + 8 bounds the rounded terms of a segment's
-                    # cut and bookkeeping, each at most the last exact sum
-                    floor -= (4 * (3 * pending.size + 8) * _UNIT_ROUNDOFF
-                              * exact)
-                    room = floor - z_stop
-                used = state.cumulative_updates      # the pages pushed are
+                room = None if z_stop is None else floor - z_stop
                 taken, pushed = _push_segment(state, graph, m, pending,
                                               sizes[:reach], until, room,
                                               marks)
                 floor -= pushed
-                used = state.cumulative_updates - used   # the updates counted
-            pending, sizes = pending[used:], sizes[taken:]
+            pending, sizes = pending[sizes[:taken].sum():], sizes[taken:]
         done = state.cumulative_updates if by_updates else state.step
         if done >= mark:
             mark = (done // period + 1) * period

@@ -32,16 +32,16 @@ the run loop aborts at the record where it appears.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import engines, scheduling, solvers
 from .cluster import GroupFactors
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .trace import Trace, format_float, write_table
-from .webgraph import load_edge_list, load_partition, patch_dangling
+from .webgraph import (_read_rows, load_edge_list, load_partition,
+                       patch_dangling)
 
 __all__ = ["ExperimentConfig", "run_experiment", "monte_carlo", "compare",
            "MeanTrace", "ALGORITHMS", "SCHEDULES"]
@@ -77,7 +77,8 @@ class ExperimentConfig:
     `schedule` is a spec string from the algorithm's row of `SCHEDULES`.
     A ``weighted:<weights>`` spec draws a page by its in-degree plus one
     (``indegree_plus_one``), a group by its member count (``size``) or
-    either by the numbers of a file (``file:<path>``).
+    either by the numbers of a file (``file:<path>``, one per line, read
+    as an edge list is: `pushrank.webgraph`).
     `cadence` of None records the first step at or after each multiple
     of n counted updates (one sweep; see `engines.run`), except in
     `monte_carlo`, whose curve has a row for every step. No field sets
@@ -206,17 +207,12 @@ def _weights(spec, runtime):
         return runtime.units
     if weights == "indegree_plus_one":
         return scheduling.indegree_plus_one_weights(runtime.graph)
-    with warnings.catch_warnings():
-        # no numbers at all: the size check below says so
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        w = np.loadtxt(weights[5:], dtype=float, ndmin=2)  # "file:<path>"
-    if w.shape[1] != 1:
-        raise ParseError(f"weights file has {w.shape[1]} numbers per line; "
-                         "expected one")
+    # "file:<path>"; a file of no numbers fails the size check below
+    w = _read_rows(weights[5:], "weight", dtype=float)[:, 0]
     if w.size != runtime.units.size:
         raise ConfigError(f"weights file has {w.size} entries for "
                           f"{runtime.units.size} {runtime.unit}s")
-    return w[:, 0]
+    return w
 
 
 def _build_schedule(config, runtime, replicas=None):
@@ -229,7 +225,7 @@ def _build_schedule(config, runtime, replicas=None):
                if config.schedule.startswith("weighted:") else None)
     sched = scheduling.Schedule.from_spec(config.schedule, n, config.seed,
                                           weights, replicas)
-    _check_tol_reachable(config, runtime, sched.never_drawn(n))
+    _check_tol_reachable(config, runtime, sched.never_drawn())
     return sched
 
 

@@ -20,11 +20,12 @@ so no two replicas share one. Only random kinds draw for more than one
 replica. Singleton draws are made in blocks: one ``rng.random(k)`` per
 stream and one vector search give the indices of the next k steps, the
 same doubles and indices as k scalar draws. Blocks double from 16 to 4096
-steps, so a short run draws few it does not use. `next` gives one step's
-sets and `draw` those of several steps at once, as the run loop takes
-them; both consume the same streams.
+steps, so a short run draws few it does not use.
 
-A schedule is owned by one run and consumed sequentially.
+A schedule is owned by one run and keeps its own position: each `draw`
+goes on where the last one stopped. Every set it draws is ascending,
+duplicate-free and within its n indices (stacked: 0..R n - 1), so a run
+pushes it as drawn; a ``file`` schedule checks its sets when it is built.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ class Schedule:
     """A policy producing the update set for each step, for `replicas` runs.
 
     `kind` is a spec kind (see the module doc). ``file`` replays explicit
-    `sequence` sets, also ones built in memory, and signals exhaustion by
-    returning None.
+    `sequence` sets, also ones built in memory, over n indices, and ends
+    where they do.
     """
 
     def __init__(self, kind, *, n=None, weights=None, seed=None, q=None,
@@ -93,8 +94,13 @@ class Schedule:
             self.n = w.size
         self.sequence = None
         if sequence is not None:
-            self.sequence = [np.unique(np.asarray(s, dtype=np.intp)).reshape(-1)
+            self.sequence = [np.unique(np.asarray(s, dtype=np.intp))
                              for s in sequence]
+            named = np.concatenate([np.empty(0, dtype=np.intp), *self.sequence])
+            if n is None or named.size and not (0 <= named.min()
+                                                and named.max() < n):
+                raise ValueError("a file schedule's sets must lie in 0..n-1, "
+                                 f"n = {n}")
         self._rngs = None
         if kind in RANDOM_KINDS:
             if seed is None:
@@ -102,7 +108,7 @@ class Schedule:
             seeds = ([seed] if replicas is None else
                      [derive_seed(seed, r) for r in range(replicas)])
             self._rngs = [np.random.default_rng(s) for s in seeds]
-        self._next_k = 0
+        self._steps = 0          # the steps drawn so far
         self._block = np.empty((0, self.replicas), dtype=np.intp)
         self._taken = 0
 
@@ -129,41 +135,33 @@ class Schedule:
             return cls(kind, n=n, q=subset_probability(spec), seed=seed,
                        replicas=replicas)
         if kind == "file":
-            return cls(kind, sequence=load_sequence_file(arg, n),
+            return cls(kind, n=n, sequence=load_sequence_file(arg, n),
                        replicas=replicas)
         raise ConfigError(f"unknown schedule spec {spec!r}")
 
     # -- queries --------------------------------------------------------
 
-    def never_drawn(self, n):
+    def never_drawn(self):
         """Indices in 0..n-1 that a fixed sequence never draws, ascending.
 
         Empty for the other kinds, which reach every index eventually.
         """
         if self.sequence is None:
             return np.empty(0, dtype=np.intp)
-        # bincount refuses a negative index, which no loaded sequence holds
         named = np.concatenate([np.empty(0, dtype=np.intp), *self.sequence])
-        return np.flatnonzero(np.bincount(named, minlength=n)[:n] == 0)
+        return np.flatnonzero(np.bincount(named, minlength=self.n) == 0)
 
     # -- drawing --------------------------------------------------------
 
-    def next(self, k):
-        """Every replica's update set for step k as stacked indices, or None
-        when a sequence is exhausted (see `draw`)."""
-        drawn, sizes = self.draw(k, 1, 1)
-        return drawn if sizes.size else None
-
-    def draw(self, k, steps, pages):
-        """The update sets of up to `steps` steps from step k on, as
-        (indices, sizes): every set's stacked indices in step order, and
-        each set's size. Stops after the step that brings the indices
-        drawn to `pages` (at least one step), and where a sequence ends.
-
-        Random kinds consume their streams and must be drawn with
-        consecutive k starting at 0.
+    def draw(self, steps, pages):
+        """The update sets of up to `steps` next steps, as (indices, sizes):
+        every set's stacked indices in step order, each set ascending and
+        duplicate-free, and each set's size. Stops after the step that
+        brings the indices drawn to `pages` (at least one step), and where
+        a sequence ends. The next call goes on from the step after the
+        last one drawn.
         """
-        self._check_step(k)
+        k = self._steps
         if self.kind in ("uniform", "weighted", "roundrobin"):
             steps = min(steps, max(1, -(-pages // self.replicas)))
             sizes = np.full(steps, self.replicas, dtype=np.intp)
@@ -186,14 +184,8 @@ class Schedule:
                 total += sets[-1].size
             drawn = np.concatenate([np.empty(0, dtype=np.intp), *sets])
             sizes = np.array([s.size for s in sets], dtype=np.intp)
-        if self._rngs is not None:
-            self._next_k += sizes.size
+        self._steps += sizes.size
         return drawn, sizes
-
-    def _check_step(self, k):
-        if self._rngs is not None and k != self._next_k:
-            raise ValueError(f"random schedule must be consumed sequentially: "
-                             f"expected step {self._next_k}, got {k}")
 
     def _refill(self):
         """Draw the next block of singleton rows, one index per replica."""

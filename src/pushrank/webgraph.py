@@ -21,13 +21,14 @@ parses, which it frees before the sort. Pages without out-links
 File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 
 * edge list  -- one ``src dst`` pair per line, whitespace separated;
-* partition  -- one ``page group`` pair per line, every page exactly once.
+* partition  -- one ``page group`` pair per line, every page exactly once;
+* weights    -- one float per line (`pushrank.harness`), read the same way.
 
 `load_edge_list` and `load_partition` take a path or an open text stream
 (an `io.StringIO` for text held in memory) and read either with one
 `np.loadtxt` call. numpy reads a file by its path in chunks in C and walks
 a stream line by line in Python, so a regular file goes to it by absolute
-path, once the loader has opened it itself (see `_read_pairs` for why); a
+path, once the loader has opened it itself (see `_read_rows` for why); a
 stream and a file named like a compressed one go as a stream. Numbers are
 ASCII integers with an optional sign that fit a signed 64-bit integer, and
 a ``#`` ends a line's payload, so ``0 1  # comment`` is a pair. Two
@@ -96,15 +97,17 @@ def _path_or_stream(stream):
     return stream
 
 
-def _read_pairs(source, fields, rules):
-    """The ``a b`` lines of a text source as a (k, 2) int64 array.
+def _read_rows(source, fields, rules=(), dtype=np.int64):
+    """The payload lines of a text source as a (k, c) int64 or float array.
 
     `source` is a filesystem path or an object with a ``read`` method.
-    `fields` names the two columns in messages. `rules` holds
-    ``(reject, message)`` pairs: ``reject(a, b)`` is true for a pair the
-    caller refuses and is written with ``|`` and comparisons, so that it
-    takes both the columns of all pairs and the two ints of one line;
-    ``message(a, b)`` says what is wrong with a refused pair.
+    `fields` names the c columns in messages. `rules` holds ``(reject,
+    message)`` pairs of functions of a row's c numbers: ``reject`` ors
+    comparisons of one column with a bound (``(a < 0) | (b >= n)``), so
+    it refuses some row if and only if it refuses the columns' minima or
+    maxima. That check makes no column-sized temporary, whose memory the
+    allocator kept resident through the load's peak (0.2-0.5 MB measured
+    at 1.6M links); ``message`` says what is wrong with a refused row.
 
     One `np.loadtxt` call parses the whole text, handed a file's absolute
     path, which numpy reads in chunks in C, where it walks a stream line by
@@ -114,10 +117,11 @@ def _read_pairs(source, fields, rules):
     the file is opened here first, which raises the OS error of a missing
     or unreadable file, numpy gets only the path of that open regular file,
     and a name with one of those suffixes stays a stream
-    (`_path_or_stream`). Only when the call fails or a rule refuses a pair
+    (`_path_or_stream`). Only when the call fails or a rule refuses a row
     are the lines walked one at a time (the file is read a second time), so
     that the `ParseError` names the first bad line.
     """
+    columns = len(fields.split())
     if hasattr(source, "read"):
         # newline=None reads \r and \r\n line ends as a file opened below would
         reopen = partial(io.StringIO, source.read(), newline=None)
@@ -125,37 +129,45 @@ def _read_pairs(source, fields, rules):
         reopen = partial(open, source, encoding="utf-8")
     try:
         with reopen() as stream, warnings.catch_warnings():
-            # no pairs at all: the caller says what is missing
+            # no rows at all: the caller says what is missing
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            pairs = np.loadtxt(_path_or_stream(stream), dtype=np.int64,
-                               comments="#", ndmin=2, encoding="utf-8")
+            rows = np.loadtxt(_path_or_stream(stream), dtype=dtype,
+                              comments="#", ndmin=2, encoding="utf-8")
     except ValueError as exc:
         reason = str(exc)
     else:
-        if pairs.size == 0:
-            return pairs.reshape(0, 2)
-        if pairs.shape[1] != 2:
-            reason = f"lines of {pairs.shape[1]} numbers"
-        elif not any(reject(pairs[:, 0], pairs[:, 1]).any() for reject, _ in rules):
-            return pairs
+        if rows.size == 0:
+            return rows.reshape(0, columns)
+        if rows.shape[1] != columns:
+            reason = f"lines of {rows.shape[1]} numbers"
         else:
-            reason = "a pair is out of range"
+            lows, highs = [c.min() for c in rows.T], [c.max() for c in rows.T]
+            if not any(reject(*lows) or reject(*highs) for reject, _ in rules):
+                return rows
+            reason = "a row is out of range"
     with reopen() as stream:
         for lineno, line in _as_lines(stream):
-            _check_pair(lineno, line, fields, rules)
+            _check_row(lineno, line, fields, rules, dtype)
     # the walk and loadtxt split the text differently (e.g. at a \v)
     raise ParseError(f"cannot read '{fields}' lines: {reason}")
 
 
-def _check_pair(lineno, line, fields, rules):
-    """Raise the `ParseError` of one bad payload line; see `_read_pairs`."""
+def _check_row(lineno, line, fields, rules, dtype):
+    """Raise the `ParseError` of one bad payload line; see `_read_rows`."""
     parts = line.split("#", 1)[0].split()
-    if len(parts) != 2:
+    if len(parts) != len(fields.split()):
         raise ParseError(f"line {lineno}: expected '{fields}', got {line!r}")
-    a, b = _int64s(lineno, line, parts, "two integers")
+    if dtype == np.int64:
+        values = _int64s(lineno, line, parts, "two integers")
+    else:
+        try:
+            values = [float(tok) for tok in parts]
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected numbers, "
+                             f"got {line!r}") from None
     for reject, message in rules:
-        if reject(a, b):
-            raise ParseError(f"line {lineno}: {message(a, b)}")
+        if reject(*values):
+            raise ParseError(f"line {lineno}: {message(*values)}")
 
 
 def _int64s(lineno, line, tokens, expected):
@@ -278,6 +290,13 @@ class WebGraph:
         """True when every page has at least one out-link."""
         return bool(np.all(self.out_degree > 0))
 
+    def require_patched(self):
+        """Raise ValueError, naming the dangling pages, unless every page
+        has an out-link."""
+        if not self.is_stochastic:
+            raise ValueError(f"graph has dangling pages "
+                             f"{self.dangling_pages().tolist()}; patch first")
+
     def out_links(self, pages):
         """(degree, targets) of the non-empty intp array `pages`: each page's
         out-degree, and the pages' out-links one page after another, each
@@ -304,9 +323,7 @@ class WebGraph:
             return scale
         if not 0.0 < m < 1.0:
             raise ValueError(f"m must lie in (0, 1), got {m}")
-        if not self.is_stochastic:
-            bad = self.dangling_pages()
-            raise ValueError(f"graph has dangling pages {bad.tolist()}; patch first")
+        self.require_patched()
         scale = (1.0 - m) / self.out_degree.astype(float)
         scale.flags.writeable = False
         self._cache["scale", m] = scale
@@ -412,7 +429,7 @@ def load_edge_list(source, index_base=0):
     if index_base not in (0, 1):
         raise ValueError(f"index_base must be 0 or 1, got {index_base}")
     limit = MAX_PAGES + index_base
-    pairs = _read_pairs(source, "src dst", [
+    pairs = _read_rows(source, "src dst", [
         (lambda s, d: (s < index_base) | (d < index_base),
          lambda s, d: f"index below base {index_base}"),
         (lambda s, d: (s >= limit) | (d >= limit),
@@ -423,7 +440,7 @@ def load_edge_list(source, index_base=0):
     if n < 2:
         raise ValueError(f"edge list describes {n} page(s); need at least 2")
     # the link keys src*n + dst, rebased in one subtraction; the pairs, which
-    # `_read_pairs` has range-checked, are dead once the keys exist
+    # `_read_rows` has range-checked, are dead once the keys exist
     key = np.multiply(pairs[:, 0], n)
     key += pairs[:, 1]
     del pairs
@@ -491,7 +508,7 @@ def load_partition(source, graph):
     raise, naming the first 10 of each kind and counting the rest.
     """
     n = graph.n
-    pairs = _read_pairs(source, "page group", [
+    pairs = _read_rows(source, "page group", [
         (lambda page, group: (page < 0) | (page >= n),
          lambda page, group: f"page {page} outside 0..{n - 1}"),
     ])

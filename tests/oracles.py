@@ -9,7 +9,9 @@ matrices Q_i, R_i, S_i are the singleton case. The group step uses
 `mean_matrices` and `analytic_mean_trace` give the expected dynamics under
 random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
 `neumann_partial` the partial sums of x* = sum_t Q^t (m/n) 1 that
-synchronous steps reproduce. `run_summing_every_step` is the driver loop
+synchronous steps reproduce. `next_set` draws a schedule's next step,
+as the loops that push one step at a time take it.
+`run_summing_every_step` is the driver loop
 that sums the residual before every step, the reference for the stop step
 of `pushrank.engines.run`; `run_step_by_step` is that run's loop with one
 `step_set` or `step_group` call per step, the reference for the segments
@@ -22,8 +24,8 @@ and `DenseDefect` is the dense conservation defect that
 `pushrank.solvers.DenseOracle` bounds.
 
 The lifted matrices are dense and capped at small n. All functions but
-the two drivers, which consume their schedules, and the group step, which
-updates its state in place, are pure.
+`next_set` and the two drivers, which consume their schedules, and the
+group step, which updates its state in place, are pure.
 """
 
 from __future__ import annotations
@@ -213,6 +215,14 @@ def spectral_radius(mat, iters=200, tol=1e-12):
     return est
 
 
+def next_set(schedule):
+    """The schedule's next update set as stacked indices, or None where a
+    sequence ends: one step of `Schedule.draw`, as a step-by-step loop
+    takes it."""
+    drawn, sizes = schedule.draw(1, 1)
+    return drawn if sizes.size else None
+
+
 def run_summing_every_step(graph, m, schedule=None, *, factors=None,
                            steps=None, tol):
     """The final state of `engines.run` when it sums z before every step.
@@ -226,7 +236,7 @@ def run_summing_every_step(graph, m, schedule=None, *, factors=None,
     while steps is None or state.step < steps:
         if state.z.sum() <= z_stop:
             break
-        drawn = everyone if schedule is None else schedule.next(state.step)
+        drawn = everyone if schedule is None else next_set(schedule)
         if drawn is None:
             break
         if factors is None:
@@ -260,7 +270,7 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
         if z_stop is not None and state.z.sum() <= z_stop:
             break
         drawn = (np.arange(graph.n) if schedule is None
-                 else schedule.next(state.step))
+                 else next_set(schedule))
         if drawn is None:
             break
         if factors is None:

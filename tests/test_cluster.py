@@ -12,7 +12,7 @@ from pushrank import (DenseOracle, GroupFactors, NumericalFailure, Partition,
 
 from conftest import (community_graph, copy_state, random_graph,
                       random_partition)
-from oracles import step_group_full_block
+from oracles import next_set, step_group_full_block
 
 M = 0.15
 DATA = Path(__file__).resolve().parent / "data"
@@ -155,8 +155,8 @@ def test_group_products_match_scipy_bit_for_bit(kind, rng):
         assert_scipy_bits(factors, q, h, rng.random(size))
     sched = Schedule.from_spec("uniform", part.num_groups, 5, replicas=3)
     st = init_state(g.n, M, replicas=3)
-    for k in range(100):
-        drawn = sched.next(k)
+    for _ in range(100):
+        drawn = next_set(sched)
         for i in drawn.tolist():
             r, h = divmod(i, part.num_groups)
             assert_scipy_bits(factors, q, h, st.z[part.members[h] + r * g.n])
@@ -189,11 +189,11 @@ def test_step_group_matches_the_full_block_push(kind, warmup, replicas, rng):
     sched = Schedule.from_spec("uniform", part.num_groups, 5,
                                replicas=replicas)
     compact = init_state(g.n, M, replicas)
-    for k in range(warmup):
-        step_group(compact, g, M, factors, sched.next(k))
+    for _ in range(warmup):
+        step_group(compact, g, M, factors, next_set(sched))
     full = copy_state(compact)
-    for k in range(warmup, warmup + 300):
-        drawn = sched.next(k)
+    for _ in range(300):
+        drawn = next_set(sched)
         step_group(compact, g, M, factors, drawn)
         step_group_full_block(full, g, M, factors, drawn)
     np.testing.assert_array_equal(compact.x, full.x)
@@ -318,11 +318,12 @@ def test_trivial_partition_mirrors_gossip(rng):
     g = random_graph(rng, 25)
     loops = self_loops(g)
     sched = Schedule.from_spec("uniform", g.n, 7)
-    sets = [sched.next(k) for k in range(300)]
+    sets = [next_set(sched) for _ in range(300)]
     first_loop = next(k for k, s in enumerate(sets) if loops[s[0]])
-    _, t_gossip = run(g, M, Schedule("file", sequence=sets), steps=300,
-                      cadence=1, record_x=True)
-    _, t_cluster = run(g, M, Schedule("file", sequence=sets), steps=300,
+    _, t_gossip = run(g, M, Schedule("file", n=g.n, sequence=sets),
+                      steps=300, cadence=1, record_x=True)
+    _, t_cluster = run(g, M, Schedule("file", n=g.n, sequence=sets),
+                       steps=300,
                        factors=GroupFactors(g, M, Partition(np.arange(g.n))),
                        cadence=1, record_x=True)
     assert t_gossip.steps == t_cluster.steps == list(range(301))
@@ -422,14 +423,14 @@ def test_group_run_empty_draw_is_noop_step(rng):
     g = random_graph(rng, 12)
     part = random_partition(rng, g.n, 3)
     factors = GroupFactors(g, M, part)
-    st, trace = run(g, M, Schedule("file", sequence=[[0], [], [1]]), steps=10,
-                    factors=factors, cadence=1)
+    st, trace = run(g, M, Schedule("file", n=3, sequence=[[0], [], [1]]),
+                    steps=10, factors=factors, cadence=1)
     assert trace.steps == [0, 1, 2, 3]
     assert trace.updates[2] == trace.updates[1] == part.sizes[0]
     assert trace.cert[2] == trace.cert[1]
     assert st.cumulative_updates == part.sizes[0] + part.sizes[1]
     with pytest.raises(ValueError, match="one group per step"):
-        run(g, M, Schedule("file", sequence=[[0, 1]]), steps=10,
+        run(g, M, Schedule("file", n=3, sequence=[[0, 1]]), steps=10,
             factors=factors)
 
 

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pushrank import (DenseOracle, Schedule, WebGraph, engines, init_state,
-                      load_edge_list, patch_dangling, run, step_set, webgraph)
+from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
+                      engines, init_state, load_edge_list, patch_dangling, run,
+                      step_set, webgraph)
 
 from conftest import copy_state, graph_from_lists, random_graph
-from oracles import analytic_mean_trace, neumann_partial
+from oracles import analytic_mean_trace, neumann_partial, next_set
 
 M = 0.15
 
@@ -262,9 +263,9 @@ def test_step_set_deduplicates():
 def test_gossip_is_singleton_set_trajectory(rng):
     g = random_graph(rng, 25)
     drawn = Schedule.from_spec("uniform", g.n, 99)
-    sets = [drawn.next(k) for k in range(400)]
+    sets = [next_set(drawn) for _ in range(400)]
     st_a, _ = run(g, M, Schedule.from_spec("uniform", g.n, 99), steps=400)
-    st_b, _ = run(g, M, Schedule("file", sequence=sets), steps=400)
+    st_b, _ = run(g, M, Schedule("file", n=g.n, sequence=sets), steps=400)
     np.testing.assert_array_equal(st_a.x, st_b.x)
     np.testing.assert_array_equal(st_a.z, st_b.z)
     assert st_a.cumulative_updates == st_b.cumulative_updates == 400
@@ -398,8 +399,8 @@ def test_conservation_and_certificate(rng):
     st = init_state(g.n, M)
     # the certificate ||x* - x||_1 = ((1-m)/m) ||z||_1 needs no x*
     assert abs((1 - M) / M * st.z.sum() - (1 - M)) <= 1e-12
-    for k in range(500):
-        step_set(st, g, M, sched.next(k))
+    for _ in range(500):
+        step_set(st, g, M, next_set(sched))
         assert oracle.conservation_defect(st.x, st.z) <= 1e-10
         assert abs((1 - M) / M * st.z.sum() - oracle.error_l1(st.x)) <= 1e-9
     st.z[:] = 0.0
@@ -425,15 +426,40 @@ def test_run_gossip_two_cycle_residual_vanishes():
 
 def test_run_stops_when_sequence_exhausted():
     g = cycle2()
-    st, trace = run(g, M, Schedule("file", sequence=[[0], [1], [0]]),
+    st, trace = run(g, M, Schedule("file", n=2, sequence=[[0], [1], [0]]),
                     steps=100)
     assert st.step == 3
     assert trace.final_step == 3
 
 
+def test_run_refuses_a_schedule_over_other_units(rng):
+    # a schedule over 10 indices never draws half of 20 pages, so a tol
+    # could never be met: it is refused before the first step, as is a
+    # page schedule in a group run
+    g = random_graph(rng, 20)
+    with pytest.raises(ValueError,
+                       match="draws from 10 indices, not the run's 20 pages"):
+        run(g, M, Schedule.from_spec("uniform", 10, seed=0), steps=20_000,
+            tol=1e-3)
+    factors = GroupFactors(g, M, Partition(np.arange(g.n) % 4))
+    with pytest.raises(ValueError, match="not the run's 4 groups"):
+        run(g, M, Schedule.from_spec("roundrobin", g.n), factors=factors,
+            steps=5)
+
+
+@pytest.mark.parametrize("spec", ["roundrobin", "uniform"])
+def test_page_set_runs_refuse_dangling_pages(spec):
+    # page 2 has no out-links: the mass it receives leaves the system, so z
+    # no longer certifies the error, and the run refuses the graph
+    g = graph_from_lists(3, [[1], [2], []])
+    with pytest.raises(ValueError, match=r"dangling pages \[2\]; patch first"):
+        run(g, M, Schedule.from_spec(spec, g.n, seed=0), steps=1000,
+            tol=1e-3)
+
+
 def test_run_with_empty_schedule_is_flat():
     g = cycle2()
-    st, trace = run(g, M, Schedule("file", sequence=[[]] * 20), steps=20)
+    st, trace = run(g, M, Schedule("file", n=2, sequence=[[]] * 20), steps=20)
     np.testing.assert_array_equal(st.x, init_state(2, M).x)
     assert trace.final_updates == 0
     assert trace.column("cert")[0] == trace.column("cert")[-1]
@@ -475,7 +501,7 @@ def test_default_records_fall_at_sweep_crossings_on_any_graph(n, spec, steps):
     assert g.n == n
     steps = steps or 2 * n + 7
     sched = Schedule.from_spec(spec, n, 11)
-    counts = np.cumsum([len(sched.next(k)) for k in range(steps)])
+    counts = np.cumsum([len(next_set(sched)) for _ in range(steps)])
     want = (np.flatnonzero(np.diff(counts // n, prepend=0)) + 1).tolist()
     want = [0] + want + ([] if want[-1] == steps else [steps])
     assert len(want) >= 4

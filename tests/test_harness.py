@@ -1,3 +1,5 @@
+import bz2
+import gzip
 import math
 import os
 import re
@@ -22,7 +24,7 @@ from pushrank.trace import CSV_HEADER
 
 from conftest import (community_graph, random_graph, random_partition,
                       write_edge_list, write_partition_file)
-from oracles import monte_carlo_one_by_one
+from oracles import monte_carlo_one_by_one, next_set
 
 
 def assert_csv_round_trips(path, header, columns):
@@ -240,7 +242,7 @@ def test_every_spec_of_a_row_draws_its_own_sets(small_graph_path, tmp_path):
                 partition=str(part) if algorithm == "cluster" else None,
             ).validate()
             sched = harness._build_schedule(config, harness._Runtime(config))
-            drawn[spec] = [sched.next(k).tolist() for k in range(40)]
+            drawn[spec] = [next_set(sched).tolist() for _ in range(40)]
         assert [(a, b) for a, b in combinations(drawn, 2)
                 if drawn[a] == drawn[b]] == []
 
@@ -263,7 +265,11 @@ def test_weights_files_hold_one_number_per_line(small_graph_path, tmp_path,
     argv = ["gossip", "--graph", small_graph_path, "--schedule",
             f"weighted:file:{wfile}", "--steps", "3"]
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert "2 numbers per line; expected one" in capsys.readouterr().err
+    assert "line 1: expected 'weight', got '1 2'" in capsys.readouterr().err
+    # a bad number is named by its line
+    wfile.write_text("1.0\n# 2\n1.0 # 3\nheavy\n")
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "line 4: expected numbers, got 'heavy'" in capsys.readouterr().err
     # an empty file is refused by its count, without a NumPy warning
     wfile.write_text("# no weights\n")
     with warnings.catch_warnings():
@@ -272,6 +278,26 @@ def test_weights_files_hold_one_number_per_line(small_graph_path, tmp_path,
             run_experiment(ExperimentConfig(
                 graph=small_graph_path, algorithm="gossip",
                 schedule=f"weighted:file:{wfile}", steps=3))
+
+
+def test_weights_files_are_opened_as_edge_lists_are(small_graph_path, tmp_path,
+                                                   capsys):
+    # a missing weights file is an i/o error also when a compressed file of
+    # its name plus .gz lies beside it, and a compressed one is refused as
+    # text that cannot be decoded, as for graphs (`pushrank.webgraph`)
+    weights = "".join("1.0\n" for _ in range(20)).encode()
+    wfile = tmp_path / "w.txt"
+    Path(f"{wfile}.gz").write_bytes(gzip.compress(weights))
+    argv = ["gossip", "--graph", small_graph_path, "--steps", "3",
+            "--schedule", f"weighted:file:{wfile}"]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    for suffix, compress in ((".gz", gzip.compress), (".bz2", bz2.compress)):
+        packed = tmp_path / f"w{suffix}"
+        packed.write_bytes(compress(weights))
+        argv[-1] = f"weighted:file:{packed}"
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "can't decode" in capsys.readouterr().err
 
 
 def test_sequence_files_are_checked_against_the_drawn_range(tmp_path, capsys):

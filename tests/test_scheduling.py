@@ -8,18 +8,19 @@ from pushrank import (ConfigError, ParseError, Schedule, derive_seed,
 from pushrank.scheduling import load_sequence_file, splitmix64
 
 from conftest import random_graph
+from oracles import next_set
 
 
 def draws(sched, count):
-    return [sched.next(k) for k in range(count)]
+    return [next_set(sched) for _ in range(count)]
 
 
 def test_uniform_frequencies_and_chi_square():
     n, count = 7, 70_000
     sched = Schedule.from_spec("uniform", n, 11)
     hits = np.zeros(n)
-    for k in range(count):
-        hits[sched.next(k)[0]] += 1
+    for _ in range(count):
+        hits[next_set(sched)[0]] += 1
     freq = hits / count
     assert np.all(np.abs(freq - 1 / n) <= 0.01)
     expected = count / n
@@ -47,8 +48,8 @@ def test_weighted_frequencies_five_sigma():
     count = 1_000_000
     sched = Schedule.from_spec("weighted", w.size, 123, w)
     hits = np.zeros(4)
-    for k in range(count):
-        hits[sched.next(k)[0]] += 1
+    for _ in range(count):
+        hits[next_set(sched)[0]] += 1
     freq = hits / count
     sigma = np.sqrt(p * (1 - p) / count)
     assert np.all(np.abs(freq - p) <= 5 * sigma)
@@ -80,10 +81,10 @@ def test_random_subset_probability_validated():
 
 
 def test_fixed_sequence_exhaustion_signals_none():
-    sched = Schedule("file", sequence=[[0], [1, 2]])
-    assert sched.next(0).tolist() == [0]
-    assert sched.next(1).tolist() == [1, 2]
-    assert sched.next(2) is None
+    sched = Schedule("file", n=3, sequence=[[0], [1, 2]])
+    assert next_set(sched).tolist() == [0]
+    assert next_set(sched).tolist() == [1, 2]
+    assert next_set(sched) is None
 
 
 def test_same_seed_same_sequence():
@@ -105,13 +106,6 @@ def test_splitmix64_known_vector():
     # first output of the reference splitmix64 stream seeded with 0
     assert splitmix64(0) == 0xE220A8397B1DCDAF
     assert derive_seed(7, 0) == 7 ^ 0xE220A8397B1DCDAF
-
-
-def test_random_schedule_requires_sequential_consumption():
-    sched = Schedule.from_spec("uniform", 5, 1)
-    sched.next(0)
-    with pytest.raises(ValueError, match="sequentially"):
-        sched.next(5)
 
 
 def test_weights_must_be_positive():
@@ -157,7 +151,7 @@ def test_block_draws_match_scalar_draws(kind):
             seed if replica is None else derive_seed(seed, replica))
         want = [int(np.searchsorted(cum, rng.random(), side="right"))
                 for _ in range(count)]
-        got = [sched.next(k) for k in range(count)]
+        got = draws(sched, count)
         assert all(d.shape == (replicas or 1,) and d.dtype == np.intp
                    for d in got)
         r = replica or 0
@@ -168,42 +162,37 @@ def test_block_draws_match_scalar_draws(kind):
     ("uniform", None), ("weighted", 3), ("roundrobin", None),
     ("subset:0.1", 2), ("file", None)])
 def test_draws_of_many_steps_are_their_steps_one_by_one(spec, replicas):
-    # `draw` returns the sets `next` would, in step order, stopping after
-    # the step that reaches its page bound and where a sequence ends
+    # each `draw`, of many steps or of one, goes on where the last one
+    # stopped: the sets are those of one-step draws, in step order,
+    # stopping after the step that reaches the page bound and where a
+    # sequence ends
     n, w = 30, np.arange(1.0, 31.0)
     rng = np.random.default_rng(8)
     sets = [np.flatnonzero(rng.random(n) < 0.1) for _ in range(50)]
 
     def make():
         if spec == "file":
-            return Schedule("file", sequence=sets)
+            return Schedule("file", n=n, sequence=sets)
         seed = None if spec == "roundrobin" else 9
         return Schedule.from_spec(spec, n, seed, w, replicas)
 
     one, many = make(), make()
-    want = [one.next(k) for k in range(100)]
+    want = draws(one, 100)
     k, got = 0, []
     for steps, pages in [(1, 1), (7, 100), (20, 5), (64, 64), (3, 1000)]:
-        drawn, sizes = many.draw(k, steps, pages)
+        drawn, sizes = many.draw(steps, pages)
         assert sizes.size <= steps and drawn.size == sizes.sum()
         assert (sizes.size == steps or k + sizes.size == 50
                 or sizes[:-1].sum() < pages <= sizes.sum())
         got += np.split(drawn, np.cumsum(sizes)[:-1]) if sizes.size else []
         k += sizes.size
+        step = next_set(many)
+        if step is not None:
+            got.append(step)
+            k += 1
     want = [d for d in want[:k] if d is not None]
     assert len(got) == len(want) == k
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def test_block_draws_still_require_sequential_steps():
-    sched = Schedule.from_spec("uniform", 5, 1)
-    for k in range(16):          # the whole first block
-        sched.next(k)
-    with pytest.raises(ValueError, match="sequentially"):
-        sched.next(15)
-    with pytest.raises(ValueError, match="sequentially"):
-        sched.next(17)
-    assert sched.next(16).shape == (1,)
 
 
 @pytest.mark.parametrize("replicas", [1, 7, 700])
@@ -217,9 +206,10 @@ def test_stacked_draws_are_each_replicas_own(spec, replicas):
     stacked = Schedule.from_spec(spec, n, 5, w, replicas)
     alone = [Schedule.from_spec(spec, n, derive_seed(5, r), w)
              for r in range(replicas)]
-    for k in range(120):
-        want = np.concatenate([s.next(k) + r * n for r, s in enumerate(alone)])
-        assert np.array_equal(stacked.next(k), want)
+    for _ in range(120):
+        want = np.concatenate([next_set(s) + r * n
+                               for r, s in enumerate(alone)])
+        assert np.array_equal(next_set(stacked), want)
 
 
 def test_fixed_schedules_refuse_more_than_one_replica(tmp_path):
@@ -243,11 +233,17 @@ def test_random_kinds_need_a_seed():
 
 
 def test_never_drawn_names_idle_indices():
-    sched = Schedule("file", sequence=[[0, 2], [], [2, 0]])
-    assert sched.never_drawn(5).tolist() == [1, 3, 4]
-    # an index past n draws none of 0..n-1; a negative one is refused
-    assert Schedule("file", sequence=[[0], [9]]).never_drawn(3).tolist() == [1, 2]
-    with pytest.raises(ValueError):
-        Schedule("file", sequence=[[-1]]).never_drawn(3)
-    assert Schedule.from_spec("roundrobin", 4).never_drawn(4).size == 0
-    assert Schedule.from_spec("uniform", 4, 0).never_drawn(4).size == 0
+    sched = Schedule("file", n=5, sequence=[[0, 2], [], [2, 0]])
+    assert sched.never_drawn().tolist() == [1, 3, 4]
+    assert Schedule.from_spec("roundrobin", 4).never_drawn().size == 0
+    assert Schedule.from_spec("uniform", 4, 0).never_drawn().size == 0
+
+
+def test_file_schedules_refuse_indices_outside_their_n():
+    # sets built in memory are checked once, when the schedule is built, as
+    # a sequence file is when it is loaded
+    for sets in ([[0], [9]], [[-1]], [[], [0, 3]]):
+        with pytest.raises(ValueError, match=r"0\.\.n-1, n = 3"):
+            Schedule("file", n=3, sequence=sets)
+    with pytest.raises(ValueError, match="n = None"):
+        Schedule("file", sequence=[[0]])

@@ -18,7 +18,7 @@ from pushrank import (GroupFactors, Partition, Schedule, engines, init_state,
 
 from conftest import (community_graph, graph_from_lists, random_graph,
                       random_partition)
-from oracles import run_step_by_step, run_summing_every_step
+from oracles import next_set, run_step_by_step, run_summing_every_step
 
 M = 0.15
 NO_RECORDS = 10**9       # record only the first and the last step
@@ -39,7 +39,8 @@ def schedules(kind, graph, seed, rng, replicas=None):
                 for _ in range(3000)]
         if kind == "file_every_page":   # pushed by the mat-vec, alone
             sets[9::10] = [np.arange(n)] * len(sets[9::10])
-        return Schedule("file", sequence=sets), Schedule("file", sequence=sets)
+        return (Schedule("file", n=n, sequence=sets),
+                Schedule("file", n=n, sequence=sets))
     weights = indegree_plus_one_weights(graph) if kind == "weighted" else None
     seed = None if kind == "roundrobin" else seed
     return tuple(Schedule.from_spec(SPECS[kind], n, seed, weights, replicas)
@@ -152,9 +153,9 @@ def exact_sums(graph, m, schedule, steps, factors=None):
     """z.sum() before each of `steps` steps of a run without a tolerance."""
     state = init_state(graph.n, m)
     sums = []
-    for k in range(steps):
+    for _ in range(steps):
         sums.append(float(state.z.sum()))
-        drawn = np.arange(graph.n) if schedule is None else schedule.next(k)
+        drawn = np.arange(graph.n) if schedule is None else next_set(schedule)
         if factors is None:
             step_set(state, graph, m, drawn)
         else:

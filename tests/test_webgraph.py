@@ -320,6 +320,28 @@ def test_load_frees_the_parse_before_the_build(tmp_path):
         assert g.indices.dtype == np.int32
 
 
+def test_bound_checks_take_no_column_sized_temporary(tmp_path):
+    # the rules are checked on the columns' minima and maxima, so a checked
+    # read costs what the parse does (16 B per link and about 1 B of the
+    # parser's); comparing whole columns took 3 B per link more, which the
+    # allocator kept resident through the load's peak
+    rng = np.random.default_rng(5)
+    n, k = 1000, 100_000
+    path = tmp_path / "links.txt"
+    np.savetxt(path, rng.integers(0, n, size=(k, 2)), fmt="%d")
+    rules = [(lambda s, d: (s < 0) | (d < 0), None),
+             (lambda s, d: (s >= n) | (d >= n), None)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = webgraph._read_rows(path, "src dst", rules)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (k, 2)
+    assert peak - before <= 17.5 * k
+
+
 def test_index_dtype_is_int32_while_every_page_number_fits():
     # decided from the counts alone, so the boundary costs no allocation
     many = webgraph._INT32_MIN_LINKS
