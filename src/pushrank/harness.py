@@ -10,7 +10,10 @@ before any file is opened: it applies the schedule default, refuses what
 the run does not take (a spec, or a setting given, i.e. off its default;
 ``seed`` defaults to None) and resolves ``seed``. Later layers apply no
 default of their own.
-Every CSV goes through `pushrank.trace.write_table`.
+Every CSV goes through `pushrank.trace.write_table`. A command's ``out``
+file is created, or emptied, once its config is settled and before any
+input is read, so an output path that cannot be opened fails at once; a
+run that fails after that leaves the file empty.
 
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
 Monte Carlo runs average the exact error across seeded replicas and emit
@@ -208,7 +211,10 @@ def _weights(spec, runtime):
     if weights == "indegree_plus_one":
         return scheduling.indegree_plus_one_weights(runtime.graph)
     # "file:<path>"; a file of no numbers fails the size check below
-    w = _read_rows(weights[5:], "weight", dtype=float)[:, 0]
+    w = _read_rows(weights[5:], "weight", [
+        (lambda w: not 0 < w < math.inf,
+         lambda w: f"weight {w!r} is not positive and finite"),
+    ], dtype=float)[:, 0]
     if w.size != runtime.units.size:
         raise ConfigError(f"weights file has {w.size} entries for "
                           f"{runtime.units.size} {runtime.unit}s")
@@ -268,9 +274,17 @@ def _execute(config, runtime, sched):
                        factors=runtime.factors, **shared)[1]
 
 
+def _create_output(path):
+    """Create or empty the output file `path`, if any, before the run (see
+    the module doc)."""
+    if path:
+        open(path, "wb").close()
+
+
 def run_experiment(config):
     """Run one experiment, write its CSV if requested, print a summary line."""
     config = config.validate()
+    _create_output(config.out)
     runtime = _Runtime(config, needs_oracle=config.algorithm == "exact")
     sched = _build_schedule(config, runtime)
     trace = _execute(config, runtime, sched)
@@ -336,6 +350,7 @@ def monte_carlo(config):
     # validate resolves `seed` only where the schedule draws at random
     if run.seed is None:
         raise ConfigError("Monte Carlo averaging needs a randomized schedule")
+    _create_output(config.out)
     runtime = _Runtime(run, needs_oracle=True)
     sched = _build_schedule(run, runtime, replicas)
     trace = _execute(run, runtime, sched)
@@ -387,6 +402,7 @@ def compare(config, runs):
             unread.pop("schedule", None)
         configs.append(replace(run, **unread).validate())
     _refuse_unread(config, read, ",".join(runs))
+    _create_output(config.out)
     runtime = _Runtime(configs[0])
     labels = []
     traces = []

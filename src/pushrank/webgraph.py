@@ -33,8 +33,9 @@ stream and a file named like a compressed one go as a stream. Numbers are
 ASCII integers with an optional sign that fit a signed 64-bit integer, and
 a ``#`` ends a line's payload, so ``0 1  # comment`` is a pair. Two
 spellings that Python's `int` accepts are rejected: digit separators
-(``1_000``) and non-ASCII digits. Every malformed line is a `ParseError`
-that names it (``line N``, counting every line of the file from 1).
+(``1_000``) and non-ASCII digits. Every malformed line, one with bytes
+that are not UTF-8 included, is a `ParseError` that names it (``line N``,
+counting every line of the file from 1).
 
 Both graphs and partitions are immutable after construction and safe to
 share across threads.
@@ -67,12 +68,22 @@ def _as_lines(source):
     """Yield (line_number, stripped_text) for payload lines of a text source.
 
     `source` may be a filesystem path or any object with a ``read`` method.
+    A line that holds bytes that are not UTF-8, a comment line too, is a
+    `ParseError` that names it: files are read with ``surrogateescape``
+    (here and by `_read_rows`), which keeps such bytes as lone surrogates,
+    so that the rest of the file still splits into its lines.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8",
+                                      errors="surrogateescape")
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -103,11 +114,13 @@ def _read_rows(source, fields, rules=(), dtype=np.int64):
     `source` is a filesystem path or an object with a ``read`` method.
     `fields` names the c columns in messages. `rules` holds ``(reject,
     message)`` pairs of functions of a row's c numbers: ``reject`` ors
-    comparisons of one column with a bound (``(a < 0) | (b >= n)``), so
-    it refuses some row if and only if it refuses the columns' minima or
-    maxima. That check makes no column-sized temporary, whose memory the
-    allocator kept resident through the load's peak (0.2-0.5 MB measured
-    at 1.6M links); ``message`` says what is wrong with a refused row.
+    comparisons of one column with a bound (``(a < 0) | (b >= n)``, or
+    ``not 0 < w < inf``, which also refuses a NaN, then its column's
+    minimum and maximum), so it refuses some row if and only if it
+    refuses the columns' minima or maxima. That check makes no
+    column-sized temporary, whose memory the allocator kept resident
+    through the load's peak (0.2-0.5 MB measured at 1.6M links);
+    ``message`` says what is wrong with a refused row.
 
     One `np.loadtxt` call parses the whole text, handed a file's absolute
     path, which numpy reads in chunks in C, where it walks a stream line by
@@ -126,7 +139,8 @@ def _read_rows(source, fields, rules=(), dtype=np.int64):
         # newline=None reads \r and \r\n line ends as a file opened below would
         reopen = partial(io.StringIO, source.read(), newline=None)
     else:
-        reopen = partial(open, source, encoding="utf-8")
+        reopen = partial(open, source, encoding="utf-8",
+                         errors="surrogateescape")
     try:
         with reopen() as stream, warnings.catch_warnings():
             # no rows at all: the caller says what is missing

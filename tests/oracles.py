@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from pushrank import engines
-from pushrank.cluster import step_group
+from pushrank.cluster import _ITER_TOL, _REST_FRACTION, step_group
 from pushrank.engines import init_state, run, step_set
 from pushrank.scheduling import Schedule, derive_seed
 from pushrank.trace import Trace
@@ -289,7 +289,8 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
 def step_group_full_block(state, graph, m, factors, h):
     """`step_group` pushing n-wide: each drawn group's columns of Q, all n
     rows of them, times zbar, added to its replica's whole block of x and
-    z; the group's residual is then reset to the rest of its solve.
+    z; the group's residual is then reset to the rest of its solve, which
+    stops where `step_group`'s does.
 
     Takes a single group or a stacked draw, like `step_group`, unchecked.
     """
@@ -299,7 +300,9 @@ def step_group_full_block(state, graph, m, factors, h):
     for i in np.atleast_1d(h).tolist():
         r, g = divmod(i, groups)
         members = factors.members[g] + r * n
-        zbar, rest = factors.solve_local(g, state.z[members])
+        rhs = state.z[members]
+        stop = max(_REST_FRACTION * float(rhs.sum()), _ITER_TOL)
+        zbar, rest = factors.solve_local(g, rhs, stop)
         inflow = q[:, factors.members[g]] @ zbar
         block = slice(r * n, r * n + n)
         state.x[block] += inflow

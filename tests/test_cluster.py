@@ -9,6 +9,7 @@ from pushrank import (DenseOracle, GroupFactors, NumericalFailure, Partition,
                       Schedule, WebGraph, init_state, load_edge_list,
                       load_partition, patch_dangling, run, step_group,
                       step_set)
+from pushrank.cluster import _REST_FRACTION
 
 from conftest import (community_graph, copy_state, random_graph,
                       random_partition)
@@ -34,7 +35,7 @@ def test_singleton_factor_without_self_loop_is_identity():
     g = load_edge_list(io.StringIO("0 1\n1 0"))
     factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     rhs = np.array([0.3])
-    zbar, rest = factors.solve_local(0, rhs)
+    zbar, rest = factors.solve_local(0, rhs, stop=1e-13)
     np.testing.assert_array_equal(zbar, rhs)
     assert rest == 0.0
 
@@ -45,7 +46,7 @@ def test_singleton_factor_with_self_loop():
     g = load_edge_list(io.StringIO("0 0\n0 1\n1 0"))
     factors = GroupFactors(g, M, Partition(np.arange(g.n)))
     rhs = np.array([0.2])
-    zbar, rest = factors.solve_local(0, rhs)
+    zbar, rest = factors.solve_local(0, rhs, stop=1e-13)
     assert 0.0 <= rest[0] <= 1e-13
     assert abs((1 - 0.425) * zbar[0] - (rhs[0] - rest[0])) <= 1e-12
     np.testing.assert_allclose(zbar, rhs / (1 - 0.425), rtol=1e-12)
@@ -55,7 +56,7 @@ def test_whole_graph_factor_reaches_fixed_point(rng):
     g = random_graph(rng, 24)
     oracle = DenseOracle(g, M)
     factors = GroupFactors(g, M, Partition(np.zeros(g.n, int)))
-    x, _ = factors.solve_local(0, np.full(g.n, M / g.n))
+    x, _ = factors.solve_local(0, np.full(g.n, M / g.n), stop=1e-13)
     assert np.abs(x - oracle.x_star).sum() <= 1e-12
 
 
@@ -66,7 +67,7 @@ def test_factor_roundtrip(rng):
     factors = GroupFactors(g, M, part)
     for h, mem in enumerate(part.members):
         rhs = rng.random(mem.size)
-        zbar, rest = factors.solve_local(h, rhs)
+        zbar, rest = factors.solve_local(h, rhs, stop=1e-13)
         block = np.eye(mem.size) - q[np.ix_(mem, mem)]
         assert np.abs(block @ zbar - (rhs - rest)).max() <= 1e-12
         assert np.all(rest >= 0.0) and np.sum(rest) <= 1e-13
@@ -79,7 +80,7 @@ def test_series_ends_on_a_closed_group_at_small_m():
     g = load_edge_list(io.StringIO("0 1\n1 0"))
     factors = GroupFactors(g, m, Partition(np.zeros(g.n, int)))
     rhs = np.array([0.5, 0.5])
-    zbar, rest = factors.solve_local(0, rhs)
+    zbar, rest = factors.solve_local(0, rhs, stop=1e-13)
     assert np.all(rest >= 0.0) and rest.sum() <= 1e-13
     block = np.eye(2) - (1 - m) * np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.abs(block @ zbar - (rhs - rest)).max() <= 1e-12
@@ -90,7 +91,34 @@ def test_series_refuses_a_residual_that_is_not_finite():
     factors = GroupFactors(g, M, Partition(np.zeros(g.n, int)))
     for bad in (np.nan, np.inf):
         with pytest.raises(NumericalFailure, match="group 0"):
-            factors.solve_local(0, np.array([bad, 0.5]))
+            factors.solve_local(0, np.array([bad, 0.5]), stop=1e-13)
+
+
+def test_group_step_ends_its_series_on_a_closed_group_at_small_m():
+    # the term-count guard at the step's own stop level: a closed group's
+    # terms shrink by exactly 1-m, about 4.6e4 of them at m = 1e-4 to reach
+    # _REST_FRACTION of the residual held, where the series stops
+    m = 1e-4
+    g = load_edge_list(io.StringIO("0 1\n1 0"))
+    factors = GroupFactors(g, m, Partition(np.zeros(g.n, int)))
+    st = init_state(g.n, m)
+    st.z[:] = 0.5
+    assert step_group(st, g, m, factors, 0) == 1.0
+    assert (1 - m) * _REST_FRACTION < st.z.sum() <= _REST_FRACTION
+
+
+def test_group_step_refuses_a_residual_that_is_not_finite():
+    # a stop level taken from a residual that is not finite is not finite
+    # either, which ends no series: the step refuses it, also in a group
+    # whose series would end after one term (page 1, no in-group link)
+    g = load_edge_list(io.StringIO("0 1\n1 0\n0 0"))
+    factors = GroupFactors(g, M, Partition(np.arange(g.n)))
+    for bad in (np.nan, np.inf):
+        for h in (0, 1):
+            st = init_state(g.n, M)
+            st.z[h] = bad
+            with pytest.raises(NumericalFailure, match=f"group {h}"):
+                step_group(st, g, M, factors, h)
 
 
 def test_factors_hold_no_dense_block(rng):
@@ -129,7 +157,7 @@ def assert_scipy_bits(factors, q, h, rhs):
     """Group h's series and push equal scipy's ``Q[mem][:, mem] @ term``
     chain and ``Q[:, mem] @ zbar``, bit for bit."""
     mem = factors.members[h]
-    zbar, rest = factors.solve_local(h, rhs)
+    zbar, rest = factors.solve_local(h, rhs, stop=1e-13)
     want_zbar, want_rest = scipy_series(q[mem][:, mem], rhs)
     np.testing.assert_array_equal(zbar, want_zbar)
     np.testing.assert_array_equal(rest, want_rest)
@@ -249,7 +277,7 @@ def test_step_group_singleton_self_loop_pushes_absorbed_residual(rng):
     step_group(via_group, g, M, factors, j)
     step_set(via_set, g, M, [j])
     rest = via_group.z[j]
-    assert 0.0 <= rest <= 1e-13
+    assert 0.0 <= rest <= max(1e-13, _REST_FRACTION * 0.25)
     zbar = (0.25 - rest) / (1 - q_jj)
     # with only z_j in flight, z after the step is the pushed inflow itself
     # off page j, and the rest of the series on it
@@ -264,14 +292,24 @@ def test_step_group_singleton_self_loop_pushes_absorbed_residual(rng):
 
 
 def test_step_group_whole_graph_converges_in_one_step(rng):
+    # a step of the whole graph is its exact limit on what its series
+    # absorbs; that series stops at _REST_FRACTION of the residual held or
+    # below, so the rest falls by at least that factor a step, here to
+    # 1e-13 in 6 steps
     g = random_graph(rng, 30)
     oracle = DenseOracle(g, M)
     factors = GroupFactors(g, M, Partition(np.zeros(g.n, int)))
     st = init_state(g.n, M)
-    step_group(st, g, M, factors, 0)
+    steps = 0
+    while st.z.sum() > 1e-13:
+        held = st.z.sum()
+        step_group(st, g, M, factors, 0)
+        steps += 1
+        assert np.all(st.z >= 0.0)
+        assert st.z.sum() <= max(1e-13, _REST_FRACTION * held)
+    assert steps == 6
     assert oracle.error_l1(st.x) <= 1e-10
-    assert np.all(st.z >= 0.0) and st.z.sum() <= 1e-13
-    assert st.cumulative_updates == g.n
+    assert st.cumulative_updates == steps * g.n
 
 
 def test_step_group_noop_when_group_residual_zero(rng):
@@ -295,18 +333,25 @@ def test_step_group_rejects_bad_group(rng):
 
 def test_group_step_is_limit_of_repeated_set_steps(rng):
     # one group step equals infinitely many simultaneous set steps on the
-    # group; 200 repetitions already agree within the geometric tail
+    # group, from the residual its series absorbed, z_h less the rest it
+    # leaves in z_h; 200 repetitions already agree within the geometric tail
     tail = (1 - M) ** 200 / M
     for _ in range(3):
         g = random_graph(rng, int(rng.integers(8, 30)), allow_self=True)
         part = random_partition(rng, g.n, 4)
         factors = GroupFactors(g, M, part)
         h = int(rng.integers(part.num_groups))
+        members = part.members[h]
         grouped = init_state(g.n, M)
         iterated = copy_state(grouped)
+        held = grouped.z[members].sum()
         step_group(grouped, g, M, factors, h)
+        rest = grouped.z[members].copy()
+        assert rest.sum() <= max(1e-13, _REST_FRACTION * held)
+        iterated.z[members] -= rest
         for _ in range(200):
-            step_set(iterated, g, M, part.members[h])
+            step_set(iterated, g, M, members)
+        iterated.z[members] += rest
         assert np.abs(grouped.x - iterated.x).sum() <= tail + 1e-12
         assert np.abs(grouped.z - iterated.z).sum() <= tail + 1e-12
 
@@ -351,7 +396,9 @@ def test_clustered_monotone_bounded_and_conserving(rng):
 
 
 class DenseSolves(GroupFactors):
-    """Group factors whose local solve is numpy's dense solve of I - Qhh."""
+    """Group factors whose local solve is numpy's dense solve of I - Qhh,
+    for the part of the residual that the series absorbs, which leaves its
+    rest in the group."""
 
     def __init__(self, graph, m, partition):
         super().__init__(graph, m, partition)
@@ -359,8 +406,9 @@ class DenseSolves(GroupFactors):
         self.blocks = [np.eye(mem.size) - q[np.ix_(mem, mem)]
                        for mem in self.members]
 
-    def solve_local(self, h, rhs):
-        return np.linalg.solve(self.blocks[h], rhs), 0.0
+    def solve_local(self, h, rhs, stop):
+        _, rest = super().solve_local(h, rhs, stop)
+        return np.linalg.solve(self.blocks[h], rhs - rest), rest
 
 
 def test_iterative_and_dense_local_solves_agree(rng):
@@ -410,12 +458,14 @@ def test_run_clustered_periodic_decays(rng):
 
 
 def test_single_group_run_converges_immediately(rng):
+    # each step's series stops at _REST_FRACTION of the residual held or
+    # below, so the certificate falls by at least that factor a step
     g = random_graph(rng, 15)
     oracle = DenseOracle(g, M)
     _, trace = run(g, M, Schedule.from_spec("roundrobin", 1),
                    factors=GroupFactors(g, M, Partition(np.zeros(g.n, int))),
                    tol=1e-9, oracle=oracle)
-    assert trace.final_step == 1
+    assert trace.final_step == 5
     assert trace.final_err <= 1e-10
 
 

@@ -8,7 +8,10 @@ date from before the push kernel touched only the pages a step reaches
 personalization parameters were removed); their err_l1 and defect columns
 were first filled when the reference x* came to be taken from the power
 method, and the power case's cert column and its last three rows date
-from when its tol stop came to be certified. That reference is sparse
+from when its tol stop came to be certified. The cluster case was
+written again, whole, when a group's local series came to stop at a
+fraction of the residual the group holds (`pushrank.cluster`); the other
+eight cases did not change then. That reference is sparse
 products alone, and every group's local solve is a series of sparse
 products (the cluster case's groups are one 600-page community and
 singletons without self-loops, whose series returns its right-hand side

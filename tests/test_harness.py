@@ -15,10 +15,10 @@ import pytest
 
 import pushrank
 from pushrank import (ConfigError, DenseOracle, ExperimentConfig, GroupFactors,
-                      NumericalFailure, Schedule, cli, compare, engines,
-                      harness, indegree_plus_one_weights, load_edge_list,
-                      load_partition, monte_carlo, patch_dangling, run,
-                      run_experiment, solvers)
+                      NumericalFailure, ParseError, Schedule, cli, compare,
+                      engines, harness, indegree_plus_one_weights,
+                      load_edge_list, load_partition, monte_carlo,
+                      patch_dangling, run, run_experiment, solvers)
 from pushrank.scheduling import RANDOM_KINDS
 from pushrank.trace import CSV_HEADER
 
@@ -107,7 +107,9 @@ def test_cluster_whole_graph_single_update(small_graph_path, tmp_path, rng):
                            partition=str(part_path), schedule="roundrobin",
                            tol=1e-9)
     trace = run_experiment(cfg)
-    assert trace.final_step == 1
+    # a step's series stops at `cluster._REST_FRACTION` of the residual
+    # held or below, so the certificate falls by at least that factor a step
+    assert trace.final_step == 5
     assert trace.final_err <= 1e-10
 
 
@@ -336,6 +338,32 @@ def test_unknown_weights_spec_rejected(small_graph_path, tmp_path):
             run_experiment(cfg)
 
 
+def test_output_is_opened_before_the_run(small_graph_path, tmp_path,
+                                        monkeypatch, capsys):
+    # an --out that cannot be opened exits 3 before the graph is read (this
+    # one would exit 2) or a step runs; a run that fails after the open
+    # leaves the file empty
+    def refuse(*args, **kwargs):
+        raise NumericalFailure("run refused")
+
+    monkeypatch.setattr(engines, "run", refuse)
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_text("0 x\n")
+    unopenable = str(tmp_path / "missing" / "out.csv")
+    for argv in (["exact"], ["sync"], ["mc", "--replicas", "2", "--steps", "3"],
+                 ["compare", "--runs", "sync,power", "--steps", "3"]):
+        assert cli.main([*argv, "--graph", str(garbled),
+                         "--out", unopenable]) == cli.EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
+    out = tmp_path / "out.csv"
+    for argv in (["sync"], ["mc", "--replicas", "2", "--steps", "3"]):
+        out.write_text("an earlier run\n")
+        assert cli.main([*argv, "--graph", small_graph_path,
+                         "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert "run refused" in capsys.readouterr().err
+        assert out.read_bytes() == b""
+
+
 def test_cli_rejects_non_finite_weights(small_graph_path, tmp_path, capsys):
     pages = tmp_path / "w.txt"
     pages.write_text("1.0\n" * 19 + "nan\n")
@@ -350,6 +378,23 @@ def test_cli_rejects_non_finite_weights(small_graph_path, tmp_path, capsys):
                      "--partition", str(part), "--schedule",
                      f"weighted:file:{groups}", "--steps", "10"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("positive and finite") == 2
+
+
+@pytest.mark.parametrize("bad", ["0", "-1.5", "nan", "inf"])
+def test_bad_weight_names_its_line(bad, small_graph_path, tmp_path, capsys):
+    # a weight that is not positive and finite is refused by line, before
+    # the schedule is built, as any other bad line of the file
+    weights = tmp_path / "w.txt"
+    weights.write_text("# weights\n" + "1.0\n" * 4 + f"{bad}\n"
+                       + "1.0\n" * 15)
+    cfg = ExperimentConfig(graph=small_graph_path, algorithm="gossip",
+                           schedule=f"weighted:file:{weights}", steps=3)
+    with pytest.raises(ParseError, match=f"^line 6: weight {float(bad)!r} "
+                                         "is not positive and finite$"):
+        run_experiment(cfg)
+    assert cli.main(["gossip", "--graph", small_graph_path, "--schedule",
+                     f"weighted:file:{weights}", "--steps", "3"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: line 6: ")
 
 
 def test_cli_rejects_oversized_integers(cycle_path, tmp_path, capsys):

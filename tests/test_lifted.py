@@ -6,6 +6,7 @@ import pytest
 
 from pushrank import (DenseOracle, GroupFactors, Partition, init_state,
                       load_edge_list, step_group, step_set)
+from pushrank.cluster import _REST_FRACTION
 
 from conftest import copy_state, random_graph, random_partition
 from oracles import (analytic_mean_trace, dense_q, lift_group_hat,
@@ -150,11 +151,21 @@ def test_step_group_matches_hat_form(rng):
         h = int(rng.integers(part.num_groups))
         rhat = lift_group_hat(g, M, part, h)
         _, _, s_h = lift_set(g, M, part.members[h])
+        members = part.members[h]
         before = copy_state(st)
+        held = before.z[members].sum()
         step_group(st, g, M, factors, h)
-        np.testing.assert_allclose(st.x, before.x + rhat @ before.z, atol=1e-10)
-        np.testing.assert_allclose(st.z, s_h @ (before.z + rhat @ before.z),
-                                   atol=1e-10)
+        # the step is the exact limit on what its series absorbed, z_h less
+        # the rest it leaves in z_h
+        rest = st.z[members].copy()
+        assert np.all(rest >= 0.0)
+        assert rest.sum() <= max(1e-13, _REST_FRACTION * held)
+        absorbed = before.z.copy()
+        absorbed[members] -= rest
+        np.testing.assert_allclose(st.x, before.x + rhat @ absorbed, atol=1e-10)
+        want_z = s_h @ (absorbed + rhat @ absorbed)
+        want_z[members] += rest
+        np.testing.assert_allclose(st.z, want_z, atol=1e-10)
 
 
 def test_mean_matrices_column_sums(rng):

@@ -516,12 +516,32 @@ def test_missing_file_is_not_replaced_by_its_compressed_twin(
 
 def test_compressed_file_is_read_as_text(tmp_path, capsys):
     # np.loadtxt decompresses by suffix; the loader reads the bytes as UTF-8
+    # and names the first line that is not (gzip's magic bytes 1f 8b)
     graph = tmp_path / "g.gz"
     graph.write_bytes(gzip.compress(b"0 1\n1 0\n"))
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError, match="line 1: 'utf-8' codec can't decode"):
         load_edge_list(graph)
     assert cli.main(["sync", "--graph", str(graph)]) == cli.EXIT_CONFIG
     assert "can't decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b"0 1\n1 0\n2 \xff\n0 2\n",
+                                  b"0 1\n1 0\n# caf\xe9\n0 2\n"])
+def test_undecodable_byte_names_its_line(text, tmp_path, capsys):
+    # a byte that is not UTF-8 is refused by line, in a comment too, as
+    # in a partition; the lines around it still count as lines
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(text)
+    with pytest.raises(ParseError, match="^line 3: 'utf-8' codec can't "
+                                         "decode byte 0x(ff|e9)"):
+        load_edge_list(graph)
+    assert cli.main(["sync", "--graph", str(graph)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    part = tmp_path / "p.txt"
+    part.write_bytes(text.replace(b"0 2", b"2 0"))
+    good = load_edge_list(io.StringIO("0 1\n1 2\n2 0"))
+    with pytest.raises(ParseError, match="^line 3: 'utf-8' codec"):
+        load_partition(part, good)
 
 
 def test_url_graph_opens_no_socket(tmp_path, monkeypatch):
