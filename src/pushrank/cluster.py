@@ -25,8 +25,7 @@ larger fraction 3e-2 cost 2.4-2.7% more steps. No group stores a factor:
 `GroupFactors` keeps each group's in-group links, its out-links and its
 members' values (1-m)/n_j of Q, O(nnz + n) for all groups, built once
 per partition from the graph's CSC arrays, with numpy alone, and shared
-across steps and replicas. So a cluster run imports scipy only for the
-reference oracle.
+across steps and replicas.
 
 A series term ``Qhh @ term`` and the push ``Q[:, h] @ zbar`` are each one
 `np.bincount` over the group's links in CSC order, each link weighted by

@@ -18,9 +18,10 @@ stops on the certificate.
 A push costs what its senders send. A partial set gathers its senders'
 out-links and sums each target's inflow in one `bincount`: O(sum of the
 senders' out-degrees, times a log for the sort). The set of every page
-pulls each page's inflow over its in-links, stored as jagged diagonals
-(`pushrank.webgraph.WebGraph.in_diagonals`): one gather and one add per
-diagonal, O(nnz + n), with no Q and no scipy. Both paths sum a target's
+pulls each page's inflow over its in-links, stored as jagged diagonals,
+in the graph's one product with Q (`pushrank.webgraph.WebGraph.q_product`,
+the reference's too): one gather and one add per diagonal, O(nnz + n).
+Both paths sum a target's
 inflow from 0.0 in ascending sender index, so a push by any set of pages
 reproduces ``x + Q @ (mask * z)`` and ``(1 - mask) * z + Q @ (mask * z)``
 bit for bit; the partial sets touch no page they do not reach.
@@ -161,9 +162,9 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     """Push the leading segment of consecutive steps' update sets in place;
     return (steps taken, mass pushed), the sum of the residual its senders
     held, which is inf for the set of every page (see the module doc).
-    The set of every page of a single run is a step of its own, pulled
-    over the graph's in-links (`_push_every_page`); every other set
-    gathers its senders' out-links. Neither forms Q.
+    The set of every page of a single run is a step of its own, x += Q z
+    and z = Q z by the graph's product (`WebGraph.q_product`); every other
+    set gathers its senders' out-links. Neither forms Q.
 
     Step j's set is the next `sizes[j]` entries of `senders`, ascending
     and in range. The segment ends early at the step whose update count
@@ -174,8 +175,11 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     """
     size, n = state.z.size, graph.n
     stacked = size != n
-    if not stacked and sizes[0] == n:    # every page: one pull, one step
-        _push_every_page(state, graph, m)
+    if not stacked and sizes[0] == n:    # every page: one product, one step
+        graph.q_product(m, state.z, out=state.z)
+        state.x += state.z
+        state.cumulative_updates += n
+        state.step += 1
         return 1, math.inf
     count = sizes.size
     if count > 1:
@@ -236,37 +240,6 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     state.push(senders, rows, inflow)
     state.step += count
     return count, float(pushed.sum())
-
-
-def _push_every_page(state, graph, m):
-    """The push of every page, in place: x += Q z, z = Q z, with Q z pulled
-    over the jagged diagonals of the graph's in-links
-    (`WebGraph.in_diagonals`), one row per page.
-
-    With u_j = (1-m)/n_j z_j, a page's inflow is the sum of u over its
-    in-links. The first diagonal is taken into the rows it covers, each
-    further one added to the rows it covers, and the links of the short
-    diagonals are added one by one (`np.add.at`); rows without in-links
-    keep 0.0. So every row sums from 0.0 in ascending sender order, as
-    the CSC mat-vec ``Q @ z`` does, and equals it bit for bit.
-    """
-    position, diagonals, tail_rows, tail_senders = graph.in_diagonals()
-    u = graph.q_scale(m) * state.z
-    head = diagonals[0].size if diagonals else 0
-    rows = np.empty(graph.n)
-    rows[head:] = 0.0
-    if diagonals:
-        np.take(u, diagonals[0], out=rows[:head], mode="clip")
-        gathered = np.empty(head)
-        for diagonal in diagonals[1:]:
-            size = diagonal.size
-            np.take(u, diagonal, out=gathered[:size], mode="clip")
-            rows[:size] += gathered[:size]
-    np.add.at(rows, tail_rows, u.take(tail_senders))
-    np.take(rows, position, out=state.z, mode="clip")
-    state.x += state.z
-    state.cumulative_updates += graph.n
-    state.step += 1
 
 
 def _record(trace, state, m, oracle, record_x, blank):

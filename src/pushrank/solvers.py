@@ -8,9 +8,9 @@ checks every recorded step of a run: its error against x*, and its
 conservation from the push invariant's residual, one sparse product with
 Q; `power_method` is also the ``power`` algorithm of the CLI. Both solve
 for uniform teleportation, the only kind the package runs. Both multiply
-by scipy's Q (`pushrank.webgraph.WebGraph.q_matrix`), which no engine
-builds: the reference stays independent of the engines' pushes, and a
-run loads scipy only when it builds the reference or runs ``power``.
+by the graph's product `pushrank.webgraph.WebGraph.q_product`, which the
+synchronous push takes too: the reference's independence from that
+kernel rests on the tests, which pin it against a scipy Q bit for bit.
 """
 
 from __future__ import annotations
@@ -38,21 +38,24 @@ class DenseOracle:
     x* is the k-th power iterate from the uniform start, k the first step
     count at which the bound 2 (1-m)^k on its L1 error is at most 2^-53:
     231 sparse products at m = 0.15, 3,725 at m = 0.01. The oracle keeps
-    x*, m, n and the graph's scipy Q. Both diagnostics take a state, or
-    the (R, n) view of R stacked replicas and then return one value per
-    replica from one call. The benchmark's tracer wraps the methods by
-    name and leading parameters, so those stay as they are.
+    x*, m, n and the graph, whose product `WebGraph.q_product` it takes.
+    Both diagnostics take a state, or the (R, n) view of R stacked
+    replicas and then return one value per replica from one call. The
+    benchmark's tracer wraps the methods by name and leading parameters,
+    so those stay as they are. Refuses a bad m or graph before any work.
     """
 
     def __init__(self, graph, m):
+        graph.q_scale(m)                 # refuses a bad m or graph first
         n = graph.n
         self.n = n
         self.m = m
-        self._q = graph.q_matrix(m)
+        self._graph = graph
         k = math.ceil(math.log(2.0 ** -54) / math.log1p(-m))
         self.x_star = power_method(graph, m, tol=None, max_steps=k,
                                    cadence=k)[0]
-        residual = np.abs(self.x_star - self._q @ self.x_star - m / n).sum()
+        residual = np.abs(self.x_star - graph.q_product(m, self.x_star)
+                          - m / n).sum()
         if residual > 1e-12 * n:
             raise NumericalFailure(f"reference residual {residual:.3e} too large")
         if abs(self.x_star.sum() - 1.0) > 1e-10:
@@ -78,7 +81,7 @@ class DenseOracle:
         step = max(1, _BLOCK_ENTRIES // self.n)
         for lo in range(0, bound.size, step):
             xb, zb = xs[lo:lo + step].T, zs[lo:lo + step].T
-            w = self._q @ np.subtract(xb, zb, order="C")
+            w = self._graph.q_product(self.m, xb - zb)
             np.subtract(xb, w, out=w)
             w -= self.m / self.n
             np.abs(w, out=w).sum(axis=0, out=bound[lo:lo + step])
@@ -95,19 +98,21 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
     Q (x(k) - x*), and ||x(k) - x*||_1 <= ||x(k+1) - x(k)||_1 / m, since
     the columns of Q sum to 1-m. So a tol stop has ||x* - x||_1 <= tol.
     Records every step, or with a `cadence` every cadence-th (plus the last);
-    a cadence below 1 raises ValueError.
+    a cadence below 1, and a tol that is negative or NaN, raise ValueError.
     Each iterate stays a probability vector; a drift beyond 1e-12 raises.
     Returns the final iterate and a trace whose cert column holds that
     certificate from step 1 on (NaN at step 0, and the defect column is
     NaN: there is no residual state here); err_l1 is filled when an
     oracle is supplied.
     """
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     if cadence is not None and cadence < 1:
         raise ValueError(f"cadence must be a positive step count, "
                          f"got {cadence}")
+    graph.q_scale(m)                     # refuses a bad m or graph first
     n = graph.n
     x = np.full(n, 1.0 / n)
-    q = graph.q_matrix(m)
     teleport = m / n
     cadence = cadence or 1
     trace = Trace()
@@ -120,7 +125,7 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
     record(0, x, math.nan)
     k = 0
     while k < max_steps:
-        x_next = q @ x + teleport
+        x_next = graph.q_product(m, x) + teleport
         k += 1
         drift = abs(x_next.sum() - 1.0)
         if drift > 1e-12:

@@ -8,7 +8,7 @@ and diffs cleanly across runs. Missing values serialize as ``nan``.
 Trace schema (header is byte-exact): ``step,updates,err_l1,cert,defect``;
 optional per-page state snapshots append columns ``x0..x{n-1}``. ``defect``
 is a bound on the conservation defect, ``||rho||_1 / m`` for the residual
-rho of the push invariant ``(I - Q) x + Q z = (m/n) 1``, from one sparse
+rho of the push invariant ``(I - Q) x + Q z = (m/n) 1``, from the graph's
 product with Q (`pushrank.solvers.DenseOracle.conservation_defect`). A
 trace holds err_l1, cert and defect per replica of a run
 (`pushrank.engines`); its CSV and its ``final_*`` values are those of

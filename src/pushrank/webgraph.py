@@ -8,11 +8,11 @@ whose page numbers fit it and that have 65,536 links or more
 intp. The link matrix A is column stochastic with A[i, j] = 1/n_j for every
 link j -> i, where n_j is the out-degree of page j, so the same two arrays
 are the CSC structure of A and of the scaled operator Q = (1-m) * A that
-drives all engines; `q_scale` gives the values (1-m)/n_j. No engine forms
-Q: a set of pages pushes along its out-links (`out_links`), and the push of
-every page pulls each page's inflow over its in-links, laid out as jagged
-diagonals (`in_diagonals`). Only the reference (`pushrank.solvers`)
-multiplies by scipy's Q (`q_matrix`). Every graph is built from sorted
+drives all engines; `q_scale` gives the values (1-m)/n_j. No code forms
+Q: a set of pages pushes along its out-links (`out_links`), and the one
+product ``Q @ v`` (`q_product`, for the push of every page and the
+reference) pulls each page's inflow over its in-links, laid out as jagged
+diagonals (`in_diagonals`). Every graph is built from sorted
 int64 link keys ``src*n + dst``: ``WebGraph(n, src, dst)`` makes them from
 two link arrays (`patch_dangling` included), the loader from the pairs it
 parses, which it frees before the sort. Pages without out-links
@@ -198,8 +198,8 @@ def _int64s(lineno, line, tokens, expected):
 
 # the largest n whose sort key src*n + dst (at most n*n - 1) fits int64
 MAX_PAGES = 3_037_000_499
-# diagonals of fewer rows than this go to `in_diagonals`' tail: a loop
-# step of the push costs more than their links cost in one `np.add.at`
+# diagonals of fewer rows than this go to `in_diagonals`' tail, which a
+# vector's `q_product` adds in one `np.add.at`, cheaper than loop steps
 MIN_DIAGONAL = 512
 # links that `in_diagonals` places at a time
 _LINK_CHUNK = 1 << 16
@@ -327,10 +327,9 @@ class WebGraph:
     def q_scale(self, m):
         """The value (1-m)/n_j of every entry of column j of Q, per page j.
 
-        `q_matrix`, the push of every page (`pushrank.engines`) and the
-        group steps (`pushrank.cluster`) all take Q's values from here.
-        Cached per value of m, read-only. Refuses m outside (0, 1) and a
-        graph that is not patched.
+        `q_product` and the group steps (`pushrank.cluster`) take Q's
+        values from here. Cached per value of m, read-only. Refuses m
+        outside (0, 1) and a graph that is not patched.
         """
         scale = self._cache.get(("scale", m))
         if scale is not None:
@@ -343,45 +342,63 @@ class WebGraph:
         self._cache["scale", m] = scale
         return scale
 
-    def q_matrix(self, m):
-        """The scaled link operator Q = (1-m) A as a scipy CSC matrix.
+    def q_product(self, m, v, out=None):
+        """Q @ v for v of shape (n,) or (n, B), into `out` if given (v itself
+        included): the one product with Q, for the push of every page and
+        the reference (`pushrank.solvers`).
 
-        Only the reference (`pushrank.solvers`: the oracle and the power
-        method) multiplies by it; no engine builds it. It holds the graph's
-        own arrays with value `q_scale(m)` in each column, so that pushes
-        performed with that same scalar reproduce its mat-vec bit for bit.
-        Cached per value of m; the graph must be patched first.
+        Row i sums the rows of v scaled by `q_scale(m)` over page i's
+        in-links (`in_diagonals`), diagonal by diagonal: from 0.0 in
+        ascending sender order, as scipy's CSC ``Q @ v`` does, bit for bit.
+        A vector adds the short diagonals in one `np.add.at`. A block loops
+        over every diagonal (120 us per (100, 81) block; a 2-D `np.add.at`
+        took 1,459 us) or, with fewer columns than short diagonals (a hub
+        makes one per in-link over the rest), takes each column alone.
         """
-        q = self._cache.get(("q", m))
-        if q is not None:
-            return q
         scale = self.q_scale(m)
-        from scipy import sparse          # only the reference needs scipy
-
-        q = sparse.csc_array(
-            (np.repeat(scale, self.out_degree), self.indices, self.indptr),
-            shape=(self.n, self.n))
-        self._cache["q", m] = q
-        return q
+        position, diagonals, long, tail_rows, tail_senders = (
+            self.in_diagonals())
+        if v.ndim == 2 and v.shape[1] < len(diagonals) - long:
+            out = np.empty(v.shape) if out is None else out
+            for column in range(v.shape[1]):
+                self.q_product(m, v[:, column], out[:, column])
+            return out
+        vector = v.ndim == 1
+        u = np.multiply(scale if vector else scale[:, None], v, order="C")
+        if vector:
+            diagonals = diagonals[:long]
+        head = diagonals[0].size if diagonals else 0
+        rows = np.empty_like(u)
+        rows[head:] = 0.0
+        if diagonals:
+            np.take(u, diagonals[0], axis=0, out=rows[:head], mode="clip")
+            gathered = np.empty_like(rows[:head])
+            for diagonal in diagonals[1:]:
+                size = diagonal.size
+                np.take(u, diagonal, axis=0, out=gathered[:size], mode="clip")
+                rows[:size] += gathered[:size]
+        if vector:
+            np.add.at(rows, tail_rows, u.take(tail_senders))
+        return np.take(rows, position, axis=0, out=out, mode="clip")
 
     def in_diagonals(self):
         """The in-links as jagged diagonals (Saad, *Iterative Methods for
-        Sparse Linear Systems*, 2003, section 3.4), for the push of every
-        page. Cached.
+        Sparse Linear Systems*, 2003, section 3.4), for `q_product`. Cached.
 
-        Returns ``(position, diagonals, tail_rows, tail_senders)``. The
-        pages stand in rows ordered by falling in-degree, ties ascending
-        (a stable sort); page i stands in row `position[i]`.
+        Returns ``(position, diagonals, long, tail_rows, tail_senders)``.
+        The pages stand in rows ordered by falling in-degree, ties
+        ascending (a stable sort); page i stands in row `position[i]`.
         Diagonal p holds, row by row, the p-th in-link, senders ascending,
         of every page with more than p in-links: those rows are a prefix,
-        so no diagonal is longer than the one before. `diagonals` holds
-        those of at least `MIN_DIAGONAL` rows; the links of the shorter
-        ones follow, diagonal after diagonal, as rows `tail_rows` and
-        senders `tail_senders`. Every link appears exactly once. Summing
-        each row's senders in diagonal order is the order in which a CSC
-        mat-vec sums it. The arrays are intp, not the graph's index dtype,
-        and writeable, though no caller may write to them: `np.take` copies
-        an index array of another dtype, or a read-only one, on every push.
+        so no diagonal is longer than the one before. Of `diagonals`, the
+        first `long` have `MIN_DIAGONAL` rows or more; the links of the
+        rest, one after another, are senders `tail_senders` in rows
+        `tail_rows`. The diagonals and `tail_senders` are views of one
+        array that holds each link once. Summing each row's senders in
+        diagonal order is the order in which a CSC mat-vec sums it. The
+        arrays are intp, not the graph's index dtype, and writeable, though
+        no caller may write to them: `np.take` copies an index array of
+        another dtype, or a read-only one, on every product.
         """
         cached = self._cache.get("diagonals")
         if cached is not None:
@@ -422,10 +439,11 @@ class WebGraph:
             flat[start[diagonal] + position[targets]] = senders
             np.add.at(placed, targets, 1)
         long = int(np.count_nonzero(lengths >= MIN_DIAGONAL))
-        diagonals = tuple(flat[start[p]:start[p + 1]] for p in range(long))
+        diagonals = tuple(flat[start[p]:start[p + 1]]
+                          for p in range(lengths.size))
         tail_rows = (np.arange(start[long], start[-1])
                      - start[long:-1].repeat(lengths[long:]))
-        cached = position, diagonals, tail_rows, flat[start[long]:]
+        cached = position, diagonals, long, tail_rows, flat[start[long]:]
         self._cache["diagonals"] = cached
         return cached
 

@@ -9,7 +9,9 @@ matrices Q_i, R_i, S_i are the singleton case. The group step uses
 `mean_matrices` and `analytic_mean_trace` give the expected dynamics under
 random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
 `neumann_partial` the partial sums of x* = sum_t Q^t (m/n) 1 that
-synchronous steps reproduce. `next_set` draws a schedule's next step,
+synchronous steps reproduce. `q_matrix` is Q as a scipy matrix, the
+product that the package's own (`WebGraph.q_product`) is pinned against
+bit for bit. `next_set` draws a schedule's next step,
 as the loops that push one step at a time take it.
 `run_summing_every_step` is the driver loop
 that sums the residual before every step, the reference for the stop step
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from pushrank import engines
 from pushrank.cluster import _ITER_TOL, _REST_FRACTION, step_group
@@ -63,6 +66,15 @@ def q_column(graph, m, i):
     return targets, np.full(deg, (1.0 - m) / deg)
 
 
+def q_matrix(graph, m):
+    """Q = (1-m) A as a scipy CSC matrix, built from the graph's own arrays
+    with value `q_scale(m)` in each column: the independent product that
+    the tests pin `WebGraph.q_product`, and every push, against."""
+    return sparse.csc_array(
+        (np.repeat(graph.q_scale(m), graph.out_degree), graph.indices,
+         graph.indptr), shape=(graph.n, graph.n))
+
+
 def check_probability_vector(v, n, what="vector"):
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
@@ -84,7 +96,7 @@ def neumann_partial(graph, m, k):
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n = graph.n
-    q = graph.q_matrix(m)
+    q = q_matrix(graph, m)
     term = np.full(n, m / n)
     acc = term.copy()
     for _ in range(k):
@@ -95,7 +107,7 @@ def neumann_partial(graph, m, k):
 
 def dense_q(graph, m):
     _check_cap(graph.n)
-    return graph.q_matrix(m).toarray()
+    return q_matrix(graph, m).toarray()
 
 
 def lift_single(graph, m, i):
@@ -295,7 +307,7 @@ def step_group_full_block(state, graph, m, factors, h):
     Takes a single group or a stacked draw, like `step_group`, unchecked.
     """
     groups, n = factors.num_groups, graph.n
-    q = graph.q_matrix(m)
+    q = q_matrix(graph, m)
     state.step += 1
     for i in np.atleast_1d(h).tolist():
         r, g = divmod(i, groups)
@@ -350,7 +362,7 @@ class DenseDefect:
     def __init__(self, graph, m):
         from scipy import linalg
 
-        lu = linalg.lu_factor(np.eye(graph.n) - graph.q_matrix(m).toarray())
+        lu = linalg.lu_factor(np.eye(graph.n) - q_matrix(graph, m).toarray())
         self._solve = lambda rhs: linalg.lu_solve(lu, rhs)
         self.x_star = self._solve(np.full(graph.n, m / graph.n))
 

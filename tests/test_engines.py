@@ -10,7 +10,7 @@ from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
                       step_set, webgraph)
 
 from conftest import copy_state, graph_from_lists, random_graph
-from oracles import analytic_mean_trace, neumann_partial, next_set
+from oracles import analytic_mean_trace, neumann_partial, next_set, q_matrix
 
 M = 0.15
 
@@ -91,7 +91,7 @@ def test_step_set_empty_is_noop():
 def test_step_set_full_matches_sync(rng):
     # the synchronous step x += Qz, z = Qz, with Q built independently
     g = random_graph(rng, 40, allow_self=True)
-    q = g.q_matrix(M)
+    q = q_matrix(g, M)
     st = init_state(g.n, M)
     for _ in range(5):
         qz = q @ st.z
@@ -107,7 +107,7 @@ def test_step_set_is_masked_matvec(rng):
     assert sparse_links.dangling_pages().size > 0
     for g in (random_graph(rng, 40, allow_self=True),
               patch_dangling(sparse_links)[0]):
-        q = g.q_matrix(M)
+        q = q_matrix(g, M)
         st = init_state(g.n, M)
         for k in range(60):
             if k % 10 == 9:
@@ -126,7 +126,7 @@ def test_every_push_path_is_masked_matvec(rng):
     # single pages, gathered sets from two pages to all but one, and the
     # mat-vec of every page, on a graph with pages of every out-degree
     g = random_graph(rng, 500, mean_out=6.0, allow_self=True)
-    q = g.q_matrix(M)
+    q = q_matrix(g, M)
     st = init_state(g.n, M)
     for size in [1, 2, 3, 10, 21, 100, 300, g.n - 1, g.n] * 4:
         phi = rng.choice(g.n, size=size, replace=False)
@@ -157,6 +157,11 @@ def pull_graph(name):
         return patch_dangling(graph_from_lists(n, [
             rng.choice(n, size=3, replace=False) if j < k else []
             for j in range(n)]))[0]
+    if name == "hub":                 # page 0 has 891 in-links, others ~3
+        src = np.arange(1500).repeat(4)
+        dst = rng.integers(0, 1500, src.size)
+        dst[rng.random(src.size) < 0.2] = 0
+        return WebGraph(1500, src, dst)
     return random_graph(rng, 20_000, mean_out=6.0, allow_self=True)
 
 
@@ -167,18 +172,27 @@ def with_fresh_diagonals(name):
     return WebGraph(g.n, np.repeat(np.arange(g.n), g.out_degree), g.indices)
 
 
-PULL_GRAPHS = ["no_inlinks", "self_loops", "patched_dense", "random_20000"]
+PULL_GRAPHS = ["no_inlinks", "self_loops", "patched_dense", "hub",
+               "random_20000"]
 
 
 @pytest.mark.parametrize("min_diagonal", [1, webgraph.MIN_DIAGONAL])
 @pytest.mark.parametrize("name", PULL_GRAPHS)
 def test_every_page_push_is_the_csc_product_bit_for_bit(name, min_diagonal,
                                                          monkeypatch, rng):
-    # scipy only on this side: the pull over the in-link diagonals, and over
-    # their short tail, sums each row from 0.0 in CSC order, as Q @ z does
+    # scipy only on this side: the product over the in-link diagonals, a
+    # vector's over their short tail too, sums each row from 0.0 in CSC
+    # order, as Q @ v does, for vectors and blocks, a ragged last block of
+    # replicas passed as a transposed view included, and block by block
+    # or column by column (the hub's one-row diagonals); the push of every
+    # page takes it in place
     monkeypatch.setattr(webgraph, "MIN_DIAGONAL", min_diagonal)
     g = with_fresh_diagonals(name)
-    q = g.q_matrix(M)
+    q = q_matrix(g, M)
+    replicas = rng.random((88, g.n))
+    for v in (replicas[0], replicas[:1].T.copy(), replicas[:81].T.copy(),
+              replicas[81:].T):
+        np.testing.assert_array_equal(g.q_product(M, v), q @ v, strict=True)
     st = init_state(g.n, M)
     st.z[:] = rng.random(g.n)
     for _ in range(3):
@@ -190,13 +204,13 @@ def test_every_page_push_is_the_csc_product_bit_for_bit(name, min_diagonal,
 
 
 @pytest.mark.parametrize("min_diagonal", [1, 40, webgraph.MIN_DIAGONAL])
-@pytest.mark.parametrize("name", PULL_GRAPHS[:3])
+@pytest.mark.parametrize("name", PULL_GRAPHS[:-1])
 def test_in_link_diagonals_hold_every_link_once_in_row_order(name,
                                                               min_diagonal,
                                                               monkeypatch):
     monkeypatch.setattr(webgraph, "MIN_DIAGONAL", min_diagonal)
     g = with_fresh_diagonals(name)
-    position, diagonals, tail_rows, tail_senders = g.in_diagonals()
+    position, diagonals, long, tail_rows, tail_senders = g.in_diagonals()
     assert g.in_diagonals()[1] is diagonals           # cached
     in_degree = np.bincount(g.indices, minlength=g.n)
     # rows by falling in-degree, ties in ascending page order
@@ -204,19 +218,27 @@ def test_in_link_diagonals_hold_every_link_once_in_row_order(name,
     np.testing.assert_array_equal(np.sort(position), np.arange(g.n))
     np.testing.assert_array_equal(order, np.lexsort((np.arange(g.n),
                                                      -in_degree)))
-    # diagonal sizes never increase, the tail's included, and diagonal p
-    # covers the rows with more than p in-links
-    tail_sizes = np.diff(np.flatnonzero(np.append(tail_rows == 0, True)))
-    sizes = [d.size for d in diagonals] + tail_sizes.tolist()
+    # diagonal sizes never increase, and diagonal p covers the rows with
+    # more than p in-links; the first `long` have `MIN_DIAGONAL` rows or more
+    sizes = [d.size for d in diagonals]
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-    assert all(size >= min_diagonal for size in sizes[:len(diagonals)])
-    assert all(size < min_diagonal for size in sizes[len(diagonals):])
+    assert all(size >= min_diagonal for size in sizes[:long])
+    assert all(size < min_diagonal for size in sizes[long:])
     np.testing.assert_array_equal(
-        sizes, [(in_degree > p).sum() for p in range(len(sizes))])
+        sizes, [(in_degree > p).sum() for p in range(in_degree.max())])
+    # the tail is the short diagonals one after another, row by row, and
+    # a view of the array that holds every diagonal: no link is stored twice
+    short = diagonals[long:]
+    np.testing.assert_array_equal(
+        tail_rows, np.concatenate([np.arange(d.size) for d in short] + [[]]))
+    np.testing.assert_array_equal(
+        tail_senders, np.concatenate(list(short) + [np.empty(0, np.intp)]))
+    base = diagonals[0].base
+    assert base.size == g.num_edges
+    assert all(d.base is base for d in diagonals) and tail_senders.base is base
     # every link exactly once, each row's senders ascending
-    rows = np.concatenate([np.arange(d.size) for d in diagonals]
-                          + [tail_rows]).astype(np.intp)
-    senders = np.concatenate(list(diagonals) + [tail_senders])
+    rows = np.concatenate([np.arange(d.size) for d in diagonals])
+    senders = np.concatenate(diagonals)
     by_row = np.argsort(rows, kind="stable")     # each row's in diagonal order
     rows, senders = rows[by_row], senders[by_row]
     assert ((rows[1:] > rows[:-1]) | (senders[1:] > senders[:-1])).all()

@@ -472,22 +472,6 @@ def test_cli_rejects_dangling_patch_too_large(tmp_path, capsys):
     assert "99997 dangling pages of 100000" in capsys.readouterr().err
 
 
-def test_gossip_without_the_dense_oracle_never_imports_scipy():
-    # scipy is imported where Q or the reference oracle is built; a gossip
-    # run without the oracle builds neither
-    root = Path(pushrank.__file__).resolve().parent.parent
-    graph = Path(__file__).resolve().parent / "data" / "web60.txt"
-    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
-            "import pushrank.cli, pushrank.solvers; "
-            "pushrank.solvers.REFERENCE_CAP = 0; "
-            f"pushrank.cli.main(['gossip', '--graph', {str(graph)!r}]); "
-            "sys.exit('scipy' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("gossip: steps=")
-
-
 def ring_above_the_cap(tmp_path):
     """(graph, groups): a ring of 1,000 pages more than the reference cap,
     page j linking to j+1 and j+37, in groups of 100 pages."""
@@ -501,68 +485,50 @@ def ring_above_the_cap(tmp_path):
     return graph, groups
 
 
-def scipy_modules_after(argv):
-    """Run the CLI on `argv` in a fresh interpreter: the finished process,
-    whose last stdout line lists the scipy modules it loaded."""
+@pytest.mark.parametrize("argv, summary", [
+    pytest.param("exact --graph web60.txt", "exact: steps=0 ", id="exact"),
+    pytest.param("power --graph web60.txt --tol 1e-9", "power: steps=30 ",
+                 id="power"),
+    pytest.param("mc --graph web60.txt --replicas 2 --steps 3",
+                 "mc[gossipx2]: steps=3 ", id="mc"),
+    pytest.param("gossip --graph web60.txt --steps 50", "gossip: steps=50 ",
+                 id="gossip"),
+    pytest.param("compare --graph web60.txt --runs power,sync --steps 3", "",
+                 id="compare"),
+    pytest.param("cluster --graph community700.txt --partition "
+                 "community700.groups --steps 3", "cluster: steps=3 ",
+                 id="cluster"),
+    pytest.param("sync --graph ring.txt --tol 1e-6",
+                 "sync: steps=85 updates=510000 ", id="sync_above_the_cap"),
+    pytest.param("multi --graph ring.txt --schedule subset:0.5 --seed 3 "
+                 "--steps 20", "multi: steps=20 ", id="subset_above_the_cap"),
+    pytest.param("cluster --graph ring.txt --partition ring.groups "
+                 "--steps 200", "cluster: steps=200 updates=20000 ",
+                 id="cluster_above_the_cap"),
+])
+def test_no_command_loads_any_scipy_module(argv, summary, tmp_path):
+    # the reference oracle, the power method and the push of every page
+    # take the graph's own product, group factors sum their series with
+    # numpy, and partial sets gather their out-links: scipy is a test
+    # dependency only. The ring runs lie above the reference cap, where no
+    # run builds the oracle; the others build it
+    if "ring.txt" in argv:
+        ring_above_the_cap(tmp_path)
     root = Path(pushrank.__file__).resolve().parent.parent
+    data = Path(__file__).resolve().parent / "data"
+    argv = [str((tmp_path if word.startswith("ring") else data) / word)
+            if word.endswith((".txt", ".groups")) else word
+            for word in argv.split()] + ["--out", str(tmp_path / "run.csv")]
     code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
             "import pushrank.cli; "
             f"code = pushrank.cli.main({argv!r}); "
             "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
             "sys.exit(code)")
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
-
-
-def test_cluster_run_above_the_reference_cap_never_imports_scipy(tmp_path):
-    # group factors are built from the graph's own arrays, and above the
-    # cap no reference oracle is built: nothing imports any scipy module
-    graph, groups = ring_above_the_cap(tmp_path)
-    done = scipy_modules_after(["cluster", "--graph", str(graph),
-                                "--partition", str(groups), "--steps", "200"])
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("cluster: steps=200 updates=20000 ")
-    assert done.stdout.splitlines()[-1] == "[]"
-
-
-@pytest.mark.parametrize("argv, summary", [
-    ("sync --tol 1e-6", "sync: steps=85 updates=510000 "),
-    ("multi --schedule subset:0.5 --seed 3 --steps 20", "multi: steps=20 "),
-])
-def test_sync_and_set_runs_above_the_reference_cap_never_import_scipy(
-        argv, summary, tmp_path):
-    # the push of every page pulls over the graph's own in-links, and a
-    # partial set gathers its out-links: neither builds Q
-    graph, _ = ring_above_the_cap(tmp_path)
-    done = scipy_modules_after(argv.split() + ["--graph", str(graph), "--out",
-                                               str(tmp_path / "run.csv")])
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith(summary)
-    assert done.stdout.splitlines()[-1] == "[]"
-
-
-@pytest.mark.parametrize("argv", [
-    "mc --graph web60.txt --replicas 2 --steps 3",
-    "gossip --graph web60.txt --steps 50",
-    "cluster --graph community700.txt --partition community700.groups "
-    "--steps 3",
-])
-def test_no_command_imports_scipy_linalg(argv):
-    # the reference oracle takes x* from the power method and checks
-    # conservation with the sparse Q, and group factors sum their local
-    # series with numpy: no run needs scipy.linalg
-    root = Path(pushrank.__file__).resolve().parent.parent
-    data = Path(__file__).resolve().parent / "data"
-    argv = [str(data / word) if word.endswith((".txt", ".groups")) else word
-            for word in argv.split()]
-    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
-            "import pushrank.cli; "
-            f"code = pushrank.cli.main({argv!r}); "
-            "print('scipy.linalg' in sys.modules); sys.exit(code)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.startswith(summary)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_reference_outputs_do_not_depend_on_the_blas_thread_count(tmp_path,

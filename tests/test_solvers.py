@@ -10,7 +10,7 @@ from pushrank import (DenseOracle, GroupFactors, Schedule, WebGraph,
                       power_method, run)
 
 from conftest import graph_from_lists, random_graph
-from oracles import DenseDefect, neumann_partial
+from oracles import DenseDefect, neumann_partial, q_matrix
 
 M = 0.15
 DATA = Path(__file__).resolve().parent / "data"
@@ -42,7 +42,7 @@ def test_dense_patched_chain():
     np.testing.assert_allclose(x, [0.350877, 0.649123], atol=1e-6)
     # substitution check: x = Q x + (m/n) 1
     g = patched_chain()
-    np.testing.assert_allclose(g.q_matrix(M) @ x + M / 2, x, atol=1e-14)
+    np.testing.assert_allclose(q_matrix(g, M) @ x + M / 2, x, atol=1e-14)
 
 
 def test_dense_three_isolated_pages():
@@ -137,6 +137,22 @@ def test_power_refuses_a_cadence_below_one(cadence):
         power_method(cycle2(), M, max_steps=5, cadence=cadence)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, np.nan])
+def test_power_refuses_a_tol_that_is_negative_or_nan(tol):
+    # as engines.run does: a NaN tol would run every step without a word
+    with pytest.raises(ValueError, match="tol must be a non-negative number"):
+        power_method(patched("web60"), M, tol=tol, max_steps=5000)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, -0.5, 1.5, np.nan])
+def test_reference_and_power_refuse_m_outside_the_unit_interval(m):
+    # before any work: the oracle's step count divides by ln(1 - m)
+    with pytest.raises(ValueError, match=r"m must lie in \(0, 1\)"):
+        DenseOracle(cycle2(), m)
+    with pytest.raises(ValueError, match=r"m must lie in \(0, 1\)"):
+        power_method(cycle2(), m, max_steps=0)
+
+
 def test_power_keeps_probability_mass(rng):
     g = random_graph(rng, 40)
     x, _ = power_method(g, M, tol=1e-13)
@@ -182,9 +198,10 @@ def test_oracle_conservation_identity(rng):
 
 def test_oracle_keeps_nothing_larger_than_a_page_vector(rng):
     # the n x n matrix of the solve for x*, and any factor of it, is
-    # dropped once x* is checked; Q is the graph's, cached before
+    # dropped once x* is checked; the in-link diagonals of the product are
+    # the graph's, cached before
     g = random_graph(rng, 200)
-    g.q_matrix(M)
+    g.in_diagonals()
     tracemalloc.start()
     try:
         oracle = DenseOracle(g, M)

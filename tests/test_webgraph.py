@@ -15,7 +15,7 @@ from pushrank import (Partition, ParseError, WebGraph, cli, load_edge_list,
                       load_partition, patch_dangling, webgraph)
 
 from conftest import random_graph
-from oracles import q_column
+from oracles import q_column, q_matrix
 
 
 def test_parse_two_node_cycle():
@@ -30,16 +30,13 @@ def test_parse_one_based_collapses_duplicates():
     assert g.n == 2
     assert g.out_degree.tolist() == [1, 1]
     # unsorted, duplicated edges: loader and constructor store the same
-    # sorted, deduplicated arrays, which are Q's own
+    # sorted, deduplicated arrays
     g = load_edge_list(io.StringIO("3 1\n1 3\n3 1\n1 2\n4 4\n2 4\n1 3\n4 1"),
                         index_base=1)
     h = WebGraph(4, [3, 0, 2, 0, 0, 3, 1, 0, 3], [0, 2, 0, 1, 2, 3, 3, 1, 3])
     for graph in (g, h):
         assert graph.indptr.tolist() == [0, 2, 3, 4, 6]
         assert graph.indices.tolist() == [1, 2, 3, 0, 0, 3]
-        q = graph.q_matrix(0.15)
-        np.testing.assert_array_equal(q.indptr, graph.indptr)
-        np.testing.assert_array_equal(q.indices, graph.indices)
         # no buffer that held the dropped duplicates outlives the build
         assert graph.indices.base is None
 
@@ -106,9 +103,6 @@ def test_patch_dangling_uniform_all_pages():
     for graph in (g, h):
         assert graph.indptr.tolist() == [0, 2, 5, 6]
         assert graph.indices.tolist() == [1, 2, 0, 1, 2, 0]
-        q = graph.q_matrix(0.15)
-        np.testing.assert_array_equal(q.indptr, graph.indptr)
-        np.testing.assert_array_equal(q.indices, graph.indices)
 
 
 def test_patch_dangling_refuses_too_many_links(monkeypatch):
@@ -129,7 +123,7 @@ def test_patch_isolated_pages_fully_uniform():
     g = WebGraph(3, [], [])
     g, report = patch_dangling(g)
     assert report.tolist() == [0, 1, 2]
-    cols = g.q_matrix(0.15).toarray()
+    cols = q_matrix(g, 0.15).toarray()
     np.testing.assert_allclose(cols, np.full((3, 3), 0.85 / 3))
 
 
@@ -160,13 +154,14 @@ def test_q_column_requires_patched():
         q_column(g, 0.15, 1)
 
 
-def test_q_matrix_requires_patched_and_valid_m():
+def test_q_product_requires_patched_and_valid_m():
     g = load_edge_list(io.StringIO("0 1"))
     with pytest.raises(ValueError, match="dangling"):
-        g.q_matrix(0.15)
+        g.q_product(0.15, np.ones(2))
     g, _ = patch_dangling(g)
-    with pytest.raises(ValueError, match="m must"):
-        g.q_matrix(1.5)
+    for m in (0.0, 1.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match="m must"):
+            g.q_product(m, np.ones((2, 3)))
 
 
 def test_self_loops_preserved():
