@@ -485,14 +485,33 @@ def ring_above_the_cap(tmp_path):
     return graph, groups
 
 
+def cli_in_fresh_interpreter(argv, tmp_path, setup=""):
+    """Run the CLI on `argv` in a fresh interpreter, after the statements
+    `setup`: the finished process, whose last stdout line lists the scipy
+    modules it loaded. Graph and group files are read from tests/data, the
+    ring ones from a ring above the reference cap written to `tmp_path`."""
+    if "ring.txt" in argv:
+        ring_above_the_cap(tmp_path)
+    root = Path(pushrank.__file__).resolve().parent.parent
+    data = Path(__file__).resolve().parent / "data"
+    argv = [str((tmp_path if word.startswith("ring") else data) / word)
+            if word.endswith((".txt", ".groups")) else word
+            for word in argv.split()] + ["--out", str(tmp_path / "run.csv")]
+    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
+            "import pushrank.cli, pushrank.solvers; "
+            f"{setup}code = pushrank.cli.main({argv!r}); "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
+            "sys.exit(code)")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv, summary", [
     pytest.param("exact --graph web60.txt", "exact: steps=0 ", id="exact"),
     pytest.param("power --graph web60.txt --tol 1e-9", "power: steps=30 ",
                  id="power"),
     pytest.param("mc --graph web60.txt --replicas 2 --steps 3",
                  "mc[gossipx2]: steps=3 ", id="mc"),
-    pytest.param("gossip --graph web60.txt --steps 50", "gossip: steps=50 ",
-                 id="gossip"),
     pytest.param("compare --graph web60.txt --runs power,sync --steps 3", "",
                  id="compare"),
     pytest.param("cluster --graph community700.txt --partition "
@@ -512,22 +531,29 @@ def test_no_command_loads_any_scipy_module(argv, summary, tmp_path):
     # numpy, and partial sets gather their out-links: scipy is a test
     # dependency only. The ring runs lie above the reference cap, where no
     # run builds the oracle; the others build it
-    if "ring.txt" in argv:
-        ring_above_the_cap(tmp_path)
-    root = Path(pushrank.__file__).resolve().parent.parent
-    data = Path(__file__).resolve().parent / "data"
-    argv = [str((tmp_path if word.startswith("ring") else data) / word)
-            if word.endswith((".txt", ".groups")) else word
-            for word in argv.split()] + ["--out", str(tmp_path / "run.csv")]
-    code = (f"import sys; sys.path.insert(0, {str(root)!r}); "
-            "import pushrank.cli; "
-            f"code = pushrank.cli.main({argv!r}); "
-            "print(sorted(k for k in sys.modules if k.startswith('scipy'))); "
-            "sys.exit(code)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+    done = cli_in_fresh_interpreter(argv, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(summary)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", ["gossip --graph web60.txt --steps 50"])
+def test_no_command_imports_scipy_linalg(argv, tmp_path):
+    # the gossip case of the test above: its run builds the reference
+    # oracle, and loads no scipy module at all
+    done = cli_in_fresh_interpreter(argv, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("gossip: steps=50 ")
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_gossip_without_the_dense_oracle_never_imports_scipy(tmp_path):
+    # with the reference cap at 0 the gossip run builds no oracle either
+    done = cli_in_fresh_interpreter("gossip --graph web60.txt --steps 50",
+                                    tmp_path,
+                                    setup="pushrank.solvers.REFERENCE_CAP = 0; ")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("gossip: steps=50 ")
     assert done.stdout.splitlines()[-1] == "[]"
 
 
