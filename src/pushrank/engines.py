@@ -58,7 +58,9 @@ replica, each into its own block only. Replicas never mix, and each
 follows the trajectory it would follow alone, bit for bit. A stacked step
 counts once however many replicas push in it. Each record holds the
 certificate of every replica, from one sum of z per row, and one oracle
-call checks them all. Engines are single-threaded and deterministic.
+call checks them all; the record goes to the run's `trace`, which may
+keep it whole or reduce it (see `run`). Engines are single-threaded and
+deterministic.
 
 `run` records the first step, the last, and by default the first step
 at or after each multiple of the state's size in counted updates (one
@@ -264,7 +266,7 @@ def _record(trace, state, m, oracle, record_x, blank):
 
 
 def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
-        oracle=None, cadence=None, record_x=False):
+        oracle=None, cadence=None, record_x=False, trace=None):
     """Run one engine from `init_state`; returns (state, trace).
 
     Each step pushes the set that `schedule` draws, or every page when
@@ -288,6 +290,12 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     pushes of all replicas, and err, cert and defect hold one value per
     replica. A run of R > 1 replicas stops on `steps` or exhaustion alone
     and records no x.
+
+    The records go to `trace`, a fresh `pushrank.trace.Trace` by default,
+    which keeps every replica's values; any object with `Trace.append`'s
+    signature and a `final_step` takes them, such as
+    `pushrank.harness.MeanTrace`, which reduces each record across the
+    replicas as it arrives and keeps no per-replica column.
     """
     if steps is None and tol is None:
         raise ValueError("need steps and/or tol to bound the run")
@@ -317,7 +325,8 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     # reaches `mark`, then move `mark` a period past it
     by_updates = cadence is None
     mark = period = state.n if by_updates else cadence
-    trace = Trace()
+    if trace is None:
+        trace = Trace()
     blank = np.full(replicas, math.nan)
     _record(trace, state, m, oracle, record_x, blank)
     # the sets drawn ahead of the state's step, as `_push_segment` takes them

@@ -17,7 +17,8 @@ run that fails after that leaves the file empty.
 
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
 Monte Carlo runs average the exact error across seeded replicas and emit
-``step,updates,err_mean,err_stderr``; comparisons align runs on the
+``step,updates,err_mean,err_stderr``, reducing each record across the
+replicas as the run takes it (`MeanTrace`); comparisons align runs on the
 cumulative-updates axis (the fair cost measure: one update = one page
 pushing once) and emit one error column per run.
 
@@ -42,7 +43,8 @@ import numpy as np
 from . import engines, scheduling, solvers
 from .cluster import GroupFactors
 from .errors import ConfigError
-from .trace import Trace, format_float, write_table
+from .trace import (RecordColumns, Trace, format_float, record_column,
+                    write_table)
 from .webgraph import (_read_rows, load_edge_list, load_partition,
                        patch_dangling)
 
@@ -257,9 +259,10 @@ def _check_tol_reachable(config, runtime, idle):
             f"{floor:.6g}")
 
 
-def _execute(config, runtime, sched):
+def _execute(config, runtime, sched, trace=None):
     """Run one configured algorithm and return its trace; a run of the
-    schedule's replicas (see `engines.run`)."""
+    schedule's replicas (see `engines.run`), whose records go to `trace`
+    (a fresh `Trace` by default); exact and power runs make their own."""
     if config.algorithm == "exact":
         trace = Trace()
         trace.append(0, 0, err_l1=0.0, cert=0.0, defect=0.0)
@@ -271,7 +274,7 @@ def _execute(config, runtime, sched):
         return solvers.power_method(runtime.graph, config.m, max_steps=steps,
                                     **shared)[1]
     return engines.run(runtime.graph, config.m, sched, steps=steps,
-                       factors=runtime.factors, **shared)[1]
+                       factors=runtime.factors, trace=trace, **shared)[1]
 
 
 def _create_output(path):
@@ -302,18 +305,49 @@ def run_experiment(config):
 
 
 class MeanTrace:
-    """Across-replica mean and standard error of the exact error."""
+    """Across-replica mean and standard error of the exact error, record by
+    record: the sink a stacked `engines.run` of `replicas` replicas appends
+    to (its ``trace=``).
 
-    __slots__ = ("steps", "updates", "err_mean", "err_stderr", "replicas")
+    `append` takes a record as `Trace.append` does and keeps its step,
+    its updates per replica and the mean and standard error of its
+    err_l1 entries, reduced as the record arrives; cert, defect and x
+    are not kept. Each sum runs in replica order, as the axis-0
+    reduction of the C-ordered (replicas, records) stack of the errors
+    does, so the values are those of `numpy.mean` and of `numpy.std`
+    (ddof 1) over that stack, bit for bit. `steps`, `updates`, `err_mean`
+    and `err_stderr` are arrays of one entry per record.
+    """
+
+    __slots__ = ("replicas", "_columns")
 
     HEADER = "step,updates,err_mean,err_stderr"
 
-    def __init__(self, steps, updates, err_mean, err_stderr, replicas):
-        self.steps = steps
-        self.updates = updates
-        self.err_mean = err_mean
-        self.err_stderr = err_stderr
+    steps, updates, err_mean, err_stderr = map(record_column, range(4))
+
+    def __init__(self, replicas):
         self.replicas = replicas
+        floats = np.empty(0)
+        self._columns = RecordColumns(np.empty(0, dtype=np.int64), floats,
+                                      floats, floats)
+
+    def append(self, step, updates, err_l1=math.nan, cert=math.nan,
+               defect=math.nan, x=None):
+        replicas = self.replicas
+        err = np.asarray(err_l1, dtype=float)
+        # cumsum adds in replica order, where a 1-D sum is pairwise
+        mean = np.cumsum(err)[-1] / replicas
+        stderr = 0.0
+        if replicas > 1:       # numpy's _var: squared deviations, summed
+            dev = err - mean
+            dev *= dev
+            stderr = (math.sqrt(np.cumsum(dev)[-1] / (replicas - 1))
+                      / math.sqrt(replicas))
+        self._columns.add(step, float(updates) / replicas, mean, stderr)
+
+    @property
+    def final_step(self):
+        return int(self.steps[-1])
 
     def write_csv(self, path):
         write_table(path, self.HEADER.split(","),
@@ -328,14 +362,16 @@ def monte_carlo(config):
     sample mean and standard error of ||x(k) - x*||_1 are reported at
     every step, or with a `cadence` at every cadence-th step and the
     last. All replicas run in one stacked `engines.run` call: each record
-    makes one oracle call for all of them, and every replica's
-    conservation defect is checked at every record. Requires a randomized
-    schedule (default ``uniform``, which every scheduled algorithm
-    accepts), and builds the reference oracle at any graph size. Reads
-    the ``mc`` row of `_READS`, so it refuses a `tol` (there is no
-    tolerance stop) and `include_x` (it writes no per-page columns); each
-    replica is then a run of `config.algorithm` and reads that
-    algorithm's row.
+    makes one oracle call for all of them, every replica's conservation
+    defect is checked at every record, and the record goes to a
+    `MeanTrace`, which keeps only its mean and standard error, so the
+    memory held does not grow with replicas times records. Requires a
+    randomized schedule (default ``uniform``, which every scheduled
+    algorithm accepts), and builds the reference oracle at any graph
+    size. Reads the ``mc`` row of `_READS`, so it refuses a `tol` (there
+    is no tolerance stop) and `include_x` (it writes no per-page
+    columns); each replica is then a run of `config.algorithm` and reads
+    that algorithm's row.
     """
     _refuse_unread(config, _READS["mc"].split(), "mc")
     if config.replicas < 1:
@@ -353,23 +389,12 @@ def monte_carlo(config):
     _create_output(config.out)
     runtime = _Runtime(run, needs_oracle=True)
     sched = _build_schedule(run, runtime, replicas)
-    trace = _execute(run, runtime, sched)
-    steps_grid = trace.steps
-    # the updates of all replicas, exact integers: their mean is one division
-    updates = trace.column("updates") / replicas
-    # one C-ordered row per replica: the mean and std sum in replica order
-    err = np.stack(trace.err_l1, axis=1)
-    mean = err.mean(axis=0)
-    if replicas > 1:
-        stderr = err.std(axis=0, ddof=1) / math.sqrt(replicas)
-    else:
-        stderr = np.zeros_like(mean)
-    result = MeanTrace(steps_grid, updates, mean, stderr, replicas)
+    result = _execute(run, runtime, sched, MeanTrace(replicas))
     if config.out:
         result.write_csv(config.out)
-    print(f"mc[{config.algorithm}x{replicas}]: steps={steps_grid[-1]} "
-          f"err_mean={format_float(mean[-1])} "
-          f"stderr={format_float(stderr[-1])}")
+    print(f"mc[{config.algorithm}x{replicas}]: steps={result.final_step} "
+          f"err_mean={format_float(result.err_mean[-1])} "
+          f"stderr={format_float(result.err_stderr[-1])}")
     return result
 
 

@@ -25,7 +25,7 @@ from .trace import Trace
 __all__ = ["REFERENCE_CAP", "DenseOracle", "power_method"]
 
 REFERENCE_CAP = 5000   # largest n a single run builds the oracle for
-# entries of one block of `DenseOracle.conservation_defect`'s work arrays,
+# entries of one block of `DenseOracle`'s work arrays,
 # 64 KB: glibc's malloc reuses blocks this small, while work arrays over
 # 1,000 replicas of 100 pages (800 KB) cost about 200 fresh page faults
 # per call in a CLI run on Linux
@@ -62,10 +62,23 @@ class DenseOracle:
             raise NumericalFailure(
                 f"reference mass {self.x_star.sum()!r} deviates from 1")
 
+    def _blocks(self, rows):
+        """Slices of `rows` replicas, `_BLOCK_ENTRIES` entries each (at
+        least one replica)."""
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
     def error_l1(self, x):
-        """||x* - x||_1, per row of an (R, n) x."""
-        diff = self.x_star - x
-        return np.abs(diff, out=diff).sum(axis=-1)
+        """||x* - x||_1, per row of an (R, n) x, a block of replicas at a
+        time; each row sums as it would alone."""
+        if x.ndim == 1:
+            diff = self.x_star - x
+            return np.abs(diff, out=diff).sum()
+        err = np.empty(x.shape[0])
+        for block in self._blocks(err.size):
+            diff = np.subtract(self.x_star, x[block])
+            np.abs(diff, out=diff).sum(axis=1, out=err[block])
+        return err
 
     def conservation_defect(self, x, z):
         """A bound on the L1 defect of x + (I - Q)^{-1} Q z against x*, per
@@ -78,13 +91,12 @@ class DenseOracle:
         """
         xs, zs = x.reshape(-1, self.n), z.reshape(-1, self.n)
         bound = np.empty(xs.shape[0])
-        step = max(1, _BLOCK_ENTRIES // self.n)
-        for lo in range(0, bound.size, step):
-            xb, zb = xs[lo:lo + step].T, zs[lo:lo + step].T
+        for block in self._blocks(bound.size):
+            xb, zb = xs[block].T, zs[block].T
             w = self._graph.q_product(self.m, xb - zb)
             np.subtract(xb, w, out=w)
             w -= self.m / self.n
-            np.abs(w, out=w).sum(axis=0, out=bound[lo:lo + step])
+            np.abs(w, out=w).sum(axis=0, out=bound[block])
         bound /= self.m
         return bound.reshape(x.shape[:-1])
 

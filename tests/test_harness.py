@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -767,6 +768,27 @@ def test_stacked_monte_carlo_equals_its_replicas_one_by_one(
     for have, expected in zip((got.steps, got.updates, got.err_mean,
                                got.err_stderr), want):
         assert np.array_equal(have, expected)
+
+
+def test_monte_carlo_holds_no_record_per_replica():
+    # each record is reduced to its mean and standard error as it is
+    # taken: twice the records cost no more than their four columns, where
+    # 200 replicas' err, cert and defect are 4.8 KB a record. The runs are
+    # long enough that the schedule's block of draws, which grows to 327
+    # steps here (`pushrank.scheduling`), has reached its size in both
+    graph = str(Path(__file__).resolve().parent / "data" / "web60.txt")
+    peaks = []
+    for steps in (1000, 2000):
+        config = ExperimentConfig(graph=graph, algorithm="gossip", seed=1,
+                                  steps=steps, replicas=200)
+        tracemalloc.start()
+        try:
+            mean = monte_carlo(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(mean.steps) == steps + 1
+    assert peaks[1] - peaks[0] <= 2 ** 20
 
 
 def test_monte_carlo_runs_its_replicas_in_one_stacked_run(small_graph_path,
