@@ -8,7 +8,7 @@ tests (``tests/oracles.py``).
 """
 
 from .cluster import GroupFactors, step_group
-from .engines import PushState, init_state, run, step_set
+from .engines import PushState, init_state, run
 from .errors import ConfigError, NumericalFailure, ParseError
 from .harness import ExperimentConfig, compare, monte_carlo, run_experiment
 from .scheduling import Schedule, derive_seed, indegree_plus_one_weights
@@ -23,7 +23,7 @@ __all__ = [
     "WebGraph", "Partition", "load_edge_list", "load_partition",
     "patch_dangling",
     "DenseOracle", "power_method",
-    "PushState", "init_state", "step_set", "run",
+    "PushState", "init_state", "run",
     "GroupFactors", "step_group",
     "Schedule", "indegree_plus_one_weights", "derive_seed",
     "Trace", "ExperimentConfig", "run_experiment", "monte_carlo", "compare",

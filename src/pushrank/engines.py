@@ -8,7 +8,7 @@ sender's own residual is reset. The estimate x grows entrywise and never
 exceeds x*, and the residual certifies the distance to the solution:
 ``||x* - x||_1 = ((1-m)/m) ||z||_1`` on any patched graph.
 
-There is one step: a set of pages pushes at once (`step_set`). A
+There is one step: a set of pages pushes at once (`_push_segment`). A
 synchronous step is the set of every page, a gossip step a single page,
 and a group step (`pushrank.cluster.step_group`) first solves for its
 group's intra-group mass and then pushes the same way. Steps mutate the
@@ -100,7 +100,7 @@ from .cluster import step_group
 from .errors import NumericalFailure
 from .trace import Trace
 
-__all__ = ["PushState", "init_state", "step_set", "run", "DEFECT_ABORT"]
+__all__ = ["PushState", "init_state", "run", "DEFECT_ABORT"]
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 DEFECT_ABORT = 1e-6
@@ -140,23 +140,6 @@ def init_state(n, m, replicas=1):
     pages; with `replicas` R, R such states stacked (see the module doc)."""
     x = np.full(replicas * n, m / n)
     return PushState(x, x.copy())
-
-
-def step_set(state, graph, m, phi):
-    """One simultaneous update by the page set phi (may be empty), in place.
-
-    x_i += inflow_i for every page; senders restart their residual from
-    the inflow alone (z_i = inflow_i for i in phi) while everyone else
-    integrates it (z_i += inflow_i). A singleton phi is exactly one gossip
-    update, the set of all pages one synchronous step x += Qz, z = Qz. On
-    a stacked state phi holds stacked pages, the union of each replica's
-    set.
-    """
-    phi = np.unique(np.asarray(phi, dtype=np.intp))
-    if phi.size and (phi[0] < 0 or phi[-1] >= state.z.size):
-        raise ValueError(f"update set contains pages outside "
-                         f"0..{state.z.size - 1}")
-    _push_segment(state, graph, m, phi, np.array([phi.size]))
 
 
 def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
@@ -291,10 +274,10 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     replica. A run of R > 1 replicas stops on `steps` or exhaustion alone
     and records no x.
 
-    The records go to `trace`, a fresh `pushrank.trace.Trace` by default,
-    which keeps every replica's values; any object with `Trace.append`'s
-    signature and a `final_step` takes them, such as
-    `pushrank.harness.MeanTrace`, which reduces each record across the
+    The records go to `trace`, by default a fresh `pushrank.trace.Trace`
+    of the run's replicas, which keeps every replica's values; any object
+    with `Trace.append`'s signature and a `final_step` takes them, such
+    as `pushrank.trace.MeanTrace`, which reduces each record across the
     replicas as it arrives and keeps no per-replica column.
     """
     if steps is None and tol is None:
@@ -326,7 +309,7 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     by_updates = cadence is None
     mark = period = state.n if by_updates else cadence
     if trace is None:
-        trace = Trace()
+        trace = Trace(replicas)
     blank = np.full(replicas, math.nan)
     _record(trace, state, m, oracle, record_x, blank)
     # the sets drawn ahead of the state's step, as `_push_segment` takes them

@@ -13,14 +13,16 @@ default of their own.
 Every CSV goes through `pushrank.trace.write_table`. A command's ``out``
 file is created, or emptied, once its config is settled and before any
 input is read, so an output path that cannot be opened fails at once; a
-run that fails after that leaves the file empty.
+run that fails after that leaves the file empty. A command loads its
+inputs once, before its first run (`_Runtime`); a cluster run draws the
+groups of its partition file, and every other run draws pages.
 
 Single runs produce a `Trace` (schema ``step,updates,err_l1,cert,defect``);
 Monte Carlo runs average the exact error across seeded replicas and emit
 ``step,updates,err_mean,err_stderr``, reducing each record across the
-replicas as the run takes it (`MeanTrace`); comparisons align runs on the
-cumulative-updates axis (the fair cost measure: one update = one page
-pushing once) and emit one error column per run.
+replicas as the run takes it (`pushrank.trace.MeanTrace`); comparisons
+align runs on the cumulative-updates axis (the fair cost measure: one
+update = one page pushing once) and emit one error column per run.
 
 Exact-error and conservation columns come from the reference oracle
 (`solvers.DenseOracle`). A single run or a comparison builds it on graphs
@@ -43,13 +45,12 @@ import numpy as np
 from . import engines, scheduling, solvers
 from .cluster import GroupFactors
 from .errors import ConfigError
-from .trace import (RecordColumns, Trace, format_float, record_column,
-                    write_table)
+from .trace import MeanTrace, Trace, format_float, write_table
 from .webgraph import (_read_rows, load_edge_list, load_partition,
                        patch_dangling)
 
 __all__ = ["ExperimentConfig", "run_experiment", "monte_carlo", "compare",
-           "MeanTrace", "ALGORITHMS", "SCHEDULES"]
+           "ALGORITHMS", "SCHEDULES"]
 
 ALGORITHMS = ("exact", "power", "sync", "gossip", "multi", "cluster")
 SCHEDULES = {
@@ -119,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.steps is not None and self.steps < 0:
             raise ConfigError(f"steps must not be negative, got {self.steps}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"--seed must not be negative, got {self.seed}")
         if self.cadence is not None and self.cadence < 1:
             raise ConfigError("cadence must be a positive step count")
         return replace(
@@ -172,54 +175,47 @@ def _refuse_unread(config, reads, what):
 
 
 class _Runtime:
-    """Loaded inputs shared by the runs of one experiment.
-
-    The graph and its reference oracle are built once, the oracle up to
-    `solvers.REFERENCE_CAP` pages or at any size if `needs_oracle`; each
-    partition file is loaded and factored once, when a run first uses it.
-    """
+    """Loaded inputs shared by the runs of one command, built once: the
+    graph, its reference oracle (up to `solvers.REFERENCE_CAP` pages, or
+    at any size if `needs_oracle`) and the groups of `config.partition`."""
 
     def __init__(self, config, needs_oracle=False):
         graph = load_edge_list(config.graph, index_base=config.base)
         self.graph, _ = patch_dangling(graph)
-        self.m = config.m
         self.oracle = None
         if needs_oracle or self.graph.n <= solvers.REFERENCE_CAP:
             self.oracle = solvers.DenseOracle(self.graph, config.m)
-        self._groups = {None: (np.ones(self.graph.n, dtype=np.int64), None,
-                               "page")}
-        self.use_groups(config.partition)
+        self._pages = np.ones(self.graph.n, dtype=np.int64), None, "page"
+        self._groups = None
+        if config.partition is not None:
+            partition = load_partition(config.partition, self.graph)
+            self._groups = (partition.sizes,
+                            GroupFactors(self.graph, config.m, partition),
+                            "group")
 
-    def use_groups(self, path):
-        """Give the next run the groups of partition file `path` (None: the
-        pages): `units` holds the page count of each index a schedule
-        draws, `factors` the groups' local solvers (None for pages) and
-        `unit` the word for one drawn index."""
-        if path not in self._groups:
-            partition = load_partition(path, self.graph)
-            self._groups[path] = (partition.sizes,
-                                  GroupFactors(self.graph, self.m, partition),
-                                  "group")
-        self.units, self.factors, self.unit = self._groups[path]
-        return self
+    def units(self, config):
+        """(units, factors, unit) of a run of `config`: each drawn index's
+        page count, the groups' local solvers (None for pages) and the
+        word for one index; a cluster run draws groups, others pages."""
+        return self._groups if config.algorithm == "cluster" else self._pages
 
 
-def _weights(spec, runtime):
+def _weights(spec, graph, units, unit):
     """Selection weights of a validated ``weighted:<weights>`` spec, one
-    per unit (see `ExperimentConfig`)."""
+    per unit (see `ExperimentConfig` and `_Runtime.units`)."""
     weights = spec.partition(":")[2]
     if weights == "size":
-        return runtime.units
+        return units
     if weights == "indegree_plus_one":
-        return scheduling.indegree_plus_one_weights(runtime.graph)
+        return scheduling.indegree_plus_one_weights(graph)
     # "file:<path>"; a file of no numbers fails the size check below
     w = _read_rows(weights[5:], "weight", [
         (lambda w: not 0 < w < math.inf,
          lambda w: f"weight {w!r} is not positive and finite"),
     ], dtype=float)[:, 0]
-    if w.size != runtime.units.size:
+    if w.size != units.size:
         raise ConfigError(f"weights file has {w.size} entries for "
-                          f"{runtime.units.size} {runtime.unit}s")
+                          f"{units.size} {unit}s")
     return w
 
 
@@ -228,26 +224,27 @@ def _build_schedule(config, runtime, replicas=None):
     `scheduling.Schedule`); None for unscheduled runs."""
     if config.schedule is None:
         return None
-    n = runtime.units.size
-    weights = (_weights(config.schedule, runtime)
+    units, _, unit = runtime.units(config)
+    weights = (_weights(config.schedule, runtime.graph, units, unit)
                if config.schedule.startswith("weighted:") else None)
-    sched = scheduling.Schedule.from_spec(config.schedule, n, config.seed,
-                                          weights, replicas)
-    _check_tol_reachable(config, runtime, sched.never_drawn())
+    sched = scheduling.Schedule.from_spec(config.schedule, units.size,
+                                          config.seed, weights, replicas)
+    _check_tol_reachable(config, runtime.graph.n, units, unit,
+                         sched.never_drawn())
     return sched
 
 
-def _check_tol_reachable(config, runtime, idle):
+def _check_tol_reachable(config, n, units, unit, idle):
     """Refuse a --tol that the schedule can never certify.
 
-    A page that never pushes keeps z_i >= m/n, so the k pages of the
-    `idle` units hold the certificate at or above (1-m) k / n.
+    A page that never pushes keeps z_i >= m/n, so the k of the n pages in
+    the `idle` units hold the certificate at or above (1-m) k / n.
     """
     if config.tol is None or idle.size == 0:
         return
-    floor = (1.0 - config.m) * runtime.units[idle].sum() / runtime.graph.n
+    floor = (1.0 - config.m) * units[idle].sum() / n
     if config.tol < floor:
-        what = runtime.unit
+        what = unit
         if idle.size > 1:
             what += "s"
         shown = ", ".join(str(i) for i in idle[:10].tolist())
@@ -274,7 +271,8 @@ def _execute(config, runtime, sched, trace=None):
         return solvers.power_method(runtime.graph, config.m, max_steps=steps,
                                     **shared)[1]
     return engines.run(runtime.graph, config.m, sched, steps=steps,
-                       factors=runtime.factors, trace=trace, **shared)[1]
+                       factors=runtime.units(config)[1], trace=trace,
+                       **shared)[1]
 
 
 def _create_output(path):
@@ -302,56 +300,6 @@ def run_experiment(config):
           f"err_l1={format_float(trace.final_err)} "
           f"cert={format_float(trace.final_cert)}")
     return trace
-
-
-class MeanTrace:
-    """Across-replica mean and standard error of the exact error, record by
-    record: the sink a stacked `engines.run` of `replicas` replicas appends
-    to (its ``trace=``).
-
-    `append` takes a record as `Trace.append` does and keeps its step,
-    its updates per replica and the mean and standard error of its
-    err_l1 entries, reduced as the record arrives; cert, defect and x
-    are not kept. Each sum runs in replica order, as the axis-0
-    reduction of the C-ordered (replicas, records) stack of the errors
-    does, so the values are those of `numpy.mean` and of `numpy.std`
-    (ddof 1) over that stack, bit for bit. `steps`, `updates`, `err_mean`
-    and `err_stderr` are arrays of one entry per record.
-    """
-
-    __slots__ = ("replicas", "_columns")
-
-    HEADER = "step,updates,err_mean,err_stderr"
-
-    steps, updates, err_mean, err_stderr = map(record_column, range(4))
-
-    def __init__(self, replicas):
-        self.replicas = replicas
-        floats = np.empty(0)
-        self._columns = RecordColumns(np.empty(0, dtype=np.int64), floats,
-                                      floats, floats)
-
-    def append(self, step, updates, err_l1=math.nan, cert=math.nan,
-               defect=math.nan, x=None):
-        replicas = self.replicas
-        err = np.asarray(err_l1, dtype=float)
-        # cumsum adds in replica order, where a 1-D sum is pairwise
-        mean = np.cumsum(err)[-1] / replicas
-        stderr = 0.0
-        if replicas > 1:       # numpy's _var: squared deviations, summed
-            dev = err - mean
-            dev *= dev
-            stderr = (math.sqrt(np.cumsum(dev)[-1] / (replicas - 1))
-                      / math.sqrt(replicas))
-        self._columns.add(step, float(updates) / replicas, mean, stderr)
-
-    @property
-    def final_step(self):
-        return int(self.steps[-1])
-
-    def write_csv(self, path):
-        write_table(path, self.HEADER.split(","),
-                    [self.steps, self.updates, self.err_mean, self.err_stderr])
 
 
 def monte_carlo(config):
@@ -428,12 +376,11 @@ def compare(config, runs):
         configs.append(replace(run, **unread).validate())
     _refuse_unread(config, read, ",".join(runs))
     _create_output(config.out)
-    runtime = _Runtime(configs[0])
+    runtime = _Runtime(config)
     labels = []
     traces = []
     for cfg in configs:
-        rt = runtime.use_groups(cfg.partition)
-        traces.append(_execute(cfg, rt, _build_schedule(cfg, rt)))
+        traces.append(_execute(cfg, runtime, _build_schedule(cfg, runtime)))
         label = f"err_{cfg.algorithm}"
         while label in labels:
             label += "_"

@@ -17,8 +17,8 @@ one ascending array of stacked indices ``r n + i`` (replica r's index i).
 A single run has one stream on `seed`; with `replicas` R, replica r has
 its own stream on ``derive_seed(seed, r)`` = ``seed XOR splitmix64(r)``,
 so no two replicas share one. Only random kinds draw for more than one
-replica. Singleton draws are made in blocks: one ``rng.random(k)`` per
-stream and one vector search give the indices of the next k steps, the
+replica. Singleton draws are made in blocks: one ``rng.random(k)`` and
+one vector search per stream give the indices of the next k steps, the
 same doubles and indices as k scalar draws. Blocks double from 16 to 4096
 steps, so a short run draws few it does not use.
 
@@ -188,11 +188,14 @@ class Schedule:
         return drawn, sizes
 
     def _refill(self):
-        """Draw the next block of singleton rows, one index per replica."""
+        """Draw the next block of singleton rows, one index per replica,
+        filling the block one stream's column at a time."""
         size = min(max(_BLOCK_MIN, 2 * len(self._block)), _BLOCK_MAX,
                    max(1, _BLOCK_MAX * _BLOCK_MIN // self.replicas))
-        doubles = np.stack([rng.random(size) for rng in self._rngs], axis=1)
-        self._block = np.searchsorted(self._cum, doubles, side="right")
+        self._block = np.empty((size, self.replicas), dtype=np.intp)
+        for r, rng in enumerate(self._rngs):
+            self._block[:, r] = np.searchsorted(self._cum, rng.random(size),
+                                                side="right")
         self._block += self.n * np.arange(self.replicas)
         self._taken = 0
 

@@ -71,14 +71,12 @@ class DenseOracle:
     def error_l1(self, x):
         """||x* - x||_1, per row of an (R, n) x, a block of replicas at a
         time; each row sums as it would alone."""
-        if x.ndim == 1:
-            diff = self.x_star - x
-            return np.abs(diff, out=diff).sum()
-        err = np.empty(x.shape[0])
+        xs = x.reshape(-1, self.n)
+        err = np.empty(xs.shape[0])
         for block in self._blocks(err.size):
-            diff = np.subtract(self.x_star, x[block])
+            diff = np.subtract(self.x_star, xs[block])
             np.abs(diff, out=diff).sum(axis=1, out=err[block])
-        return err
+        return err.reshape(x.shape[:-1])
 
     def conservation_defect(self, x, z):
         """A bound on the L1 defect of x + (I - Q)^{-1} Q z against x*, per

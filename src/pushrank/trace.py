@@ -11,14 +11,17 @@ Trace schema (header is byte-exact): ``step,updates,err_l1,cert,defect``;
 optional per-page state snapshots append columns ``x0..x{n-1}``. ``defect``
 is a bound on the conservation defect, ``||rho||_1 / m`` for the residual
 rho of the push invariant ``(I - Q) x + Q z = (m/n) 1``, from the graph's
-product with Q (`pushrank.solvers.DenseOracle.conservation_defect`). A
-trace holds err_l1, cert and defect per replica of a run
-(`pushrank.engines`), as (records, R) arrays, and steps and updates as
+product with Q (`pushrank.solvers.DenseOracle.conservation_defect`).
+
+A run (`pushrank.engines.run`) hands its records to one of two sinks,
+each made for the run's R replicas. A `Trace` holds err_l1, cert and
+defect per replica, as (records, R) arrays, and steps and updates as
 int64 arrays; its CSV and its ``final_*`` values are those of replica 0.
-Its columns are `RecordColumns`: arrays that double when full, so a
-record costs its values and no object of its own. A run that needs only
-a summary of its replicas hands `pushrank.engines.run` another sink
-(`pushrank.harness.MeanTrace`).
+A `MeanTrace` keeps only the mean and standard error of each record's
+err_l1 across the replicas, and writes ``step,updates,err_mean,
+err_stderr`` (Monte Carlo runs, `pushrank.harness.monte_carlo`). Both
+keep their columns in arrays that double when full, so a record costs
+its values and no object of its own.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import math
 
 import numpy as np
 
-__all__ = ["Trace", "RecordColumns", "record_column", "CSV_HEADER",
-           "format_float", "write_table"]
+__all__ = ["Trace", "MeanTrace", "CSV_HEADER", "format_float",
+           "write_table"]
 
 CSV_HEADER = "step,updates,err_l1,cert,defect"
 # rows `write_table` formats and writes at a time
@@ -58,7 +61,7 @@ def write_table(path, header, columns):
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
-class RecordColumns:
+class _RecordColumns:
     """Columns of one row per record, in arrays that grow by doubling.
 
     Each column is given as an array of no rows, whose dtype and row
@@ -89,47 +92,39 @@ class RecordColumns:
         return self._arrays[i][:self.count]
 
 
-def _trace_columns(replicas):
-    """A trace's empty columns: steps and updates, then err_l1, cert and
-    defect, one entry per replica."""
-    ints = np.empty(0, dtype=np.int64)
-    return RecordColumns(ints, ints, *[np.empty((0, replicas))] * 3)
-
-
-def record_column(i):
+def _record_column(i):
     """A read-only attribute: column i of its owner's `_columns`, a
-    `RecordColumns`."""
+    `_RecordColumns`."""
     return property(lambda self: self._columns[i])
 
 
 class Trace:
-    """Append-only record of (step, cumulative updates, error columns).
+    """Append-only record of (step, cumulative updates, error columns) of a
+    run of `replicas` replicas.
 
     `err_l1` is the exact error against the oracle rank vector, `cert` the
     residual-based certificate, `defect` the conservation bound; any of
     them may be NaN when not computable for the run at hand. `steps` and
     `updates` are int64 arrays of one entry per record, `err_l1`, `cert`
-    and `defect` (records, R) float arrays of one entry per replica: the
-    first record sets R, and a scalar given to `append` fills its row.
-    `updates` counts the updates of all replicas. The columns grow by
-    doubling (`RecordColumns`); `x_rows` keeps each record's copy of x,
-    when one is given.
+    and `defect` (records, replicas) float arrays of one entry per
+    replica; a scalar given to `append` fills its row. `updates` counts
+    the updates of all replicas. The columns grow by doubling
+    (`_RecordColumns`); `x_rows` keeps each record's copy of x, when one
+    is given.
     """
 
     __slots__ = ("_columns", "x_rows")
 
-    steps, updates, err_l1, cert, defect = map(record_column, range(5))
+    steps, updates, err_l1, cert, defect = map(_record_column, range(5))
 
-    def __init__(self):
-        self._columns = _trace_columns(1)
+    def __init__(self, replicas=1):
+        ints, floats = np.empty(0, dtype=np.int64), np.empty((0, replicas))
+        self._columns = _RecordColumns(ints, ints, floats, floats, floats)
         self.x_rows = []
 
     def append(self, step, updates, err_l1=math.nan, cert=math.nan,
                defect=math.nan, x=None):
-        values = err_l1, cert, defect
-        if self._columns.count == 0:
-            self._columns = _trace_columns(max(map(np.size, values)))
-        self._columns.add(step, updates, *values)
+        self._columns.add(step, updates, err_l1, cert, defect)
         if x is not None:
             self.x_rows.append(np.array(x, dtype=float))
 
@@ -165,3 +160,53 @@ class Trace:
             header += [f"x{i}" for i in range(x.shape[1])]
             columns += list(x.T)
         write_table(path, header, columns)
+
+
+class MeanTrace:
+    """Across-replica mean and standard error of the exact error, record by
+    record: the sink a stacked `pushrank.engines.run` of `replicas`
+    replicas appends to (its ``trace=``).
+
+    `append` takes a record as `Trace.append` does and keeps its step,
+    its updates per replica and the mean and standard error of its
+    err_l1 entries, reduced as the record arrives; cert, defect and x
+    are not kept. Each sum runs in replica order, as the axis-0
+    reduction of the C-ordered (replicas, records) stack of the errors
+    does, so the values are those of `numpy.mean` and of `numpy.std`
+    (ddof 1) over that stack, bit for bit. `steps`, `updates`, `err_mean`
+    and `err_stderr` are arrays of one entry per record.
+    """
+
+    __slots__ = ("replicas", "_columns")
+
+    HEADER = "step,updates,err_mean,err_stderr"
+
+    steps, updates, err_mean, err_stderr = map(_record_column, range(4))
+
+    def __init__(self, replicas):
+        self.replicas = replicas
+        floats = np.empty(0)
+        self._columns = _RecordColumns(np.empty(0, dtype=np.int64), floats,
+                                       floats, floats)
+
+    def append(self, step, updates, err_l1=math.nan, cert=math.nan,
+               defect=math.nan, x=None):
+        replicas = self.replicas
+        err = np.asarray(err_l1, dtype=float)
+        # cumsum adds in replica order, where a 1-D sum is pairwise
+        mean = np.cumsum(err)[-1] / replicas
+        stderr = 0.0
+        if replicas > 1:       # numpy's _var: squared deviations, summed
+            dev = err - mean
+            dev *= dev
+            stderr = (math.sqrt(np.cumsum(dev)[-1] / (replicas - 1))
+                      / math.sqrt(replicas))
+        self._columns.add(step, float(updates) / replicas, mean, stderr)
+
+    @property
+    def final_step(self):
+        return int(self.steps[-1])
+
+    def write_csv(self, path):
+        write_table(path, self.HEADER.split(","),
+                    [self.steps, self.updates, self.err_mean, self.err_stderr])

@@ -11,8 +11,9 @@ random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
 `neumann_partial` the partial sums of x* = sum_t Q^t (m/n) 1 that
 synchronous steps reproduce. `q_matrix` is Q as a scipy matrix, the
 product that the package's own (`WebGraph.q_product`) is pinned against
-bit for bit. `next_set` draws a schedule's next step,
-as the loops that push one step at a time take it.
+bit for bit. `step_set` pushes one hand-built set of pages, which it
+sorts, deduplicates and checks, and `next_set` draws a schedule's next
+step, as the loops that push one step at a time take it.
 `run_summing_every_step` is the driver loop
 that sums the residual before every step, the reference for the stop step
 of `pushrank.engines.run`; `run_step_by_step` is that run's loop with one
@@ -27,7 +28,7 @@ and `DenseDefect` is the dense conservation defect that
 
 The lifted matrices are dense and capped at small n. All functions but
 `next_set` and the two drivers, which consume their schedules, and the
-group step, which updates its state in place, are pure.
+set and group steps, which update their state in place, are pure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from scipy import sparse
 
 from pushrank import engines
 from pushrank.cluster import _ITER_TOL, _REST_FRACTION, step_group
-from pushrank.engines import init_state, run, step_set
+from pushrank.engines import _push_segment, init_state, run
 from pushrank.scheduling import Schedule, derive_seed
 from pushrank.trace import Trace
 
@@ -227,6 +228,25 @@ def spectral_radius(mat, iters=200, tol=1e-12):
     return est
 
 
+def step_set(state, graph, m, phi):
+    """One simultaneous update by the page set phi (may be empty), in place,
+    as `pushrank.engines.run` pushes a step of one set.
+
+    phi may be unsorted and repeat a page; it is sorted and deduplicated,
+    and a page outside the state raises ValueError. x_i += inflow_i for
+    every page; senders restart their residual from the inflow alone
+    (z_i = inflow_i for i in phi) while everyone else integrates it
+    (z_i += inflow_i). A singleton phi is exactly one gossip update, the
+    set of all pages one synchronous step x += Qz, z = Qz. On a stacked
+    state phi holds stacked pages, the union of each replica's set.
+    """
+    phi = np.unique(np.asarray(phi, dtype=np.intp))
+    if phi.size and (phi[0] < 0 or phi[-1] >= state.z.size):
+        raise ValueError(f"update set contains pages outside "
+                         f"0..{state.z.size - 1}")
+    _push_segment(state, graph, m, phi, np.array([phi.size]))
+
+
 def next_set(schedule):
     """The schedule's next update set as stacked indices, or None where a
     sequence ends: one step of `Schedule.draw`, as a step-by-step loop
@@ -275,7 +295,7 @@ def run_step_by_step(graph, m, schedule=None, *, factors=None, steps=None,
     z_stop = m * tol / (1.0 - m) if tol is not None else None
     by_updates = cadence is None
     mark = period = state.n if by_updates else cadence
-    trace = Trace()
+    trace = Trace(replicas)
     blank = np.full(replicas, math.nan)
     engines._record(trace, state, m, None, False, blank)
     while steps is None or state.step < steps:

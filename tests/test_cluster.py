@@ -7,13 +7,12 @@ import pytest
 
 from pushrank import (DenseOracle, GroupFactors, NumericalFailure, Partition,
                       Schedule, WebGraph, init_state, load_edge_list,
-                      load_partition, patch_dangling, run, step_group,
-                      step_set)
+                      load_partition, patch_dangling, run, step_group)
 from pushrank.cluster import _REST_FRACTION
 
 from conftest import (community_graph, copy_state, random_graph,
                       random_partition)
-from oracles import next_set, q_matrix, step_group_full_block
+from oracles import next_set, q_matrix, step_group_full_block, step_set
 
 M = 0.15
 DATA = Path(__file__).resolve().parent / "data"

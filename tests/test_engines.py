@@ -7,10 +7,11 @@ import pytest
 
 from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
                       engines, init_state, load_edge_list, patch_dangling, run,
-                      step_set, webgraph)
+                      webgraph)
 
 from conftest import copy_state, graph_from_lists, random_graph
-from oracles import analytic_mean_trace, neumann_partial, next_set, q_matrix
+from oracles import (analytic_mean_trace, neumann_partial, next_set, q_matrix,
+                     step_set)
 
 M = 0.15
 

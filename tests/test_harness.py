@@ -21,7 +21,7 @@ from pushrank import (ConfigError, DenseOracle, ExperimentConfig, GroupFactors,
                       load_edge_list, load_partition, monte_carlo,
                       patch_dangling, run, run_experiment, solvers)
 from pushrank.scheduling import RANDOM_KINDS
-from pushrank.trace import CSV_HEADER
+from pushrank.trace import CSV_HEADER, MeanTrace
 
 from conftest import (community_graph, random_graph, random_partition,
                       write_edge_list, write_partition_file)
@@ -160,7 +160,11 @@ def test_bad_schedule_refused_before_any_input_is_read(capsys):
               "weighted:indegree_plus_one"],
              "unknown schedule spec 'weighted:indegree_plus_one' for cluster"),
             (["cluster", "--partition", "/nonexistent.groups",
-              "--schedule", "periodic"], "unknown schedule spec 'periodic'")):
+              "--schedule", "periodic"], "unknown schedule spec 'periodic'"),
+            # a seed below 0 has no stream, whatever the command
+            (["gossip", "--seed", "-1"], "--seed must not be negative, got -1"),
+            (["mc", "--steps", "3", "--seed", "-1"],
+             "--seed must not be negative, got -1")):
         argv += ["--graph", "/nonexistent.txt"]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert error in capsys.readouterr().err
@@ -702,7 +706,7 @@ def test_mc_writes_its_step_grid_above_1000_pages(cadence, tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
     header, *lines = out.read_text().splitlines()
     want = list(range(51)) if cadence is None else list(range(0, 50, 7)) + [50]
-    assert header == harness.MeanTrace.HEADER
+    assert header == MeanTrace.HEADER
     assert [int(line.split(",")[0]) for line in lines] == want
 
 
@@ -958,6 +962,27 @@ def test_compare_loads_its_inputs_once(monkeypatch, tmp_path):
             if algo == "cluster" else None))
         for upd, err in zip(trace.updates, trace.err_l1):
             assert float(lines[1 + grid.index(upd)].split(",")[col]) == err
+
+
+def test_compare_refuses_a_bad_partition_before_any_run(small_graph_path,
+                                                        tmp_path, monkeypatch,
+                                                        capsys):
+    # the partition is loaded with the graph, before the first run, so the
+    # sync run listed before the cluster run does not execute either
+    part = tmp_path / "bad.groups"
+    part.write_text("0 0\n1 x\n")
+    executed, real = [], harness._execute
+
+    def execute(config, *args, **kwargs):
+        executed.append(config.algorithm)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_execute", execute)
+    assert cli.main(["compare", "--graph", small_graph_path, "--partition",
+                     str(part), "--runs", "sync,cluster", "--steps", "3"]
+                    ) == cli.EXIT_CONFIG
+    assert "line 2" in capsys.readouterr().err
+    assert executed == []
 
 
 def test_compare_power_and_sync_share_cost_axis(small_graph_path, tmp_path):

@@ -266,9 +266,14 @@ def test_defect_bound_sees_a_spike_on_any_page():
     x, z = np.tile(state.x, (2 * n, 1)), np.tile(state.z, (2 * n, 1))
     x[np.arange(n), np.arange(n)] += spike
     z[np.arange(n) + n, np.arange(n)] += spike
-    bound = DenseOracle(graph, M).conservation_defect(x, z)
+    oracle = DenseOracle(graph, M)
+    bound = oracle.conservation_defect(x, z)
     dense = DenseDefect(graph, M)(x, z)
     assert bound.shape == dense.shape == (2 * n,)
+    # a single state's error is its row of the stacked call, bit for bit
+    err = oracle.error_l1(x)
+    assert err.shape == (2 * n,) and oracle.error_l1(x[0]).shape == ()
+    np.testing.assert_array_equal([oracle.error_l1(row) for row in x], err)
     assert (bound >= dense - 1e-15).all()
     assert (bound >= spike).all()
     np.testing.assert_allclose(dense, np.repeat([1, (1 - M) / M], n) * spike,

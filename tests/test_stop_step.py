@@ -14,11 +14,12 @@ import pytest
 
 from pushrank import (GroupFactors, Partition, Schedule, engines, init_state,
                       run, indegree_plus_one_weights, patch_dangling,
-                      step_group, step_set)
+                      step_group)
 
 from conftest import (community_graph, graph_from_lists, random_graph,
                       random_partition)
-from oracles import next_set, run_step_by_step, run_summing_every_step
+from oracles import (next_set, run_step_by_step, run_summing_every_step,
+                     step_set)
 
 M = 0.15
 NO_RECORDS = 10**9       # record only the first and the last step

@@ -30,7 +30,7 @@ def test_trace_columns_grow_as_arrays():
 
 
 def test_trace_keeps_every_replica_and_fills_a_scalar_across_them():
-    trace = Trace()
+    trace = Trace(3)
     trace.append(0, 0, err_l1=np.array([1.0, 2.0, 3.0]), cert=math.nan)
     trace.append(4, 12, err_l1=np.array([0.5, 0.25, 0.125]),
                  cert=np.array([1.0, 2.0, 4.0]), defect=0.0)
