@@ -20,11 +20,12 @@ out-links and sums each target's inflow in one `bincount`: O(sum of the
 senders' out-degrees, times a log for the sort). The set of every page
 pulls each page's inflow over its in-links, stored as jagged diagonals,
 in the graph's one product with Q (`pushrank.webgraph.WebGraph.q_product`,
-the reference's too): one gather and one add per diagonal, O(nnz + n).
-Both paths sum a target's
-inflow from 0.0 in ascending sender index, so a push by any set of pages
-reproduces ``x + Q @ (mask * z)`` and ``(1 - mask) * z + Q @ (mask * z)``
-bit for bit; the partial sets touch no page they do not reach.
+the reference's too): one gather and one add per diagonal and block of
+rows, the blocks shared with a helper thread on two CPUs or more,
+O(nnz + n). Both paths sum a target's inflow from 0.0 in ascending
+sender index, so a push by any set of pages reproduces
+``x + Q @ (mask * z)`` and ``(1 - mask) * z + Q @ (mask * z)`` bit for
+bit; the partial sets touch no page they do not reach.
 
 `run` pushes partial sets a segment at a time. A segment is a run of
 consecutive steps in which no step's senders were sent or received by an
@@ -152,9 +153,10 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
     set gathers its senders' out-links. Neither forms Q.
 
     Step j's set is the next `sizes[j]` entries of `senders`, ascending
-    and in range. The segment ends early at the step whose update count
-    reaches `until` and, given `room`, at the step whose senders, with the
-    earlier steps', first push `room` or more. `marks`, an intp array of
+    and in range; a first set of every page (``sizes[0] == n``) on a
+    single run reads none of them. The segment ends early at the step
+    whose update count reaches `until` and, given `room`, at the step
+    whose senders, with the earlier steps', first push `room` or more. `marks`, an intp array of
     the state's size holding `_UNMARKED`, is scratch space for the
     conflict search, left as it was found.
     """
@@ -301,7 +303,8 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
             graph.require_patched()
     state = init_state(graph.n, m, replicas)
     if schedule is None:
-        everyone = np.arange(state.n, dtype=np.intp), np.array([state.n])
+        # `_push_segment` reads no senders for the set of every page
+        everyone = np.empty(0, dtype=np.intp), np.array([state.n])
     # stopping on the certificate guarantees ||x*-x||_1 <= tol without an oracle
     z_stop = m * tol / (1.0 - m) if tol is not None else None
     # record when the update count, or with a cadence the step count,

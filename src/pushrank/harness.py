@@ -177,7 +177,8 @@ def _refuse_unread(config, reads, what):
 class _Runtime:
     """Loaded inputs shared by the runs of one command, built once: the
     graph, its reference oracle (up to `solvers.REFERENCE_CAP` pages, or
-    at any size if `needs_oracle`) and the groups of `config.partition`."""
+    at any size if `needs_oracle`) and the groups of `config.partition`,
+    their sizes and local solvers (`factors`, None without a partition)."""
 
     def __init__(self, config, needs_oracle=False):
         graph = load_edge_list(config.graph, index_base=config.base)
@@ -185,19 +186,20 @@ class _Runtime:
         self.oracle = None
         if needs_oracle or self.graph.n <= solvers.REFERENCE_CAP:
             self.oracle = solvers.DenseOracle(self.graph, config.m)
-        self._pages = np.ones(self.graph.n, dtype=np.int64), None, "page"
-        self._groups = None
+        self.factors = self._group_sizes = None
         if config.partition is not None:
             partition = load_partition(config.partition, self.graph)
-            self._groups = (partition.sizes,
-                            GroupFactors(self.graph, config.m, partition),
-                            "group")
+            self._group_sizes = partition.sizes
+            self.factors = GroupFactors(self.graph, config.m, partition)
 
     def units(self, config):
-        """(units, factors, unit) of a run of `config`: each drawn index's
-        page count, the groups' local solvers (None for pages) and the
-        word for one index; a cluster run draws groups, others pages."""
-        return self._groups if config.algorithm == "cluster" else self._pages
+        """(units, unit) of a scheduled run of `config`: each drawn index's
+        page count and the word for one index; a cluster run draws groups,
+        others pages, whose counts are made here, as only a schedule reads
+        them."""
+        if config.algorithm == "cluster":
+            return self._group_sizes, "group"
+        return np.ones(self.graph.n, dtype=np.int64), "page"
 
 
 def _weights(spec, graph, units, unit):
@@ -224,7 +226,7 @@ def _build_schedule(config, runtime, replicas=None):
     `scheduling.Schedule`); None for unscheduled runs."""
     if config.schedule is None:
         return None
-    units, _, unit = runtime.units(config)
+    units, unit = runtime.units(config)
     weights = (_weights(config.schedule, runtime.graph, units, unit)
                if config.schedule.startswith("weighted:") else None)
     sched = scheduling.Schedule.from_spec(config.schedule, units.size,
@@ -270,9 +272,9 @@ def _execute(config, runtime, sched, trace=None):
     if config.algorithm == "power":
         return solvers.power_method(runtime.graph, config.m, max_steps=steps,
                                     **shared)[1]
+    factors = runtime.factors if config.algorithm == "cluster" else None
     return engines.run(runtime.graph, config.m, sched, steps=steps,
-                       factors=runtime.units(config)[1], trace=trace,
-                       **shared)[1]
+                       factors=factors, trace=trace, **shared)[1]
 
 
 def _create_output(path):

@@ -1,5 +1,8 @@
 import functools
 import io
+import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -185,15 +188,24 @@ def test_every_page_push_is_the_csc_product_bit_for_bit(name, min_diagonal,
     # vector's over their short tail too, sums each row from 0.0 in CSC
     # order, as Q @ v does, for vectors and blocks, a ragged last block of
     # replicas passed as a transposed view included, and block by block
-    # or column by column (the hub's one-row diagonals); the push of every
-    # page takes it in place
+    # or column by column (the hub's one-row diagonals); a vector's long
+    # diagonals in blocks of rows of any size (partial last blocks, and
+    # diagonals that end inside a block), by the caller alone or beside
+    # the helper thread; the push of every page takes it in place
     monkeypatch.setattr(webgraph, "MIN_DIAGONAL", min_diagonal)
     g = with_fresh_diagonals(name)
     q = q_matrix(g, M)
     replicas = rng.random((88, g.n))
-    for v in (replicas[0], replicas[:1].T.copy(), replicas[:81].T.copy(),
+    for v in (replicas[:1].T.copy(), replicas[:81].T.copy(),
               replicas[81:].T):
         np.testing.assert_array_equal(g.q_product(M, v), q @ v, strict=True)
+    # the push of every page below runs with the last setting
+    for block_rows, cpus in [(webgraph._BLOCK_ROWS, 2), (64, 1), (64, 2),
+                             (7, 2)]:
+        monkeypatch.setattr(webgraph, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(webgraph, "_cpus", lambda: cpus)
+        np.testing.assert_array_equal(g.q_product(M, replicas[0]),
+                                      q @ replicas[0], strict=True)
     st = init_state(g.n, M)
     st.z[:] = rng.random(g.n)
     for _ in range(3):
@@ -202,6 +214,77 @@ def test_every_page_push_is_the_csc_product_bit_for_bit(name, min_diagonal,
         step_set(st, g, M, np.arange(g.n))
         np.testing.assert_array_equal(st.z, qz)
         np.testing.assert_array_equal(st.x, x_want)
+
+
+class Boom(Exception):
+    pass
+
+
+class Poisoned(np.ndarray):
+    """A buffer whose every slice raises `Boom`."""
+
+    def __getitem__(self, key):
+        raise Boom
+
+
+class PoisonedHelper(threading.Thread):
+    """`q_product`'s helper thread, pulling into a `Poisoned` buffer; it
+    runs to its end as it starts, so that it takes the first block."""
+
+    def __init__(self, target, args):
+        super().__init__(target=target, args=(
+            *args[:3], args[3].view(Poisoned), *args[4:]))
+
+    def start(self):
+        super().start()
+        self.join(timeout=60)
+        assert not self.is_alive()
+
+
+def test_an_exception_in_the_helper_thread_is_raised_by_the_product(
+        monkeypatch):
+    g = pull_graph("self_loops")
+    monkeypatch.setattr(webgraph, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(webgraph, "_cpus", lambda: 2)
+    monkeypatch.setattr(webgraph, "threading",
+                        types.SimpleNamespace(Thread=PoisonedHelper))
+    with pytest.raises(Boom):
+        g.q_product(M, np.ones(g.n))
+
+
+def test_blocks_shared_at_a_short_switch_interval_are_each_pulled_once(
+        monkeypatch):
+    # the helper and the caller pop 2,858 blocks of 7 rows while the
+    # interpreter switches threads every 10 us: a block pulled twice
+    # or not at all would change the product
+    g = pull_graph("random_20000")
+    q = q_matrix(g, M)
+    vectors = np.random.default_rng(6).random((2, g.n))
+    monkeypatch.setattr(webgraph, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(webgraph, "_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        products = [g.q_product(M, v) for v in vectors]
+    finally:
+        sys.setswitchinterval(interval)
+    for v, product in zip(vectors, products):
+        np.testing.assert_array_equal(product, q @ v, strict=True)
+
+
+def test_one_cpu_pulls_every_block_without_a_helper(monkeypatch):
+    def no_thread(**kwargs):
+        raise AssertionError("a helper thread on one CPU")
+
+    g = pull_graph("self_loops")
+    v = np.random.default_rng(5).random(g.n)
+    want = q_matrix(g, M) @ v
+    monkeypatch.setattr(webgraph, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(webgraph.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(webgraph, "threading",
+                        types.SimpleNamespace(Thread=no_thread))
+    np.testing.assert_array_equal(g.q_product(M, v), want, strict=True)
 
 
 @pytest.mark.parametrize("min_diagonal", [1, 40, webgraph.MIN_DIAGONAL])
