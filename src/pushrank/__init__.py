@@ -7,7 +7,7 @@ and mean-dynamics oracles of the randomized update model live with the
 tests (``tests/oracles.py``).
 """
 
-from .cluster import GroupFactors, step_group
+from .cluster import GroupFactors
 from .engines import PushState, init_state, run
 from .errors import ConfigError, NumericalFailure, ParseError
 from .harness import ExperimentConfig, compare, monte_carlo, run_experiment
@@ -24,7 +24,7 @@ __all__ = [
     "patch_dangling",
     "DenseOracle", "power_method",
     "PushState", "init_state", "run",
-    "GroupFactors", "step_group",
+    "GroupFactors",
     "Schedule", "indegree_plus_one_weights", "derive_seed",
     "Trace", "ExperimentConfig", "run_experiment", "monte_carlo", "compare",
     "ParseError", "ConfigError", "NumericalFailure",

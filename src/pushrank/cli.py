@@ -33,7 +33,7 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .errors import ConfigError, NumericalFailure, ParseError
+from .errors import NumericalFailure
 from .harness import (_READS, ALGORITHMS, SCHEDULES, ExperimentConfig,
                       compare, monte_carlo, run_experiment)
 from .scheduling import RANDOM_KINDS
@@ -128,7 +128,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, ParseError, ValueError) as exc:
+    except ValueError as exc:     # ConfigError and ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

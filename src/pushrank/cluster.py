@@ -39,7 +39,8 @@ A step returns the residual its group held, the sum of z_h:
 the push only adds to z outside the group and leaves the group the
 non-negative rest of its series, so z.sum() falls by at most that, and
 `pushrank.engines.run` lowers its bound on z.sum() by it. Runs go through
-`pushrank.engines.run` with ``factors=``.
+`pushrank.engines.run` with ``factors=``, which checks the schedule's
+draws before the first step; `step_group` pushes them unchecked.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 
-__all__ = ["GroupFactors", "step_group"]
+__all__ = ["GroupFactors"]
 
 # a group's series stops at the first term of L1 size at most
 # _REST_FRACTION of the residual the group holds, or at most _ITER_TOL
@@ -114,7 +115,7 @@ class GroupFactors:
         finite makes them (see `step_group`).
         """
         zbar = rhs.copy()
-        term = self._local_product(h, rhs)
+        term = self._product(h, self._links, rhs, rhs.size)
         size = float(term.sum())
         if not (size < math.inf and stop < math.inf):
             raise NumericalFailure(f"residual of group {h} is not finite")
@@ -125,22 +126,21 @@ class GroupFactors:
             if size <= stop:
                 return zbar, term
             zbar += term
-            term = self._local_product(h, term)
+            term = self._product(h, self._links, term, term.size)
             size = float(term.sum())
         raise NumericalFailure(f"local solve for group {h} failed to converge")
 
-    def _local_product(self, h, term):
-        """``Qhh @ term``: each in-group link's product (1-m)/n_j term_j,
-        summed into its row from 0.0 in CSC order."""
-        rows, cols = self._links[h]
-        return np.bincount(rows, (self._scale[h] * term).take(cols),
-                           term.size)
+    def _product(self, h, links, v, size):
+        """Group h's product with v over `links[h]`, `size` rows:
+        ``Qhh @ v`` over `_links`, ``Q[:, h] @ v`` over `_reached`. Each
+        link's (1-m)/n_j v_j is summed into its row from 0.0 in CSC order."""
+        rows, cols = links[h]
+        return np.bincount(rows, (self._scale[h] * v).take(cols), size)
 
     def inflow(self, h, zbar):
         """``Q[:, h] @ zbar`` compact, over the rows `block_rows[h]`."""
-        renumbered, cols = self._reached[h]
-        return np.bincount(renumbered, (self._scale[h] * zbar).take(cols),
-                           self.block_rows[h].size)
+        return self._product(h, self._reached, zbar,
+                             self.block_rows[h].size)
 
 
 def step_group(state, graph, m, factors, h):
@@ -153,27 +153,20 @@ def step_group(state, graph, m, factors, h):
     residual (see the module doc). `h` may also be a
     schedule's draw for the state's R replicas (`pushrank.engines`): at
     most one stacked index ``r G + g`` per replica (G groups), ascending,
-    a single run's group being its own index. Replica r solves for its
-    group g and pushes into its own block of n pages only, and the step
-    counts once; an empty draw is a no-op step. Returns the residual the
-    drawn groups held before the step, summed (0.0 for an empty draw).
+    a single run's group being its own index, pushed unchecked (see the
+    module doc). Replica r solves for its group g and pushes into its
+    own block of n pages only, and the step counts once; an empty draw is
+    a no-op step. Returns the residual the drawn groups held before the
+    step, summed (0.0 for an empty draw).
     """
     groups, n = factors.num_groups, graph.n
-    count = groups * (state.n // n)
-    drawn = np.atleast_1d(h).tolist()
-    for i in drawn:
-        if not 0 <= i < count:
-            raise ValueError(f"group {i} outside 0..{count - 1}")
-    owners = [i // groups for i in drawn]
-    if any(a >= b for a, b in zip(owners, owners[1:])):
-        raise ValueError("group schedules must draw one group per step")
     state.step += 1
     held = 0.0
-    for r, i in zip(owners, drawn):
-        g, offset = i - r * groups, r * n
+    for i in np.atleast_1d(h).tolist():
+        r, g = divmod(i, groups)
         members, rows = factors.members[g], factors.block_rows[g]
-        if offset:
-            members, rows = members + offset, rows + offset
+        if r:
+            members, rows = members + r * n, rows + r * n
         rhs = state.z[members]
         group_held = float(rhs.sum())
         held += group_held

@@ -41,13 +41,15 @@ segment on n pages of out-degree d runs about sqrt(pi n / (2 (d + 1)))
 steps, 59 at n = 20,000 and d = 8.
 `run` draws up to `_LOOKAHEAD` steps or pages ahead, and pushes the sets
 as drawn: ascending, duplicate-free and in range (`pushrank.scheduling`).
-It cuts the segment at the first conflict, at the step that reaches the
-next record (a segment never spans a record), at the `steps` bound,
-where the schedule runs out, and, with a `tol`, before the first step at
-which z might have summed to the stop level. The set of every page
-conflicts with any earlier push; starting a segment, it pushes alone
-with the pull. A group step, and any step whose record is one step
-away, are segments of one step and need no conflict search.
+It ends a segment at the step that reaches the next record (a segment
+never spans a record), at the `steps` bound or where the schedule runs
+out; `_push_segment` ends it sooner at the first conflict and, with a
+`tol`, before the first step at which z might have summed to the stop
+level. The set of every page conflicts with any earlier push; starting a
+segment, it pushes alone with the pull. A group step, and any step whose
+record is one step away, are segments of one step and need no conflict
+search. `run` refuses a group schedule that can draw two groups for one
+replica in a step before the first, so no group step checks its draw.
 Every run is R replicas stacked in one state, a single run being R = 1:
 replica r holds pages ``r n .. r n + n - 1``, so x and z read as (R, n)
 C-order arrays, and the schedule draws for all R (`pushrank.scheduling`).
@@ -60,8 +62,8 @@ follows the trajectory it would follow alone, bit for bit. A stacked step
 counts once however many replicas push in it. Each record holds the
 certificate of every replica, from one sum of z per row, and one oracle
 call checks them all; the record goes to the run's `trace`, which may
-keep it whole or reduce it (see `run`). Engines are single-threaded and
-deterministic.
+keep it whole or reduce it (see `run`). Runs are deterministic: the
+pull's helper thread leaves every sum in its order.
 
 `run` records the first step, the last, and by default the first step
 at or after each multiple of the state's size in counted updates (one
@@ -143,8 +145,7 @@ def init_state(n, m, replicas=1):
     return PushState(x, x.copy())
 
 
-def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
-                  marks=None):
+def _push_segment(state, graph, m, senders, sizes, room=None, marks=None):
     """Push the leading segment of consecutive steps' update sets in place;
     return (steps taken, mass pushed), the sum of the residual its senders
     held, which is inf for the set of every page (see the module doc).
@@ -154,11 +155,12 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
 
     Step j's set is the next `sizes[j]` entries of `senders`, ascending
     and in range; a first set of every page (``sizes[0] == n``) on a
-    single run reads none of them. The segment ends early at the step
-    whose update count reaches `until` and, given `room`, at the step
-    whose senders, with the earlier steps', first push `room` or more. `marks`, an intp array of
-    the state's size holding `_UNMARKED`, is scratch space for the
-    conflict search, left as it was found.
+    single run reads none of them. The segment spans at most the given
+    steps, and ends early at the first conflict and, given `room`, at the
+    step whose senders, with the earlier steps', first push `room` or
+    more. `marks`, needed for more than one step, is an intp array of the
+    state's size holding `_UNMARKED`: scratch space for the conflict
+    search, left as it was found.
     """
     size, n = state.z.size, graph.n
     stacked = size != n
@@ -169,14 +171,8 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
         state.step += 1
         return 1, math.inf
     count = sizes.size
-    if count > 1:
-        ends = sizes.cumsum()
-        if until is not None:
-            count = min(count, int(ends.searchsorted(
-                until - state.cumulative_updates)) + 1)
-        senders = senders[:ends[count - 1]]
-    else:                        # one step, which `until` cannot cut
-        senders = senders[:sizes[0]]
+    ends = sizes.cumsum()
+    senders = senders[:ends[-1]]
     if senders.size == 0:
         state.step += count
         return count, 0.0
@@ -196,8 +192,6 @@ def _push_segment(state, graph, m, senders, sizes, until=None, room=None,
                 count = int((before >= room).argmax()) + 1
         # a step conflicts when one of its senders was sent or received by
         # an earlier step: the segment ends before it
-        if marks is None:
-            marks = np.full(size, _UNMARKED, dtype=np.intp)
         touched = np.concatenate((senders, targets))
         np.minimum.at(marks, touched, np.concatenate((step_of, link_step)))
         late = marks[senders] < step_of
@@ -250,6 +244,15 @@ def _record(trace, state, m, oracle, record_x, blank):
                  defect=defect, x=state.x if record_x else None)
 
 
+def _check_bounds(tol, cadence):
+    """Refuse a `tol` that is NaN or negative and a `cadence` below 1."""
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+    if cadence is not None and cadence < 1:
+        raise ValueError(f"cadence must be a positive step count, "
+                         f"got {cadence}")
+
+
 def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
         oracle=None, cadence=None, record_x=False, trace=None):
     """Run one engine from `init_state`; returns (state, trace).
@@ -258,17 +261,18 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     `schedule` is None (synchronous). With `factors` (a
     `pushrank.cluster.GroupFactors`) the schedule draws one group index
     per step, an empty draw being a no-op step. A schedule over other
-    than the run's `graph.n` pages or `factors.num_groups` groups, and a
-    page schedule on a graph with dangling pages, whose certificate would
-    not hold, are refused before the first step. Stops when the residual
-    certificate reaches `tol`, after `steps` steps, or when the schedule
-    is exhausted, whichever comes first. Partial sets push a segment of
-    independent steps per call (see the module doc), with the state each
-    step alone would leave. The trace records the first and the last step
-    and, with `cadence` None, the first step at or after each sweep of
-    counted updates, else every cadence-th step; err/defect columns are
-    filled when the reference oracle is supplied, and a defect above
-    `DEFECT_ABORT` raises `NumericalFailure`.
+    than the run's `graph.n` pages or `factors.num_groups` groups, a
+    group schedule that can draw two groups for one replica in a step,
+    and a page schedule on a graph with dangling pages, whose certificate
+    would not hold, are refused before the first step. Stops when the
+    residual certificate reaches `tol`, after `steps` steps, or when the
+    schedule is exhausted, whichever comes first. Partial sets push a
+    segment of independent steps per call (see the module doc), with the
+    state each step alone would leave. The trace records the first and the
+    last step and, with `cadence` None, the first step at or after each
+    sweep of counted updates, else every cadence-th step; err/defect
+    columns are filled when the reference oracle is supplied, and a defect
+    above `DEFECT_ABORT` raises `NumericalFailure`.
 
     The run has the schedule's R replicas (one without a schedule), in one
     stacked state (see the module doc): the updates column counts the
@@ -284,11 +288,7 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
     """
     if steps is None and tol is None:
         raise ValueError("need steps and/or tol to bound the run")
-    if tol is not None and not tol >= 0:
-        raise ValueError(f"tol must be a non-negative number, got {tol}")
-    if cadence is not None and cadence < 1:
-        raise ValueError(f"cadence must be a positive step count, "
-                         f"got {cadence}")
+    _check_bounds(tol, cadence)
     replicas = 1 if schedule is None else schedule.replicas
     if replicas > 1 and (tol is not None or record_x):
         raise ValueError("a run of stacked replicas takes no tol and "
@@ -301,6 +301,8 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
                              f"not the run's {units} {unit}")
         if factors is None:      # group factors refuse dangling pages
             graph.require_patched()
+        elif schedule.most_drawn() > 1:
+            raise ValueError("group schedules must draw one group per step")
     state = init_state(graph.n, m, replicas)
     if schedule is None:
         # `_push_segment` reads no senders for the set of every page
@@ -356,15 +358,19 @@ def run(graph, m, schedule=None, *, factors=None, steps=None, tol=None,
                                     pending[:sizes[0]])
                 taken = 1
             else:
-                # the segment ends at a step record at the latest
-                reach = sizes.size if by_updates else mark - state.step
+                # the segment ends at the latest at the step reaching the
+                # next record, searched for only when the pending draws do
+                if by_updates:
+                    left = mark - state.cumulative_updates
+                    reach = (sizes.size if pending.size < left
+                             else sizes.cumsum().searchsorted(left) + 1)
+                else:
+                    reach = mark - state.step
                 if reach > 1 and marks is None:
                     marks = np.full(state.n, _UNMARKED, dtype=np.intp)
-                until = mark if by_updates else None
                 room = None if z_stop is None else floor - z_stop
                 taken, pushed = _push_segment(state, graph, m, pending,
-                                              sizes[:reach], until, room,
-                                              marks)
+                                              sizes[:reach], room, marks)
                 floor -= pushed
             pending, sizes = pending[sizes[:taken].sum():], sizes[taken:]
         done = state.cumulative_updates if by_updates else state.step

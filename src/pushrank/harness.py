@@ -387,15 +387,15 @@ def compare(config, runs):
         while label in labels:
             label += "_"
         labels.append(label)
-    grid = np.unique(np.concatenate([t.column("updates") for t in traces]))
+    grid = np.unique(np.concatenate([t.updates for t in traces]))
     columns = []
     for t in traces:
-        idx = np.searchsorted(t.column("updates"), grid, side="right") - 1
-        err = t.column("err_l1")[np.clip(idx, 0, None), 0]
+        idx = np.searchsorted(t.updates, grid, side="right") - 1
+        err = t.err_l1[np.clip(idx, 0, None), 0]
         columns.append(np.where(idx >= 0, err, np.nan))
     header = ["updates"] + labels
     rows = [tuple([int(u)] + [col[i] for col in columns])
             for i, u in enumerate(grid)]
     if config.out:
-        write_table(config.out, header, [grid.astype(np.int64)] + columns)
+        write_table(config.out, header, [grid] + columns)
     return header, rows

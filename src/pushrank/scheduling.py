@@ -151,6 +151,13 @@ class Schedule:
         named = np.concatenate([np.empty(0, dtype=np.intp), *self.sequence])
         return np.flatnonzero(np.bincount(named, minlength=self.n) == 0)
 
+    def most_drawn(self):
+        """The most indices one step can draw for one replica: a
+        sequence's longest set, all n for ``subset``, else one."""
+        if self.sequence is not None:
+            return max(map(len, self.sequence), default=0)
+        return self.n if self.kind == "subset" else 1
+
     # -- drawing --------------------------------------------------------
 
     def draw(self, steps, pages):

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .engines import _check_bounds
 from .errors import NumericalFailure
 from .trace import Trace
 
@@ -115,11 +116,7 @@ def power_method(graph, m, tol=1e-12, max_steps=100_000,
     NaN: there is no residual state here); err_l1 is filled when an
     oracle is supplied.
     """
-    if tol is not None and not tol >= 0:
-        raise ValueError(f"tol must be a non-negative number, got {tol}")
-    if cadence is not None and cadence < 1:
-        raise ValueError(f"cadence must be a positive step count, "
-                         f"got {cadence}")
+    _check_bounds(tol, cadence)
     graph.q_scale(m)                     # refuses a bad m or graph first
     n = graph.n
     x = np.full(n, 1.0 / n)

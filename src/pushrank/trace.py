@@ -129,13 +129,6 @@ class Trace:
             self.x_rows.append(np.array(x, dtype=float))
 
     @property
-    def has_state(self):
-        return bool(self.x_rows)
-
-    def column(self, name):
-        return np.asarray(getattr(self, name), dtype=float)
-
-    @property
     def final_step(self):
         return int(self.steps[-1])
 
@@ -155,7 +148,7 @@ class Trace:
         header = CSV_HEADER.split(",")
         columns = [self.steps, self.updates]
         columns += [getattr(self, name)[:, 0] for name in header[2:]]
-        if self.has_state:
+        if self.x_rows:
             x = np.array(self.x_rows)
             header += [f"x{i}" for i in range(x.shape[1])]
             columns += list(x.T)

@@ -12,8 +12,9 @@ random singleton selection (Ishii and Tempo, IEEE TAC 2010), and
 synchronous steps reproduce. `q_matrix` is Q as a scipy matrix, the
 product that the package's own (`WebGraph.q_product`) is pinned against
 bit for bit. `step_set` pushes one hand-built set of pages, which it
-sorts, deduplicates and checks, and `next_set` draws a schedule's next
-step, as the loops that push one step at a time take it.
+sorts, deduplicates and checks, `step_group` one hand-built group draw,
+which it checks, and `next_set` draws a schedule's next step, as the
+loops that push one step at a time take it.
 `run_summing_every_step` is the driver loop
 that sums the residual before every step, the reference for the stop step
 of `pushrank.engines.run`; `run_step_by_step` is that run's loop with one
@@ -38,8 +39,8 @@ import math
 import numpy as np
 from scipy import sparse
 
-from pushrank import engines
-from pushrank.cluster import _ITER_TOL, _REST_FRACTION, step_group
+from pushrank import cluster, engines
+from pushrank.cluster import _ITER_TOL, _REST_FRACTION
 from pushrank.engines import _push_segment, init_state, run
 from pushrank.scheduling import Schedule, derive_seed
 from pushrank.trace import Trace
@@ -247,6 +248,24 @@ def step_set(state, graph, m, phi):
     _push_segment(state, graph, m, phi, np.array([phi.size]))
 
 
+def step_group(state, graph, m, factors, h):
+    """`pushrank.cluster.step_group` on a hand-built group draw `h`, which
+    it checks first, as `pushrank.engines.run` checks a schedule before
+    its first step: a group outside the state's replicas, or two groups
+    drawn for one replica or out of order, raise ValueError. Returns what
+    the step returns."""
+    groups = factors.num_groups
+    drawn = np.atleast_1d(h).tolist()
+    count = groups * (state.n // graph.n)
+    for i in drawn:
+        if not 0 <= i < count:
+            raise ValueError(f"group {i} outside 0..{count - 1}")
+    owners = [i // groups for i in drawn]
+    if any(a >= b for a, b in zip(owners, owners[1:])):
+        raise ValueError("group schedules must draw one group per step")
+    return cluster.step_group(state, graph, m, factors, h)
+
+
 def next_set(schedule):
     """The schedule's next update set as stacked indices, or None where a
     sequence ends: one step of `Schedule.draw`, as a step-by-step loop
@@ -360,14 +379,14 @@ def monte_carlo_one_by_one(graph, m, spec, replicas, *, seed, weights=None,
                                                weights),
                   factors=factors, steps=steps, oracle=oracle, cadence=1)[1]
               for r in range(replicas)]
-    err = np.vstack([t.column("err_l1")[:, 0] for t in traces])
-    updates = np.vstack([t.column("updates") for t in traces])
+    err = np.vstack([t.err_l1[:, 0] for t in traces])
+    updates = np.vstack([t.updates for t in traces])
     mean = err.mean(axis=0)
     if replicas > 1:
         stderr = err.std(axis=0, ddof=1) / math.sqrt(replicas)
     else:
         stderr = np.zeros_like(mean)
-    defects = np.vstack([t.column("defect")[:, 0] for t in traces])
+    defects = np.vstack([t.defect[:, 0] for t in traces])
     return traces[0].steps, updates.mean(axis=0), mean, stderr, defects
 
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from pushrank import (DenseOracle, GroupFactors, NumericalFailure, Partition,
-                      Schedule, WebGraph, init_state, load_edge_list,
-                      load_partition, patch_dangling, run, step_group)
+                      Schedule, WebGraph, cli, engines, init_state,
+                      load_edge_list, load_partition, patch_dangling, run)
 from pushrank.cluster import _REST_FRACTION
 
 from conftest import (community_graph, copy_state, random_graph,
                       random_partition)
-from oracles import next_set, q_matrix, step_group_full_block, step_set
+from oracles import (next_set, q_matrix, step_group, step_group_full_block,
+                     step_set)
 
 M = 0.15
 DATA = Path(__file__).resolve().parent / "data"
@@ -451,7 +452,7 @@ def test_run_clustered_periodic_decays(rng):
     part = random_partition(rng, g.n, 5)
     _, trace = run(g, M, Schedule.from_spec("roundrobin", part.num_groups),
                    factors=GroupFactors(g, M, part), steps=60, oracle=oracle)
-    errs = trace.column("err_l1")[:, 0]
+    errs = trace.err_l1[:, 0]
     # 12 complete cycles dominate 12 synchronous steps
     assert errs[-1] <= (1 - M) ** 13
     assert np.all(np.diff(errs) <= 1e-12)
@@ -482,6 +483,33 @@ def test_group_run_empty_draw_is_noop_step(rng):
     with pytest.raises(ValueError, match="one group per step"):
         run(g, M, Schedule("file", n=3, sequence=[[0, 1]]), steps=10,
             factors=factors)
+
+
+def test_a_schedule_that_can_draw_two_groups_is_refused_before_step_1(
+        rng, tmp_path, monkeypatch, capsys):
+    # the check is made on the schedule, before the first step: a subset
+    # schedule over the groups, or a sequence whose second line names two
+    # groups, runs no group step at all
+    step, calls = engines.step_group, []
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+    monkeypatch.setattr(engines, "step_group", counted)
+    g = random_graph(rng, 12)
+    factors = GroupFactors(g, M, random_partition(rng, g.n, 3))
+    with pytest.raises(ValueError, match="one group per step"):
+        run(g, M, Schedule.from_spec("subset:0.5", 3, seed=1), steps=10,
+            factors=factors)
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+    (tmp_path / "groups.txt").write_text("0 0\n1 0\n2 1\n3 1\n")
+    (tmp_path / "two.seq").write_text("0\n0,1\n1\n")
+    assert cli.main(["cluster", "--graph", str(tmp_path / "g.txt"),
+                     "--partition", str(tmp_path / "groups.txt"),
+                     "--schedule", f"file:{tmp_path / 'two.seq'}",
+                     "--steps", "3"]) == 2
+    assert "one group per step" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_partition_graph_mismatch(rng):

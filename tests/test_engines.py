@@ -14,7 +14,7 @@ from pushrank import (DenseOracle, GroupFactors, Partition, Schedule, WebGraph,
 
 from conftest import copy_state, graph_from_lists, random_graph
 from oracles import (analytic_mean_trace, neumann_partial, next_set, q_matrix,
-                     step_set)
+                     run_step_by_step, step_set)
 
 M = 0.15
 
@@ -398,14 +398,18 @@ def segments_by_hand(graph, sets):
 
 
 def push_in_segments(state, graph, sets):
-    """Push `sets` through `engines._push_segment`, one call per segment;
-    returns each call's step count."""
+    """Push `sets` through `engines._push_segment`, one call per segment,
+    with one scratch array of conflict marks, which each call must leave
+    as it found it; returns each call's step count."""
     drawn = np.concatenate([np.asarray(p, dtype=np.intp) for p in sets])
     sizes = np.array([len(p) for p in sets])
+    marks = np.full(state.z.size, engines._UNMARKED, dtype=np.intp)
     counts = []
     while sizes.size:
         held, every_page = state.z.copy(), sizes[0] == state.z.size
-        taken, pushed = engines._push_segment(state, graph, M, drawn, sizes)
+        taken, pushed = engines._push_segment(state, graph, M, drawn, sizes,
+                                              marks=marks)
+        assert (marks == engines._UNMARKED).all()
         used = sizes[:taken].sum()
         # the residual the senders held, or inf for the set of every page
         assert pushed == (np.inf if every_page
@@ -451,13 +455,29 @@ def test_a_segment_push_equals_its_steps_one_by_one(name, g, replicas, sets):
     assert got.cumulative_updates == want.cumulative_updates
 
 
-def test_a_segment_ends_at_the_step_reaching_its_update_bound(rng):
+def test_a_segment_ends_at_the_step_reaching_its_update_bound(
+        rng, monkeypatch):
+    # `run` draws 128 steps ahead, so the draws pending near step 500 reach
+    # past the first sweep mark: the segment it pushes must end at the
+    # step that reaches the mark, which is then recorded
     g = random_graph(rng, 500, allow_self=True)
-    st = init_state(g.n, M)
-    sets = np.array([0, 100, 200, 300, 400])
-    taken, _ = engines._push_segment(st, g, M, sets,
-                                     np.ones(5, dtype=np.intp), until=3)
-    assert taken <= 3 and st.cumulative_updates == st.step == taken
+    push, calls = engines._push_segment, []
+
+    def counted(*args):
+        calls.append(args)
+        return push(*args)
+    monkeypatch.setattr(engines, "_push_segment", counted)
+    state, trace = run(g, M, Schedule.from_spec("uniform", g.n, seed=8),
+                       steps=1200)
+    monkeypatch.setattr(engines, "_push_segment", push)
+    want, want_trace = run_step_by_step(
+        g, M, Schedule.from_spec("uniform", g.n, seed=8), steps=1200)
+    assert len(calls) < state.step // 4
+    assert trace.steps.tolist() == want_trace.steps.tolist() == [0, 500,
+                                                                 1000, 1200]
+    np.testing.assert_array_equal(trace.cert, want_trace.cert)
+    np.testing.assert_array_equal(state.x, want.x)
+    np.testing.assert_array_equal(state.z, want.z)
 
 
 # -- invariants -----------------------------------------------------------
@@ -568,7 +588,7 @@ def test_run_with_empty_schedule_is_flat():
     st, trace = run(g, M, Schedule("file", n=2, sequence=[[]] * 20), steps=20)
     np.testing.assert_array_equal(st.x, init_state(2, M).x)
     assert trace.final_updates == 0
-    assert trace.column("cert")[0] == trace.column("cert")[-1]
+    assert trace.cert[0] == trace.cert[-1]
 
 
 def test_run_round_robin_liveness_and_decay(rng):
@@ -579,7 +599,7 @@ def test_run_round_robin_liveness_and_decay(rng):
     sweeps = 60
     _, trace = run(g, M, Schedule.from_spec("roundrobin", g.n),
                    steps=sweeps * g.n, oracle=oracle)
-    errs = trace.column("err_l1")[:, 0]
+    errs = trace.err_l1[:, 0]
     assert errs[-1] <= (1 - M) ** (sweeps + 1)
     # error never increases along the way
     assert np.all(np.diff(errs) <= 1e-12)
@@ -655,7 +675,7 @@ def test_mean_certificate_follows_its_closed_form(spec, steps):
     reps = 2000
     sched = Schedule.from_spec(spec, g.n, 31, replicas=reps)
     _, trace = run(g, M, sched, steps=steps, cadence=1)
-    cert = trace.column("cert")
+    cert = trace.cert
     assert cert.shape == (steps + 1, reps)
     rate = M / g.n if spec == "uniform" else M * sched.q
     want = (1 - M) * (1 - rate) ** np.arange(steps + 1)

@@ -94,11 +94,11 @@ def test_engine_error_column_monotone_and_certified(small_graph_path):
                                schedule=sched, seed=9 if sched else None,
                                steps=300)
         trace = run_experiment(cfg)
-        errs = trace.column("err_l1")[:, 0]
-        certs = trace.column("cert")[:, 0]
+        errs = trace.err_l1[:, 0]
+        certs = trace.cert[:, 0]
         assert np.all(np.diff(errs) <= 1e-12)
         assert np.all(np.abs(errs - certs) <= 1e-9)
-        assert np.nanmax(trace.column("defect")) <= 1e-10
+        assert np.nanmax(trace.defect) <= 1e-10
 
 
 def test_cluster_whole_graph_single_update(small_graph_path, tmp_path, rng):
@@ -206,7 +206,7 @@ def test_default_records_of_a_skewed_cluster_run_lie_a_sweep_apart(
     trace = run_experiment(ExperimentConfig(
         graph=str(graph), algorithm="cluster", partition=str(part),
         schedule="weighted:size", seed=2, steps=100))
-    gaps = np.diff(trace.column("updates"))
+    gaps = np.diff(trace.updates)
     assert trace.final_step == 100 and gaps.size > 10
     assert gaps.max() <= n + big
 
@@ -669,7 +669,7 @@ def test_include_x_appends_state_columns(cycle_path, small_graph_path,
                 graph=path, **kwargs, out=str(out), include_x=include_x))
             header = CSV_HEADER
             columns = [trace.steps, trace.updates]
-            columns += [trace.column(name)[:, 0]
+            columns += [getattr(trace, name)[:, 0]
                         for name in ("err_l1", "cert", "defect")]
             if include_x:
                 x = np.array(trace.x_rows)
@@ -839,7 +839,7 @@ def test_defect_above_the_abort_level_stops_the_run_in_any_replica(
         sched = Schedule.from_spec("uniform", graph.n, seed=13)
         trace = run(graph, 0.15, sched, steps=40, oracle=oracle,
                     cadence=1)[1]
-        defects = trace.column("defect")
+        defects = trace.defect
     middle, at, spike = (replicas or 1) // 2, 20, 1e-3
     # the spiked replica's largest defect is about `spike`; the level lies
     # between it and every replica's largest defect without the spike

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from pushrank import (DenseOracle, GroupFactors, Partition, init_state,
-                      load_edge_list, step_group)
+                      load_edge_list)
 from pushrank.cluster import _REST_FRACTION
 
 from conftest import copy_state, random_graph, random_partition
 from oracles import (analytic_mean_trace, dense_q, lift_group_hat,
                      lift_group_hat_blocks, lift_set, lift_single,
-                     mean_matrices, spectral_radius, step_set)
+                     mean_matrices, spectral_radius, step_group, step_set)
 
 M = 0.15
 

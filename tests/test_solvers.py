@@ -118,7 +118,7 @@ def test_power_tol_stop_is_certified(m, tol):
     g = looped_chain()
     oracle = DenseOracle(g, m)
     _, trace = power_method(g, m, tol=tol, oracle=oracle)
-    err, cert = trace.column("err_l1")[1:, 0], trace.column("cert")[1:, 0]
+    err, cert = trace.err_l1[1:, 0], trace.cert[1:, 0]
     assert np.all(err <= cert)
     assert trace.final_cert <= tol and trace.final_err <= tol
 
@@ -251,7 +251,7 @@ def test_defect_bound_covers_the_dense_defect_at_every_record(name, spec,
                 oracle=oracle, cadence=1)[1]
     bound, dense = (np.array(v) for v in zip(*oracle.pairs))
     assert bound.shape == dense.shape == (steps + 1, sched.replicas)
-    np.testing.assert_array_equal(trace.column("defect"), bound)
+    np.testing.assert_array_equal(trace.defect, bound)
     assert (bound >= dense - 1e-15).all()
     assert bound.max() <= 1e-13
 

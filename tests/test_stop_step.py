@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from pushrank import (GroupFactors, Partition, Schedule, engines, init_state,
-                      run, indegree_plus_one_weights, patch_dangling,
-                      step_group)
+                      run, indegree_plus_one_weights, patch_dangling)
 
 from conftest import (community_graph, graph_from_lists, random_graph,
                       random_partition)
 from oracles import (next_set, run_step_by_step, run_summing_every_step,
-                     step_set)
+                     step_group, step_set)
 
 M = 0.15
 NO_RECORDS = 10**9       # record only the first and the last step
@@ -104,8 +103,8 @@ def test_runs_above_1000_pages_keep_the_step_by_step_trace(kind, tol):
     if tol is not None and kind != "file":
         assert state.step < 5000
     for name in ("steps", "updates", "cert"):
-        np.testing.assert_array_equal(trace.column(name),
-                                      want_trace.column(name))
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(want_trace, name))
     np.testing.assert_array_equal(state.x, want.x)
     np.testing.assert_array_equal(state.z, want.z)
 
@@ -129,8 +128,8 @@ def test_small_runs_to_a_tol_record_by_sweeps_in_segments(monkeypatch):
     assert len(calls) < state.step // 4
     assert len(trace.steps) == len(want_trace.steps) >= 3
     for name in ("steps", "updates", "cert"):
-        np.testing.assert_array_equal(trace.column(name),
-                                      want_trace.column(name))
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(want_trace, name))
     np.testing.assert_array_equal(state.x, want.x)
     np.testing.assert_array_equal(state.z, want.z)
 
@@ -144,8 +143,8 @@ def test_stacked_runs_keep_the_step_by_step_trace(cadence):
     want, want_trace = run_step_by_step(g, M, pair[1], steps=3000,
                                         cadence=cadence)
     for name in ("steps", "updates", "cert"):
-        np.testing.assert_array_equal(trace.column(name),
-                                      want_trace.column(name))
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(want_trace, name))
     np.testing.assert_array_equal(state.x, want.x)
     np.testing.assert_array_equal(state.z, want.z)
 
