@@ -22,19 +22,26 @@ unabsorbed waits for the group's next step. On the cluster-50k benchmark
 graph (m = 0.15) this stop took 10.5 terms a step where a stop at
 `_ITER_TOL` alone took 28.4, for 1.0% more steps to the same tol; the
 larger fraction 3e-2 cost 2.4-2.7% more steps. No group stores a factor:
-`GroupFactors` keeps each group's in-group links, its out-links and its
-members' values (1-m)/n_j of Q, O(nnz + n) for all groups, built once
-per partition from the graph's CSC arrays, with numpy alone, and shared
-across steps and replicas.
+`GroupFactors` keeps each group's out-links once, as one list of rows,
+its members' in-group and cross-group out-degrees and their values
+(1-m)/n_j of Q, O(nnz + n) for all groups, built once per partition
+from the graph's CSC arrays, with numpy alone, and shared across steps
+and replicas.
 
-A series term ``Qhh @ term`` and the push ``Q[:, h] @ zbar`` are each one
-`np.bincount` over the group's links in CSC order, each link weighted by
-(1-m)/n_j times the value of its column j: every row sums the products a
-CSC mat-vec forms, from 0.0 and in its order, so both equal scipy's
-products bit for bit. The push goes into the rows the group's columns
-reach, ascending, the out-links' rows renumbered into them, with the
-in-place step of a set update (`PushState.push`); a step costs
-O(group size + nnz of the group's columns) besides the local series.
+A series term ``Qhh @ term`` is one `np.bincount` over the group's
+in-group links, and the push ``Q[:, h] @ zbar`` one over all its links,
+the in-group links first, then the cross-group links, each part in CSC
+order. Each link is weighted by (1-m)/n_j times the value of its column
+j, that product repeated over the column's links of the part. No row
+takes links from both parts, so every row sums the products a CSC
+mat-vec forms, from 0.0 and in its order, and both equal scipy's
+products bit for bit. The push goes into the group's members, then the
+pages outside it that its links reach, ascending, with the in-place step
+of a set update (`PushState.push`, which takes rows in any order); a
+member that no in-group link reaches takes an exact +0.0, which leaves
+its x as it is, and its z is then set to the rest of the series. A step
+costs O(group size + nnz of the group's columns) besides the local
+series.
 A step returns the residual its group held, the sum of z_h:
 the push only adds to z outside the group and leaves the group the
 non-negative rest of its series, so z.sum() falls by at most that, and
@@ -62,16 +69,17 @@ _ITER_TOL = 1e-13
 class GroupFactors:
     """Per-group local series for (I - Qhh)^{-1} plus each group's columns of Q.
 
-    Group h keeps its members' values (1-m)/n_j (`WebGraph.q_scale`), its
-    in-group links, the entries of Qhh, as local row and column indices
-    (a page's position in the sorted members), and its out-links
-    (`WebGraph.out_links`): `block_rows[h]` lists the rows they reach,
-    ascending, and each out-link's row is renumbered into them. All links
-    stay in CSC order (see the module doc).
+    Group h keeps its members' values (1-m)/n_j (`WebGraph.q_scale`), the
+    rows `block_rows[h]` its push reaches, its members and then the
+    pages outside it that its out-links (`WebGraph.out_links`) reach,
+    ascending, and one array of link rows, each link's target's index in
+    `block_rows[h]`: the in-group links, the entries of Qhh, first, then
+    the cross-group links, each part in CSC order. In place of a column
+    index per link it keeps each member's in-group and cross-group
+    out-degrees, over which its value is repeated (see the module doc).
     """
 
-    __slots__ = ("members", "block_rows", "_scale", "_links", "_reached",
-                 "_decay")
+    __slots__ = ("members", "block_rows", "_scale", "_links", "_decay")
 
     def __init__(self, graph, m, partition):
         if partition.n != graph.n:
@@ -82,20 +90,23 @@ class GroupFactors:
         self._decay = math.log1p(-m) * (1 - 2.0 ** -20)
         self.members = partition.members
         self.block_rows = []
-        self._scale, self._links, self._reached = [], [], []
+        self._scale, self._links = [], []
         group_of, local = partition.group_of, np.empty(graph.n, dtype=np.intp)
         for h, mem in enumerate(self.members):
             degree, targets = graph.out_links(mem)
-            local[mem] = np.arange(mem.size)
-            cols = local[mem].repeat(degree)
-            # renumbering rows into the ascending reached rows is monotone,
-            # so each column keeps the order of its entries
-            rows, renumbered = np.unique(targets, return_inverse=True)
             inside = group_of[targets] == h
-            self.block_rows.append(rows)
+            # a patched graph gives every member a link, so each member's
+            # last link is at degree.cumsum() - 1
+            inner = np.diff(inside.cumsum()[degree.cumsum() - 1], prepend=0)
+            # numbering the cross-group targets ascending is monotone, so
+            # each column keeps the order of its entries
+            reached, cross = np.unique(targets[~inside], return_inverse=True)
+            local[mem] = np.arange(mem.size)
+            rows = np.concatenate((local[targets[inside]], cross + mem.size))
+            self.block_rows.append(np.concatenate((mem, reached)))
             self._scale.append(scale[mem])
-            self._links.append((local[targets[inside]], cols[inside]))
-            self._reached.append((renumbered, cols))
+            self._links.append((rows[:inside.sum()], rows,
+                                np.concatenate((inner, degree - inner))))
 
     @property
     def num_groups(self):
@@ -115,7 +126,7 @@ class GroupFactors:
         finite makes them (see `step_group`).
         """
         zbar = rhs.copy()
-        term = self._product(h, self._links, rhs, rhs.size)
+        term = self._term(h, rhs)
         size = float(term.sum())
         if not (size < math.inf and stop < math.inf):
             raise NumericalFailure(f"residual of group {h} is not finite")
@@ -126,21 +137,25 @@ class GroupFactors:
             if size <= stop:
                 return zbar, term
             zbar += term
-            term = self._product(h, self._links, term, term.size)
+            term = self._term(h, term)
             size = float(term.sum())
         raise NumericalFailure(f"local solve for group {h} failed to converge")
 
-    def _product(self, h, links, v, size):
-        """Group h's product with v over `links[h]`, `size` rows:
-        ``Qhh @ v`` over `_links`, ``Q[:, h] @ v`` over `_reached`. Each
-        link's (1-m)/n_j v_j is summed into its row from 0.0 in CSC order."""
-        rows, cols = links[h]
-        return np.bincount(rows, (self._scale[h] * v).take(cols), size)
+    def _term(self, h, v):
+        """``Qhh @ v`` for group h: each in-group link's (1-m)/n_j v_j is
+        summed into its row from 0.0 in CSC order."""
+        inner_rows, _, counts = self._links[h]
+        return np.bincount(inner_rows, (self._scale[h] * v).repeat(
+            counts[:v.size]), v.size)
 
     def inflow(self, h, zbar):
-        """``Q[:, h] @ zbar`` compact, over the rows `block_rows[h]`."""
-        return self._product(h, self._reached, zbar,
-                             self.block_rows[h].size)
+        """``Q[:, h] @ zbar`` compact, over the rows `block_rows[h]`: the
+        in-group links' products, then the cross-group links', each summed
+        into its row from 0.0 in CSC order."""
+        _, rows, counts = self._links[h]
+        sends = self._scale[h] * zbar
+        return np.bincount(rows, np.concatenate((sends, sends)).repeat(counts),
+                           self.block_rows[h].size)
 
 
 def step_group(state, graph, m, factors, h):

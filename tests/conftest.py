@@ -1,11 +1,31 @@
 """Shared graph generators, state and file helpers for the test suite."""
 
+import os
+import shutil
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pushrank
 from pushrank import Partition, WebGraph, patch_dangling
+
+# the ``pushrank`` program: the script when one is on PATH (an installed
+# package), else ``python -m pushrank.cli`` on the package the tests import
+PROGRAM = ([shutil.which("pushrank")] if shutil.which("pushrank")
+           else [sys.executable, "-m", "pushrank.cli"])
+
+
+def program_env(*paths):
+    """The environment for a `PROGRAM` process: this one's, with `paths`,
+    then the directory of the package the tests import, first on
+    PYTHONPATH."""
+    root = str(Path(pushrank.__file__).resolve().parent.parent)
+    path = os.pathsep.join(map(str, filter(None, (
+        *paths, root, os.environ.get("PYTHONPATH")))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def graph_from_lists(n, out):

@@ -9,19 +9,11 @@ missing input file exits 3, also when a gzip file of its name plus
 """
 
 import gzip
-import os
-import shutil
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import pushrank
-
-SCRIPT = shutil.which("pushrank")
-COMMAND = [SCRIPT] if SCRIPT else [sys.executable, "-m", "pushrank.cli"]
-ROOT = str(Path(pushrank.__file__).resolve().parent.parent)
+from conftest import PROGRAM, program_env
 
 # (id, argv, exit code); {g} is a two-page cycle, {d} the case's directory
 CASES = [
@@ -68,9 +60,8 @@ def test_refused_input_exits_with_its_code(argv, code, tmp_path):
     write_inputs(tmp_path)
     args = [word.format(g=tmp_path / "cycle.txt", d=tmp_path)
             for word in argv.split()]
-    path = os.pathsep.join(filter(None, (ROOT, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run(COMMAND + args, capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    done = subprocess.run(PROGRAM + args, capture_output=True, text=True,
+                          timeout=120, env=program_env())
     assert done.returncode == code, done.stderr
     assert "error:" in done.stderr
     assert ("i/o error:" in done.stderr) == (code == 3)

@@ -138,6 +138,28 @@ def test_factors_hold_no_dense_block(rng):
     assert held < 8 * 300 * 300 / 2
 
 
+def test_factors_hold_each_link_once(rng):
+    # the same three communities: one row per link, in-group links not kept
+    # twice and no column index per link, plus a few words per page
+    g, part = community_graph(rng, num_groups=3, group_size=300, p_in=0.02,
+                              p_out=0.002)
+    g.q_scale(M)                    # the graph's cache, not the factors'
+    tracemalloc.start()
+    try:
+        factors = GroupFactors(g, M, part)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * (g.num_edges + 6 * g.n)
+    # a group's push reaches its members first, then the pages outside it
+    # that its links reach, ascending
+    for mem, rows in zip(factors.members, factors.block_rows):
+        np.testing.assert_array_equal(rows[:mem.size], mem)
+        outside = rows[mem.size:]
+        assert (np.diff(outside) > 0).all()
+        assert not np.isin(outside, mem).any()
+
+
 def self_loops(g):
     return np.array([j in g.indices[g.indptr[j]:g.indptr[j + 1]]
                      for j in range(g.n)])

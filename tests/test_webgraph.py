@@ -337,6 +337,24 @@ def test_bound_checks_take_no_column_sized_temporary(tmp_path):
     assert peak - before <= 17.5 * k
 
 
+def test_numbers_outside_int32_are_read_exactly():
+    # a narrower parse must not wrap a page number or a group label
+    rows = webgraph._read_rows(io.StringIO("0 2147483648\n"), "src dst")
+    assert rows.dtype == np.int64 and rows.tolist() == [[0, 2**31]]
+    text = "0 5000000000\n1 -7\n"
+    rows = webgraph._read_rows(io.StringIO(text), "page group")
+    assert rows.tolist() == [[0, 5_000_000_000], [1, -7]]
+    p = load_partition(io.StringIO(text), load_edge_list(io.StringIO("0 1")))
+    assert [m.tolist() for m in p.members] == [[1], [0]]
+
+
+def test_link_keys_past_int32_do_not_wrap():
+    # 50,000 * 50,001 is past int32: the keys are made in int64
+    g = load_edge_list(io.StringIO("50000 1\n1 50000\n"))
+    assert g.n == 50_001
+    assert g.out_links(np.array([1, 50_000]))[1].tolist() == [50_000, 1]
+
+
 def test_index_dtype_is_int32_while_every_page_number_fits():
     # decided from the counts alone, so the boundary costs no allocation
     many = webgraph._INT32_MIN_LINKS
