@@ -46,8 +46,8 @@ from . import engines, scheduling, solvers
 from .cluster import GroupFactors
 from .errors import ConfigError
 from .trace import MeanTrace, Trace, format_float, write_table
-from .webgraph import (_read_rows, load_edge_list, load_partition,
-                       patch_dangling)
+from .webgraph import (_distinct, _read_rows, load_edge_list,
+                       load_partition, patch_dangling)
 
 __all__ = ["ExperimentConfig", "run_experiment", "monte_carlo", "compare",
            "ALGORITHMS", "SCHEDULES"]
@@ -387,7 +387,7 @@ def compare(config, runs):
         while label in labels:
             label += "_"
         labels.append(label)
-    grid = np.unique(np.concatenate([t.updates for t in traces]))
+    grid = _distinct(np.concatenate([t.updates for t in traces]))
     columns = []
     for t in traces:
         idx = np.searchsorted(t.updates, grid, side="right") - 1

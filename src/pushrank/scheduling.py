@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .webgraph import _as_lines, _int64s
+from .webgraph import _as_lines, _distinct, _int64s
 
 __all__ = ["Schedule", "indegree_plus_one_weights", "load_sequence_file",
            "subset_probability", "derive_seed", "splitmix64"]
@@ -94,7 +94,7 @@ class Schedule:
             self.n = w.size
         self.sequence = None
         if sequence is not None:
-            self.sequence = [np.unique(np.asarray(s, dtype=np.intp))
+            self.sequence = [_distinct(np.asarray(s, dtype=np.intp))
                              for s in sequence]
             named = np.concatenate([np.empty(0, dtype=np.intp), *self.sequence])
             if n is None or named.size and not (0 <= named.min()

@@ -17,8 +17,10 @@ which a helper thread shares where the process may run on two CPUs or
 more, with each row's sum unchanged. Every graph is built from sorted
 int64 link keys ``src*n + dst``: ``WebGraph(n, src, dst)`` makes them from
 two link arrays (`patch_dangling` included), the loader from the pairs it
-parses, which it frees before the sort. Pages without out-links
-("dangling") must be patched before Q's values exist.
+parses, int32 ones from a text of `_NARROW_PARSE_BYTES` or more, which it
+frees before the sort; keys without duplicates are kept where they lie,
+so a large load holds 16 bytes per link at its peak. Pages without
+out-links ("dangling") must be patched before Q's values exist.
 
 File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 
@@ -31,7 +33,8 @@ File formats (UTF-8 text, ``#`` comment lines and blank lines ignored):
 `np.loadtxt` call. numpy reads a file by its path in chunks in C and walks
 a stream line by line in Python, so a regular file goes to it by absolute
 path, once the loader has opened it itself (see `_read_rows` for why); a
-stream and a file named like a compressed one go as a stream. Numbers are
+stream and a file named like a compressed one go as a stream, and the
+text of a pipe or FIFO is read once and held, as a stream's is. Numbers are
 ASCII integers with an optional sign that fit a signed 64-bit integer, and
 a ``#`` ends a line's payload, so ``0 1  # comment`` is a pair. Two
 spellings that Python's `int` accepts are rejected: digit separators
@@ -100,19 +103,18 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _path_or_stream(stream):
-    """What `np.loadtxt` reads for the open text `stream`: the absolute path
-    of the regular file that it reads, else `stream` itself, also when the
-    file's name ends in `_COMPRESSED`."""
+    """What `np.loadtxt` reads for the open text `stream` of a regular file
+    or of text held in memory: the file's absolute path, else `stream`
+    itself, also when the file's name ends in `_COMPRESSED`."""
     name = getattr(stream, "name", None)
     if not isinstance(name, str) or name.endswith(_COMPRESSED):
         return stream
-    if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-        return os.path.abspath(name)
-    return stream
+    return os.path.abspath(name)
 
 
 def _read_rows(source, fields, rules=(), dtype=np.int64):
-    """The payload lines of a text source as a (k, c) int64 or float array.
+    """The payload lines of a text source as a (k, c) int32, int64 or float
+    array.
 
     `source` is a filesystem path or an object with a ``read`` method.
     `fields` names the c columns in messages. `rules` holds ``(reject,
@@ -133,23 +135,44 @@ def _read_rows(source, fields, rules=(), dtype=np.int64):
     the file is opened here first, which raises the OS error of a missing
     or unreadable file, numpy gets only the path of that open regular file,
     and a name with one of those suffixes stays a stream
-    (`_path_or_stream`). Only when the call fails or a rule refuses a row
-    are the lines walked one at a time (the file is read a second time), so
-    that the `ParseError` names the first bad line.
+    (`_path_or_stream`). The text of a file that is not regular (a FIFO, a
+    ``/dev/fd/N`` pipe) is read once and held in memory, as a stream's is,
+    since such a file cannot be read a second time.
+
+    An integer text of `_NARROW_PARSE_BYTES` or more, by the size of the
+    open file or the length of the held text, is parsed as int32 first,
+    which holds half the memory of int64, and parsed again as int64 only
+    when numpy refuses a number (`ValueError`): one that int32 cannot hold,
+    or a malformed one. Only when the int64 call fails or a rule refuses a
+    row are the lines walked one at a time (a file is read a second time),
+    so that the `ParseError` names the first bad line.
     """
     columns = len(fields.split())
-    if hasattr(source, "read"):
-        # newline=None reads \r and \r\n line ends as a file opened below would
-        reopen = partial(io.StringIO, source.read(), newline=None)
-    else:
-        reopen = partial(open, source, encoding="utf-8",
-                         errors="surrogateescape")
+    text = source.read() if hasattr(source, "read") else None
+    if text is None:
+        stream = open(source, encoding="utf-8", errors="surrogateescape")
+        info = os.fstat(stream.fileno())
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode):
+            with stream:
+                text = stream.read()
+    if text is not None:
+        # newline=None reads \r and \r\n line ends as the file opened above
+        stream, size = io.StringIO(text, newline=None), len(text)
+    narrow = dtype == np.int64 and size >= _NARROW_PARSE_BYTES
     try:
-        with reopen() as stream, warnings.catch_warnings():
+        with stream, warnings.catch_warnings():
             # no rows at all: the caller says what is missing
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(_path_or_stream(stream), dtype=dtype,
-                              comments="#", ndmin=2, encoding="utf-8")
+            load = partial(np.loadtxt, _path_or_stream(stream), comments="#",
+                           ndmin=2, encoding="utf-8")
+            try:
+                rows = load(dtype=np.int32 if narrow else dtype)
+            except ValueError:
+                if not narrow:
+                    raise
+                stream.seek(0)
+                rows = load(dtype=dtype)
     except ValueError as exc:
         reason = str(exc)
     else:
@@ -162,9 +185,9 @@ def _read_rows(source, fields, rules=(), dtype=np.int64):
             if not any(reject(*lows) or reject(*highs) for reject, _ in rules):
                 return rows
             reason = "a row is out of range"
-    with reopen() as stream:
-        for lineno, line in _as_lines(stream):
-            _check_row(lineno, line, fields, rules, dtype)
+    for lineno, line in _as_lines(source if text is None
+                                  else io.StringIO(text, newline=None)):
+        _check_row(lineno, line, fields, rules, dtype)
     # the walk and loadtxt split the text differently (e.g. at a \v)
     raise ParseError(f"cannot read '{fields}' lines: {reason}")
 
@@ -199,6 +222,17 @@ def _int64s(lineno, line, tokens, expected):
     return values
 
 
+def _distinct(values):
+    """The distinct values of the integer array `values`, flattened and
+    ascending, as `np.unique(values)` gives them. On numpy 2, `np.unique`
+    without optional outputs calls `np.ma.is_masked`, which imports
+    numpy.ma: 9-20 ms and 1.25 MB of RSS in a run that needs nothing else
+    of it (measured)."""
+    values = np.sort(values, axis=None)
+    # values[0] - 1 differs from values[0], also where it wraps
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
 # the largest n whose sort key src*n + dst (at most n*n - 1) fits int64
 MAX_PAGES = 3_037_000_499
 # diagonals of fewer rows than this go to `in_diagonals`' tail, which a
@@ -217,6 +251,19 @@ _BLOCK_ROWS = 1 << 15
 # the mc-100 workload it raised peak RSS by 0.1-0.2 MB, as did an int32
 # `indptr`
 _INT32_MIN_LINKS = 1 << 16
+# integer texts of this many bytes or more parse as int32 first
+# (`_read_rows`), so that the load peaks at 16 B per link, the int32 pairs
+# and the int64 keys, where int64 pairs beside the keys held 24. On the
+# sync-200k benchmark workload (1.6M links, a 20.6 MB text) the load's
+# traced peak went from 36.68 to 24.54 MiB, below the run's, and with
+# the other savings in `in_diagonals` and `q_product` peak RSS from 65.99
+# to 61.27 MB (medians of 10 runs on a 2-CPU host). The gate selects by
+# input size: an int32 parse runs numpy code that a small graph otherwise
+# never runs, whose pages stay resident (about 0.06 MB, read from VmRSS
+# around the load of the 100-page mc-100 workload), and with every text
+# parsed as int32 mc-100's peak RSS rose by 0.10 MB. Below the gate,
+# gossip-20k (a 1.74 MB text) read 37.414 -> 37.398 MB
+_NARROW_PARSE_BYTES = 1 << 22
 
 
 def _index_dtype(n, links):
@@ -342,13 +389,17 @@ class WebGraph:
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
         # the kept keys move to the front of `key`, so that no second
-        # buffer of keys outlives this step while the caller holds `key`;
-        # the indices are a copy, which holds no dropped link
-        kept = key[first]
+        # buffer of keys outlives this step while the caller holds `key`,
+        # and with no duplicates stay where they are: the indices are a
+        # copy, which holds no dropped link. Not `first.all()`: its bool
+        # reduction is numpy code that a small graph would otherwise never
+        # run, and whose pages stay resident (0.06 MB, measured)
+        if np.count_nonzero(first) < key.size:
+            kept = key[first]
+            key = key[:kept.size]
+            key[:] = kept
+            del kept
         del first
-        key = key[:kept.size]
-        key[:] = kept
-        del kept
         self.n = int(n)
         self.indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
         self.indices = np.remainder(key, n, out=key).astype(
@@ -414,7 +465,9 @@ class WebGraph:
     def q_product(self, m, v, out=None):
         """Q @ v for v of shape (n,) or (n, B), into `out` if given (v itself
         included): the one product with Q, for the push of every page and
-        the reference (`pushrank.solvers`).
+        the reference (`pushrank.solvers`). A C-contiguous vector whose
+        `out` is v itself, the push's call, is scaled in place, with no
+        vector-sized copy; any other call leaves v as it was.
 
         Row i sums the rows of v scaled by `q_scale(m)` over page i's
         in-links (`in_diagonals`), diagonal by diagonal: from 0.0 in
@@ -438,7 +491,10 @@ class WebGraph:
                 self.q_product(m, v[:, column], out[:, column])
             return out
         vector = v.ndim == 1
-        u = np.multiply(scale if vector else scale[:, None], v, order="C")
+        if vector and out is v and v.flags.c_contiguous:
+            u = np.multiply(scale, v, out=v)
+        else:
+            u = np.multiply(scale if vector else scale[:, None], v, order="C")
         if vector:
             diagonals = diagonals[:long]
         head = diagonals[0].size if diagonals else 0
@@ -491,10 +547,12 @@ class WebGraph:
         start = np.zeros(lengths.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=start[1:])
         flat = np.empty(indices.size, dtype=np.intp)
-        placed = np.zeros(n, dtype=np.intp)    # in-links of each page so far
+        # in-links of each page placed so far, in the spent in-degrees
+        placed = in_degree
+        placed[:] = 0
         # the links in chunks of whole columns, about _LINK_CHUNK links each,
         # so that no temporary is link-sized
-        cuts = np.append(np.unique(indptr.searchsorted(
+        cuts = np.append(_distinct(indptr.searchsorted(
             np.arange(0, indices.size, _LINK_CHUNK), side="right") - 1), n)
         for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
             # the chunk's links by target, then sender (keys target*n +
@@ -552,7 +610,7 @@ def load_edge_list(source, index_base=0):
         raise ValueError(f"edge list describes {n} page(s); need at least 2")
     # the link keys src*n + dst, rebased in one subtraction; the pairs, which
     # `_read_rows` has range-checked, are dead once the keys exist
-    key = np.multiply(pairs[:, 0], n)
+    key = np.multiply(pairs[:, 0], n, dtype=np.int64)
     key += pairs[:, 1]
     del pairs
     if index_base:

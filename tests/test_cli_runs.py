@@ -3,15 +3,20 @@ process: the ``pushrank`` script when one is on PATH (an installed
 package), else ``python -m pushrank.cli`` on the package these tests
 import (`conftest.PROGRAM`). scipy is a test dependency only, so every
 command that builds the reference runs with scipy's import made to fail;
-and mc reduces each record across its replicas as it is taken, so its
-memory does not grow with its steps.
+no command imports numpy.ma; mc reduces each record across its replicas
+as it is taken, so its memory does not grow with its steps; the outputs
+do not depend on the BLAS threads or on the CPUs a run may use; and mc
+and ``--cadence 1`` write a row for every step.
 """
 
 import os
+import re
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import PROGRAM, program_env
@@ -64,3 +69,105 @@ def test_mc_peak_rss_does_not_grow_with_its_steps():
         assert proc.returncode == 0
         peaks.append(usage.ru_maxrss)
     assert peaks[1] - peaks[0] <= 8 * 1024, peaks
+
+
+@cache
+def numpy_imports_numpy_ma():
+    """Whether ``import numpy`` alone loads numpy.ma (numpy 1.x does)."""
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; sys.exit('numpy.ma' in sys.modules)"],
+        env=program_env()).returncode != 0
+
+
+# {g} is a two-page cycle, {ring} a ring above the reference cap, which
+# the file schedule {seq} walks with no reference built
+NO_NUMPY_MA = [
+    ("sync", "sync --graph {g} --tol 1e-9"),
+    ("mc", "mc --graph {g} --replicas 2 --steps 3"),
+    ("compare", "compare --graph {g} --runs power,sync --steps 3"),
+    ("multi-file", "multi --graph {ring} --schedule file:{seq} --steps 2"),
+]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name)
+                                  for name, argv in NO_NUMPY_MA])
+def test_a_run_imports_no_numpy_ma(argv, tmp_path):
+    # np.unique without optional outputs imports numpy.ma on numpy 2, 9-20
+    # ms and 1.25 MB of RSS in a run that uses nothing else of it
+    if numpy_imports_numpy_ma():
+        pytest.skip("import numpy alone loads numpy.ma here")
+    files = {"g": tmp_path / "cycle.txt", "ring": tmp_path / "ring.txt",
+             "seq": tmp_path / "ring.seq"}
+    files["g"].write_text("0 1\n1 0\n")
+    files["ring"].write_text("".join(f"{i} {(i + 1) % 6000}\n"
+                                     for i in range(6000)))
+    files["seq"].write_text("3,1,3\n2\n")
+    args = [word.format(**files) for word in argv.split()]
+    done = subprocess.run(PROGRAM + args, capture_output=True, text=True,
+                          timeout=120,
+                          env={**program_env(), "PYTHONPROFILEIMPORTTIME": "1"})
+    assert done.returncode == 0, done.stderr
+    # one "import time: self | cumulative | <module>" line per import
+    imported = re.findall(r"^import time:.*\|\s*(\S+)$", done.stderr,
+                          re.MULTILINE)
+    assert "numpy" in imported
+    assert not [name for name in imported
+                if name == "numpy.ma" or name.startswith("numpy.ma.")]
+
+
+def run_program(argv, env=None):
+    """Run `PROGRAM` with `argv`, which must exit 0."""
+    done = subprocess.run(PROGRAM + list(map(str, argv)), capture_output=True,
+                          text=True, timeout=300, env=env or program_env())
+    assert done.returncode == 0, done.stderr
+
+
+def test_exact_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"exact{threads}.csv")
+        run_program(["exact", "--graph", DATA / "community700.txt",
+                     "--out", outs[-1]],
+                    {**program_env(), "OPENBLAS_NUM_THREADS": threads})
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pins a child to one CPU by os.sched_setaffinity")
+def test_sync_writes_the_same_bytes_pinned_to_one_cpu(tmp_path):
+    # on 70,000 pages the product pulls three blocks of rows beside a
+    # helper thread, which a run pinned to one CPU does not start; the
+    # 6.7 MB edge list also takes the int32 parse
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("one CPU: every run is pinned")
+    n = 70_000
+    src = np.arange(n).repeat(8)
+    graph = tmp_path / "pages70k.txt"
+    np.savetxt(graph, np.column_stack(
+        (src, np.random.default_rng(1).integers(0, n, src.size))), fmt="%d")
+    outs = [tmp_path / "sync70k.csv", tmp_path / "sync70k_pinned.csv"]
+    argv = ["sync", "--graph", graph, "--tol", "1e-8", "--out"]
+    run_program(argv + [outs[0]])
+    # the child inherits the CPUs this process may run on
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        run_program(argv + [outs[1]])
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_every_step_has_a_row(tmp_path):
+    # mc writes a row for every step above 1,000 pages, and --cadence 1 a
+    # row for every step of a single run, each after the header
+    cycle = tmp_path / "cycle1001.txt"
+    cycle.write_text("".join(f"{i} {(i + 1) % 1001}\n" for i in range(1001)))
+    runs = [(["mc", "--graph", cycle, "--replicas", "2", "--steps", "5"], 7),
+            (["gossip", "--graph", DATA / "web60.txt", "--seed", "3",
+              "--steps", "400", "--cadence", "1"], 402)]
+    for argv, rows in runs:
+        out = tmp_path / f"{argv[0]}.csv"
+        run_program(argv + ["--out", out])
+        assert len(out.read_text().splitlines()) == rows

@@ -2,7 +2,9 @@ import bz2
 import gzip
 import io
 import lzma
+import os
 import socket
+import threading
 import tracemalloc
 import warnings
 from functools import partial
@@ -25,6 +27,13 @@ def test_parse_two_node_cycle():
     assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1]
 
 
+@pytest.fixture
+def narrow_parse(monkeypatch):
+    """Every integer text parses as int32 first, as a large one does."""
+    monkeypatch.setattr(webgraph, "_NARROW_PARSE_BYTES", 0)
+    assert webgraph._read_rows(io.StringIO("0 1\n"), "src dst").dtype == np.int32
+
+
 def test_parse_one_based_collapses_duplicates():
     g = load_edge_list(io.StringIO("1 2\n1 2\n2 1"), index_base=1)
     assert g.n == 2
@@ -39,6 +48,10 @@ def test_parse_one_based_collapses_duplicates():
         assert graph.indices.tolist() == [1, 2, 3, 0, 0, 3]
         # no buffer that held the dropped duplicates outlives the build
         assert graph.indices.base is None
+
+
+def test_narrow_parse_collapses_duplicates(narrow_parse):
+    test_parse_one_based_collapses_duplicates()
 
 
 def test_parse_dangling_page_allowed():
@@ -164,6 +177,28 @@ def test_q_product_requires_patched_and_valid_m():
             g.q_product(m, np.ones((2, 3)))
 
 
+def test_q_product_scales_in_place_only_into_its_vector(rng):
+    # the push of every page, q_product(m, z, out=z), scales z in place;
+    # every other call leaves v as it was
+    g = random_graph(rng, 300)
+    v = rng.random(g.n)
+    want = g.q_product(0.15, v.copy())
+    for out in (None, np.empty(g.n), np.empty(2 * g.n)[::2]):
+        kept = v.copy()
+        got = g.q_product(0.15, v, out=out)
+        np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(v, kept, strict=True)
+    # into itself, a strided vector and a block are written, not scaled
+    strided = np.zeros(2 * g.n)[::2]
+    strided[:] = v
+    block = np.column_stack([v, v])
+    for w, expected in ((strided, want), (block, np.column_stack([want, want]))):
+        assert g.q_product(0.15, w, out=w) is w
+        np.testing.assert_array_equal(w, expected, strict=True)
+    assert g.q_product(0.15, v, out=v) is v
+    np.testing.assert_array_equal(v, want, strict=True)
+
+
 def test_self_loops_preserved():
     g = load_edge_list(io.StringIO("0 0\n0 1\n1 0"))
     assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [0, 1]
@@ -266,6 +301,12 @@ def test_loader_matches_unique_reference(index_base, tmp_path):
         np.testing.assert_array_equal(h.indices, indices)
 
 
+@pytest.mark.parametrize("index_base", [0, 1])
+def test_narrow_parse_matches_unique_reference(index_base, tmp_path,
+                                               narrow_parse):
+    test_loader_matches_unique_reference(index_base, tmp_path)
+
+
 def test_link_arrays_must_be_1d_and_of_one_length():
     with pytest.raises(ValueError, match=r"shapes \(3,\) and \(1,\)"):
         WebGraph(5, [0, 1, 2], [3])          # would broadcast to 0->3, 1->3, 2->3
@@ -315,6 +356,29 @@ def test_load_frees_the_parse_before_the_build(tmp_path):
         assert g.indices.dtype == np.int32
 
 
+def test_load_peaks_at_two_words_per_link(tmp_path):
+    # a text at the size gate or above parses as int32 (8 B per link), freed
+    # once the int64 link keys (8 B) exist, and distinct keys are not
+    # copied, so the high-water mark is the pairs and the keys, or the keys
+    # and their duplicate mask (1 B), with 64 KiB for small temporaries;
+    # int64 pairs beside the keys held 24 B
+    rng = np.random.default_rng(5)
+    n, k = 20_000, 200_000
+    key = rng.choice(n * n, size=k, replace=False)
+    path = tmp_path / "links.txt"
+    np.savetxt(path, np.column_stack(np.divmod(key, n)), fmt="%10d")
+    assert path.stat().st_size >= webgraph._NARROW_PARSE_BYTES
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == k
+    assert peak - before <= 17 * k + (1 << 16)
+
+
 def test_bound_checks_take_no_column_sized_temporary(tmp_path):
     # the rules are checked on the columns' minima and maxima, so a checked
     # read costs what the parse does (16 B per link and about 1 B of the
@@ -348,11 +412,19 @@ def test_numbers_outside_int32_are_read_exactly():
     assert [m.tolist() for m in p.members] == [[1], [0]]
 
 
+def test_narrow_parse_reads_numbers_outside_int32_exactly(narrow_parse):
+    test_numbers_outside_int32_are_read_exactly()
+
+
 def test_link_keys_past_int32_do_not_wrap():
     # 50,000 * 50,001 is past int32: the keys are made in int64
     g = load_edge_list(io.StringIO("50000 1\n1 50000\n"))
     assert g.n == 50_001
     assert g.out_links(np.array([1, 50_000]))[1].tolist() == [50_000, 1]
+
+
+def test_narrow_parse_link_keys_do_not_wrap(narrow_parse):
+    test_link_keys_past_int32_do_not_wrap()
 
 
 def test_index_dtype_is_int32_while_every_page_number_fits():
@@ -401,7 +473,7 @@ PREAMBLE = "# pages\n\n   \n0 1\n# more\n\n"
 BAD_LINE = 7
 
 
-@pytest.mark.parametrize("line, index_base, message", [
+EDGE_LIST_ERRORS = [
     ("3", 0, "expected 'src dst'"),
     ("1 2 3", 0, "expected 'src dst'"),
     ("1 x", 0, "expected two integers"),
@@ -413,11 +485,74 @@ BAD_LINE = 7
     ("0 3", 1, "index below base 1"),
     ("-1 3", 0, "index below base 0"),
     ("1 99999999999", 0, "index 99999999999 exceeds the limit"),
-])
+]
+
+
+@pytest.mark.parametrize("line, index_base, message", EDGE_LIST_ERRORS)
 def test_edge_list_error_names_the_line(line, index_base, message):
     text = PREAMBLE.replace("0 1", "1 2") + line + "\n2 1\n"
     with pytest.raises(ParseError, match=f"line {BAD_LINE}: {message}"):
         load_edge_list(io.StringIO(text), index_base=index_base)
+
+
+@pytest.mark.parametrize("line, index_base, message", EDGE_LIST_ERRORS)
+def test_narrow_parse_error_names_the_line(line, index_base, message,
+                                           narrow_parse):
+    # int32 refuses the numbers it cannot hold, and the int64 parse then
+    # reads them, or refuses them as the walk does
+    test_edge_list_error_names_the_line(line, index_base, message)
+
+
+def _load_from_pipe(path, feed):
+    """`load_edge_list(path)`'s exception while the thread `feed` writes
+    into the pipe at `path`. A load that still waits after 30 s fails the
+    test, once a writer that sends nothing has let it go."""
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    raised = []
+
+    def load():
+        try:
+            load_edge_list(path)
+        except Exception as exc:
+            raised.append(exc)
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    loader.join(30)
+    if loader.is_alive():
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        loader.join(30)
+        pytest.fail(f"loading {path} waited for a second writer")
+    writer.join(30)
+    assert not writer.is_alive()
+    assert raised, f"loading {path} raised nothing"
+    return raised[0]
+
+
+def test_named_pipe_is_read_once(tmp_path):
+    # a FIFO cannot be opened again to name the bad line: its text is held
+    fifo = tmp_path / "links"
+    os.mkfifo(fifo)
+    error = _load_from_pipe(fifo, lambda: fifo.write_text("0 1\n1 x\n"))
+    assert isinstance(error, ParseError)
+    assert str(error).startswith("line 2: expected two integers")
+
+
+def test_descriptor_pipe_is_read_once():
+    # a /dev/fd pipe opened again reads nothing: its text is held
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    read, write = os.pipe()
+
+    def feed():
+        with os.fdopen(write, "w") as fh:
+            fh.write("0 1\n1 x\n")
+    try:
+        error = _load_from_pipe(f"/dev/fd/{read}", feed)
+    finally:
+        os.close(read)
+    assert isinstance(error, ParseError)
+    assert str(error).startswith("line 2: expected two integers")
 
 
 @pytest.mark.parametrize("line, message", [
