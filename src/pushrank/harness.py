@@ -307,19 +307,20 @@ def run_experiment(config):
 def monte_carlo(config):
     """Average the exact-error curve over `config.replicas` seeded replicas.
 
-    Replica r draws from the derived stream seed XOR splitmix64(r); runs
-    share the step grid (fixed step count, no tolerance stop), and the
-    sample mean and standard error of ||x(k) - x*||_1 are reported at
-    every step, or with a `cadence` at every cadence-th step and the
-    last. All replicas run in one stacked `engines.run` call: each record
-    makes one oracle call for all of them, every replica's conservation
-    defect is checked at every record, and the record goes to a
-    `MeanTrace`, which keeps only its mean and standard error, so the
-    memory held does not grow with replicas times records. Requires a
-    randomized schedule (default ``uniform``, which every scheduled
-    algorithm accepts), and builds the reference oracle at any graph
-    size. Reads the ``mc`` row of `_READS`, so it refuses a `tol` (there
-    is no tolerance stop) and `include_x` (it writes no per-page
+    Replica r draws from numpy's PCG64 stream on the derived seed seed XOR
+    splitmix64(r), which the schedules compute without numpy.random
+    (`scheduling`); runs share the step grid (fixed step count, no
+    tolerance stop), and the sample mean and standard error of
+    ||x(k) - x*||_1 are reported at every step, or with a `cadence` at
+    every cadence-th step and the last. All replicas run in one stacked
+    `engines.run` call: each record makes one oracle call for all of them,
+    every replica's conservation defect is checked at every record, and the
+    record goes to a `MeanTrace`, which keeps only its mean and standard
+    error, so the memory held does not grow with replicas times records.
+    Requires a randomized schedule (default ``uniform``, which every
+    scheduled algorithm accepts), and builds the reference oracle at any
+    graph size. Reads the ``mc`` row of `_READS`, so it refuses a `tol`
+    (there is no tolerance stop) and `include_x` (it writes no per-page
     columns); each replica is then a run of `config.algorithm` and reads
     that algorithm's row.
     """

@@ -9,7 +9,8 @@ replays the sets of a sequence file. `RANDOM_KINDS` names the kinds that
 draw at random, the only ones a seed steers, and each needs one. Which
 specs an algorithm accepts is the harness's table, not this module's.
 
-Random kinds draw from seeded PCG64 streams and are reproducible across
+Random kinds draw from seeded PCG64 streams, the doubles of
+``np.random.default_rng(seed).random()``, and are reproducible across
 platforms; singleton draws use an inverse-CDF lookup (binary search on the
 cumulative weight array). A schedule draws for R replicas of a run at once
 (`replicas`; one when None) and returns every replica's draw for a step as
@@ -17,10 +18,15 @@ one ascending array of stacked indices ``r n + i`` (replica r's index i).
 A single run has one stream on `seed`; with `replicas` R, replica r has
 its own stream on ``derive_seed(seed, r)`` = ``seed XOR splitmix64(r)``,
 so no two replicas share one. Only random kinds draw for more than one
-replica. Singleton draws are made in blocks: one ``rng.random(k)`` and
-one vector search per stream give the indices of the next k steps, the
-same doubles and indices as k scalar draws. Blocks double from 16 to 4096
-steps, so a short run draws few it does not use.
+replica.
+
+Every random kind draws from `_pcg64.Streams`, which computes numpy's
+PCG64 doubles bit for bit with numpy arithmetic, so that no run imports
+numpy.random (5.5 MB of RSS). ``uniform`` and ``weighted`` draw in
+blocks: one `Streams.random` call and one vector search give every
+replica's indices of the next k steps, the same doubles and indices as
+k scalar draws. Blocks double from 16 to 4096 steps, so a short run draws
+few it does not use. ``subset`` draws n doubles a step for each replica.
 
 A schedule is owned by one run and keeps its own position: each `draw`
 goes on where the last one stopped. Every set it draws is ascending,
@@ -70,7 +76,8 @@ class Schedule:
 
     `kind` is a spec kind (see the module doc). ``file`` replays explicit
     `sequence` sets, also ones built in memory, over n indices, and ends
-    where they do.
+    where they do. The random kinds draw from one `_pcg64.Streams` over
+    every replica's seed.
     """
 
     def __init__(self, kind, *, n=None, weights=None, seed=None, q=None,
@@ -101,13 +108,15 @@ class Schedule:
                                                 and named.max() < n):
                 raise ValueError("a file schedule's sets must lie in 0..n-1, "
                                  f"n = {n}")
-        self._rngs = None
+        self._streams = None
         if kind in RANDOM_KINDS:
             if seed is None:
                 raise ValueError(f"a {kind} schedule needs a seed")
             seeds = ([seed] if replicas is None else
                      [derive_seed(seed, r) for r in range(replicas)])
-            self._rngs = [np.random.default_rng(s) for s in seeds]
+            # imported here, so runs without random draws load no more code
+            from ._pcg64 import Streams
+            self._streams = Streams(seeds)
         self._steps = 0          # the steps drawn so far
         self._block = np.empty((0, self.replicas), dtype=np.intp)
         self._taken = 0
@@ -180,10 +189,10 @@ class Schedule:
             sets, total = [], 0
             while len(sets) < steps and total < pages:
                 if self.kind == "subset":
-                    # replica r's draw is row r of the mask: flat index r n + i
+                    # replica r's draw is column r of the doubles, row r of
+                    # the transposed mask: flat index r n + i
                     sets.append(np.flatnonzero(
-                        np.stack([rng.random(self.n) for rng in self._rngs])
-                        < self.q))
+                        self._streams.random(self.n).T < self.q))
                 elif k + len(sets) < len(self.sequence):
                     sets.append(self.sequence[k + len(sets)])
                 else:
@@ -195,14 +204,12 @@ class Schedule:
         return drawn, sizes
 
     def _refill(self):
-        """Draw the next block of singleton rows, one index per replica,
-        filling the block one stream's column at a time."""
+        """Draw the next block of singleton rows, one index per replica:
+        one search over every stream's doubles, column r replica r's."""
         size = min(max(_BLOCK_MIN, 2 * len(self._block)), _BLOCK_MAX,
                    max(1, _BLOCK_MAX * _BLOCK_MIN // self.replicas))
-        self._block = np.empty((size, self.replicas), dtype=np.intp)
-        for r, rng in enumerate(self._rngs):
-            self._block[:, r] = np.searchsorted(self._cum, rng.random(size),
-                                                side="right")
+        self._block = np.searchsorted(self._cum, self._streams.random(size),
+                                      side="right")
         self._block += self.n * np.arange(self.replicas)
         self._taken = 0
 

@@ -3,10 +3,10 @@ process: the ``pushrank`` script when one is on PATH (an installed
 package), else ``python -m pushrank.cli`` on the package these tests
 import (`conftest.PROGRAM`). scipy is a test dependency only, so every
 command that builds the reference runs with scipy's import made to fail;
-no command imports numpy.ma; mc reduces each record across its replicas
-as it is taken, so its memory does not grow with its steps; the outputs
-do not depend on the BLAS threads or on the CPUs a run may use; and mc
-and ``--cadence 1`` write a row for every step.
+no command imports numpy.ma or numpy.random; mc reduces each record
+across its replicas as it is taken, so its memory does not grow with its
+steps; the outputs do not depend on the BLAS threads or on the CPUs a run
+may use; and mc and ``--cadence 1`` write a row for every step.
 """
 
 import os
@@ -72,12 +72,34 @@ def test_mc_peak_rss_does_not_grow_with_its_steps():
 
 
 @cache
-def numpy_imports_numpy_ma():
-    """Whether ``import numpy`` alone loads numpy.ma (numpy 1.x does)."""
+def numpy_alone_imports(module):
+    """Whether ``import numpy`` alone loads `module` (numpy 1.x loads
+    numpy.ma and numpy.random)."""
     return subprocess.run(
         [sys.executable, "-c",
-         "import sys, numpy; sys.exit('numpy.ma' in sys.modules)"],
+         f"import sys, numpy; sys.exit({module!r} in sys.modules)"],
         env=program_env()).returncode != 0
+
+
+def imported_modules(argv, files):
+    """The modules a run of `argv`, its words formatted with `files`,
+    imports: the names of the ``PYTHONPROFILEIMPORTTIME=1`` report."""
+    args = [word.format(**files) for word in argv.split()]
+    done = subprocess.run(PROGRAM + args, capture_output=True, text=True,
+                          timeout=120,
+                          env={**program_env(), "PYTHONPROFILEIMPORTTIME": "1"})
+    assert done.returncode == 0, done.stderr
+    # one "import time: self | cumulative | <module>" line per import
+    imported = re.findall(r"^import time:.*\|\s*(\S+)$", done.stderr,
+                          re.MULTILINE)
+    assert "numpy" in imported
+    return imported
+
+
+def within(imported, package):
+    """The names in `imported` of `package` and its submodules."""
+    return [name for name in imported
+            if name == package or name.startswith(package + ".")]
 
 
 # {g} is a two-page cycle, {ring} a ring above the reference cap, which
@@ -95,7 +117,7 @@ NO_NUMPY_MA = [
 def test_a_run_imports_no_numpy_ma(argv, tmp_path):
     # np.unique without optional outputs imports numpy.ma on numpy 2, 9-20
     # ms and 1.25 MB of RSS in a run that uses nothing else of it
-    if numpy_imports_numpy_ma():
+    if numpy_alone_imports("numpy.ma"):
         pytest.skip("import numpy alone loads numpy.ma here")
     files = {"g": tmp_path / "cycle.txt", "ring": tmp_path / "ring.txt",
              "seq": tmp_path / "ring.seq"}
@@ -103,17 +125,39 @@ def test_a_run_imports_no_numpy_ma(argv, tmp_path):
     files["ring"].write_text("".join(f"{i} {(i + 1) % 6000}\n"
                                      for i in range(6000)))
     files["seq"].write_text("3,1,3\n2\n")
-    args = [word.format(**files) for word in argv.split()]
-    done = subprocess.run(PROGRAM + args, capture_output=True, text=True,
-                          timeout=120,
-                          env={**program_env(), "PYTHONPROFILEIMPORTTIME": "1"})
-    assert done.returncode == 0, done.stderr
-    # one "import time: self | cumulative | <module>" line per import
-    imported = re.findall(r"^import time:.*\|\s*(\S+)$", done.stderr,
-                          re.MULTILINE)
-    assert "numpy" in imported
-    assert not [name for name in imported
-                if name == "numpy.ma" or name.startswith("numpy.ma.")]
+    assert not within(imported_modules(argv, files), "numpy.ma")
+
+
+# {g} is a two-page cycle and {groups} puts each page in its own group
+NO_NUMPY_RANDOM = [
+    ("sync", "sync --graph {g} --tol 1e-9"),
+    ("gossip-uniform", "gossip --graph {g} --schedule uniform --steps 3"),
+    ("gossip-weighted", "gossip --graph {g} "
+                        "--schedule weighted:indegree_plus_one --steps 3"),
+    ("cluster-uniform", "cluster --graph {g} --partition {groups} "
+                        "--schedule uniform --seed 1 --steps 3"),
+    ("mc-gossip", "mc --graph {g} --replicas 2 --steps 3"),
+    ("mc-cluster", "mc --graph {g} --algorithm cluster --partition {groups} "
+                   "--replicas 2 --steps 3"),
+    ("multi-subset", "multi --graph {g} --schedule subset:0.5 --steps 3"),
+    ("mc-subset", "mc --graph {g} --algorithm multi --schedule subset:0.5 "
+                  "--replicas 2 --steps 3"),
+    ("compare", "compare --graph {g} --runs gossip,sync --steps 3"),
+]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name)
+                                  for name, argv in NO_NUMPY_RANDOM])
+def test_a_run_imports_no_numpy_random(argv, tmp_path):
+    # random schedules draw numpy's PCG64 doubles with numpy arithmetic
+    # (pushrank._pcg64); numpy.random's extension modules cost 5.5 MB of
+    # RSS and 9 ms on numpy 2.4, and no run uses them
+    if numpy_alone_imports("numpy.random"):
+        pytest.skip("import numpy alone loads numpy.random here")
+    files = {"g": tmp_path / "cycle.txt", "groups": tmp_path / "cycle.groups"}
+    files["g"].write_text("0 1\n1 0\n")
+    files["groups"].write_text("0 0\n1 1\n")
+    assert not within(imported_modules(argv, files), "numpy.random")
 
 
 def run_program(argv, env=None):

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from pushrank import (ConfigError, ParseError, Schedule, derive_seed,
+from pushrank import (ConfigError, ParseError, Schedule, _pcg64, derive_seed,
                       indegree_plus_one_weights, load_edge_list)
 from pushrank.scheduling import load_sequence_file, splitmix64
 
@@ -156,6 +156,37 @@ def test_block_draws_match_scalar_draws(kind):
                    for d in got)
         r = replica or 0
         assert [int(d[r]) - r * n for d in got] == want
+
+
+# seeds of one, two, three, four and more 32-bit entropy words, at the
+# edges of each word count
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 12345,
+              2**300 + 7]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("seeds", [
+    pytest.param(EDGE_SEEDS, id="edge"),
+    pytest.param([derive_seed(5, r) for r in range(700)], id="derived"),
+    pytest.param([2**64], id="single")])
+def test_streams_match_numpy_bit_for_bit(seeds, chunk, monkeypatch):
+    # column r of each draw is what default_rng(seeds[r]) draws next, also
+    # across chunks of the multiply-add, of one step or of more than 8,192
+    if chunk is not None:
+        monkeypatch.setattr(_pcg64, "_CHUNK", chunk)
+    streams = _pcg64.Streams(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    for k in (1, 16, 32, 4096, 65, 9000):
+        got = streams.random(k)
+        assert got.shape == (k, len(seeds)) and got.dtype == np.float64
+        assert all(np.array_equal(got[:, r].view(np.uint64),
+                                  rng.random(k).view(np.uint64))
+                   for r, rng in enumerate(rngs))
+
+
+def test_streams_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="must not be negative"):
+        _pcg64.Streams([3, -1])
 
 
 @pytest.mark.parametrize("spec, replicas", [
